@@ -361,7 +361,7 @@ def test_emit_pipeline_trajectory():
     # both encode engines, plus the stage share Huffman holds in a full
     # pipeline decompress
     from repro.core.ginterp.autotune import autotune_cache_stats
-    from repro.huffman import (LUT_PROBE_BITS, clear_fingerprint_cache,
+    from repro.huffman import (clear_fingerprint_cache,
                                drain_lut_prewarm, fingerprint_cache_stats,
                                fingerprint_code_lengths, huffman_decode,
                                huffman_encode)
@@ -385,7 +385,13 @@ def test_emit_pipeline_trajectory():
 
     hstream = huffman_encode(hcodes, alph, DEFAULT_CHUNK)
     ref_syms = hcodes.astype(np.uint32)
-    assert np.array_equal(huffman_decode(hstream, engine="lut"), ref_syms)
+    with telemetry.recording() as wrec:
+        assert np.array_equal(huffman_decode(hstream, engine="lut"),
+                              ref_syms)
+    # the width the timed decodes below use (the LUT built above is the
+    # full-width one, so they run warm at MAX_CODE_LEN)
+    probe_bits = next(sp.attrs["probe_bits"] for sp in wrec.spans
+                      if sp.name == "huffman.unpack")
     assert np.array_equal(huffman_decode(hstream, engine="loop"), ref_syms)
     assert huffman_encode(hcodes, alph, DEFAULT_CHUNK,
                           engine="loop").to_bytes() == hstream.to_bytes(), \
@@ -429,7 +435,7 @@ def test_emit_pipeline_trajectory():
         "alphabet": int(alph),
         "chunk_size": DEFAULT_CHUNK,
         "n_chunks": int(hstream.chunk_bits.size),
-        "probe_bits": LUT_PROBE_BITS,
+        "probe_bits": probe_bits,
         "stream_bytes": int(hstream.nbytes),
         "lut_build_s": round(lut_build_s, 6),
         "encode_s": round(enc_s, 6),

@@ -12,8 +12,9 @@ into byte-aligned payloads via one vectorized variable-length bit scatter
 driven by a packed code/length pair gather), and decoded by stepping all
 chunks *simultaneously* — each batched advance probes a multi-symbol
 lookup table (:func:`repro.huffman.canonical.build_lut_tables`) that
-emits every complete codeword in the next ``LUT_PROBE_BITS`` bits —
-which is the vectorized analogue of one-thread-block-per-chunk decoding.
+emits every complete codeword in the next ``K`` bits, ``K`` chosen per
+stream (:func:`repro.huffman.codec.choose_probe_bits`) — which is the
+vectorized analogue of one-thread-block-per-chunk decoding.
 """
 
 from repro.huffman.histogram import histogram, topk_coverage
@@ -29,8 +30,8 @@ from repro.huffman.canonical import (
     warm_tables,
     prewarm_lut_async,
     drain_lut_prewarm,
+    lut_cached,
     MAX_CODE_LEN,
-    LUT_PROBE_BITS,
 )
 from repro.huffman.codec import (
     huffman_encode,
@@ -39,6 +40,8 @@ from repro.huffman.codec import (
     DECODE_ENGINES,
     ENCODE_ENGINES,
     DEFAULT_CHUNK,
+    PROBE_WIDTHS,
+    choose_probe_bits,
 )
 from repro.huffman.static import (
     static_lengths,
@@ -62,14 +65,16 @@ __all__ = [
     "build_lut_tables",
     "warm_lengths",
     "warm_tables",
+    "lut_cached",
     "MAX_CODE_LEN",
-    "LUT_PROBE_BITS",
     "huffman_encode",
     "huffman_decode",
     "HuffmanStream",
     "DECODE_ENGINES",
     "ENCODE_ENGINES",
     "DEFAULT_CHUNK",
+    "PROBE_WIDTHS",
+    "choose_probe_bits",
     "static_lengths",
     "best_static_profile",
     "prewarm_static",

@@ -8,8 +8,9 @@ decoder expands it into two lookup surfaces:
   ``MAX_CODE_LEN`` bits to ``(symbol, code length)``; one gather per
   decoded symbol, used as the rare-path fallback;
 * the **multi-symbol LUT** (:func:`build_lut_tables`) — ``2**K`` entries
-  (``K = LUT_PROBE_BITS``) mapping the next ``K`` bits to *every complete
-  codeword inside the probe*: ``(symbols[:count], cumulative bits)``.
+  (``K`` = probe width, chosen per stream by the decoder) mapping the
+  next ``K`` bits to *every complete codeword inside the probe*:
+  ``(symbols[:count], cumulative bits)``.
   One gather decodes up to ``K`` symbols, which is what lets the
   chunk-parallel decode loop in :mod:`repro.huffman.codec` consume tens
   of bits per 64-bit window instead of one codeword per table lookup.
@@ -26,7 +27,6 @@ cannot corrupt another's view.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
@@ -38,24 +38,20 @@ from repro.common.errors import CodecError
 from repro.common.scan import concat_ranges
 
 __all__ = ["canonical_codebook", "build_decode_table", "build_lut_tables",
-           "MAX_CODE_LEN", "LUT_PROBE_BITS",
+           "lut_cached", "MAX_CODE_LEN",
            "clear_codebook_caches", "codebook_cache_stats",
            "warm_lengths", "warm_tables",
            "prewarm_lut_async", "drain_lut_prewarm"]
 
 #: Single flat-table decode requires bounded code lengths; 16 bits keeps the
 #: table at 64 Ki entries while supporting the 1024-symbol quant alphabet.
+#: It is also the widest (and default) probe of the multi-symbol LUT: a
+#: full-width probe can never meet a codeword it cannot finish, so decode
+#: never needs the flat-table fallback, at the price of the largest build
+#: (~3 MiB, 10-16 ms). Narrower probes build far faster and decode
+#: somewhat slower; :func:`repro.huffman.codec.choose_probe_bits` picks
+#: one per stream (see docs/PERFORMANCE.md for the measured table).
 MAX_CODE_LEN = 16
-
-#: Probe width ``K`` of the multi-symbol LUT: each decode gather reads the
-#: next ``K`` payload bits and emits every complete codeword inside them.
-#: The default is ``MAX_CODE_LEN`` itself: a full-width probe can never
-#: meet a codeword it cannot finish, so the decode loop drops its
-#: rare-path fallback branch entirely (see :mod:`repro.huffman.codec`),
-#: at the price of a larger build (~3 MiB, ~5 ms, amortized by the LUT
-#: cache and worker warm shipping). Narrower probes trade decode speed
-#: for build cost/memory; see docs/PERFORMANCE.md for the measured table.
-LUT_PROBE_BITS = int(os.environ.get("REPRO_HUFFMAN_PROBE_BITS", "16"))
 
 #: distinct length vectors kept per cache; static families have < 10 members
 #: and dynamic codebooks are per-field, so a few dozen covers real runs
@@ -78,7 +74,7 @@ _cache_stats = {"codebook_hits": 0, "codebook_misses": 0,
                 "codebook_evictions": 0,
                 "table_hits": 0, "table_misses": 0, "table_evictions": 0,
                 "lut_hits": 0, "lut_misses": 0, "lut_evictions": 0}
-#: running byte totals of the byte-budgeted caches (values only)
+#: running byte totals of the byte-budgeted caches (keys and values)
 _cache_bytes = {"table": 0, "lut": 0}
 
 _BYTE_BUDGETS = {"table": TABLE_CACHE_BYTES, "lut": LUT_CACHE_BYTES}
@@ -109,6 +105,13 @@ def _entry_nbytes(value) -> int:
     return sum(v.nbytes for v in value if isinstance(v, np.ndarray))
 
 
+def _footprint(key, value) -> int:
+    """Bytes an entry holds against its cache's budget: the same key plus
+    value total the registry reports as ``size_bytes``, so a cache the
+    eviction loop keeps within budget never reads as over it."""
+    return _key_nbytes(key) + _entry_nbytes(value)
+
+
 def _cache_get(cache: OrderedDict, key, kind: str):
     with _cache_lock:
         hit = cache.get(key)
@@ -131,16 +134,20 @@ def _cache_put(cache: OrderedDict, key, value, kind: str) -> None:
     """
     budget = _BYTE_BUDGETS.get(kind)
     with _cache_lock:
+        # a racing build (background prewarm vs foreground) may insert
+        # the same key twice: replace, and stop counting the old bytes
+        old = cache.pop(key, None)
         cache[key] = value
-        cache.move_to_end(key)
         if budget is not None:
-            _cache_bytes[kind] += _entry_nbytes(value)
+            if old is not None:
+                _cache_bytes[kind] -= _footprint(key, old)
+            _cache_bytes[kind] += _footprint(key, value)
         while len(cache) > _CACHE_SIZE or (
                 budget is not None and _cache_bytes[kind] > budget
                 and len(cache) > 1):
-            _k, evicted = cache.popitem(last=False)
+            k, evicted = cache.popitem(last=False)
             if budget is not None:
-                _cache_bytes[kind] -= _entry_nbytes(evicted)
+                _cache_bytes[kind] -= _footprint(k, evicted)
             _cache_stats[f"{kind}_evictions"] += 1
 
 
@@ -259,8 +266,18 @@ def build_decode_table(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return symbols, lens
 
 
+def lut_cached(lengths: np.ndarray, probe_bits: int = MAX_CODE_LEN) -> bool:
+    """Whether the ``probe_bits`` LUT of ``lengths`` is cached. A pure
+    membership test: it touches neither the LRU order nor the hit/miss
+    counters, so a decoder can pick its width before it fetches."""
+    key = (_length_key(np.asarray(lengths, dtype=np.int64).ravel()),
+           int(probe_bits))
+    with _cache_lock:
+        return key in _lut_cache
+
+
 def build_lut_tables(lengths: np.ndarray,
-                     probe_bits: int | None = None
+                     probe_bits: int = MAX_CODE_LEN
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand code lengths into the multi-symbol probe LUT.
 
@@ -284,8 +301,6 @@ def build_lut_tables(lengths: np.ndarray,
     LUT probe can never mis-decode across the probe boundary.
     """
     lengths = np.asarray(lengths, dtype=np.int64).ravel()
-    if probe_bits is None:
-        probe_bits = LUT_PROBE_BITS
     if not 1 <= probe_bits <= MAX_CODE_LEN:
         raise CodecError(
             f"probe width {probe_bits} outside [1, {MAX_CODE_LEN}]")
@@ -293,6 +308,27 @@ def build_lut_tables(lengths: np.ndarray,
     cached = _cache_get(_lut_cache, key, "lut")
     if cached is not None:
         return cached
+    entry = _expand_lut(lengths, probe_bits)
+    _put_lut(key, entry)
+    return entry
+
+
+def _put_lut(key: tuple, entry: tuple) -> None:
+    """Cache a LUT. A full-width entry first retires the narrower LUTs of
+    the same lengths: once it is cached a decoder only picks a narrow
+    width when pinned, so they would just hold LUT budget."""
+    if key[1] == MAX_CODE_LEN:
+        with _cache_lock:
+            for width in range(1, MAX_CODE_LEN):
+                narrow = (key[0], width)
+                old = _lut_cache.pop(narrow, None)
+                if old is not None:
+                    _cache_bytes["lut"] -= _footprint(narrow, old)
+    _cache_put(_lut_cache, key, entry, "lut")
+
+
+def _expand_lut(lengths: np.ndarray, probe_bits: int) -> tuple:
+    """The uncached LUT construction behind :func:`build_lut_tables`."""
     table_syms, table_lens = build_decode_table(lengths)
     size = 1 << probe_bits
     mask = np.int32(size - 1)
@@ -327,32 +363,35 @@ def build_lut_tables(lengths: np.ndarray,
     syms = np.ascontiguousarray(syms[:, :smax])
     for arr in (count, cum, syms):
         arr.setflags(write=False)
-    entry = (count, cum, syms)
-    _cache_put(_lut_cache, key, entry, "lut")
-    return entry
+    return count, cum, syms
 
 
 # -- encode-side LUT prewarm -------------------------------------------------
 #
-# A recurring codebook (the encode fingerprint cache hitting) predicts a
-# near-future decode of the same codebook; building its ~3 MiB probe LUT
-# *now*, off-thread, means that warm decode never pays the build wall.
+# A recurring codebook (the encode fingerprint cache hitting, or the
+# decoder reusing a narrow LUT) predicts a near-future decode of the same
+# codebook; building its ~3 MiB full-width probe LUT *now*, off-thread,
+# means that warm decode never pays the build wall.
 
 _prewarm_lock = threading.Lock()
 _prewarm_threads: dict[tuple, threading.Thread] = {}
 
 
 def prewarm_lut_async(lengths: np.ndarray) -> bool:
-    """Build the probe LUT for ``lengths`` on a daemon thread if it is
-    not already cached or in flight. Returns whether a build started.
+    """Build the full-width (``MAX_CODE_LEN``) probe LUT for ``lengths``
+    on a daemon thread if it is not already cached or in flight. Returns
+    whether a build started.
 
     The build is pure (read-only inputs, idempotent cache insert), so a
     rare race with a foreground :func:`build_lut_tables` only costs one
-    redundant build, never a wrong table.
+    redundant build, never a wrong table. A prewarm fills the cache
+    without looking it up, so it counts as neither hit nor miss: the
+    cache statistics (and the ``repro doctor`` warm-hit check over them)
+    see only the lookups of real decodes.
     """
     lengths = np.asarray(lengths, dtype=np.int64).ravel()
     try:
-        key = (_length_key(lengths), int(LUT_PROBE_BITS))
+        key = (_length_key(lengths), MAX_CODE_LEN)
     except CodecError:
         return False
     with _cache_lock:
@@ -365,7 +404,7 @@ def prewarm_lut_async(lengths: np.ndarray) -> bool:
 
         def _build():
             try:
-                build_lut_tables(lengths)
+                _put_lut(key, _expand_lut(lengths, MAX_CODE_LEN))
             except CodecError:  # pragma: no cover - key pre-validated
                 pass
             finally:

@@ -21,10 +21,12 @@ are independently decodable.
 * **Decode** steps all chunks simultaneously. The default ``lut`` engine
   gathers one 64-bit window per chunk per outer step and then chains
   multi-symbol LUT probes inside it: each probe reads the next ``K``
-  bits (:data:`repro.huffman.canonical.LUT_PROBE_BITS`) and emits every
-  complete codeword they contain in a single gather, falling back to the
-  flat ``MAX_CODE_LEN`` table only for the rare codeword wider than the
-  probe. The retained ``loop`` engine is the previous
+  bits and emits every complete codeword they contain in a single
+  gather, falling back to the flat ``MAX_CODE_LEN`` table only for the
+  rare codeword wider than the probe. ``K`` is chosen per stream
+  (:func:`choose_probe_bits`): a narrow LUT builds several times faster
+  than the full-width one, which a recurring codebook is promoted to.
+  The retained ``loop`` engine is the previous
   one-codeword-per-table-lookup decoder, kept for cross-engine
   equivalence testing (byte-identical output is asserted in CI).
 """
@@ -42,11 +44,13 @@ from repro import telemetry
 from repro.common.bitpack import pack_varbits, pack_varbits64
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman.canonical import (MAX_CODE_LEN, build_decode_table,
-                                     build_lut_tables, canonical_codebook)
+                                     build_lut_tables, canonical_codebook,
+                                     lut_cached, prewarm_lut_async)
 from repro.huffman.histogram import histogram
 from repro.huffman.tree import fingerprint_code_lengths
 
 __all__ = ["huffman_encode", "huffman_decode", "HuffmanStream",
+           "choose_probe_bits", "PROBE_WIDTHS",
            "DEFAULT_CHUNK", "DECODE_ENGINES", "ENCODE_ENGINES"]
 
 #: default symbols per chunk for new streams. 256 (was 2048) widens the
@@ -227,8 +231,8 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                          crc32=zlib.crc32(payload.tobytes()))
 
 
-def huffman_decode(stream: HuffmanStream,
-                   engine: str | None = None) -> np.ndarray:
+def huffman_decode(stream: HuffmanStream, engine: str | None = None, *,
+                   probe_bits: int | None = None) -> np.ndarray:
     """Decode a :class:`HuffmanStream` back into its uint32 symbol array.
 
     ``engine`` selects the decoder: ``"lut"`` (default; multi-symbol
@@ -237,20 +241,36 @@ def huffman_decode(stream: HuffmanStream,
     engines produce byte-identical output and raise
     :class:`~repro.common.errors.CorruptStreamError` on the same corrupt
     inputs.
+
+    The ``lut`` engine picks its probe width per stream
+    (:func:`choose_probe_bits`); ``probe_bits`` pins one instead. The
+    ``huffman.unpack`` span records the width used and the LUT outcome:
+    ``hit`` (cached), ``built`` (cold build) or ``promoted`` (a cached
+    narrow LUT reused, full-width build started in the background); an
+    empty stream uses no LUT and records ``none`` at width 0.
     """
     if engine is None:
         engine = os.environ.get("REPRO_HUFFMAN_ENGINE", "lut")
     if engine not in DECODE_ENGINES:
         raise CodecError(f"unknown Huffman decode engine {engine!r}")
     with telemetry.span("huffman.unpack", n_symbols=stream.n_symbols,
-                        bytes_in=int(stream.payload.size), engine=engine):
-        if engine == "lut":
-            return _decode_lut(stream)
-        return _decode_loop(stream)
+                        bytes_in=int(stream.payload.size),
+                        engine=engine) as sp:
+        if engine == "loop":
+            return _decode_loop(stream)
+        out, width, outcome = _decode_lut(stream, probe_bits)
+        sp.set(probe_bits=width, lut=outcome)
+        return out
 
 
 def _decode_prepare(stream: HuffmanStream):
-    """Shared validation + per-chunk cursor state for both engines."""
+    """Shared validation + per-chunk cursor state for both engines.
+
+    Everything sized from the header is checked here, before either
+    engine allocates its output: the symbol count is outside the CRC, so
+    each chunk's bit budget must be reachable by its symbol count at the
+    stream's shortest and longest code lengths.
+    """
     n = stream.n_symbols
     chunk_size = stream.chunk_size
     if chunk_size < 1:
@@ -258,67 +278,139 @@ def _decode_prepare(stream: HuffmanStream):
     n_chunks = int(stream.chunk_bits.size)
     if n_chunks != -(-n // chunk_size):
         raise CorruptStreamError("chunk count inconsistent with symbol count")
+    used = stream.lengths[stream.lengths > 0]
+    if used.size == 0:
+        raise CorruptStreamError("Huffman stream has no codewords")
+    counts = np.full(n_chunks, chunk_size, dtype=np.int64)
+    counts[-1] = n - chunk_size * (n_chunks - 1)
+    chunk_bits = stream.chunk_bits.astype(np.int64)
+    if np.any(chunk_bits < counts * int(used.min())) \
+            or np.any(chunk_bits > counts * int(used.max())):
+        raise CorruptStreamError(
+            "chunk bit counts inconsistent with symbol count")
     if zlib.crc32(np.ascontiguousarray(stream.payload).tobytes()) \
             != stream.crc32:
         raise CorruptStreamError("Huffman payload checksum mismatch")
-    chunk_bytes = -(-stream.chunk_bits.astype(np.int64) // 8)
-    chunk_byte_off = np.concatenate(([0], np.cumsum(chunk_bytes)))
+    chunk_byte_off = np.concatenate(([0], np.cumsum(-(-chunk_bits // 8))))
     if int(chunk_byte_off[-1]) != stream.payload.size:
         raise CorruptStreamError("payload size mismatch")
     # pad so window gathers never read past the end
     pay = np.concatenate([stream.payload, np.zeros(8, np.uint8)])
-    counts = np.full(n_chunks, chunk_size, dtype=np.int64)
-    counts[-1] = n - chunk_size * (n_chunks - 1)
     bitpos = chunk_byte_off[:-1] * 8
-    bit_end = bitpos + stream.chunk_bits.astype(np.int64)
+    bit_end = bitpos + chunk_bits
     return pay, counts, bitpos, bit_end
 
 
-def _decode_lut(stream: HuffmanStream) -> np.ndarray:
+#: probe widths :func:`choose_probe_bits` returns, narrowest first
+PROBE_WIDTHS = (12, 13, 14, MAX_CODE_LEN)
+
+# Cold-decode cost model (ms), calibrated on a 2-CPU x86-64 VM with
+# NumPy 2.4 over real pipeline streams of 65k-883k symbols (chunk 256):
+# - LUT build: ~0.9 ms fixed (flat table) plus _BUILD_MS_PER_ROW per
+#   probe row, i.e. 1.5 ms at K=12, 3.0 at K=14 and 11.5 at K=16;
+# - narrow-probe penalty over a full-width decode: every codeword wider
+#   than K idles its chunk lane for the rest of a 64-bit window, so the
+#   penalty scales with the share of such codewords, p(K), as
+#   p(K) * (_STALL_MS + _STALL_MS_PER_SYMBOL * n_symbols).
+_BUILD_MS_PER_ROW = 1.62e-4
+_STALL_MS = 89.0
+_STALL_MS_PER_SYMBOL = 3.9e-4
+
+
+def choose_probe_bits(n_symbols: int, lengths: np.ndarray) -> int:
+    """Probe width of least LUT build plus decode time for a cold decode
+    of ``n_symbols`` symbols coded with ``lengths``.
+
+    A canonical code of length ``L`` carries probability ``~2**-L``, so
+    the share of codewords wider than ``K`` (the ones a ``K``-bit probe
+    must hand to the flat-table fallback) is read off the lengths alone;
+    the result is a pure function of its two arguments.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    used = lengths[lengths > 0]
+    weight = np.ldexp(1.0, -used)
+    stall_ms = _STALL_MS + _STALL_MS_PER_SYMBOL * n_symbols
+    costs = [_BUILD_MS_PER_ROW * (1 << k)
+             + float(weight[used > k].sum()) * stall_ms
+             for k in PROBE_WIDTHS]
+    return PROBE_WIDTHS[int(np.argmin(costs))]
+
+
+def _lut_for(stream: HuffmanStream, probe_bits: int | None):
+    """The ``(probe_bits, LUT outcome, LUT)`` a decode of ``stream`` uses.
+
+    A pinned ``probe_bits`` is used as given. Otherwise a cached
+    full-width LUT always wins, and failing that the cold-cost rule
+    (:func:`choose_probe_bits`) picks the width; reusing a cached narrow
+    LUT then also starts the full-width build in the background, so a
+    recurring codebook converges to the fast full-width decode.
+    """
+    lengths = stream.lengths
+    chosen = probe_bits is None
+    if chosen:
+        probe_bits = MAX_CODE_LEN if lut_cached(lengths) \
+            else choose_probe_bits(stream.n_symbols, lengths)
+    outcome = "hit" if lut_cached(lengths, probe_bits) else "built"
+    # always fetched through build_lut_tables (a hit returns the cached
+    # entry), so every LUT a decode uses is one call of one function
+    lut = build_lut_tables(lengths, probe_bits)
+    if chosen and outcome == "hit" and probe_bits < MAX_CODE_LEN \
+            and prewarm_lut_async(lengths):
+        outcome = "promoted"
+    return probe_bits, outcome, lut
+
+
+def _decode_lut(stream: HuffmanStream, probe_bits: int | None = None
+                ) -> tuple[np.ndarray, int, str]:
     """Chunk-parallel multi-symbol LUT decode.
 
-    One batched advance per step: every still-active chunk gathers the
-    32-bit big-endian window at its bit cursor, probes the next
-    ``probe_bits`` bits through the multi-symbol LUT, and advances by
-    every complete codeword the probe contained (a ``<= 7``-bit byte
-    alignment plus a ``<= 16``-bit probe always fits the window, so no
-    step ever stalls). Probes that hit a codeword wider than the probe
-    take the flat-table fallback within the same step. Symbol *emission*
-    is deferred: steps only record ``(probe row, output start, emit
-    count)`` triples, and one ragged scatter at the end expands every
-    probe of every step into the output array — so per-step cost is a
-    handful of width-``n_chunks`` gathers and wall time scales with the
-    longest chunk, not the sum of chunk lengths.
+    Returns ``(symbols, probe width, LUT outcome)`` (see
+    :func:`_lut_for`). One batched advance per step: every still-active
+    chunk gathers the 64-bit big-endian window at its bit cursor and
+    chains ``(64 - 7) // K`` probes of the next ``K`` bits through the
+    multi-symbol LUT, advancing by every complete codeword each probe
+    contained (after ``<= 7`` alignment bits every chained probe still
+    fits the window, so no slot needs a feasibility mask). A probe whose
+    first codeword is wider than ``K`` emits nothing and advances by
+    nothing, so its lane idles for the rest of the word; only after the
+    slot loop do the idle lanes take one flat-table step, off the
+    per-slot critical ops. A full-width probe never idles on a valid
+    stream, so there an idle lane means an invalid codeword. Symbol
+    *emission* is deferred: steps only record ``(probe row, output
+    start, emit count)`` triples, and one ragged scatter at the end
+    expands every probe of every step into the output array — so
+    per-step cost is a handful of width-``n_chunks`` gathers and wall
+    time scales with the longest chunk, not the sum of chunk lengths.
     """
     n = stream.n_symbols
     if n == 0:
-        return np.empty(0, dtype=np.uint32)
+        return np.empty(0, dtype=np.uint32), 0, "none"
     pay, counts, bitpos, bit_end = _decode_prepare(stream)
+    probe_bits, outcome, (lut_count, lut_cum, lut_syms) = \
+        _lut_for(stream, probe_bits)
+    narrow = probe_bits < MAX_CODE_LEN
+    if narrow:
+        table_sym, table_len = build_decode_table(stream.lengths)
     windows8 = np.lib.stride_tricks.sliding_window_view(pay, 8)
     n_chunks = counts.size
-    table_sym, table_len = build_decode_table(stream.lengths)
-    lut_count, lut_cum, lut_syms = build_lut_tables(stream.lengths)
-    probe_bits = _probe_width(lut_count)
     # flattened cum-bits gather (row*stride + emit) beats 2-D fancy
-    # indexing in the slot loops below; the leading zero column of
+    # indexing in the slot loop below; the leading zero column of
     # ``lut_cum`` makes zero-emit lanes advance by 0 with no masking
     cum_flat = lut_cum.ravel()
     cstride = lut_cum.shape[1]
     kmask = np.int64((1 << probe_bits) - 1)
     fmask = np.int64((1 << MAX_CODE_LEN) - 1)
-    # chained probe slots per gathered word: after <= 7 alignment bits a
-    # 64-bit word always holds this many probes of typical advance
-    slots = max(1, (64 - 7) // probe_bits)
+    slots = (64 - 7) // probe_bits
+    last_byte = pay.size - 8
 
     base = np.arange(n_chunks, dtype=np.int64) * stream.chunk_size
     decoded = np.zeros(n_chunks, dtype=np.int64)
     active = np.arange(n_chunks)
-    full_probe = probe_bits == MAX_CODE_LEN
     probes, starts, emits = [], [], []      # LUT probes, replayed at the end
     fb_wins, fb_starts = [], []             # flat-table fallback singles
     while active.size:
         bp = bitpos[active]
-        byte = np.minimum(bp >> 3, pay.size - 8)  # drift-safe gather
+        byte = np.minimum(bp >> 3, last_byte)  # drift-safe gather
         # big-endian *signed* view: arithmetic shift then mask extracts
         # the same bit field a logical shift would, without uint64
         # mixed-dtype shift headaches
@@ -327,50 +419,10 @@ def _decode_lut(stream: HuffmanStream) -> np.ndarray:
         off = off0.copy()                    # bit cursor within the word
         here = base[active] + decoded[active]
         rem = counts[active] - decoded[active]
-        if full_probe:
-            # a full-width probe always contains >= 1 complete codeword
-            # of a valid stream (no codeword outgrows MAX_CODE_LEN), so
-            # the fallback branch vanishes; and 7 + slots*MAX_CODE_LEN
-            # <= 64 keeps every slot's shift inside the gathered word
-            for _ in range(slots):
-                probe = (word >> (64 - MAX_CODE_LEN - off)) & kmask
-                raw = lut_count[probe]
-                if np.any((raw == 0) & (rem > 0)):
-                    raise CorruptStreamError(
-                        "corrupt Huffman payload (invalid codeword)")
-                emit = np.minimum(raw, rem)
-                adv = cum_flat[probe * cstride + emit]
-                probes.append(probe)
-                starts.append(here.copy())
-                emits.append(emit)
-                off += adv
-                here += emit
-                rem -= emit
-            bitpos[active] += off - off0
-            decoded[active] = counts[active] - rem
-            active = active[rem > 0]
-            continue
         for _ in range(slots):
-            # a slot is feasible while the widest codeword still fits the
-            # word; infeasible lanes idle until the next gather
-            can = (off + MAX_CODE_LEN <= 64) & (rem > 0)
-            probe = (word >> np.maximum(64 - probe_bits - off, 0)) & kmask
-            raw = lut_count[probe].astype(np.int64)
-            fbm = can & (raw == 0)
-            if fbm.any():
-                # first codeword wider than the probe: one flat-table step
-                fb = np.flatnonzero(fbm)
-                win = (word[fb] >> (64 - MAX_CODE_LEN - off[fb])) & fmask
-                ln = table_len[win].astype(np.int64)
-                if np.any(ln == 0):
-                    raise CorruptStreamError(
-                        "corrupt Huffman payload (invalid codeword)")
-                fb_wins.append(win)
-                fb_starts.append(here[fb])
-                off[fb] += ln
-                here[fb] += 1
-                rem[fb] -= 1
-            emit = np.minimum(np.where(can, raw, 0), rem)
+            probe = (word >> (64 - probe_bits - off)) & kmask
+            raw = lut_count[probe]
+            emit = np.minimum(raw, rem)
             adv = cum_flat[probe * cstride + emit]
             probes.append(probe)
             starts.append(here.copy())
@@ -378,6 +430,27 @@ def _decode_lut(stream: HuffmanStream) -> np.ndarray:
             off += adv
             here += emit
             rem -= emit
+        # a lane idled (its last probe held no complete codeword) iff its
+        # first idle probe recurred through the remaining slots
+        idle = np.flatnonzero((raw == 0) & (rem > 0))
+        if idle.size:
+            if not narrow:
+                raise CorruptStreamError(
+                    "corrupt Huffman payload (invalid codeword)")
+            # one flat-table step per idle lane, from a fresh gather at
+            # its cursor (the rest of the word may be too short for it)
+            cur = bp[idle] + (off[idle] - off0[idle])
+            fw = windows8[np.minimum(cur >> 3, last_byte)] \
+                .view(">i8").ravel().astype(np.int64)
+            win = (fw >> (64 - MAX_CODE_LEN - (cur & 7))) & fmask
+            ln = table_len[win].astype(np.int64)
+            if np.any(ln == 0):
+                raise CorruptStreamError(
+                    "corrupt Huffman payload (invalid codeword)")
+            fb_wins.append(win)
+            fb_starts.append(here[idle])
+            off[idle] += ln
+            rem[idle] -= 1
         bitpos[active] += off - off0
         decoded[active] = counts[active] - rem
         active = active[rem > 0]
@@ -386,37 +459,27 @@ def _decode_lut(stream: HuffmanStream) -> np.ndarray:
                                  "stream")
 
     out = np.empty(n, dtype=np.uint32)
-    if probes:
-        pr = np.concatenate(probes)
-        st = np.concatenate(starts)
-        em = np.concatenate(emits)
-        # idle lanes (chunk already drained within the step) record
-        # zero-emit probes; dropping them up front shrinks the ragged
-        # replay below, whose cost scales with the probe count
-        keep = np.flatnonzero(em)
-        pr, st, em = pr[keep], st[keep], em[keep]
-        # ragged replay: per probe p, symbols lut_syms[pr[p], :em[p]]
-        # land at out[st[p]:st[p]+em[p]]. Folding the exclusive prefix
-        # sum into both bases keeps this at two repeats + one arange —
-        # this is the hottest allocation of the whole decode
-        csum = np.cumsum(em)
-        excl = csum - em
-        ranges = np.arange(int(csum[-1]) if em.size else 0,
-                           dtype=np.int64)
-        out[np.repeat(st - excl, em) + ranges] = \
-            lut_syms.ravel()[np.repeat(pr * lut_syms.shape[1] - excl, em)
-                             + ranges]
+    pr = np.concatenate(probes)
+    st = np.concatenate(starts)
+    em = np.concatenate(emits)
+    # idle lanes (chunk already drained within the step) record
+    # zero-emit probes; dropping them up front shrinks the ragged
+    # replay below, whose cost scales with the probe count
+    keep = np.flatnonzero(em)
+    pr, st, em = pr[keep], st[keep], em[keep]
+    # ragged replay: per probe p, symbols lut_syms[pr[p], :em[p]]
+    # land at out[st[p]:st[p]+em[p]]. Folding the exclusive prefix
+    # sum into both bases keeps this at two repeats + one arange —
+    # this is the hottest allocation of the whole decode
+    csum = np.cumsum(em)
+    excl = csum - em
+    ranges = np.arange(int(csum[-1]) if em.size else 0, dtype=np.int64)
+    out[np.repeat(st - excl, em) + ranges] = \
+        lut_syms.ravel()[np.repeat(pr * lut_syms.shape[1] - excl, em)
+                         + ranges]
     if fb_wins:
-        win = np.concatenate(fb_wins)
-        out[np.concatenate(fb_starts)] = table_sym[win]
-    return out
-
-
-def _probe_width(lut_count: np.ndarray) -> int:
-    width = int(lut_count.size).bit_length() - 1
-    if (1 << width) != lut_count.size:
-        raise CodecError("LUT size is not a power of two")
-    return width
+        out[np.concatenate(fb_starts)] = table_sym[np.concatenate(fb_wins)]
+    return out, probe_bits, outcome
 
 
 def _decode_loop(stream: HuffmanStream) -> np.ndarray:

@@ -7,19 +7,30 @@ never mis-decode — on every corrupt one. These tests drive both engines
 through degenerate codebooks (single symbol, maximally skewed trees),
 codewords wider than the LUT probe, hostile chunk tables, and the full
 pipeline across dtypes, shapes and the slab / tiled / shm transports.
+The ``lut`` engine also runs pinned to a narrow probe width, so the
+flat-table fallback path sees the same hostile streams, and its per-stream
+width choice and full-width promotion are checked directly.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 import repro.huffman.canonical as canonical
+import repro.huffman.codec as codec
+from repro import telemetry
 from repro.common.errors import CodecError, CorruptStreamError
-from repro.huffman import (MAX_CODE_LEN, HuffmanStream, build_lut_tables,
-                           code_lengths, huffman_decode, huffman_encode)
+from repro.huffman import (MAX_CODE_LEN, PROBE_WIDTHS, HuffmanStream,
+                           build_lut_tables, choose_probe_bits,
+                           code_lengths, drain_lut_prewarm,
+                           huffman_decode, huffman_encode, lut_cached)
 from repro.huffman.canonical import (LUT_CACHE_BYTES,
                                      clear_codebook_caches,
                                      codebook_cache_stats)
@@ -27,6 +38,10 @@ from repro.huffman.canonical import (LUT_CACHE_BYTES,
 from conftest import smooth_field
 
 ENGINES = ("lut", "loop")
+
+#: every decoder configuration hostile streams must be rejected by:
+#: both engines, plus the lut engine pinned to the narrowest probe
+DECODERS = (("lut", None), ("lut", PROBE_WIDTHS[0]), ("loop", None))
 
 
 def _reencode(stream, payload=None, chunk_bits=None):
@@ -47,9 +62,17 @@ def _assert_both_engines_equal(stream, expected):
 
 
 def _assert_both_engines_raise(stream):
-    for engine in ENGINES:
+    for engine, probe_bits in DECODERS:
         with pytest.raises(CorruptStreamError):
-            huffman_decode(stream, engine=engine)
+            huffman_decode(stream, engine=engine, probe_bits=probe_bits)
+
+
+def _unpack_span(stream, **kwargs):
+    """Decode ``stream``; return ``(symbols, huffman.unpack span attrs)``."""
+    with telemetry.recording() as reg:
+        out = huffman_decode(stream, **kwargs)
+    [span] = [sp for sp in reg.spans if sp.name == "huffman.unpack"]
+    return out, span.attrs
 
 
 class TestDegenerateCodebooks:
@@ -85,17 +108,17 @@ class TestNarrowProbeFallback:
     (the full-width default probe never needs it)."""
 
     @pytest.mark.parametrize("probe_bits", [1, 2, 4, 8])
-    def test_decodes_codes_wider_than_probe(self, monkeypatch, probe_bits):
+    def test_decodes_codes_wider_than_probe(self, probe_bits):
         rng = np.random.default_rng(7)
         codes = (rng.zipf(1.2, size=20000).astype(np.uint32) % 512)
         codes[:512] = np.arange(512)
         stream = huffman_encode(codes, 512, chunk_size=256)
         expected = huffman_decode(stream, engine="loop")
-        monkeypatch.setattr(canonical, "LUT_PROBE_BITS", probe_bits)
         clear_codebook_caches()
         try:
             np.testing.assert_array_equal(
-                huffman_decode(stream, engine="lut"), expected)
+                huffman_decode(stream, engine="lut", probe_bits=probe_bits),
+                expected)
             np.testing.assert_array_equal(expected, codes)
         finally:
             clear_codebook_caches()
@@ -203,6 +226,133 @@ class TestHostileStreams:
         _assert_both_engines_raise(bad)
 
 
+def _forged_stream(n_symbols, chunk_bits, payload):
+    """A one-chunk stream over two 1-bit codes with an honest CRC."""
+    payload = np.asarray(payload, dtype=np.uint8)
+    return HuffmanStream(
+        n_symbols=n_symbols, alphabet_size=2, chunk_size=n_symbols,
+        lengths=np.array([1, 1], dtype=np.uint8),
+        chunk_bits=np.array([chunk_bits], dtype=np.uint32),
+        payload=payload, crc32=zlib.crc32(payload.tobytes()))
+
+
+class TestForgedSymbolCount:
+    """The header's symbol count lies outside the CRC: a stream whose
+    chunk bit budgets cannot hold (or cannot be filled by) its claimed
+    symbols must be rejected before any symbol-sized allocation."""
+
+    def test_huge_count_in_tiny_stream_rejected_fast(self):
+        stream = _forged_stream(1 << 22, 8, [0xA5])
+        assert len(stream.to_bytes()) == 31
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            _assert_both_engines_raise(
+                HuffmanStream.from_bytes(stream.to_bytes()))
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20          # the 16 MiB output never allocated
+
+    def test_budget_beyond_longest_codes_rejected(self):
+        # 8 one-bit symbols cannot fill a 16-bit chunk
+        _assert_both_engines_raise(_forged_stream(8, 16, [0, 0]))
+
+    def test_stream_without_codewords_rejected(self):
+        stream = _forged_stream(8, 8, [0])
+        stream.lengths = np.zeros(2, dtype=np.uint8)
+        _assert_both_engines_raise(stream)
+
+    def test_exact_budgets_still_decode(self):
+        stream = _forged_stream(8, 8, [0xA5])
+        _assert_both_engines_equal(
+            stream, np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.uint32))
+
+
+class TestProbeWidthChoice:
+    """The lut engine picks its probe width per stream and converges to
+    the full-width LUT once a codebook recurs."""
+
+    @pytest.fixture
+    def stream(self):
+        rng = np.random.default_rng(11)
+        codes = (rng.zipf(1.5, size=30000).astype(np.uint32) % 700)
+        codes[:700] = np.arange(700)
+        stream = huffman_encode(codes, 1024)
+        # start cold: no LUT cached or in flight (an encode-side prewarm
+        # would otherwise land a full-width LUT mid-test)
+        drain_lut_prewarm()
+        clear_codebook_caches()
+        yield stream
+        drain_lut_prewarm()
+        clear_codebook_caches()
+
+    def test_chooser_is_pure(self, stream):
+        sizes = (1, 10 ** 4, 10 ** 6, 10 ** 9)
+        first = [choose_probe_bits(n, stream.lengths) for n in sizes]
+        build_lut_tables(stream.lengths)   # cache state must not matter
+        again = [choose_probe_bits(n, stream.lengths.copy()) for n in sizes]
+        assert first == again
+        assert set(first) <= set(PROBE_WIDTHS)
+
+    def test_chooser_extremes(self, stream):
+        # a short stream never pays the full-width build; a huge stream
+        # with many codewords wider than every narrow probe does
+        assert stream.lengths.max() > PROBE_WIDTHS[-2]
+        assert choose_probe_bits(1000, stream.lengths) < MAX_CODE_LEN
+        assert choose_probe_bits(10 ** 10, stream.lengths) == MAX_CODE_LEN
+        # a code with no codeword wider than the narrowest probe has
+        # nothing to gain from a wider one
+        short = code_lengths(np.arange(1, 65, dtype=np.int64), MAX_CODE_LEN)
+        assert short.max() <= PROBE_WIDTHS[0]
+        assert choose_probe_bits(10 ** 10, short) == PROBE_WIDTHS[0]
+
+    def test_second_decode_promotes_to_full_width(self, stream):
+        expected = huffman_decode(stream, engine="loop")
+        narrow = choose_probe_bits(stream.n_symbols, stream.lengths)
+        assert narrow < MAX_CODE_LEN
+        seen = []
+        for _ in range(2):
+            out, attrs = _unpack_span(stream)
+            np.testing.assert_array_equal(out, expected)
+            seen.append((attrs["probe_bits"], attrs["lut"]))
+        assert seen == [(narrow, "built"), (narrow, "promoted")]
+        drain_lut_prewarm()
+        assert lut_cached(stream.lengths, MAX_CODE_LEN)
+        # the full-width LUT retires the narrow one it replaces
+        assert not lut_cached(stream.lengths, narrow)
+        out, attrs = _unpack_span(stream)
+        np.testing.assert_array_equal(out, expected)
+        assert (attrs["probe_bits"], attrs["lut"]) == (MAX_CODE_LEN, "hit")
+
+    def test_pinned_width_never_promotes(self, stream):
+        for outcome in ("built", "hit"):
+            _, attrs = _unpack_span(stream, probe_bits=PROBE_WIDTHS[0])
+            assert (attrs["probe_bits"], attrs["lut"]) == \
+                (PROBE_WIDTHS[0], outcome)
+        assert not lut_cached(stream.lengths, MAX_CODE_LEN)
+
+    def test_full_width_decode_skips_flat_table(self, stream):
+        build_lut_tables(stream.lengths)
+        before = codebook_cache_stats()
+        _, attrs = _unpack_span(stream)
+        after = codebook_cache_stats()
+        assert attrs["probe_bits"] == MAX_CODE_LEN
+        assert (after["table_hits"], after["table_misses"]) == \
+            (before["table_hits"], before["table_misses"])
+
+    def test_prewarm_is_not_a_lookup(self, stream):
+        before = codebook_cache_stats()
+        assert canonical.prewarm_lut_async(stream.lengths)
+        drain_lut_prewarm()
+        after = codebook_cache_stats()
+        assert (after["lut_hits"], after["lut_misses"]) == \
+            (before["lut_hits"], before["lut_misses"])
+        assert lut_cached(stream.lengths)
+
+
 class TestLutCacheByteBudget:
     def test_eviction_under_byte_pressure(self, monkeypatch, rng):
         clear_codebook_caches()
@@ -225,6 +375,61 @@ class TestLutCacheByteBudget:
 
     def test_default_budget_is_advertised(self):
         assert canonical._BYTE_BUDGETS["lut"] == LUT_CACHE_BYTES
+
+    def test_budget_counts_what_the_registry_reports(self, monkeypatch):
+        """Eviction must count the bytes the registry reports as
+        ``size_bytes`` (keys included), which ``repro doctor`` gates on:
+        values that just fit the budget must not leave it over."""
+        lengths = [code_lengths(np.arange(1, n + 1, dtype=np.int64),
+                                MAX_CODE_LEN) for n in (64, 65)]
+        clear_codebook_caches()
+        values = sum(canonical._entry_nbytes(build_lut_tables(lens, 8))
+                     for lens in lengths)
+        clear_codebook_caches()
+        monkeypatch.setitem(canonical._BYTE_BUDGETS, "lut", values + 8)
+        try:
+            for lens in lengths:
+                build_lut_tables(lens, 8)
+            lut = canonical.caches.snapshot()["huffman.lut"]
+            assert lut["size_bytes"] <= lut["byte_limit"]
+        finally:
+            clear_codebook_caches()
+
+    def test_byte_total_survives_racing_builds(self, rng):
+        """Foreground builds at two widths race background promotions of
+        the same codebooks; the running byte total must still equal the
+        bytes actually cached (a double insert must not count twice)."""
+        lengths = [code_lengths(rng.zipf(1.3, size=400).astype(np.int64),
+                                MAX_CODE_LEN) for _ in range(3)]
+
+        def decode_like(lens, width):
+            build_lut_tables(lens, width)
+            canonical.prewarm_lut_async(lens)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                drain_lut_prewarm()
+                clear_codebook_caches()
+                threads = [threading.Thread(target=decode_like,
+                                            args=(lens, width))
+                           for lens in lengths
+                           for width in (PROBE_WIDTHS[0], MAX_CODE_LEN)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                drain_lut_prewarm()
+                reported = canonical.caches.snapshot()["huffman.lut"]
+                assert canonical._cache_bytes["lut"] == \
+                    reported["size_bytes"]
+                assert all(lut_cached(lens) for lens in lengths)
+        finally:
+            sys.setswitchinterval(interval)
+            drain_lut_prewarm()
+            clear_codebook_caches()
 
 
 class TestPipelineCrossEngine:
@@ -298,3 +503,35 @@ class TestPipelineCrossEngine:
         monkeypatch.setenv("REPRO_HUFFMAN_ENGINE", "loop")
         serial = decompress_slabs(stream)
         assert pooled.tobytes() == serial.tobytes()
+
+
+class TestPipelineProbeWidths:
+    """Every width the chooser can return must reconstruct fields that
+    are byte-identical to the full-width decode."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3000,), (64, 48), (24, 20, 16)])
+    def test_roundtrip_identical_at_every_width(self, monkeypatch, shape,
+                                                dtype):
+        from repro.registry import get_compressor
+        data = smooth_field(shape, seed=7).astype(dtype)
+        comp = get_compressor("cuszi", eb=1e-4, mode="rel")
+        blob = comp.compress(data)
+        outs = {}
+        try:
+            for width in PROBE_WIDTHS:
+                # an empty cache keeps a full-width LUT from overriding
+                # the chooser
+                drain_lut_prewarm()
+                clear_codebook_caches()
+                monkeypatch.setattr(codec, "choose_probe_bits",
+                                    lambda n, lengths, w=width: w)
+                with telemetry.recording() as reg:
+                    outs[width] = comp.decompress(blob).tobytes()
+                widths = {sp.attrs["probe_bits"] for sp in reg.spans
+                          if sp.name == "huffman.unpack"}
+                assert widths == {width}
+        finally:
+            drain_lut_prewarm()
+            clear_codebook_caches()
+        assert len(set(outs.values())) == 1
