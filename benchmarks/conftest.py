@@ -8,9 +8,15 @@ the paper-complete workloads.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+# the test oracles (reference traversal, loop Huffman coder) the
+# trajectory bench times the library against
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 

@@ -12,9 +12,10 @@ process pool (:mod:`repro.runtime`), recording the parallel speedup the
 trajectory should preserve, and a ``ginterp`` section (schema 3) times a
 repeated-compress loop through the compiled pass-plan cache
 (:mod:`repro.core.ginterp.plans`) against the uncompiled reference
-traversal — per-pass compile vs execute wall time, the warm-cache
-speedup, and the plan-cache hit counters (including the decompress
-replay and an eb-retune, which must reuse the plan). A ``lossless``
+traversal (the ``tests/oracles.py`` oracle) — per-pass compile vs
+execute wall time, the warm-cache speedup, and the plan-cache hit
+counters (including the decompress replay and an eb-retune, which must
+reuse the plan). A ``lossless``
 section (schema 4) times the segment-aware orchestrator on the cuSZ-i
 container against the whole-container GLE pass it replaces — cold
 (sampling) and warm (plan-cache) encode, decode, the per-segment
@@ -22,19 +23,19 @@ backend plan, and the bytes saved.
 
 Schema 7 adds a ``huffman`` section: the batch-parallel table-driven
 Huffman codec (:mod:`repro.huffman.codec`) timed on this field's real
-quant-code stream — encode/decode wall time and MB/s for the default
-``lut`` engine, the retained ``loop`` engine for the speedup ratio, the
-cold multi-symbol LUT build, chunk count and probe width, and the share
-of a full pipeline decompress spent in the Huffman stage (CI asserts it
-stays under half). The ``ginterp`` section gains a ``tune`` record —
+quant-code stream — encode/decode wall time and MB/s for the ``lut``
+decoder, the ``loop`` oracle (``tests/oracles.py``) for the speedup
+ratio, the cold multi-symbol LUT build, chunk count and probe width, and
+the share of a full pipeline decompress spent in the Huffman stage (CI
+asserts it stays under half). The ``ginterp`` section gains a ``tune`` record —
 the autotune stage's wall time, its share of a warm compress, and the
 content-fingerprint cache counters — so retune reuse is part of the
 trajectory.
 
 Schema 8 mirrors the decode work on the encode side. The ``huffman``
 section gains ``loop_encode_s`` / ``encode_engine_speedup`` (the
-chunk-vectorized ``vector`` emitter against the retained byte-plane
-``loop`` engine, byte-identical streams) and a ``codebook_cache`` record
+chunk-vectorized ``vector`` emitter against the byte-plane ``loop``
+oracle, byte-identical streams) and a ``codebook_cache`` record
 (the quantized-fingerprint codebook cache of
 :mod:`repro.huffman.tree`); ``lut_build_s`` is timed cold behind a
 prewarm drain so neither encode nor decode MB/s bills the LUT build.
@@ -238,6 +239,7 @@ def test_emit_pipeline_trajectory():
 
     # compiled pass-plan engine: repeated-compress loop, warm plan cache,
     # against the uncompiled reference traversal on the same field
+    from oracles import decode_loop, encode_loop, reference_compress
     from repro import telemetry
     from repro.core.ginterp import (InterpSpec, clear_plan_cache,
                                     interp_compress, interp_decompress,
@@ -259,8 +261,7 @@ def test_emit_pipeline_trajectory():
             best = min(best, (time.perf_counter() - t0) / reps)
         return best
 
-    ref_s = _best(lambda: interp_compress(data, spec, abs_eb,
-                                          compiled=False))
+    ref_s = _best(lambda: reference_compress(data, spec, abs_eb))
     cmp_s = _best(lambda: interp_compress(data, spec, abs_eb))
     # per-pass execute time from one traced compiled run
     with telemetry.recording() as rec:
@@ -386,25 +387,22 @@ def test_emit_pipeline_trajectory():
     hstream = huffman_encode(hcodes, alph, DEFAULT_CHUNK)
     ref_syms = hcodes.astype(np.uint32)
     with telemetry.recording() as wrec:
-        assert np.array_equal(huffman_decode(hstream, engine="lut"),
-                              ref_syms)
+        assert np.array_equal(huffman_decode(hstream), ref_syms)
     # the width the timed decodes below use (the LUT built above is the
     # full-width one, so they run warm at MAX_CODE_LEN)
     probe_bits = next(sp.attrs["probe_bits"] for sp in wrec.spans
                       if sp.name == "huffman.unpack")
-    assert np.array_equal(huffman_decode(hstream, engine="loop"), ref_syms)
-    assert huffman_encode(hcodes, alph, DEFAULT_CHUNK,
-                          engine="loop").to_bytes() == hstream.to_bytes(), \
-        "encode engines must emit byte-identical streams"
+    assert np.array_equal(decode_loop(hstream), ref_syms)
+    assert encode_loop(hcodes, alph, DEFAULT_CHUNK).to_bytes() \
+        == hstream.to_bytes(), "encode engines must emit identical streams"
     clear_fingerprint_cache()
     enc_s = _best_inner(lambda: huffman_encode(hcodes, alph,
                                                DEFAULT_CHUNK), 5)
     loop_enc_s = _best_inner(
-        lambda: huffman_encode(hcodes, alph, DEFAULT_CHUNK,
-                               engine="loop"), 3)
+        lambda: encode_loop(hcodes, alph, DEFAULT_CHUNK), 3)
     codebook_cache = fingerprint_cache_stats()
-    lut_s = _best_inner(lambda: huffman_decode(hstream, engine="lut"), 5)
-    loop_s = _best_inner(lambda: huffman_decode(hstream, engine="loop"), 3)
+    lut_s = _best_inner(lambda: huffman_decode(hstream), 5)
+    loop_s = _best_inner(lambda: decode_loop(hstream), 3)
 
     # stage shares inside the full pipeline, from one traced round trip:
     # the Huffman share of decompress (CI gates it under 0.5) and the

@@ -18,8 +18,8 @@ from repro.common.errors import CodecError
 from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import autotune
-from repro.core.ginterp.engine import (InterpSpec, interp_compress,
-                                       interp_decompress)
+from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
+                                       interp_compress, interp_decompress)
 from repro.core.ginterp.plans import get_plan
 from repro.core.pipeline import resolve_eb
 from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
@@ -114,9 +114,12 @@ class InterpCPUBase:
         radius = int(meta["radius"])
         spec = InterpSpec.from_meta(meta["spec"])
         quantizer = LinearQuantizer(radius, value_dtype=dtype)
-        codes = huffman_decode(HuffmanStream.from_bytes(segments["huffman"]))
+        stream = HuffmanStream.from_bytes(segments["huffman"])
+        anchor_shape = check_stream_geometry(
+            shape, shape, spec.anchor_stride, len(segments["anchors"]),
+            dtype.itemsize, stream.n_symbols)
+        codes = huffman_decode(stream)
         outliers = np.frombuffer(segments["outliers"], dtype=dtype)
-        anchor_shape = tuple(-(-n // spec.anchor_stride) for n in shape)
         anchors = np.frombuffer(segments["anchors"],
                                 dtype=dtype).reshape(anchor_shape)
         plan = get_plan(shape, spec.resolved(len(shape)))

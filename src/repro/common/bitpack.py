@@ -24,65 +24,11 @@ import numpy as np
 
 from repro.common.errors import CodecError
 
-__all__ = ["pack_uint", "unpack_uint", "pack_varbits", "pack_varbits64",
+__all__ = ["pack_uint", "unpack_uint", "pack_varbits64",
            "zigzag_encode", "zigzag_decode",
            "bit_length", "min_bit_width"]
 
 _MAX_WIDTH = 64
-
-#: widest variable-length codeword :func:`pack_varbits` accepts; the staged
-#: word must hold ``width + 7`` alignment bits inside a uint32 byte triple
-_MAX_VARWIDTH = 24
-
-
-def pack_varbits(codes: np.ndarray, lengths: np.ndarray,
-                 bitpos: np.ndarray, total_bytes: int) -> np.ndarray:
-    """Scatter variable-length codewords into a dense MSB-first bitstream.
-
-    ``codes[i]`` (low ``lengths[i]`` bits significant) lands at absolute
-    bit offset ``bitpos[i]``; offsets must be non-decreasing and the
-    codewords non-overlapping (each output bit written at most once —
-    this is a *scatter*, not a merge). Returns ``total_bytes`` of uint8.
-
-    The trick that keeps this fully vectorized for ragged widths: every
-    codeword is staged MSB-aligned into a 3-byte window anchored at its
-    start byte — ``code << (24 - length - (bitpos & 7))`` — so a codeword
-    of up to :data:`_MAX_VARWIDTH` - 7 bits plus its intra-byte shift
-    always fits the window. The three byte planes are then OR-combined
-    per distinct output byte with :func:`numpy.bitwise_or.reduceat`
-    (offsets are sorted, so each plane's byte indices are non-decreasing)
-    and OR-scattered into the dense output. Because no bit is claimed
-    twice, OR-combining is exact, not approximate.
-    """
-    codes = np.asarray(codes, dtype=np.uint32).ravel()
-    lengths = np.asarray(lengths, dtype=np.int64).ravel()
-    bitpos = np.asarray(bitpos, dtype=np.int64).ravel()
-    if not (codes.size == lengths.size == bitpos.size):
-        raise CodecError("codes/lengths/bitpos size mismatch")
-    if codes.size == 0:
-        return np.zeros(max(0, int(total_bytes)), dtype=np.uint8)
-    if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_VARWIDTH - 7:
-        raise CodecError(
-            f"codeword length outside [1, {_MAX_VARWIDTH - 7}]")
-    if np.any(codes.astype(np.uint64) >> lengths.astype(np.uint64)):
-        raise CodecError("codeword wider than its declared length")
-    if np.any(np.diff(bitpos) < 0):
-        raise CodecError("bit offsets must be non-decreasing")
-    end_bit = int(bitpos[-1] + lengths[-1])
-    if int(bitpos[0]) < 0 or end_bit > int(total_bytes) * 8:
-        raise CodecError("codeword falls outside the output stream")
-    byte0 = bitpos >> 3
-    stage = (codes.astype(np.uint32)
-             << (_MAX_VARWIDTH - lengths - (bitpos & 7)).astype(np.uint32))
-    # 3 byte planes of the staged window, scattered with 3-byte slack so
-    # the tail codeword's low planes stay in bounds (trimmed at return)
-    out = np.zeros(int(total_bytes) + 3, dtype=np.uint8)
-    for plane in range(3):
-        vals = ((stage >> (8 * (2 - plane))) & 0xFF).astype(np.uint8)
-        idx = byte0 + plane
-        firsts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
-        out[idx[firsts]] |= np.bitwise_or.reduceat(vals, firsts)
-    return out[:int(total_bytes)]
 
 
 def _scatter_or_words(words: np.ndarray, idx: np.ndarray,
@@ -99,7 +45,8 @@ def _scatter_or_words(words: np.ndarray, idx: np.ndarray,
 
 def pack_varbits64(stage: np.ndarray, lengths: np.ndarray,
                    bitpos: np.ndarray, total_bytes: int) -> np.ndarray:
-    """Word-parallel variant of :func:`pack_varbits` for trusted inputs.
+    """Scatter variable-length codewords into a dense MSB-first bitstream
+    (trusted inputs: only cheap scalar bounds are checked).
 
     ``stage[i]`` is the ``i``-th codeword already MSB-aligned in a uint64
     (``code << (64 - lengths[i])``); it lands at absolute bit offset

@@ -25,12 +25,12 @@ from repro.core.ginterp.engine import (
     interp_compress,
     interp_decompress,
     level_error_bounds,
-    pass_plan,
 )
 from repro.core.ginterp.autotune import autotune, alpha_from_eb
 from repro.core.ginterp.anchors import extract_anchors, apply_anchors
 from repro.core.ginterp.plans import (
     PassPlan,
+    pass_plan,
     compile_plan,
     get_plan,
     plan_cache_stats,

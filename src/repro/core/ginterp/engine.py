@@ -16,20 +16,21 @@ identical pass plan and identical float64 arithmetic; the only difference is
 whether quant-codes are produced or consumed, which guarantees bit-exact
 replay.
 
-By default both traversals execute through a **compiled pass plan**
+Both traversals execute through a **compiled pass plan**
 (:mod:`repro.core.ginterp.plans`): the per-pass geometry — target indices,
 spline classification, neighbor addressing — is precomputed once per
 ``(shape, geometry)`` and LRU-cached, and the interior majority of every
 pass is predicted through fused strided-view kernels instead of index
-gathers. The compiled path is bit-identical to the reference path here
-(the equivalence suite asserts it); pass ``compiled=False`` to force the
-uncompiled reference traversal.
+gathers. Compression fuses quantization into each pass
+(:meth:`~repro.core.ginterp.plans.CompiledPass.predict_quantize`), as one
+GPU thread block predicts and quantizes its window in place (§V-D). The
+equivalence suites compare both traversals byte for byte against the
+uncompiled gather traversal in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +39,11 @@ from repro import telemetry
 from repro.common.errors import ConfigError, CorruptStreamError, DataError
 from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp.anchors import apply_anchors, extract_anchors
-from repro.core.ginterp.splines import (NEIGHBOR_OFFSETS, SPLINE_WEIGHTS,
-                                        CUBIC_NAK, classify)
+from repro.core.ginterp.plans import _plan_key, get_plan
+from repro.core.ginterp.splines import CUBIC_NAK
 
-__all__ = ["InterpSpec", "PassDesc", "pass_plan", "level_error_bounds",
-           "interp_compress", "interp_decompress", "InterpResult"]
+__all__ = ["InterpSpec", "level_error_bounds", "interp_compress",
+           "interp_decompress", "InterpResult", "check_stream_geometry"]
 
 
 @dataclass(frozen=True)
@@ -135,35 +136,6 @@ class InterpSpec:
                    if meta.get("beta") is not None else math.inf)
 
 
-@dataclass(frozen=True)
-class PassDesc:
-    """One interpolation pass: all targets at ``stride`` along ``axis``."""
-
-    level: int                 # 1-based; stride == 2**(level-1)
-    stride: int
-    axis: int
-    steps: tuple[int, ...]     # per-axis sampling step *entering* this pass
-
-
-def pass_plan(ndim: int, spec: InterpSpec) -> list[PassDesc]:
-    """The deterministic pass sequence for an ``ndim``-D input.
-
-    Levels run coarse to fine (stride ``anchor_stride/2`` down to 1); inside
-    each level axes run in ``spec.axis_order``. The per-axis step tuple
-    captures which samples are already known when the pass starts.
-    """
-    passes: list[PassDesc] = []
-    s = spec.anchor_stride // 2
-    while s >= 1:
-        steps = [2 * s] * ndim
-        for ax in spec.axis_order:
-            passes.append(PassDesc(level=s.bit_length(), stride=s, axis=ax,
-                                   steps=tuple(steps)))
-            steps[ax] = s
-        s //= 2
-    return passes
-
-
 def level_error_bounds(eb: float, spec: InterpSpec) -> dict[int, float]:
     """Per-level absolute error bounds ``e_l = e / min(alpha^(l-1), beta)``."""
     return {lv: eb / min(spec.alpha ** (lv - 1), spec.beta)
@@ -181,103 +153,54 @@ class InterpResult:
     pass_sizes: list[int] = field(default_factory=list)
 
 
-def _axis_indices(shape: tuple[int, ...], p: PassDesc) -> list[np.ndarray]:
-    """Per-axis sample positions making up this pass's target grid."""
-    out = []
-    for ax, n in enumerate(shape):
-        if ax == p.axis:
-            out.append(np.arange(p.stride, n, 2 * p.stride, dtype=np.int64))
-        else:
-            out.append(np.arange(0, n, p.steps[ax], dtype=np.int64))
-    return out
+def check_stream_geometry(shape, padded_shape, anchor_stride: int,
+                          anchor_nbytes: int, itemsize: int,
+                          n_codes: int) -> tuple[int, ...]:
+    """Validate a decoder's header geometry against its segment sizes.
 
-
-def _flat_block(axes_idx: list[np.ndarray], shape: tuple[int, ...]
-                ) -> np.ndarray:
-    """Broadcast-sum per-axis offsets into a block of flat C indices."""
-    ndim = len(shape)
-    strides = [1] * ndim
-    for ax in range(ndim - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * shape[ax + 1]
-    total = np.zeros((1,) * ndim, dtype=np.int64)
-    for ax, idx in enumerate(axes_idx):
-        view = [1] * ndim
-        view[ax] = idx.size
-        total = total + (idx * strides[ax]).reshape(view)
-    return total
-
-
-def _class_1d(t: np.ndarray, n: int, s: int, window: int | None,
-              cubic_variant: int) -> np.ndarray:
-    """Spline class per target position along the interpolation axis."""
-    avail = {}
-    if window is not None:
-        wstep = window - 1
-        lo = (t // wstep) * wstep
-        hi = np.minimum(lo + wstep, n - 1)
-    for k in NEIGHBOR_OFFSETS:
-        pos = t + k * s
-        ok = (pos >= 0) & (pos <= n - 1)
-        if window is not None:
-            ok &= (pos >= lo) & (pos <= hi)
-        avail[k] = ok
-    return classify(avail[-3], avail[-1], avail[1], avail[3], cubic_variant)
-
-
-def _pass_predict(work_flat: np.ndarray, shape: tuple[int, ...],
-                  spec: InterpSpec, p: PassDesc
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Compute (flat target indices, predictions) for one pass."""
-    axes_idx = _axis_indices(shape, p)
-    t = axes_idx[p.axis]
-    if t.size == 0 or any(a.size == 0 for a in axes_idx):
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64)
-    flat = _flat_block(axes_idx, shape)
-    block_shape = flat.shape
-    flat = flat.ravel()
-
-    window = spec.window_shape[p.axis] if spec.window_shape else None
-    cls1d = _class_1d(t, shape[p.axis], p.stride, window,
-                      spec.cubic_variant[p.axis])
-    view = [1] * len(shape)
-    view[p.axis] = t.size
-    cls = np.broadcast_to(cls1d.reshape(view), block_shape).ravel()
-
-    ndim = len(shape)
-    ax_stride = 1
-    for ax in range(p.axis + 1, ndim):
-        ax_stride *= shape[ax]
-    size = work_flat.size
-    pred = np.zeros(flat.size, dtype=np.float64)
-    weights = SPLINE_WEIGHTS
-    for j, k in enumerate(NEIGHBOR_OFFSETS):
-        w = weights[cls, j]
-        idx = flat + (k * p.stride * ax_stride)
-        np.clip(idx, 0, size - 1, out=idx)
-        pred += w * work_flat[idx]
-    return flat, pred
-
-
-def _resolve_plan(shape: tuple[int, ...], spec: InterpSpec, plan,
-                  compiled: bool):
-    """Normalize the ``plan=``/``compiled=`` fast-path knobs.
-
-    ``plan`` may be an explicit :class:`~repro.core.ginterp.plans.PassPlan`
-    (validated against this call's geometry); otherwise ``compiled=True``
-    fetches the LRU-cached plan and ``compiled=False`` selects the
-    uncompiled reference traversal (returns ``None``).
+    ``shape``/``padded_shape`` come from an untrusted header, so they are
+    checked before anything is compiled or allocated from them: every
+    extent is a positive int and the padded extent covers the original
+    one, the anchor segment holds exactly one value per anchor grid
+    point, and the quant-code stream holds exactly one code per
+    non-anchor point of the padded field. Returns the anchor grid shape;
+    raises :class:`~repro.common.errors.CorruptStreamError` on any
+    mismatch. All arithmetic is on Python ints, so absurd extents cannot
+    overflow.
     """
-    from repro.core.ginterp import plans as _plans
-    if plan is not None:
-        key = _plans._plan_key(shape, spec)
-        if plan.key != key:
-            raise ConfigError(
-                f"pass plan was compiled for {plan.key}, not {key}")
-        return plan
-    if compiled:
-        return _plans.get_plan(shape, spec)
-    return None
+    shape, padded_shape = list(shape), list(padded_shape)
+    if not padded_shape or len(shape) != len(padded_shape):
+        raise CorruptStreamError(
+            f"header shape {shape} and padded shape {padded_shape} "
+            f"disagree in rank")
+    for n, m in zip(shape, padded_shape):
+        if not all(type(v) is int and v >= 1 for v in (n, m)) or m < n:
+            raise CorruptStreamError(
+                f"header padded shape {padded_shape} is not a grid of "
+                f"positive extents covering shape {shape}")
+    anchor_shape = tuple(-(-m // anchor_stride) for m in padded_shape)
+    n_anchors = math.prod(anchor_shape)
+    if anchor_nbytes != n_anchors * itemsize:
+        raise CorruptStreamError(
+            f"anchor segment has {anchor_nbytes} bytes, geometry needs "
+            f"{n_anchors} values of {itemsize} bytes")
+    if n_codes != math.prod(padded_shape) - n_anchors:
+        raise CorruptStreamError(
+            f"quant-code stream has {n_codes} codes, padded shape "
+            f"{padded_shape} needs {math.prod(padded_shape) - n_anchors}")
+    return anchor_shape
+
+
+def _resolve_plan(shape: tuple[int, ...], spec: InterpSpec, plan):
+    """The explicit ``plan`` validated against this call's geometry, or
+    the LRU-cached plan for it."""
+    if plan is None:
+        return get_plan(shape, spec)
+    key = _plan_key(shape, spec)
+    if plan.key != key:
+        raise ConfigError(
+            f"pass plan was compiled for {plan.key}, not {key}")
+    return plan
 
 
 def _check_finite(data: np.ndarray) -> None:
@@ -293,28 +216,22 @@ def _check_finite(data: np.ndarray) -> None:
 
 def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                     quantizer: LinearQuantizer | None = None, *,
-                    plan=None, compiled: bool = True,
-                    fused: bool | None = None) -> InterpResult:
+                    plan=None) -> InterpResult:
     """Run the full interpolation-compression traversal.
 
     ``data`` is the (possibly padded) float field; returns quant-codes in
     pass order, compacted outliers, the float32 anchor grid, and the exact
-    reconstruction the decompressor will reproduce.
+    reconstruction the decompressor will reproduce. ``plan`` is an
+    explicit compiled plan for this geometry (default: the cached one).
 
-    ``plan``/``compiled`` select the execution path (see
-    :func:`_resolve_plan`); all paths produce bit-identical streams.
-    ``fused`` selects the fused predict–quantize emission on the compiled
-    path (codes written straight into the preallocated stream inside the
-    pass, no float residual intermediates); default on, overridable via
-    ``REPRO_FUSED_QUANTIZE=0``. Ignored on the uncompiled reference path.
+    Each pass predicts, quantizes and reconstructs in one fused step:
+    codes land straight in the preallocated stream, with no float
+    residual intermediates.
     """
     spec = spec.resolved(data.ndim)
     _check_finite(data)
     quantizer = quantizer or LinearQuantizer()
-    plan = _resolve_plan(data.shape, spec, plan, compiled)
-    if fused is None:
-        fused = os.environ.get("REPRO_FUSED_QUANTIZE", "1") != "0"
-    fused = fused and plan is not None
+    plan = _resolve_plan(data.shape, spec, plan)
     work = data.astype(np.float64, copy=True)
     anchors = extract_anchors(work, spec.anchor_stride,
                               quantizer.value_dtype)
@@ -322,77 +239,29 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
     work_flat = work.ravel()
 
     ebs = level_error_bounds(eb, spec)
-    codes_parts: list[np.ndarray] = []
     outlier_parts: list[np.ndarray] = []
     sizes: list[int] = []
-    orig_flat = data.ravel()
     cursor = 0
-    if plan is not None:
-        scr_pred, scr_mul, scr_ev = plan.workspace()
-    if fused:
-        codes_all = np.empty(plan.n_targets, dtype=np.uint32)
-        q_buf, r_buf = plan.quant_workspace()
-    for step in (plan.passes if plan is not None
-                 else pass_plan(data.ndim, spec)):
-        p = step.desc if plan is not None else step
+    scr_pred, scr_mul, scr_ev = plan.workspace()
+    codes = np.empty(plan.n_targets, dtype=np.uint32)
+    q_buf, r_buf = plan.quant_workspace()
+    for step in plan.passes:
+        p = step.desc
+        n = step.n_targets
+        sizes.append(int(n))
         # one span per level/axis pass, mirroring one GPU kernel launch
         with telemetry.span("ginterp.pass", level=p.level, axis=p.axis,
-                            stride=p.stride) as psp:
-            if fused:
-                n = step.n_targets
-                sizes.append(int(n))
-                psp.set(targets=int(n), fused=True)
-                if n == 0:
-                    continue
-                # fused emission: predict, quantize, and reconstruct in
-                # one pass-local kernel; codes land in the preallocated
-                # stream slice, so the engine-level quantize stage is gone
-                with telemetry.span("ginterp.pq", level=p.level):
-                    outlier_parts.append(step.predict_quantize(
-                        work, work_flat, data, quantizer, ebs[p.level],
-                        codes_all[cursor:cursor + n], scr_pred, scr_mul,
-                        scr_ev, q_buf, r_buf))
-                cursor += n
-                telemetry.observe("ginterp.pass_targets", n)
-                continue
-            with telemetry.span("ginterp.gather",
-                                compiled=plan is not None):
-                if plan is not None:
-                    n = step.n_targets
-                    pred = step.predict(work, work_flat, scr_pred,
-                                         scr_mul, scr_ev)
-                else:
-                    flat, pred = _pass_predict(work_flat, data.shape,
-                                               spec, p)
-                    n = flat.size
-            sizes.append(int(n))
-            psp.set(targets=int(n))
+                            stride=p.stride, targets=int(n)):
             if n == 0:
                 continue
-            with telemetry.span("ginterp.quantize", level=p.level):
-                # the target lattice reads/writes through strided views on
-                # the compiled path; both index the same raveled block
-                # order, so streams stay byte-identical
-                vals = (data[step.target_view] if plan is not None
-                        else orig_flat[flat])
-                res = quantizer.quantize(vals, pred, ebs[p.level])
-            if plan is not None:
-                work[step.target_view] = \
-                    res.reconstructed.reshape(step.block_shape)
-            else:
-                work_flat[flat] = res.reconstructed
-            codes_parts.append(res.codes)
-            outlier_parts.append(res.outlier_values)
+            with telemetry.span("ginterp.pq", level=p.level):
+                outlier_parts.append(step.predict_quantize(
+                    work, work_flat, data, quantizer, ebs[p.level],
+                    codes[cursor:cursor + n], scr_pred, scr_mul,
+                    scr_ev, q_buf, r_buf))
+            cursor += n
             telemetry.observe("ginterp.pass_targets", n)
 
-    if fused:
-        if cursor != codes_all.size:  # pragma: no cover - plan invariant
-            raise ConfigError("fused traversal did not fill the code "
-                              "stream")
-        codes = codes_all
-    else:
-        codes = (np.concatenate(codes_parts) if codes_parts
-                 else np.empty(0, np.uint32))
     outliers = (np.concatenate(outlier_parts) if outlier_parts
                 else np.empty(0, np.float32))
     return InterpResult(codes=codes, outliers=outliers, anchors=anchors,
@@ -403,7 +272,7 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
                       codes: np.ndarray, outliers: np.ndarray,
                       anchors: np.ndarray,
                       quantizer: LinearQuantizer | None = None, *,
-                      plan=None, compiled: bool = True) -> np.ndarray:
+                      plan=None) -> np.ndarray:
     """Replay :func:`interp_compress` from its outputs.
 
     Returns the float64 reconstruction, bit-identical to
@@ -414,7 +283,7 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
     """
     spec = spec.resolved(len(shape))
     quantizer = quantizer or LinearQuantizer()
-    plan = _resolve_plan(tuple(shape), spec, plan, compiled)
+    plan = _resolve_plan(tuple(shape), spec, plan)
     work = np.zeros(shape, dtype=np.float64)
     apply_anchors(work, anchors.reshape(
         tuple(-(-n // spec.anchor_stride) for n in shape)),
@@ -425,23 +294,12 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
     codes = np.asarray(codes)
     cursor = 0
     out_cursor = 0
-    if plan is not None:
-        scr_pred, scr_mul, scr_ev = plan.workspace()
-    for step in (plan.passes if plan is not None
-                 else pass_plan(len(shape), spec)):
-        p = step.desc if plan is not None else step
+    scr_pred, scr_mul, scr_ev = plan.workspace()
+    for step in plan.passes:
+        p = step.desc
+        n = step.n_targets
         with telemetry.span("ginterp.pass", level=p.level, axis=p.axis,
-                            stride=p.stride) as psp:
-            with telemetry.span("ginterp.gather",
-                                compiled=plan is not None):
-                if plan is not None:
-                    n = step.n_targets
-                    pred = step.predict(work, work_flat, scr_pred,
-                                         scr_mul, scr_ev)
-                else:
-                    flat, pred = _pass_predict(work_flat, shape, spec, p)
-                    n = flat.size
-            psp.set(targets=int(n))
+                            stride=p.stride, targets=int(n)):
             if n == 0:
                 continue
             if cursor + n > codes.size:
@@ -449,15 +307,15 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
                     f"quant-code stream exhausted at level {p.level} "
                     f"axis {p.axis}: pass needs {n} codes, "
                     f"{codes.size - cursor} remain")
+            with telemetry.span("ginterp.gather"):
+                pred = step.predict(work, work_flat, scr_pred, scr_mul,
+                                    scr_ev)
             pass_codes = codes[cursor:cursor + n]
             cursor += n
             with telemetry.span("ginterp.dequantize", level=p.level):
                 recon, out_cursor = quantizer.dequantize(
                     pass_codes, pred, ebs[p.level], outliers, out_cursor)
-            if plan is not None:
-                work[step.target_view] = recon.reshape(step.block_shape)
-            else:
-                work_flat[flat] = recon
+            work[step.target_view] = recon.reshape(step.block_shape)
     if cursor != codes.size:
         raise CorruptStreamError(
             f"quant-code stream has {codes.size - cursor} trailing "

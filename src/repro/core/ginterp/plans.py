@@ -11,10 +11,11 @@ class broadcasts, and four full-size clipped neighbor index arrays — on
 :func:`compile_plan` hoists that work out of the hot path. For one
 ``(shape, resolved InterpSpec)`` it precomputes, per pass:
 
-* the target lattice as strided-view selectors (the exact raveled block
-  order the reference path emits, so quant-code streams stay
-  byte-identical — but gathered and scattered through plain slices
-  instead of int64 fancy indexing);
+* the target lattice as strided-view selectors, in the exact raveled
+  block order of the reference path (the test oracle in
+  ``tests/oracles.py``), so quant-code streams stay byte-identical — but
+  gathered and scattered through plain slices instead of int64 fancy
+  indexing;
 * the spline-class partition along the interpolation axis;
 * **fused slice groups** — maximal runs of targets sharing one spline
   class. Each run's neighbors sit on strided lattices
@@ -63,16 +64,89 @@ import numpy as np
 from repro import telemetry
 from repro.telemetry import caches
 from repro.common.errors import ConfigError
-from repro.core.ginterp.splines import NEIGHBOR_OFFSETS, SPLINE_WEIGHTS
+from repro.core.ginterp.splines import (NEIGHBOR_OFFSETS, SPLINE_WEIGHTS,
+                                        classify)
 
-__all__ = ["FusedGroup", "CompiledPass", "PassPlan", "compile_plan",
-           "get_plan", "plan_cache_stats", "clear_plan_cache",
-           "set_plan_cache_limit"]
+__all__ = ["PassDesc", "pass_plan", "FusedGroup", "CompiledPass", "PassPlan",
+           "compile_plan", "get_plan", "plan_cache_stats",
+           "clear_plan_cache", "set_plan_cache_limit"]
 
 #: a run is fused only when it covers at least this many block elements;
 #: below that the per-slice call overhead costs more than one batched
 #: gather over the (precompiled) tail
 _MIN_FUSED_ELEMENTS = 64
+
+
+@dataclass(frozen=True)
+class PassDesc:
+    """One interpolation pass: all targets at ``stride`` along ``axis``."""
+
+    level: int                 # 1-based; stride == 2**(level-1)
+    stride: int
+    axis: int
+    steps: tuple[int, ...]     # per-axis sampling step *entering* this pass
+
+
+def pass_plan(ndim: int, spec) -> list[PassDesc]:
+    """The deterministic pass sequence for an ``ndim``-D input.
+
+    Levels run coarse to fine (stride ``anchor_stride/2`` down to 1); inside
+    each level axes run in ``spec.axis_order``. The per-axis step tuple
+    captures which samples are already known when the pass starts.
+    """
+    passes: list[PassDesc] = []
+    s = spec.anchor_stride // 2
+    while s >= 1:
+        steps = [2 * s] * ndim
+        for ax in spec.axis_order:
+            passes.append(PassDesc(level=s.bit_length(), stride=s, axis=ax,
+                                   steps=tuple(steps)))
+            steps[ax] = s
+        s //= 2
+    return passes
+
+
+def _axis_indices(shape: tuple[int, ...], p: PassDesc) -> list[np.ndarray]:
+    """Per-axis sample positions making up this pass's target grid."""
+    out = []
+    for ax, n in enumerate(shape):
+        if ax == p.axis:
+            out.append(np.arange(p.stride, n, 2 * p.stride, dtype=np.int64))
+        else:
+            out.append(np.arange(0, n, p.steps[ax], dtype=np.int64))
+    return out
+
+
+def _flat_block(axes_idx: list[np.ndarray], shape: tuple[int, ...]
+                ) -> np.ndarray:
+    """Broadcast-sum per-axis offsets into a block of flat C indices."""
+    ndim = len(shape)
+    strides = [1] * ndim
+    for ax in range(ndim - 2, -1, -1):
+        strides[ax] = strides[ax + 1] * shape[ax + 1]
+    total = np.zeros((1,) * ndim, dtype=np.int64)
+    for ax, idx in enumerate(axes_idx):
+        view = [1] * ndim
+        view[ax] = idx.size
+        total = total + (idx * strides[ax]).reshape(view)
+    return total
+
+
+def _class_1d(t: np.ndarray, n: int, s: int, window: int | None,
+              cubic_variant: int) -> np.ndarray:
+    """Spline class per target position along the interpolation axis."""
+    avail = {}
+    if window is not None:
+        wstep = window - 1
+        lo = (t // wstep) * wstep
+        hi = np.minimum(lo + wstep, n - 1)
+    for k in NEIGHBOR_OFFSETS:
+        pos = t + k * s
+        ok = (pos >= 0) & (pos <= n - 1)
+        if window is not None:
+            ok &= (pos >= lo) & (pos <= hi)
+        avail[k] = ok
+    return classify(avail[-3], avail[-1], avail[1], avail[3], cubic_variant)
 
 
 @dataclass(frozen=True)
@@ -302,8 +376,6 @@ def _class_runs(cls1d: np.ndarray) -> list[tuple[int, int]]:
 
 def _compile_pass(shape: tuple[int, ...], spec, p) -> CompiledPass:
     """Precompute one pass's targets, class partition, and kernels."""
-    from repro.core.ginterp.engine import (_axis_indices, _class_1d,
-                                           _flat_block)
     t0 = time.perf_counter()
     ndim = len(shape)
     axes_idx = _axis_indices(shape, p)
@@ -439,7 +511,6 @@ def _plan_key(shape: tuple[int, ...], spec) -> tuple:
 
 def compile_plan(shape: tuple[int, ...], spec) -> PassPlan:
     """Compile the full pass plan for ``(shape, spec)`` (uncached)."""
-    from repro.core.ginterp.engine import pass_plan
     shape = tuple(int(n) for n in shape)
     spec = spec.resolved(len(shape))
     t0 = time.perf_counter()

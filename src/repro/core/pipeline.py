@@ -26,8 +26,8 @@ from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import (alpha_from_eb, autotune,
                                          field_fingerprint)
-from repro.core.ginterp.engine import (InterpSpec, interp_compress,
-                                       interp_decompress)
+from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
+                                       interp_compress, interp_decompress)
 from repro.core.ginterp.plans import get_plan
 from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
                            best_static_profile, huffman_decode,
@@ -247,9 +247,8 @@ class CuSZi:
                    n_passes=len(result.pass_sizes))
         with telemetry.span("quantize") as sp, cap.stage("quantize"):
             # quantization proper is fused into the predict traversal
-            # (as on the GPU — see the per-pass ginterp.pq child spans,
-            # or ginterp.quantize when REPRO_FUSED_QUANTIZE=0); this
-            # sibling accounts for its side channel, the
+            # (as on the GPU — see the per-pass ginterp.pq child spans);
+            # this sibling accounts for its side channel, the
             # stream-compacted outliers, and the anchor serialization
             outlier_seg = result.outliers.tobytes()
             anchor_seg = result.anchors.tobytes()
@@ -366,17 +365,18 @@ class CuSZi:
             spec = InterpSpec.from_meta(meta["spec"])
             quantizer = LinearQuantizer(radius, value_dtype=dtype)
 
+            stream = HuffmanStream.from_bytes(segments["huffman"])
+            anchor_shape = check_stream_geometry(
+                shape, padded_shape, spec.anchor_stride,
+                len(segments["anchors"]), dtype.itemsize, stream.n_symbols)
             with telemetry.span(
                     "huffman", bytes_in=len(segments["huffman"])) as sp, \
                     cap.stage("huffman"):
-                stream = HuffmanStream.from_bytes(segments["huffman"])
                 codes = huffman_decode(stream)
                 sp.set(bytes_out=codes.nbytes)
             outliers = np.frombuffer(segments["outliers"], dtype=dtype)
             if outliers.size != int(meta["n_outliers"]):
                 raise CodecError("outlier segment size mismatch")
-            anchor_shape = tuple(-(-n // spec.anchor_stride)
-                                 for n in padded_shape)
             anchors = np.frombuffer(segments["anchors"],
                                     dtype=dtype).reshape(anchor_shape)
             with telemetry.span("plan"), cap.stage("plan"):

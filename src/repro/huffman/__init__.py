@@ -14,7 +14,9 @@ chunks *simultaneously* — each batched advance probes a multi-symbol
 lookup table (:func:`repro.huffman.canonical.build_lut_tables`) that
 emits every complete codeword in the next ``K`` bits, ``K`` chosen per
 stream (:func:`repro.huffman.codec.choose_probe_bits`) — which is the
-vectorized analogue of one-thread-block-per-chunk decoding.
+vectorized analogue of one-thread-block-per-chunk decoding. The codec
+keeps one encoder and one decoder; the plain loop coders they are
+checked against byte for byte are test oracles in ``tests/oracles.py``.
 """
 
 from repro.huffman.histogram import histogram, topk_coverage
@@ -37,8 +39,6 @@ from repro.huffman.codec import (
     huffman_encode,
     huffman_decode,
     HuffmanStream,
-    DECODE_ENGINES,
-    ENCODE_ENGINES,
     DEFAULT_CHUNK,
     PROBE_WIDTHS,
     choose_probe_bits,
@@ -70,8 +70,6 @@ __all__ = [
     "huffman_encode",
     "huffman_decode",
     "HuffmanStream",
-    "DECODE_ENGINES",
-    "ENCODE_ENGINES",
     "DEFAULT_CHUNK",
     "PROBE_WIDTHS",
     "choose_probe_bits",

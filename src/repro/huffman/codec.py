@@ -5,35 +5,32 @@ fixed-size chunks (one per thread block on the GPU); every chunk's bitstream
 starts on a byte boundary, and per-chunk bit lengths are recorded so chunks
 are independently decodable.
 
-* **Encode** is chunk-vectorized end to end. The default ``vector``
-  engine gathers one packed ``(code, length)`` 64-bit pair per symbol,
-  derives every codeword's absolute bit offset from an exclusive prefix
-  sum of the gathered lengths (rebased per chunk to the byte-aligned
-  chunk starts), and emits the whole stream through one
+* **Encode** is chunk-vectorized end to end. It gathers one packed
+  ``(code, length)`` 64-bit pair per symbol, derives every codeword's
+  absolute bit offset from an exclusive prefix sum of the gathered
+  lengths (rebased per chunk to the byte-aligned chunk starts), and emits
+  the whole stream through one
   :func:`repro.common.bitpack.pack_varbits64` scatter-OR into 64-bit
-  output words — the exact mirror of the decode-side window gather. The
-  retained ``loop`` engine is the previous three-byte-plane
-  :func:`repro.common.bitpack.pack_varbits` emitter; both engines share
-  the chunk-layout math and are byte-identical by construction (asserted
-  in CI). Dynamic codebooks are resolved through
+  output words — the exact mirror of the decode-side window gather.
+  Dynamic codebooks are resolved through
   :func:`repro.huffman.tree.fingerprint_code_lengths`, so eb-retunes and
   timestep streams skip the tree build and prewarm the decode LUT.
-* **Decode** steps all chunks simultaneously. The default ``lut`` engine
-  gathers one 64-bit window per chunk per outer step and then chains
-  multi-symbol LUT probes inside it: each probe reads the next ``K``
-  bits and emits every complete codeword they contain in a single
-  gather, falling back to the flat ``MAX_CODE_LEN`` table only for the
-  rare codeword wider than the probe. ``K`` is chosen per stream
-  (:func:`choose_probe_bits`): a narrow LUT builds several times faster
-  than the full-width one, which a recurring codebook is promoted to.
-  The retained ``loop`` engine is the previous
-  one-codeword-per-table-lookup decoder, kept for cross-engine
-  equivalence testing (byte-identical output is asserted in CI).
+* **Decode** steps all chunks simultaneously. Each outer step gathers one
+  64-bit window per chunk and then chains multi-symbol LUT probes inside
+  it: each probe reads the next ``K`` bits and emits every complete
+  codeword they contain in a single gather, falling back to the flat
+  ``MAX_CODE_LEN`` table only for the rare codeword wider than the probe.
+  ``K`` is chosen per stream (:func:`choose_probe_bits`): a narrow LUT
+  builds several times faster than the full-width one, which a recurring
+  codebook is promoted to.
+
+The one-codeword-per-lookup decoder and the byte-plane encoder in
+``tests/oracles.py`` are the references the equivalence suites compare
+this codec against byte for byte.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -41,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.common.bitpack import pack_varbits, pack_varbits64
+from repro.common.bitpack import pack_varbits64
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman.canonical import (MAX_CODE_LEN, build_decode_table,
                                      build_lut_tables, canonical_codebook,
@@ -50,8 +47,7 @@ from repro.huffman.histogram import histogram
 from repro.huffman.tree import fingerprint_code_lengths
 
 __all__ = ["huffman_encode", "huffman_decode", "HuffmanStream",
-           "choose_probe_bits", "PROBE_WIDTHS",
-           "DEFAULT_CHUNK", "DECODE_ENGINES", "ENCODE_ENGINES"]
+           "choose_probe_bits", "PROBE_WIDTHS", "DEFAULT_CHUNK"]
 
 #: default symbols per chunk for new streams. 256 (was 2048) widens the
 #: chunk-parallel front the batched LUT decoder advances over by 8x —
@@ -59,15 +55,9 @@ __all__ = ["huffman_encode", "huffman_decode", "HuffmanStream",
 #: at the cost of 4 bytes of chunk table per extra chunk (~2% of a
 #: typical 64**3 container before the orchestrator losslessly packs the
 #: highly regular chunk table back down). Streams self-describe their
-#: chunk size, so any chunk size remains decodable by both engines.
+#: chunk size, so any chunk size remains decodable.
 DEFAULT_CHUNK = 256
 _HDR = struct.Struct("<QIIII")  # n_symbols, alphabet, chunk_size, n_chunks, crc32
-
-#: decode engines selectable per call or via ``REPRO_HUFFMAN_ENGINE``
-DECODE_ENGINES = ("lut", "loop")
-
-#: encode engines selectable per call or via ``REPRO_HUFFMAN_ENCODE_ENGINE``
-ENCODE_ENGINES = ("vector", "loop")
 
 
 @dataclass
@@ -123,9 +113,8 @@ _NARROW_LAYOUT_SYMBOLS = ((1 << 32) - 64) // MAX_CODE_LEN
 def _chunk_layout(sym_len: np.ndarray, n: int, chunk_size: int):
     """Per-chunk bit counts and byte-aligned per-symbol bit offsets.
 
-    Shared by both encode engines so their streams agree bit for bit:
-    chunk boundaries, padding, and every codeword's landing position are
-    decided here, and the engines differ only in how bits are emitted.
+    Chunk boundaries, padding, and every codeword's landing position are
+    decided here; the emitter only scatters bits to these positions.
     The offset arithmetic is exact in either dtype; uint32 is chosen
     whenever the stream's total bit count cannot overflow it, and the
     cumulative-sum buffer is reused in place for the exclusive scan and
@@ -155,26 +144,17 @@ def _chunk_layout(sym_len: np.ndarray, n: int, chunk_size: int):
 
 def huffman_encode(codes: np.ndarray, alphabet_size: int,
                    chunk_size: int = DEFAULT_CHUNK,
-                   lengths: np.ndarray | None = None,
-                   engine: str | None = None) -> HuffmanStream:
+                   lengths: np.ndarray | None = None) -> HuffmanStream:
     """Encode a symbol stream into a chunked canonical Huffman stream.
 
     Passing prebuilt ``lengths`` (see :mod:`repro.huffman.static`) skips
     the histogram and tree build — the paper's §VI-A speed direction — at
-    the cost of a slightly suboptimal code.
-
-    ``engine`` selects the emitter: ``"vector"`` (default; packed-pair
-    gather plus one word-level scatter-OR) or ``"loop"`` (the previous
-    byte-plane emitter, kept for cross-engine equivalence testing).
-    ``REPRO_HUFFMAN_ENCODE_ENGINE`` overrides the default. Both engines
-    produce byte-identical streams.
+    the cost of a slightly suboptimal code. A dynamic codebook that hits
+    the fingerprint cache also starts its decode LUT build in the
+    background.
     """
     if chunk_size < 1:
         raise CodecError("chunk size must be >= 1")
-    if engine is None:
-        engine = os.environ.get("REPRO_HUFFMAN_ENCODE_ENGINE", "vector")
-    if engine not in ENCODE_ENGINES:
-        raise CodecError(f"unknown Huffman encode engine {engine!r}")
     codes = np.asarray(codes, dtype=np.uint32).ravel()
     n = codes.size
     with telemetry.span("huffman.codebook", n_symbols=n,
@@ -182,10 +162,8 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                         static=lengths is not None):
         if lengths is None:
             freqs = histogram(codes, alphabet_size)
-            prewarm = os.environ.get(
-                "REPRO_HUFFMAN_LUT_PREWARM", "1") != "0"
             lengths = fingerprint_code_lengths(freqs, MAX_CODE_LEN,
-                                               prewarm_lut=prewarm)
+                                               prewarm_lut=True)
         else:
             lengths = np.asarray(lengths, dtype=np.int64)
             if lengths.size != alphabet_size:
@@ -200,29 +178,22 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                              np.empty(0, np.uint32), np.empty(0, np.uint8),
                              crc32=0)
 
-    with telemetry.span("huffman.pack", n_symbols=n, engine=engine) as sp:
-        if engine == "vector":
-            # one packed pair per alphabet symbol: MSB-aligned codeword in
-            # the high bits, its length in the low byte. A single gather
-            # then yields both the staged bits and the per-symbol length,
-            # and the emitter never shifts codes again.
-            lu = lengths.astype(np.uint64)
-            sh = np.where(lu > 0, np.uint64(64) - lu, np.uint64(0))
-            pair64 = np.where(
-                lu > 0, (codebook.astype(np.uint64) << sh) | lu,
-                np.uint64(0))
-            g = pair64[codes]
-            sym_len = g.astype(np.uint8)   # truncation keeps the low byte
-            chunk_bits, pos, total_bytes, n_chunks = \
-                _chunk_layout(sym_len, n, chunk_size)
-            g &= np.uint64(0xFFFFFFFFFFFFFF00)  # strip lengths in place
-            payload = pack_varbits64(g, sym_len, pos, total_bytes)
-        else:
-            sym_len = lengths[codes]               # int64 per-symbol lengths
-            chunk_bits, pos, total_bytes, n_chunks = \
-                _chunk_layout(sym_len, n, chunk_size)
-            payload = pack_varbits(codebook[codes], sym_len, pos,
-                                   total_bytes)
+    with telemetry.span("huffman.pack", n_symbols=n) as sp:
+        # one packed pair per alphabet symbol: MSB-aligned codeword in
+        # the high bits, its length in the low byte. A single gather
+        # then yields both the staged bits and the per-symbol length,
+        # and the emitter never shifts codes again.
+        lu = lengths.astype(np.uint64)
+        sh = np.where(lu > 0, np.uint64(64) - lu, np.uint64(0))
+        pair64 = np.where(
+            lu > 0, (codebook.astype(np.uint64) << sh) | lu,
+            np.uint64(0))
+        g = pair64[codes]
+        sym_len = g.astype(np.uint8)   # truncation keeps the low byte
+        chunk_bits, pos, total_bytes, n_chunks = \
+            _chunk_layout(sym_len, n, chunk_size)
+        g &= np.uint64(0xFFFFFFFFFFFFFF00)  # strip lengths in place
+        payload = pack_varbits64(g, sym_len, pos, total_bytes)
         sp.set(bytes_out=int(payload.size), n_chunks=int(n_chunks))
     return HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
                          chunk_size=chunk_size,
@@ -231,43 +202,30 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                          crc32=zlib.crc32(payload.tobytes()))
 
 
-def huffman_decode(stream: HuffmanStream, engine: str | None = None, *,
+def huffman_decode(stream: HuffmanStream, *,
                    probe_bits: int | None = None) -> np.ndarray:
     """Decode a :class:`HuffmanStream` back into its uint32 symbol array.
 
-    ``engine`` selects the decoder: ``"lut"`` (default; multi-symbol
-    probe, chunk-parallel) or ``"loop"`` (legacy one-symbol-per-lookup
-    reference). ``REPRO_HUFFMAN_ENGINE`` overrides the default. Both
-    engines produce byte-identical output and raise
-    :class:`~repro.common.errors.CorruptStreamError` on the same corrupt
-    inputs.
-
-    The ``lut`` engine picks its probe width per stream
+    Raises :class:`~repro.common.errors.CorruptStreamError` on a corrupt
+    stream. The probe width is picked per stream
     (:func:`choose_probe_bits`); ``probe_bits`` pins one instead. The
     ``huffman.unpack`` span records the width used and the LUT outcome:
     ``hit`` (cached), ``built`` (cold build) or ``promoted`` (a cached
     narrow LUT reused, full-width build started in the background); an
     empty stream uses no LUT and records ``none`` at width 0.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_HUFFMAN_ENGINE", "lut")
-    if engine not in DECODE_ENGINES:
-        raise CodecError(f"unknown Huffman decode engine {engine!r}")
     with telemetry.span("huffman.unpack", n_symbols=stream.n_symbols,
-                        bytes_in=int(stream.payload.size),
-                        engine=engine) as sp:
-        if engine == "loop":
-            return _decode_loop(stream)
+                        bytes_in=int(stream.payload.size)) as sp:
         out, width, outcome = _decode_lut(stream, probe_bits)
         sp.set(probe_bits=width, lut=outcome)
         return out
 
 
 def _decode_prepare(stream: HuffmanStream):
-    """Shared validation + per-chunk cursor state for both engines.
+    """Stream validation + per-chunk cursor state for the decoder.
 
-    Everything sized from the header is checked here, before either
-    engine allocates its output: the symbol count is outside the CRC, so
+    Everything sized from the header is checked here, before the decoder
+    allocates its output: the symbol count is outside the CRC, so
     each chunk's bit budget must be reachable by its symbol count at the
     stream's shortest and longest code lengths.
     """
@@ -480,55 +438,3 @@ def _decode_lut(stream: HuffmanStream, probe_bits: int | None = None
     if fb_wins:
         out[np.concatenate(fb_starts)] = table_sym[np.concatenate(fb_wins)]
     return out, probe_bits, outcome
-
-
-def _decode_loop(stream: HuffmanStream) -> np.ndarray:
-    """Legacy reference decoder: one codeword per flat-table lookup,
-    up to three lookups per 64-bit window gather."""
-    n = stream.n_symbols
-    if n == 0:
-        return np.empty(0, dtype=np.uint32)
-    pay, counts, bitpos, bit_end = _decode_prepare(stream)
-    windows8 = np.lib.stride_tricks.sliding_window_view(pay, 8)
-    n_chunks = counts.size
-    table_sym, table_len = build_decode_table(stream.lengths)
-
-    # flat output sized to n (not a padded (n_chunks, chunk_size) matrix):
-    # chunk c's symbols land at c*chunk_size + step, and only the final
-    # chunk is short, so every index stays < n
-    out = np.empty(n, dtype=np.uint32)
-    base = np.arange(n_chunks, dtype=np.int64) * stream.chunk_size
-    decoded = np.zeros(n_chunks, dtype=np.int64)
-    mask = np.uint64((1 << MAX_CODE_LEN) - 1)
-    # one 64-bit gather decodes up to K symbols per chunk per step: after
-    # the <= 7 alignment bits, 57 bits remain — three <=16-bit codewords
-    k_per_step = (64 - 7) // MAX_CODE_LEN
-    active = np.arange(n_chunks)
-    while active.size:
-        bp = bitpos[active]
-        byte = np.minimum(bp >> 3, pay.size - 8)  # drift-safe gather
-        word = windows8[byte].view(">u8").ravel().astype(np.uint64)
-        bitoff = bp & 7
-        consumed = np.zeros(active.size, dtype=np.int64)
-        live = np.arange(active.size)  # positions into `active`
-        for _ in range(k_per_step):
-            sh = (64 - MAX_CODE_LEN
-                  - bitoff[live] - consumed[live]).astype(np.uint64)
-            window = (word[live] >> sh) & mask
-            ln = table_len[window].astype(np.int64)
-            if np.any(ln == 0):
-                raise CorruptStreamError(
-                    "corrupt Huffman payload (invalid codeword)")
-            chunks = active[live]
-            out[base[chunks] + decoded[chunks]] = table_sym[window]
-            consumed[live] += ln
-            decoded[chunks] += 1
-            live = live[decoded[active[live]] < counts[active[live]]]
-            if live.size == 0:
-                break
-        bitpos[active] += consumed
-        active = active[decoded[active] < counts[active]]
-    if np.any(bitpos != bit_end):
-        raise CorruptStreamError("chunk bit counts do not match decoded "
-                                 "stream")
-    return out

@@ -16,15 +16,12 @@ same fingerprint — an eb-retune of the same field, successive timesteps
 of a stream — then share one tree build. Because the lengths are a pure
 function of the fingerprint (never of raw counts or of cache history),
 every execution path emits byte-identical streams for byte-identical
-inputs, warm or cold, serial or pooled. ``REPRO_HUFFMAN_CODEBOOK_CACHE=0``
-bypasses the fingerprint entirely and builds the exact-optimal tree from
-the raw counts.
+inputs, warm or cold, serial or pooled.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 from collections import OrderedDict
 from itertools import count
@@ -180,9 +177,6 @@ def fingerprint_code_lengths(freqs: np.ndarray, max_len: int, *,
     decode of the same stream family, so its decode surface is built
     while the encode is still running instead of inside that decode.
     """
-    if os.environ.get("REPRO_HUFFMAN_CODEBOOK_CACHE", "1") == "0":
-        return code_lengths(np.asarray(freqs, dtype=np.int64).ravel(),
-                            max_len)
     key, rep = histogram_fingerprint(freqs)
     key = max_len.to_bytes(2, "little") + key
     with _fp_lock:

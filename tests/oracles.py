@@ -1,0 +1,295 @@
+"""Reference implementations the equivalence suites compare ``src/`` against.
+
+The library runs one optimized path per hot layer. The plain forms of
+those layers live here, as test oracles, and every stream the library
+emits must match them byte for byte:
+
+* :func:`reference_compress` / :func:`reference_decompress` — the
+  uncompiled interpolation traversal: per-pass index gathers
+  (:func:`_pass_predict`) feeding
+  :meth:`~repro.common.quantizer.LinearQuantizer.quantize` /
+  :meth:`~repro.common.quantizer.LinearQuantizer.dequantize`. Oracle for
+  the compiled, fused traversal of :mod:`repro.core.ginterp.engine`.
+* :func:`decode_loop` — one codeword per flat-table lookup. Oracle for
+  the multi-symbol LUT decoder of :mod:`repro.huffman.codec`.
+* :func:`encode_loop` — the byte-plane emitter (:func:`pack_varbits`)
+  over the same codebook and chunk layout. Oracle for the packed-pair
+  word-scatter encoder.
+
+Both traversals accept (and ignore) ``plan=`` so they can stand in for
+``repro.core.pipeline.interp_compress`` / ``interp_decompress``.
+"""
+
+from __future__ import annotations
+
+import zlib
+
+import numpy as np
+
+from repro.common.errors import CodecError, CorruptStreamError
+from repro.common.quantizer import LinearQuantizer
+from repro.core.ginterp.anchors import apply_anchors, extract_anchors
+from repro.core.ginterp.engine import (InterpResult, InterpSpec,
+                                       _check_finite, level_error_bounds)
+from repro.core.ginterp.plans import (PassDesc, _axis_indices, _class_1d,
+                                      _flat_block, pass_plan)
+from repro.core.ginterp.splines import NEIGHBOR_OFFSETS, SPLINE_WEIGHTS
+from repro.huffman import (MAX_CODE_LEN, DEFAULT_CHUNK, HuffmanStream,
+                           build_decode_table, canonical_codebook,
+                           fingerprint_code_lengths, histogram)
+from repro.huffman.codec import _chunk_layout, _decode_prepare
+
+
+# -- interpolation traversal -----------------------------------------------
+
+def _pass_predict(work_flat: np.ndarray, shape: tuple[int, ...],
+                  spec: InterpSpec, p: PassDesc
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Compute (flat target indices, predictions) for one pass."""
+    axes_idx = _axis_indices(shape, p)
+    t = axes_idx[p.axis]
+    if t.size == 0 or any(a.size == 0 for a in axes_idx):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.empty(0, dtype=np.float64)
+    flat = _flat_block(axes_idx, shape)
+    block_shape = flat.shape
+    flat = flat.ravel()
+
+    window = spec.window_shape[p.axis] if spec.window_shape else None
+    cls1d = _class_1d(t, shape[p.axis], p.stride, window,
+                      spec.cubic_variant[p.axis])
+    view = [1] * len(shape)
+    view[p.axis] = t.size
+    cls = np.broadcast_to(cls1d.reshape(view), block_shape).ravel()
+
+    ndim = len(shape)
+    ax_stride = 1
+    for ax in range(p.axis + 1, ndim):
+        ax_stride *= shape[ax]
+    size = work_flat.size
+    pred = np.zeros(flat.size, dtype=np.float64)
+    weights = SPLINE_WEIGHTS
+    for j, k in enumerate(NEIGHBOR_OFFSETS):
+        w = weights[cls, j]
+        idx = flat + (k * p.stride * ax_stride)
+        np.clip(idx, 0, size - 1, out=idx)
+        pred += w * work_flat[idx]
+    return flat, pred
+
+
+def reference_compress(data: np.ndarray, spec: InterpSpec, eb: float,
+                       quantizer: LinearQuantizer | None = None, *,
+                       plan=None) -> InterpResult:
+    """The uncompiled compression traversal (``plan`` is ignored)."""
+    spec = spec.resolved(data.ndim)
+    _check_finite(data)
+    quantizer = quantizer or LinearQuantizer()
+    work = data.astype(np.float64, copy=True)
+    anchors = extract_anchors(work, spec.anchor_stride,
+                              quantizer.value_dtype)
+    apply_anchors(work, anchors, spec.anchor_stride)
+    work_flat = work.ravel()
+
+    ebs = level_error_bounds(eb, spec)
+    codes_parts: list[np.ndarray] = []
+    outlier_parts: list[np.ndarray] = []
+    sizes: list[int] = []
+    orig_flat = data.ravel()
+    for p in pass_plan(data.ndim, spec):
+        flat, pred = _pass_predict(work_flat, data.shape, spec, p)
+        n = flat.size
+        sizes.append(int(n))
+        if n == 0:
+            continue
+        res = quantizer.quantize(orig_flat[flat], pred, ebs[p.level])
+        work_flat[flat] = res.reconstructed
+        codes_parts.append(res.codes)
+        outlier_parts.append(res.outlier_values)
+
+    codes = (np.concatenate(codes_parts) if codes_parts
+             else np.empty(0, np.uint32))
+    outliers = (np.concatenate(outlier_parts) if outlier_parts
+                else np.empty(0, np.float32))
+    return InterpResult(codes=codes, outliers=outliers, anchors=anchors,
+                        reconstructed=work, pass_sizes=sizes)
+
+
+def reference_decompress(shape: tuple[int, ...], spec: InterpSpec,
+                         eb: float, codes: np.ndarray, outliers: np.ndarray,
+                         anchors: np.ndarray,
+                         quantizer: LinearQuantizer | None = None, *,
+                         plan=None) -> np.ndarray:
+    """The uncompiled decompression traversal (``plan`` is ignored)."""
+    spec = spec.resolved(len(shape))
+    quantizer = quantizer or LinearQuantizer()
+    work = np.zeros(shape, dtype=np.float64)
+    apply_anchors(work, anchors.reshape(
+        tuple(-(-n // spec.anchor_stride) for n in shape)),
+        spec.anchor_stride)
+    work_flat = work.ravel()
+
+    ebs = level_error_bounds(eb, spec)
+    codes = np.asarray(codes)
+    cursor = 0
+    out_cursor = 0
+    for p in pass_plan(len(shape), spec):
+        flat, pred = _pass_predict(work_flat, shape, spec, p)
+        n = flat.size
+        if n == 0:
+            continue
+        if cursor + n > codes.size:
+            raise CorruptStreamError(
+                f"quant-code stream exhausted at level {p.level} "
+                f"axis {p.axis}: pass needs {n} codes, "
+                f"{codes.size - cursor} remain")
+        pass_codes = codes[cursor:cursor + n]
+        cursor += n
+        recon, out_cursor = quantizer.dequantize(
+            pass_codes, pred, ebs[p.level], outliers, out_cursor)
+        work_flat[flat] = recon
+    if cursor != codes.size:
+        raise CorruptStreamError(
+            f"quant-code stream has {codes.size - cursor} trailing "
+            f"code(s) after the final pass")
+    return work
+
+
+# -- Huffman coder ----------------------------------------------------------
+
+#: widest variable-length codeword :func:`pack_varbits` accepts; the staged
+#: word must hold ``width + 7`` alignment bits inside a uint32 byte triple
+_MAX_VARWIDTH = 24
+
+
+def pack_varbits(codes: np.ndarray, lengths: np.ndarray,
+                 bitpos: np.ndarray, total_bytes: int) -> np.ndarray:
+    """Scatter variable-length codewords into a dense MSB-first bitstream.
+
+    ``codes[i]`` (low ``lengths[i]`` bits significant) lands at absolute
+    bit offset ``bitpos[i]``; offsets must be non-decreasing and the
+    codewords non-overlapping (each output bit written at most once —
+    this is a *scatter*, not a merge). Returns ``total_bytes`` of uint8.
+
+    The trick that keeps this fully vectorized for ragged widths: every
+    codeword is staged MSB-aligned into a 3-byte window anchored at its
+    start byte — ``code << (24 - length - (bitpos & 7))`` — so a codeword
+    of up to :data:`_MAX_VARWIDTH` - 7 bits plus its intra-byte shift
+    always fits the window. The three byte planes are then OR-combined
+    per distinct output byte with :func:`numpy.bitwise_or.reduceat`
+    (offsets are sorted, so each plane's byte indices are non-decreasing)
+    and OR-scattered into the dense output. Because no bit is claimed
+    twice, OR-combining is exact, not approximate.
+    """
+    codes = np.asarray(codes, dtype=np.uint32).ravel()
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    bitpos = np.asarray(bitpos, dtype=np.int64).ravel()
+    if not (codes.size == lengths.size == bitpos.size):
+        raise CodecError("codes/lengths/bitpos size mismatch")
+    if codes.size == 0:
+        return np.zeros(max(0, int(total_bytes)), dtype=np.uint8)
+    if int(lengths.min()) < 1 or int(lengths.max()) > _MAX_VARWIDTH - 7:
+        raise CodecError(
+            f"codeword length outside [1, {_MAX_VARWIDTH - 7}]")
+    if np.any(codes.astype(np.uint64) >> lengths.astype(np.uint64)):
+        raise CodecError("codeword wider than its declared length")
+    if np.any(np.diff(bitpos) < 0):
+        raise CodecError("bit offsets must be non-decreasing")
+    end_bit = int(bitpos[-1] + lengths[-1])
+    if int(bitpos[0]) < 0 or end_bit > int(total_bytes) * 8:
+        raise CodecError("codeword falls outside the output stream")
+    byte0 = bitpos >> 3
+    stage = (codes.astype(np.uint32)
+             << (_MAX_VARWIDTH - lengths - (bitpos & 7)).astype(np.uint32))
+    # 3 byte planes of the staged window, scattered with 3-byte slack so
+    # the tail codeword's low planes stay in bounds (trimmed at return)
+    out = np.zeros(int(total_bytes) + 3, dtype=np.uint8)
+    for plane in range(3):
+        vals = ((stage >> (8 * (2 - plane))) & 0xFF).astype(np.uint8)
+        idx = byte0 + plane
+        firsts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
+        out[idx[firsts]] |= np.bitwise_or.reduceat(vals, firsts)
+    return out[:int(total_bytes)]
+
+
+def encode_loop(codes: np.ndarray, alphabet_size: int,
+                chunk_size: int = DEFAULT_CHUNK,
+                lengths: np.ndarray | None = None) -> HuffmanStream:
+    """The byte-plane Huffman encoder: the same codebook and chunk layout
+    as :func:`repro.huffman.huffman_encode`, bits emitted through
+    :func:`pack_varbits`."""
+    if chunk_size < 1:
+        raise CodecError("chunk size must be >= 1")
+    codes = np.asarray(codes, dtype=np.uint32).ravel()
+    n = codes.size
+    if lengths is None:
+        lengths = fingerprint_code_lengths(
+            histogram(codes, alphabet_size), MAX_CODE_LEN)
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+    codebook = canonical_codebook(lengths)
+    if n == 0:
+        return HuffmanStream(0, alphabet_size, chunk_size,
+                             lengths.astype(np.uint8),
+                             np.empty(0, np.uint32), np.empty(0, np.uint8),
+                             crc32=0)
+    sym_len = lengths[codes]               # int64 per-symbol lengths
+    chunk_bits, pos, total_bytes, n_chunks = \
+        _chunk_layout(sym_len, n, chunk_size)
+    payload = pack_varbits(codebook[codes], sym_len, pos, total_bytes)
+    return HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
+                         chunk_size=chunk_size,
+                         lengths=lengths.astype(np.uint8),
+                         chunk_bits=chunk_bits, payload=payload,
+                         crc32=zlib.crc32(payload.tobytes()))
+
+
+def decode_loop(stream: HuffmanStream) -> np.ndarray:
+    """One codeword per flat-table lookup, up to three lookups per
+    64-bit window gather."""
+    n = stream.n_symbols
+    if n == 0:
+        return np.empty(0, dtype=np.uint32)
+    pay, counts, bitpos, bit_end = _decode_prepare(stream)
+    windows8 = np.lib.stride_tricks.sliding_window_view(pay, 8)
+    n_chunks = counts.size
+    table_sym, table_len = build_decode_table(stream.lengths)
+
+    # flat output sized to n (not a padded (n_chunks, chunk_size) matrix):
+    # chunk c's symbols land at c*chunk_size + step, and only the final
+    # chunk is short, so every index stays < n
+    out = np.empty(n, dtype=np.uint32)
+    base = np.arange(n_chunks, dtype=np.int64) * stream.chunk_size
+    decoded = np.zeros(n_chunks, dtype=np.int64)
+    mask = np.uint64((1 << MAX_CODE_LEN) - 1)
+    # one 64-bit gather decodes up to K symbols per chunk per step: after
+    # the <= 7 alignment bits, 57 bits remain — three <=16-bit codewords
+    k_per_step = (64 - 7) // MAX_CODE_LEN
+    active = np.arange(n_chunks)
+    while active.size:
+        bp = bitpos[active]
+        byte = np.minimum(bp >> 3, pay.size - 8)  # drift-safe gather
+        word = windows8[byte].view(">u8").ravel().astype(np.uint64)
+        bitoff = bp & 7
+        consumed = np.zeros(active.size, dtype=np.int64)
+        live = np.arange(active.size)  # positions into `active`
+        for _ in range(k_per_step):
+            sh = (64 - MAX_CODE_LEN
+                  - bitoff[live] - consumed[live]).astype(np.uint64)
+            window = (word[live] >> sh) & mask
+            ln = table_len[window].astype(np.int64)
+            if np.any(ln == 0):
+                raise CorruptStreamError(
+                    "corrupt Huffman payload (invalid codeword)")
+            chunks = active[live]
+            out[base[chunks] + decoded[chunks]] = table_sym[window]
+            consumed[live] += ln
+            decoded[chunks] += 1
+            live = live[decoded[active[live]] < counts[active[live]]]
+            if live.size == 0:
+                break
+        bitpos[active] += consumed
+        active = active[decoded[active] < counts[active]]
+    if np.any(bitpos != bit_end):
+        raise CorruptStreamError("chunk bit counts do not match decoded "
+                                 "stream")
+    return out

@@ -6,11 +6,16 @@ reconstruction — checked here for every codec and several corruption
 positions.
 """
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import smooth_field
+from repro.common.container import build_container, parse_container
 from repro.common.errors import ReproError
+from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.registry import available, get_compressor
 
 
@@ -74,3 +79,45 @@ class TestCorruptionWithGLE:
             except ReproError:
                 continue
             np.testing.assert_array_equal(out, clean)
+
+
+def _forge_geometry(blob: bytes, forgery: str) -> bytes:
+    """Rewrite an interpolation blob's header geometry and re-stamp the
+    container CRC, so only the decoder's own checks can catch it."""
+    codec, meta, segments = parse_container(unwrap_lossless(blob))
+    # cuSZ-i decodes the padded grid; SZ3/QoZ decode ``shape`` itself
+    key = "padded_shape" if "padded_shape" in meta else "shape"
+    item = np.dtype(meta["dtype"]).itemsize
+    if forgery in ("huge-grid", "overflowing-grid"):
+        extent = 512 if forgery == "huge-grid" else 1 << 24
+        meta[key] = [extent] * len(meta[key])
+        # one anchor covers the whole forged grid
+        meta["spec"]["anchor_stride"] = 1 << 30
+        segments["anchors"] = segments["anchors"][:item]
+    elif forgery == "short-anchors":
+        segments["anchors"] = segments["anchors"][:-item]
+    elif forgery == "bad-extent":
+        meta[key][0] = (meta["shape"][0] - 1 if key == "padded_shape"
+                        else 0)
+    return wrap_lossless(build_container(codec, meta, segments), "none")
+
+
+@pytest.mark.parametrize("forgery", ["huge-grid", "overflowing-grid",
+                                     "short-anchors", "bad-extent"])
+@pytest.mark.parametrize("codec", ["cuszi", "sz3", "qoz"])
+def test_forged_geometry_rejected_before_allocation(blobs, codec, forgery):
+    """Header geometry the payload CRCs cannot vouch for must raise a
+    typed error before anything is compiled or allocated from it."""
+    comp, blob = blobs[codec]
+    forged = _forge_geometry(blob, forgery)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ReproError):
+            comp.decompress(forged)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 8 << 20

@@ -1,10 +1,10 @@
-"""Cross-engine Huffman encode equivalence (PR 9 tentpole).
+"""Huffman encode equivalence against the byte-plane oracle.
 
-The ``vector`` encoder (packed pair gather + word scatter-OR) must be
-byte-identical to the retained ``loop`` engine on every stream the codec
-accepts: the two only differ in how bits are emitted, never in layout.
-Also covers the new histogram fast paths and the fingerprint codebook
-cache that back the encode hot path.
+The encoder (packed pair gather + word scatter-OR) must be
+byte-identical to the byte-plane oracle ``oracles.encode_loop`` on every
+stream the codec accepts: the two only differ in how bits are emitted,
+never in layout. Also covers the histogram fast paths and the
+fingerprint codebook cache that back the encode hot path.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import encode_loop
 from repro.common.bitpack import pack_varbits64
 from repro.common.errors import CodecError
-from repro.huffman import (ENCODE_ENGINES, MAX_CODE_LEN,
-                           clear_fingerprint_cache, drain_lut_prewarm,
-                           fingerprint_cache_stats,
+from repro.huffman import (MAX_CODE_LEN, clear_fingerprint_cache,
+                           drain_lut_prewarm, fingerprint_cache_stats,
                            fingerprint_code_lengths, histogram,
                            histogram_fingerprint, huffman_decode,
                            huffman_encode, prewarm_lut_async,
@@ -25,8 +25,8 @@ from repro.huffman.histogram import SPARSE_ALPHABET
 
 
 def _both(codes, alphabet, **kw):
-    sv = huffman_encode(codes, alphabet, engine="vector", **kw)
-    sl = huffman_encode(codes, alphabet, engine="loop", **kw)
+    sv = huffman_encode(codes, alphabet, **kw)
+    sl = encode_loop(codes, alphabet, **kw)
     assert sv.to_bytes() == sl.to_bytes()
     return sv
 
@@ -82,19 +82,6 @@ class TestEngineByteIdentity:
         codes = rng.integers(0, 500, size=1000).astype(np.uint32)
         s = _both(codes, 500, chunk_size=chunk)
         assert np.array_equal(huffman_decode(s), codes)
-
-    def test_engine_selection(self, rng, monkeypatch):
-        codes = rng.integers(0, 50, size=1000).astype(np.uint32)
-        default = huffman_encode(codes, 50)
-        monkeypatch.setenv("REPRO_HUFFMAN_ENCODE_ENGINE", "loop")
-        via_env = huffman_encode(codes, 50)
-        assert default.to_bytes() == via_env.to_bytes()
-        with pytest.raises(CodecError):
-            huffman_encode(codes, 50, engine="bogus")
-        monkeypatch.setenv("REPRO_HUFFMAN_ENCODE_ENGINE", "nope")
-        with pytest.raises(CodecError):
-            huffman_encode(codes, 50)
-        assert set(ENCODE_ENGINES) == {"vector", "loop"}
 
 
 class TestPackVarbits64:
@@ -177,16 +164,6 @@ class TestFingerprintCache:
         k1, _ = histogram_fingerprint(np.array([0, 5, 0, 9]))
         k2, _ = histogram_fingerprint(np.array([5, 0, 0, 9]))
         assert k1 != k2
-
-    def test_env_opt_out_uses_exact_lengths(self, monkeypatch, rng):
-        freqs = np.bincount(
-            rng.integers(0, 30, 4000).astype(np.int64), minlength=40)
-        monkeypatch.setenv("REPRO_HUFFMAN_CODEBOOK_CACHE", "0")
-        clear_fingerprint_cache()
-        exact = fingerprint_code_lengths(freqs, MAX_CODE_LEN)
-        from repro.huffman import code_lengths
-        assert np.array_equal(exact, code_lengths(freqs, MAX_CODE_LEN))
-        assert fingerprint_cache_stats()["size"] == 0
 
     def test_encode_decode_roundtrip_through_cache(self, rng):
         clear_fingerprint_cache()

@@ -76,7 +76,7 @@ class TestPassPlan:
 
     def test_targets_cover_everything_once(self):
         # union of all pass targets + anchors == all points, no repeats
-        from repro.core.ginterp.engine import _axis_indices
+        from repro.core.ginterp.plans import _axis_indices
         shape = (13, 10, 17)
         spec = InterpSpec(anchor_stride=8).resolved(3)
         seen = np.zeros(shape, dtype=int)

@@ -1,11 +1,11 @@
-"""Fused predict–quantize bit-exactness (PR 9 tentpole).
+"""Fused predict–quantize bit-exactness.
 
-The compiled traversal can emit quant-codes straight from the prediction
-pass (``fused=True``, the default) instead of materializing residuals and
-concatenating per-pass code arrays. The contract: fused, unfused, and the
-uncompiled reference traversal are byte-identical — codes, outliers,
-anchors, and reconstruction — and therefore so is every downstream blob
-on every execution path (pipeline, slab stream, tiled file, worker pool).
+The compiled traversal emits quant-codes straight from the prediction
+pass instead of materializing residuals and concatenating per-pass code
+arrays. The contract: it is byte-identical to the uncompiled reference
+traversal in ``oracles.py`` — codes, outliers, anchors, and
+reconstruction — and therefore so is every downstream blob on every
+execution path (pipeline, slab stream, tiled file, worker pool).
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline
 from conftest import smooth_field
+from oracles import reference_compress
 from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp import InterpSpec, interp_compress, interp_decompress
 from repro.core.pipeline import CuSZi
@@ -25,14 +27,12 @@ EB = 1e-3
 
 
 def _triple(data, spec, eb=EB, quantizer=None):
-    fused = interp_compress(data, spec, eb, quantizer, fused=True)
-    plain = interp_compress(data, spec, eb, quantizer, fused=False)
-    ref = interp_compress(data, spec, eb, quantizer, compiled=False)
-    for other in (plain, ref):
-        assert np.array_equal(fused.codes, other.codes)
-        assert np.array_equal(fused.outliers, other.outliers)
-        assert np.array_equal(fused.anchors, other.anchors)
-        assert np.array_equal(fused.reconstructed, other.reconstructed)
+    fused = interp_compress(data, spec, eb, quantizer)
+    ref = reference_compress(data, spec, eb, quantizer)
+    assert np.array_equal(fused.codes, ref.codes)
+    assert np.array_equal(fused.outliers, ref.outliers)
+    assert np.array_equal(fused.anchors, ref.anchors)
+    assert np.array_equal(fused.reconstructed, ref.reconstructed)
     return fused
 
 
@@ -117,27 +117,17 @@ class TestQuantizeInto:
                             r_buf=buf.copy())
 
 
-class TestEnvToggle:
-    def test_env_disables_fusion(self, monkeypatch):
-        data = smooth_field((32, 32, 32))
-        spec = InterpSpec(anchor_stride=8)
-        default = interp_compress(data, spec, EB)
-        monkeypatch.setenv("REPRO_FUSED_QUANTIZE", "0")
-        unfused = interp_compress(data, spec, EB)
-        assert np.array_equal(default.codes, unfused.codes)
-        assert np.array_equal(default.reconstructed,
-                              unfused.reconstructed)
-
-
 class TestCrossPathBlobIdentity:
-    """The fused emission must never change a serialized byte anywhere."""
+    """The fused emission must never change a serialized byte anywhere:
+    each path's blob is compared with the same path run on the
+    reference traversal."""
 
     def test_pipeline_blob(self, monkeypatch):
         data = smooth_field((32, 36, 40))
         fused_blob = CuSZi(eb=EB, mode="abs").compress(data)
-        monkeypatch.setenv("REPRO_FUSED_QUANTIZE", "0")
-        plain_blob = CuSZi(eb=EB, mode="abs").compress(data)
-        assert fused_blob == plain_blob
+        monkeypatch.setattr(pipeline, "interp_compress", reference_compress)
+        ref_blob = CuSZi(eb=EB, mode="abs").compress(data)
+        assert fused_blob == ref_blob
         out = CuSZi(eb=EB, mode="abs").decompress(fused_blob)
         assert np.max(np.abs(out.astype(np.float64)
                              - data.astype(np.float64))) <= EB * 1.001
@@ -145,9 +135,9 @@ class TestCrossPathBlobIdentity:
     def test_slab_stream(self, monkeypatch):
         data = smooth_field((24, 20, 20))
         fused_stream = compress_slabs(data, 8, eb=EB)
-        monkeypatch.setenv("REPRO_FUSED_QUANTIZE", "0")
-        plain_stream = compress_slabs(data, 8, eb=EB)
-        assert fused_stream == plain_stream
+        monkeypatch.setattr(pipeline, "interp_compress", reference_compress)
+        ref_stream = compress_slabs(data, 8, eb=EB)
+        assert fused_stream == ref_stream
         out = decompress_slabs(fused_stream)
         assert out.shape == data.shape
         assert np.max(np.abs(out.astype(np.float64)
@@ -158,17 +148,16 @@ class TestCrossPathBlobIdentity:
         raw = tmp_path / "field.raw"
         raw.write_bytes(data.tobytes())
         a = tmp_path / "fused.rsz"
-        b = tmp_path / "plain.rsz"
+        b = tmp_path / "ref.rsz"
         tiled_compress_file(raw, data.shape, out_path=a,
                             tile_planes=8, eb=EB)
-        monkeypatch.setenv("REPRO_FUSED_QUANTIZE", "0")
+        monkeypatch.setattr(pipeline, "interp_compress", reference_compress)
         tiled_compress_file(raw, data.shape, out_path=b,
                             tile_planes=8, eb=EB)
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_pool_blobs(self):
-        # pool workers run with fusion at its default; their blobs must
-        # match the serial fused path byte for byte
+        # pool workers' blobs must match the serial path byte for byte
         fields = [smooth_field((16, 16, 16), seed=s) for s in range(3)]
         serial = map_compress(fields, "cuszi", eb=EB, mode="abs",
                               workers=1)

@@ -1,19 +1,21 @@
-"""Adversarial + cross-engine equivalence tests for the Huffman engine.
+"""Adversarial + oracle equivalence tests for the Huffman decoder.
 
-The ``lut`` (multi-symbol probe, chunk-parallel) and ``loop`` (one
-codeword per lookup) decoders must agree byte-for-byte on every valid
-stream and raise :class:`~repro.common.errors.CorruptStreamError` —
-never mis-decode — on every corrupt one. These tests drive both engines
-through degenerate codebooks (single symbol, maximally skewed trees),
-codewords wider than the LUT probe, hostile chunk tables, and the full
-pipeline across dtypes, shapes and the slab / tiled / shm transports.
-The ``lut`` engine also runs pinned to a narrow probe width, so the
-flat-table fallback path sees the same hostile streams, and its per-stream
-width choice and full-width promotion are checked directly.
+The multi-symbol LUT decoder (chunk-parallel) and the one codeword per
+lookup oracle (``oracles.decode_loop``) must agree byte-for-byte on
+every valid stream and raise
+:class:`~repro.common.errors.CorruptStreamError` — never mis-decode — on
+every corrupt one. These tests drive both decoders through degenerate
+codebooks (single symbol, maximally skewed trees), codewords wider than
+the LUT probe, hostile chunk tables, and the full pipeline across
+dtypes, shapes and the slab / tiled / shm transports. The LUT decoder
+also runs pinned to a narrow probe width, so the flat-table fallback
+path sees the same hostile streams, and its per-stream width choice and
+full-width promotion are checked directly.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 import time
@@ -23,8 +25,10 @@ import zlib
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline
 import repro.huffman.canonical as canonical
 import repro.huffman.codec as codec
+from oracles import decode_loop
 from repro import telemetry
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman import (MAX_CODE_LEN, PROBE_WIDTHS, HuffmanStream,
@@ -37,11 +41,14 @@ from repro.huffman.canonical import (LUT_CACHE_BYTES,
 
 from conftest import smooth_field
 
-ENGINES = ("lut", "loop")
+#: the library decoder and its oracle, by the name each runs under
+ENGINES = {"lut": huffman_decode, "loop": decode_loop}
 
 #: every decoder configuration hostile streams must be rejected by:
-#: both engines, plus the lut engine pinned to the narrowest probe
-DECODERS = (("lut", None), ("lut", PROBE_WIDTHS[0]), ("loop", None))
+#: both decoders, plus the lut decoder pinned to the narrowest probe
+DECODERS = (huffman_decode,
+            functools.partial(huffman_decode, probe_bits=PROBE_WIDTHS[0]),
+            decode_loop)
 
 
 def _reencode(stream, payload=None, chunk_bits=None):
@@ -56,15 +63,14 @@ def _reencode(stream, payload=None, chunk_bits=None):
 
 
 def _assert_both_engines_equal(stream, expected):
-    for engine in ENGINES:
-        np.testing.assert_array_equal(
-            huffman_decode(stream, engine=engine), expected)
+    for decode in ENGINES.values():
+        np.testing.assert_array_equal(decode(stream), expected)
 
 
 def _assert_both_engines_raise(stream):
-    for engine, probe_bits in DECODERS:
+    for decode in DECODERS:
         with pytest.raises(CorruptStreamError):
-            huffman_decode(stream, engine=engine, probe_bits=probe_bits)
+            decode(stream)
 
 
 def _unpack_span(stream, **kwargs):
@@ -113,12 +119,11 @@ class TestNarrowProbeFallback:
         codes = (rng.zipf(1.2, size=20000).astype(np.uint32) % 512)
         codes[:512] = np.arange(512)
         stream = huffman_encode(codes, 512, chunk_size=256)
-        expected = huffman_decode(stream, engine="loop")
+        expected = decode_loop(stream)
         clear_codebook_caches()
         try:
             np.testing.assert_array_equal(
-                huffman_decode(stream, engine="lut", probe_bits=probe_bits),
-                expected)
+                huffman_decode(stream, probe_bits=probe_bits), expected)
             np.testing.assert_array_equal(expected, codes)
         finally:
             clear_codebook_caches()
@@ -272,7 +277,7 @@ class TestForgedSymbolCount:
 
 
 class TestProbeWidthChoice:
-    """The lut engine picks its probe width per stream and converges to
+    """The decoder picks its probe width per stream and converges to
     the full-width LUT once a codebook recurs."""
 
     @pytest.fixture
@@ -310,7 +315,7 @@ class TestProbeWidthChoice:
         assert choose_probe_bits(10 ** 10, short) == PROBE_WIDTHS[0]
 
     def test_second_decode_promotes_to_full_width(self, stream):
-        expected = huffman_decode(stream, engine="loop")
+        expected = decode_loop(stream)
         narrow = choose_probe_bits(stream.n_symbols, stream.lengths)
         assert narrow < MAX_CODE_LEN
         seen = []
@@ -433,8 +438,8 @@ class TestLutCacheByteBudget:
 
 
 class TestPipelineCrossEngine:
-    """The two engines must reconstruct byte-identical fields through
-    every transport the pipeline ships streams over."""
+    """The decoder and its oracle must reconstruct byte-identical fields
+    through every transport the pipeline ships streams over."""
 
     @pytest.mark.parametrize("shape", [(300,), (64, 48), (40, 44, 36)])
     def test_shapes(self, monkeypatch, shape):
@@ -443,8 +448,8 @@ class TestPipelineCrossEngine:
         comp = get_compressor("cuszi", eb=1e-3, mode="rel")
         blob = comp.compress(data)
         outs = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_HUFFMAN_ENGINE", engine)
+        for engine, decode in ENGINES.items():
+            monkeypatch.setattr(pipeline, "huffman_decode", decode)
             outs[engine] = comp.decompress(blob)
         assert outs["lut"].tobytes() == outs["loop"].tobytes()
 
@@ -454,8 +459,8 @@ class TestPipelineCrossEngine:
         comp = get_compressor("cuszi", eb=1e-4, mode="abs")
         blob = comp.compress(data)
         outs = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_HUFFMAN_ENGINE", engine)
+        for engine, decode in ENGINES.items():
+            monkeypatch.setattr(pipeline, "huffman_decode", decode)
             outs[engine] = comp.decompress(blob)
         assert outs["lut"].tobytes() == outs["loop"].tobytes()
 
@@ -465,8 +470,8 @@ class TestPipelineCrossEngine:
         stream = compress_slabs(data, 8, codec="cuszi", eb=1e-3,
                                 mode="rel")
         outs = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_HUFFMAN_ENGINE", engine)
+        for engine, decode in ENGINES.items():
+            monkeypatch.setattr(pipeline, "huffman_decode", decode)
             outs[engine] = decompress_slabs(stream)
         assert outs["lut"].tobytes() == outs["loop"].tobytes()
 
@@ -481,17 +486,17 @@ class TestPipelineCrossEngine:
                             tile_planes=8, codec="cuszi", eb=1e-3,
                             mode="rel")
         outs = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_HUFFMAN_ENGINE", engine)
+        for engine, decode in ENGINES.items():
+            monkeypatch.setattr(pipeline, "huffman_decode", decode)
             out = tmp_path / f"out_{engine}.raw"
             tiled_decompress_file(str(stream), str(out))
             outs[engine] = out.read_bytes()
         assert outs["lut"] == outs["loop"]
 
     def test_shm_parallel_matches_serial_loop(self, monkeypatch):
-        # the pooled shm decompress (workers decode with the default
-        # lut engine) must agree byte-for-byte with an in-process
-        # loop-engine decode of the same archive
+        # the pooled shm decompress (workers decode with the library
+        # decoder) must agree byte-for-byte with an in-process
+        # oracle decode of the same archive
         from repro.runtime import (parallel_decompress_slabs,
                                    resolve_workers)
         from repro.streaming import compress_slabs, decompress_slabs
@@ -500,7 +505,7 @@ class TestPipelineCrossEngine:
                                 mode="rel")
         pooled = parallel_decompress_slabs(
             stream, workers=min(2, max(2, resolve_workers("auto"))))
-        monkeypatch.setenv("REPRO_HUFFMAN_ENGINE", "loop")
+        monkeypatch.setattr(pipeline, "huffman_decode", decode_loop)
         serial = decompress_slabs(stream)
         assert pooled.tobytes() == serial.tobytes()
 

@@ -1,8 +1,8 @@
 """Compiled pass plans: bit-exact equivalence, cache behavior, stream guards.
 
 The compiled path must be indistinguishable from the reference traversal
-in every emitted byte — these tests compare full streams with
-``tobytes()``, not ``allclose``.
+(the uncompiled oracle in ``oracles.py``) in every emitted byte — these
+tests compare full streams with ``tobytes()``, not ``allclose``.
 """
 
 import concurrent.futures
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rough_field, smooth_field
+from oracles import reference_compress, reference_decompress
 from repro.common.errors import (ConfigError, CorruptStreamError, DataError)
 from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp import (InterpSpec, clear_plan_cache, compile_plan,
@@ -34,17 +35,17 @@ def _field(shape, seed=0):
 def _assert_equivalent(shape, spec, seed=0, quantizer=None):
     data = _field(shape, seed)
     eb = 1e-3 * float(data.max() - data.min())
-    ref = interp_compress(data, spec, eb, quantizer, compiled=False)
-    cmp_ = interp_compress(data, spec, eb, quantizer, compiled=True)
+    ref = reference_compress(data, spec, eb, quantizer)
+    cmp_ = interp_compress(data, spec, eb, quantizer)
     assert ref.codes.tobytes() == cmp_.codes.tobytes()
     assert ref.outliers.tobytes() == cmp_.outliers.tobytes()
     assert ref.anchors.tobytes() == cmp_.anchors.tobytes()
     assert ref.reconstructed.tobytes() == cmp_.reconstructed.tobytes()
     assert ref.pass_sizes == cmp_.pass_sizes
-    dref = interp_decompress(shape, spec, eb, ref.codes, ref.outliers,
-                             ref.anchors, quantizer, compiled=False)
+    dref = reference_decompress(shape, spec, eb, ref.codes, ref.outliers,
+                                ref.anchors, quantizer)
     dcmp = interp_decompress(shape, spec, eb, cmp_.codes, cmp_.outliers,
-                             cmp_.anchors, quantizer, compiled=True)
+                             cmp_.anchors, quantizer)
     assert dref.tobytes() == dcmp.tobytes()
     assert dref.tobytes() == ref.reconstructed.tobytes()
 
@@ -79,10 +80,8 @@ class TestBitExactEquivalence:
         data = rough_field(shape)
         eb = 1e-4 * float(data.max() - data.min())
         q = LinearQuantizer(radius=8)
-        ref = interp_compress(data, InterpSpec(anchor_stride=8), eb, q,
-                              compiled=False)
-        cmp_ = interp_compress(data, InterpSpec(anchor_stride=8), eb, q,
-                               compiled=True)
+        ref = reference_compress(data, InterpSpec(anchor_stride=8), eb, q)
+        cmp_ = interp_compress(data, InterpSpec(anchor_stride=8), eb, q)
         assert ref.outliers.size > 0
         assert ref.codes.tobytes() == cmp_.codes.tobytes()
         assert ref.outliers.tobytes() == cmp_.outliers.tobytes()
@@ -217,6 +216,12 @@ class TestCrossProcessReuse:
         assert plan_cache_stats()["size"] == 0
 
 
+def _decompress(compiled):
+    """The library traversal, or (``compiled=False``) the reference
+    oracle: both must reject the same corrupt streams."""
+    return interp_decompress if compiled else reference_decompress
+
+
 class TestCorruptStreams:
     @pytest.fixture
     def archive(self):
@@ -224,7 +229,7 @@ class TestCorruptStreams:
         data = rough_field((24, 24, 24))
         eb = 1e-4 * float(data.max() - data.min())
         q = LinearQuantizer(radius=8)
-        res = interp_compress(data, spec, eb, q, compiled=True)
+        res = interp_compress(data, spec, eb, q)
         assert res.outliers.size > 0
         return data.shape, spec, eb, q, res
 
@@ -232,8 +237,8 @@ class TestCorruptStreams:
     def test_truncated_codes(self, archive, compiled):
         shape, spec, eb, q, res = archive
         with pytest.raises(CorruptStreamError, match="exhausted"):
-            interp_decompress(shape, spec, eb, res.codes[:-7], res.outliers,
-                              res.anchors, q, compiled=compiled)
+            _decompress(compiled)(shape, spec, eb, res.codes[:-7],
+                                  res.outliers, res.anchors, q)
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_trailing_codes(self, archive, compiled):
@@ -241,16 +246,16 @@ class TestCorruptStreams:
         padded = np.concatenate([res.codes,
                                  np.zeros(3, dtype=res.codes.dtype)])
         with pytest.raises(CorruptStreamError, match="trailing"):
-            interp_decompress(shape, spec, eb, padded, res.outliers,
-                              res.anchors, q, compiled=compiled)
+            _decompress(compiled)(shape, spec, eb, padded, res.outliers,
+                                  res.anchors, q)
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_truncated_outliers(self, archive, compiled):
         shape, spec, eb, q, res = archive
         with pytest.raises(CorruptStreamError, match="outlier"):
-            interp_decompress(shape, spec, eb, res.codes,
-                              res.outliers[:res.outliers.size // 2],
-                              res.anchors, q, compiled=compiled)
+            _decompress(compiled)(shape, spec, eb, res.codes,
+                                  res.outliers[:res.outliers.size // 2],
+                                  res.anchors, q)
 
     def test_dequantize_direct_guard(self):
         q = LinearQuantizer(radius=8)
@@ -267,9 +272,9 @@ class TestNonFiniteGuards:
     def test_compress_rejects(self, bad, compiled):
         data = _field((24, 24))
         data[3, 7] = bad
+        compress = interp_compress if compiled else reference_compress
         with pytest.raises(DataError, match="non-finite"):
-            interp_compress(data, InterpSpec(anchor_stride=8), 1e-3,
-                            compiled=compiled)
+            compress(data, InterpSpec(anchor_stride=8), 1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_autotune_rejects(self, bad):
