@@ -41,7 +41,7 @@ oracle, byte-identical streams) and a ``codebook_cache`` record
 prewarm drain so neither encode nor decode MB/s bills the LUT build.
 The ``ginterp`` section gains a ``fused_quantize`` record — the share
 of a warm compress spent in the fused predict–quantize emission
-(``ginterp.pq`` spans). A new ``walls`` section records best-of-N
+(the compress ``ginterp.pass`` spans). A new ``walls`` section records best-of-N
 end-to-end compress/decompress walls on the 64^3 and 128^3 fields and
 their ratios — CI gates compress staying within 1.5x of decompress.
 Sections that cannot run on the current host (the serial-vs-parallel
@@ -458,9 +458,10 @@ def test_emit_pipeline_trajectory():
         "autotune_cache": autotune_cache_stats(),
     }
     # schema 8: share of a warm compress spent in the fused
-    # predict-quantize emission (the ginterp.pq spans of the traced run)
+    # predict-quantize emission (the ginterp.pass spans of the traced
+    # compress: each pass is one fused predict-quantize call)
     pq_s = sum(sp.duration_s for sp in crec.spans
-               if sp.name == "ginterp.pq")
+               if sp.name == "ginterp.pass")
     ginterp["fused_quantize"] = {
         "pq_s": round(pq_s, 6),
         "compress_stage_share": round(pq_s / comp_total, 4)

@@ -19,7 +19,8 @@ from repro.common.container import parse_container
 from repro.common.errors import ContainerError
 from repro.lossless import get_lossless
 
-__all__ = ["wrap_lossless", "unwrap_lossless", "peek_codec"]
+__all__ = ["wrap_lossless", "unwrap_lossless", "framed_codec",
+           "peek_codec"]
 
 _MAGIC = b"RPW1"
 
@@ -48,18 +49,28 @@ def wrap_lossless(container: bytes, lossless: str) -> bytes:
     return blob
 
 
-def unwrap_lossless(blob: bytes) -> bytes:
-    """Undo :func:`wrap_lossless`, returning the inner container bytes."""
+def _read_frame(blob: bytes) -> tuple[str, int]:
+    """The codec name of a wrap frame and the offset of its payload."""
     if len(blob) < 5 or blob[:4] != _MAGIC:
         raise ContainerError("missing lossless wrap frame")
     nlen = blob[4]
     if len(blob) < 5 + nlen:
         raise ContainerError("truncated lossless wrap frame")
-    name = blob[5:5 + nlen].decode("utf-8")
+    return blob[5:5 + nlen].decode("utf-8"), 5 + nlen
+
+
+def framed_codec(blob: bytes) -> str:
+    """Name of the lossless codec that wrapped ``blob``."""
+    return _read_frame(blob)[0]
+
+
+def unwrap_lossless(blob: bytes) -> bytes:
+    """Undo :func:`wrap_lossless`, returning the inner container bytes."""
+    name, start = _read_frame(blob)
     codec = _codec_for(name)
     with telemetry.span("lossless.unwrap", codec=name,
                         bytes_in=len(blob)) as sp:
-        inner = codec.decompress_bytes(blob[5 + nlen:])
+        inner = codec.decompress_bytes(blob[start:])
         sp.set(bytes_out=len(inner))
     return inner
 

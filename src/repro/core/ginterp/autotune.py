@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import telemetry
 from repro.telemetry import caches
 from repro.common.errors import DataError
 from repro.core.ginterp.splines import (CUBIC_NAK, CUBIC_NAT,
@@ -241,10 +240,8 @@ def autotune(data: np.ndarray, abs_eb: float,
             _profile_cache.move_to_end(key)
             _cache_stats["hits"] += 1
     if cached is not None:
-        telemetry.incr("autotune.cache.hit")
         rng, errors = cached
     else:
-        telemetry.incr("autotune.cache.miss")
         rng = float(data.max() - data.min())
         errors = profile_cubic_errors(data, samples)
         errors.setflags(write=False)

@@ -254,11 +254,10 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                             stride=p.stride, targets=int(n)):
             if n == 0:
                 continue
-            with telemetry.span("ginterp.pq", level=p.level):
-                outlier_parts.append(step.predict_quantize(
-                    work, work_flat, data, quantizer, ebs[p.level],
-                    codes[cursor:cursor + n], scr_pred, scr_mul,
-                    scr_ev, q_buf, r_buf))
+            outlier_parts.append(step.predict_quantize(
+                work, work_flat, data, quantizer, ebs[p.level],
+                codes[cursor:cursor + n], scr_pred, scr_mul, scr_ev,
+                q_buf, r_buf))
             cursor += n
             telemetry.observe("ginterp.pass_targets", n)
 

@@ -47,8 +47,8 @@ Plans are LRU-cached per process (:func:`get_plan`), keyed on the geometry
 ``alpha``/``beta`` only scale error bounds and are deliberately excluded,
 so re-tuning the same field at a new error bound, the decompress replay,
 every slab of a stream, and every same-shape field of a batch all hit the
-same compiled plan. Hit/miss counters are exported via telemetry
-(``ginterp.plan_cache.{hit,miss}``) and :func:`plan_cache_stats`.
+same compiled plan. Hit/miss counters are exported via the cache
+registry (:mod:`repro.telemetry.caches`) and :func:`plan_cache_stats`.
 """
 
 from __future__ import annotations
@@ -546,9 +546,7 @@ def get_plan(shape: tuple[int, ...], spec) -> PassPlan:
             _plan_cache.move_to_end(key)
             _cache_stats["hits"] += 1
     if plan is not None:
-        telemetry.incr("ginterp.plan_cache.hit")
         return plan
-    telemetry.incr("ginterp.plan_cache.miss")
     plan = compile_plan(shape, spec)
     with _cache_lock:
         _cache_stats["misses"] += 1

@@ -22,7 +22,8 @@ from repro.common.arrayutils import (crop_to_shape, pad_to_grid,
                                      validate_field, value_range)
 from repro.common.container import build_container, parse_container
 from repro.common.errors import CodecError, ConfigError
-from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
+from repro.common.lossless_wrap import (framed_codec, unwrap_lossless,
+                                        wrap_lossless)
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import (alpha_from_eb, autotune,
                                          field_fingerprint)
@@ -214,40 +215,33 @@ class CuSZi:
     def compress_detailed(self, data: np.ndarray
                           ) -> tuple[bytes, CompressionStats]:
         """Compress and report byte-level accounting."""
-        with recorder.capture("compress", codec=self.name) as cap, \
-                telemetry.span("compress", codec=self.name) as root:
-            return self._compress_traced(data, root, cap)
+        with recorder.capture("compress", codec=self.name) as cap:
+            return self._compress_traced(data, cap)
 
-    def _compress_traced(self, data: np.ndarray, root, cap
+    def _compress_traced(self, data: np.ndarray, cap
                          ) -> tuple[bytes, CompressionStats]:
-        if cap.run_id:
-            # the span trace and the ledger record describe the same run:
-            # stitch them (and any pool-worker spans merged later) under
-            # one trace id
-            root.set(trace_id=cap.trace_id, run_id=cap.run_id)
         data = validate_field(data)
         abs_eb = resolve_eb(data, self.eb, self.mode)
         quantizer = LinearQuantizer(self.radius, value_dtype=data.dtype)
 
         stride, _window = self._geometry(data.ndim)
         padded = pad_to_grid(data, stride) if self.pad else data
-        with telemetry.span("tune", enabled=self.tune), cap.stage("tune"):
+        with cap.stage("tune", enabled=self.tune):
             spec, tuning = self._build_spec(padded, abs_eb)
         # resolve the compiled pass plan up front: repeated same-shape
         # compressions (and the decompress replay) hit the plan LRU
-        with telemetry.span("plan"), cap.stage("plan"):
+        with cap.stage("plan"):
             plan = get_plan(padded.shape, spec.resolved(padded.ndim))
-        with telemetry.span("predict", bytes_in=data.nbytes) as sp, \
-                cap.stage("predict"):
+        with cap.stage("predict", bytes_in=data.nbytes) as sp:
             result = interp_compress(padded, spec, abs_eb, quantizer,
                                      plan=plan)
             sp.set(segment="anchors",
                    segment_nbytes=result.anchors.nbytes,
                    codes_nbytes=result.codes.nbytes,
                    n_passes=len(result.pass_sizes))
-        with telemetry.span("quantize") as sp, cap.stage("quantize"):
+        with cap.stage("quantize") as sp:
             # quantization proper is fused into the predict traversal
-            # (as on the GPU — see the per-pass ginterp.pq child spans);
+            # (as on the GPU — inside each ginterp.pass child span);
             # this sibling accounts for its side channel, the
             # stream-compacted outliers, and the anchor serialization
             outlier_seg = result.outliers.tobytes()
@@ -255,9 +249,7 @@ class CuSZi:
             sp.set(segment="outliers", segment_nbytes=len(outlier_seg),
                    n_outliers=int(result.outliers.size))
             telemetry.incr("outliers", int(result.outliers.size))
-        with telemetry.span("huffman",
-                            bytes_in=result.codes.nbytes) as sp, \
-                cap.stage("huffman"):
+        with cap.stage("huffman", bytes_in=result.codes.nbytes) as sp:
             if self.codebook == "static":
                 # prebuilt two-sided-geometric codebook (§VI-A, ref
                 # [37]): skips the histogram + tree build at a small
@@ -288,17 +280,13 @@ class CuSZi:
             "n_outliers": int(result.outliers.size),
             "spec": spec.to_meta(),
         }
-        with telemetry.span("container") as sp, cap.stage("container"):
+        with cap.stage("container") as sp:
             inner = build_container(self.name, meta, segments)
             sp.set(bytes_out=len(inner))
-        with telemetry.span("lossless", codec=self.lossless,
-                            bytes_in=len(inner)) as sp, \
-                cap.stage("lossless"):
+        with cap.stage("lossless", codec=self.lossless,
+                       bytes_in=len(inner)) as sp:
             blob = wrap_lossless(inner, self.lossless)
             sp.set(bytes_out=len(blob))
-        root.set(n_elements=data.size, bytes_in=data.nbytes,
-                 compressed_nbytes=len(blob), lossless=self.lossless,
-                 abs_eb=abs_eb)
         cap.set(bytes_in=data.nbytes, bytes_out=len(blob),
                 n_elements=data.size, shape=list(data.shape),
                 eb=self.eb, eb_mode=self.mode, abs_eb=abs_eb,
@@ -342,17 +330,12 @@ class CuSZi:
 
     def decompress(self, blob: bytes) -> np.ndarray:
         """Reconstruct the field from a cuSZ-i blob."""
-        with recorder.capture("decompress", codec=self.name) as cap, \
-                telemetry.span("decompress", codec=self.name,
-                               compressed_nbytes=len(blob)) as root:
-            if cap.run_id:
-                root.set(trace_id=cap.trace_id, run_id=cap.run_id)
-            with telemetry.span("lossless", bytes_in=len(blob)) as sp, \
-                    cap.stage("lossless"):
+        with recorder.capture("decompress", codec=self.name,
+                              bytes_in=len(blob)) as cap:
+            with cap.stage("lossless", bytes_in=len(blob)) as sp:
                 inner = unwrap_lossless(blob)
                 sp.set(bytes_out=len(inner))
-            with telemetry.span("container", bytes_in=len(inner)), \
-                    cap.stage("container"):
+            with cap.stage("container", bytes_in=len(inner)):
                 codec, meta, segments = parse_container(inner)
             if codec != self.name:
                 raise CodecError(
@@ -369,9 +352,8 @@ class CuSZi:
             anchor_shape = check_stream_geometry(
                 shape, padded_shape, spec.anchor_stride,
                 len(segments["anchors"]), dtype.itemsize, stream.n_symbols)
-            with telemetry.span(
-                    "huffman", bytes_in=len(segments["huffman"])) as sp, \
-                    cap.stage("huffman"):
+            with cap.stage("huffman",
+                           bytes_in=len(segments["huffman"])) as sp:
                 codes = huffman_decode(stream)
                 sp.set(bytes_out=codes.nbytes)
             outliers = np.frombuffer(segments["outliers"], dtype=dtype)
@@ -379,20 +361,16 @@ class CuSZi:
                 raise CodecError("outlier segment size mismatch")
             anchors = np.frombuffer(segments["anchors"],
                                     dtype=dtype).reshape(anchor_shape)
-            with telemetry.span("plan"), cap.stage("plan"):
+            with cap.stage("plan"):
                 plan = get_plan(padded_shape,
                                 spec.resolved(len(padded_shape)))
-            with telemetry.span("predict") as sp, cap.stage("predict"):
+            with cap.stage("predict") as sp:
                 work = interp_decompress(padded_shape, spec, abs_eb,
                                          codes, outliers, anchors,
                                          quantizer, plan=plan)
                 sp.set(bytes_out=work.size * dtype.itemsize)
             out = crop_to_shape(work, shape).astype(dtype)
-            lossless = (blob[5:5 + blob[4]].decode("utf-8", "replace")
-                        if len(blob) > 5 else "none")
-            root.set(n_elements=out.size, bytes_out=out.nbytes,
-                     lossless=lossless, abs_eb=abs_eb)
-            cap.set(bytes_in=len(blob), bytes_out=out.nbytes,
-                    n_elements=out.size, shape=list(out.shape),
-                    abs_eb=abs_eb, lossless=lossless)
+            cap.set(bytes_out=out.nbytes, n_elements=out.size,
+                    shape=list(out.shape), abs_eb=abs_eb,
+                    lossless=framed_codec(blob))
             return out

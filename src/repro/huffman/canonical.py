@@ -118,10 +118,8 @@ def _cache_get(cache: OrderedDict, key, kind: str):
         if hit is not None:
             cache.move_to_end(key)
             _cache_stats[f"{kind}_hits"] += 1
-            telemetry.incr(f"huffman.{kind}_cache.hit")
             return hit
         _cache_stats[f"{kind}_misses"] += 1
-        telemetry.incr(f"huffman.{kind}_cache.miss")
         return None
 
 
@@ -374,13 +372,17 @@ def _expand_lut(lengths: np.ndarray, probe_bits: int) -> tuple:
 # means that warm decode never pays the build wall.
 
 _prewarm_lock = threading.Lock()
-_prewarm_threads: dict[tuple, threading.Thread] = {}
+#: the one build in flight, process-wide: each build is a few ms of
+#: NumPy work, so concurrent builds would compete with the foreground
+#: decode for the host's cores. A codebook skipped while a build runs is
+#: promoted again on its next reuse.
+_prewarm_thread: threading.Thread | None = None
 
 
 def prewarm_lut_async(lengths: np.ndarray) -> bool:
     """Build the full-width (``MAX_CODE_LEN``) probe LUT for ``lengths``
-    on a daemon thread if it is not already cached or in flight. Returns
-    whether a build started.
+    on a daemon thread if it is not already cached and no other prewarm
+    is in flight. Returns whether a build started.
 
     The build is pure (read-only inputs, idempotent cache insert), so a
     rare race with a foreground :func:`build_lut_tables` only costs one
@@ -389,6 +391,7 @@ def prewarm_lut_async(lengths: np.ndarray) -> bool:
     cache statistics (and the ``repro doctor`` warm-hit check over them)
     see only the lookups of real decodes.
     """
+    global _prewarm_thread
     lengths = np.asarray(lengths, dtype=np.int64).ravel()
     try:
         key = (_length_key(lengths), MAX_CODE_LEN)
@@ -398,35 +401,35 @@ def prewarm_lut_async(lengths: np.ndarray) -> bool:
         if key in _lut_cache:
             return False
     with _prewarm_lock:
-        stale = _prewarm_threads.get(key)
-        if stale is not None and stale.is_alive():
+        if _prewarm_thread is not None:
             return False
 
         def _build():
+            global _prewarm_thread
             try:
                 _put_lut(key, _expand_lut(lengths, MAX_CODE_LEN))
             except CodecError:  # pragma: no cover - key pre-validated
                 pass
             finally:
                 with _prewarm_lock:
-                    _prewarm_threads.pop(key, None)
+                    _prewarm_thread = None
 
-        thread = threading.Thread(target=_build, daemon=True,
-                                  name="repro-lut-prewarm")
-        _prewarm_threads[key] = thread
+        thread = _prewarm_thread = threading.Thread(
+            target=_build, daemon=True, name="repro-lut-prewarm")
     thread.start()
     telemetry.incr("huffman.lut_prewarm")
     return True
 
 
 def drain_lut_prewarm() -> int:
-    """Join every in-flight prewarm build (tests and the bench need a
-    deterministic cold/warm boundary). Returns how many were joined."""
+    """Join the in-flight prewarm build, if any (tests and the bench need
+    a deterministic cold/warm boundary). Returns how many were joined."""
     with _prewarm_lock:
-        threads = list(_prewarm_threads.values())
-    for t in threads:
-        t.join()
-    return len(threads)
+        thread = _prewarm_thread
+    if thread is None:
+        return 0
+    thread.join()
+    return 1
 
 
 def warm_lengths(limit: int = 8) -> list[bytes]:

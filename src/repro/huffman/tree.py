@@ -28,7 +28,6 @@ from itertools import count
 
 import numpy as np
 
-from repro import telemetry
 from repro.telemetry import caches
 from repro.common.errors import CodecError
 
@@ -185,12 +184,10 @@ def fingerprint_code_lengths(freqs: np.ndarray, max_len: int, *,
             _fp_cache.move_to_end(key)
             _fp_stats["hits"] += 1
     if hit is not None:
-        telemetry.incr("huffman.fingerprint_cache.hit")
         if prewarm_lut:
             from repro.huffman.canonical import prewarm_lut_async
             prewarm_lut_async(hit)
         return hit
-    telemetry.incr("huffman.fingerprint_cache.miss")
     lengths = code_lengths(rep, max_len)
     lengths.setflags(write=False)
     with _fp_lock:

@@ -107,13 +107,9 @@ _never_expand = 0
 _live_codecs: "weakref.WeakSet[OrchestratorCodec]" = weakref.WeakSet()
 
 
-_PLAN_EVENTS = {"hits": "hit", "misses": "miss", "evictions": "eviction"}
-
-
 def _note_plan(event: str) -> None:
     with _stats_lock:
         _plan_stats[event] += 1
-    telemetry.incr("lossless.plan_cache." + _PLAN_EVENTS[event])
 
 
 def plan_cache_stats() -> dict[str, int]:
@@ -145,7 +141,6 @@ def _note_never_expand() -> None:
     global _never_expand
     with _stats_lock:
         _never_expand += 1
-    telemetry.incr("lossless.never_expand")
     recorder.count("lossless.never_expand")
 
 

@@ -148,7 +148,6 @@ def _note_fallback(reason: str, op: str, transport: str | None = None,
                    floor: int | None = None) -> None:
     with _fallback_lock:
         _fallback_counts[reason] += 1
-    telemetry.incr(f"runtime.serial_fallback.{reason}")
     recorder.count(f"runtime.serial_fallback.{reason}")
     attrs = {"serial_fallback": reason, "serial_fallback_op": op}
     # ledger-visible context: which transport's floor/pool made the call
@@ -520,21 +519,26 @@ def parallel_compress_slabs(data: np.ndarray, slab_planes: int, *,
     kind = transport_kind(transport)
     if min_parallel_bytes is None:
         min_parallel_bytes = _encode_floor(kind)
-    if workers <= 1 or data.nbytes < min_parallel_bytes:
-        if workers > 1:
-            # a pooled request degraded to serial is still a run the
-            # ledger should see — open the capture so the fallback
-            # counter/annotation land in a record
-            with recorder.capture("runtime.compress_slabs",
-                                  workers=workers,
-                                  bytes_in=data.nbytes) as cap:
-                _note_fallback("size_floor", "compress_slabs",
-                               transport=kind, floor=min_parallel_bytes)
-                stream = compress_slabs(data, slab_planes,
-                                        **writer_kwargs)
-                cap.set(bytes_out=len(stream))
-            return stream
+    if workers <= 1:
         return compress_slabs(data, slab_planes, **writer_kwargs)
+    with recorder.capture("runtime.compress_slabs", workers=workers,
+                          bytes_in=data.nbytes) as cap:
+        if data.nbytes < min_parallel_bytes:
+            # a pooled request degraded to serial is still a run the
+            # ledger should see, with its fallback counter/annotation
+            _note_fallback("size_floor", "compress_slabs",
+                           transport=kind, floor=min_parallel_bytes)
+            stream = compress_slabs(data, slab_planes, **writer_kwargs)
+        else:
+            stream = _pooled_compress_slabs(cap, data, slab_planes,
+                                            workers, kind, writer_kwargs)
+        cap.set(bytes_out=len(stream))
+    return stream
+
+
+def _pooled_compress_slabs(cap, data: np.ndarray, slab_planes: int,
+                           workers: int, kind: str,
+                           writer_kwargs: dict) -> bytes:
     if slab_planes < 1:
         raise ConfigError("slab_planes must be >= 1")
     if writer_kwargs.get("mode") == "rel" \
@@ -547,49 +551,36 @@ def parallel_compress_slabs(data: np.ndarray, slab_planes: int, *,
              for start in range(0, data.shape[0], slab_planes)]
     if not slabs:
         raise ConfigError("no slabs appended")
+    cap.set(n_slabs=len(slabs))
     trace = telemetry.enabled()
-    with recorder.capture("runtime.compress_slabs", workers=workers,
-                          n_slabs=len(slabs)) as cap, \
-            telemetry.span("runtime.compress_slabs", n_slabs=len(slabs),
-                           workers=workers, bytes_in=data.nbytes) as sp:
-        offset = _trace_offset()
-        ctx = recorder.propagation_context()
-        bounds = _chunk_bounds(len(slabs), workers)
-        stream = None
-        if kind == "shm":
-            status, rr = _shm_attempt(
-                "compress_slabs", workers,
-                lambda pool: pool.compress_slabs(
-                    slabs, bounds, writer.codec, writer.eb,
-                    writer.codec_kwargs, trace, ctx,
-                    consume=frame_slabs))
-            if status == "ok":
-                stream = _absorb_shm_result(cap, rr, offset)
-            elif status == "unavailable":
-                kind = "pickle"
-            else:  # crashed / task_error -> serial (re-raises for real)
-                stream = compress_slabs(data, slab_planes,
-                                        **writer_kwargs)
-        if stream is None:
-            payloads = [(s, slabs[s:e], writer.codec, writer.eb,
-                         writer.codec_kwargs, trace, ctx)
-                        for s, e in bounds]
-            try:
-                results = _run_batch(_compress_slab_task, payloads,
-                                     workers)
-            except (BrokenProcessPool, OSError):
-                _note_fallback("spawn_failure", "compress_slabs",
-                               transport=kind)
-                return compress_slabs(data, slab_planes, **writer_kwargs)
-            _merge_worker_trace(results, offset)
-            _merge_worker_aux(cap, results)
-            stream = frame_slabs([blob for blobs, _, _, _ in results
-                                  for blob in blobs])
-            _note_transport(cap, "pickle", TransportStats(
-                pickled_bytes=data.nbytes + len(stream),
-                items=len(slabs)))
-        sp.set(bytes_out=len(stream))
-        cap.set(bytes_in=data.nbytes, bytes_out=len(stream))
+    offset = _trace_offset()
+    ctx = recorder.propagation_context()
+    bounds = _chunk_bounds(len(slabs), workers)
+    if kind == "shm":
+        status, rr = _shm_attempt(
+            "compress_slabs", workers,
+            lambda pool: pool.compress_slabs(
+                slabs, bounds, writer.codec, writer.eb,
+                writer.codec_kwargs, trace, ctx, consume=frame_slabs))
+        if status == "ok":
+            return _absorb_shm_result(cap, rr, offset)
+        if status != "unavailable":
+            # crashed / task_error -> serial (re-raises for real)
+            return compress_slabs(data, slab_planes, **writer_kwargs)
+    payloads = [(s, slabs[s:e], writer.codec, writer.eb,
+                 writer.codec_kwargs, trace, ctx) for s, e in bounds]
+    try:
+        results = _run_batch(_compress_slab_task, payloads, workers)
+    except (BrokenProcessPool, OSError):
+        _note_fallback("spawn_failure", "compress_slabs",
+                       transport="pickle")
+        return compress_slabs(data, slab_planes, **writer_kwargs)
+    _merge_worker_trace(results, offset)
+    _merge_worker_aux(cap, results)
+    stream = frame_slabs([blob for blobs, _, _, _ in results
+                          for blob in blobs])
+    _note_transport(cap, "pickle", TransportStats(
+        pickled_bytes=data.nbytes + len(stream), items=len(slabs)))
     return stream
 
 
@@ -610,59 +601,53 @@ def parallel_decompress_slabs(stream: bytes, *,
     kind = transport_kind(transport)
     if min_parallel_bytes is None:
         min_parallel_bytes = _decode_floor(kind)
-    if workers <= 1 or len(stream) < min_parallel_bytes:
-        if workers > 1:
-            with recorder.capture("runtime.decompress_slabs",
-                                  workers=workers,
-                                  bytes_in=len(stream)) as cap:
-                _note_fallback("size_floor", "decompress_slabs",
-                               transport=kind, floor=min_parallel_bytes)
-                out = decompress_slabs(stream)
-                cap.set(bytes_out=out.nbytes)
-            return out
+    if workers <= 1:
         return decompress_slabs(stream)
-    reader = SlabReader(stream)
-    trace = telemetry.enabled()
     with recorder.capture("runtime.decompress_slabs", workers=workers,
-                          n_slabs=len(reader)) as cap, \
-            telemetry.span("runtime.decompress_slabs", n_slabs=len(reader),
-                           workers=workers, bytes_in=len(stream)) as sp:
-        offset = _trace_offset()
-        ctx = recorder.propagation_context()
-        bounds = _chunk_bounds(len(reader), workers)
-        out = None
-        if kind == "shm":
-            spans = [reader.slab_span(i) for i in range(len(reader))]
-            status, rr = _shm_attempt(
-                "decompress_slabs", workers,
-                lambda pool: pool.decompress_slabs(
-                    stream, spans, bounds, trace, ctx,
-                    consume=lambda arrs: np.concatenate(arrs, axis=0)))
-            if status == "ok":
-                out = _absorb_shm_result(cap, rr, offset)
-            elif status == "unavailable":
-                kind = "pickle"
-            else:
-                out = decompress_slabs(stream)
-        if out is None:
-            blobs = [reader.slab_bytes(i) for i in range(len(reader))]
-            payloads = [(s, blobs[s:e], trace, ctx) for s, e in bounds]
-            try:
-                results = _run_batch(_decompress_slab_task, payloads,
-                                     workers)
-            except (BrokenProcessPool, OSError):
-                _note_fallback("spawn_failure", "decompress_slabs",
-                               transport=kind)
-                return decompress_slabs(stream)
-            _merge_worker_trace(results, offset)
-            _merge_worker_aux(cap, results)
-            out = np.concatenate([arr for arrs, _, _, _ in results
-                                  for arr in arrs], axis=0)
-            _note_transport(cap, "pickle", TransportStats(
-                pickled_bytes=len(stream) + out.nbytes,
-                items=len(reader)))
-        sp.set(bytes_out=out.nbytes)
-        cap.set(bytes_in=len(stream), bytes_out=out.nbytes)
+                          bytes_in=len(stream)) as cap:
+        if len(stream) < min_parallel_bytes:
+            _note_fallback("size_floor", "decompress_slabs",
+                           transport=kind, floor=min_parallel_bytes)
+            out = decompress_slabs(stream)
+        else:
+            out = _pooled_decompress_slabs(cap, stream, workers, kind)
+        cap.set(bytes_out=out.nbytes)
+    return out
+
+
+def _pooled_decompress_slabs(cap, stream: bytes, workers: int,
+                             kind: str) -> np.ndarray:
+    reader = SlabReader(stream)
+    cap.set(n_slabs=len(reader))
+    trace = telemetry.enabled()
+    offset = _trace_offset()
+    ctx = recorder.propagation_context()
+    bounds = _chunk_bounds(len(reader), workers)
+    if kind == "shm":
+        spans = [reader.slab_span(i) for i in range(len(reader))]
+        status, rr = _shm_attempt(
+            "decompress_slabs", workers,
+            lambda pool: pool.decompress_slabs(
+                stream, spans, bounds, trace, ctx,
+                consume=lambda arrs: np.concatenate(arrs, axis=0)))
+        if status == "ok":
+            return _absorb_shm_result(cap, rr, offset)
+        if status != "unavailable":
+            return decompress_slabs(stream)
+    blobs = [reader.slab_bytes(i) for i in range(len(reader))]
+    payloads = [(s, blobs[s:e], trace, ctx) for s, e in bounds]
+    try:
+        results = _run_batch(_decompress_slab_task, payloads, workers)
+    except (BrokenProcessPool, OSError):
+        _note_fallback("spawn_failure", "decompress_slabs",
+                       transport="pickle")
+        return decompress_slabs(stream)
+    _merge_worker_trace(results, offset)
+    _merge_worker_aux(cap, results)
+    out = np.concatenate([arr for arrs, _, _, _ in results
+                          for arr in arrs], axis=0)
+    _note_transport(cap, "pickle", TransportStats(
+        pickled_bytes=len(stream) + out.nbytes, items=len(reader)))
     return out
 
 
@@ -706,9 +691,7 @@ def map_compress(fields, codec: str = "cuszi", *,
         return blobs
 
     with recorder.capture("runtime.map_compress", workers=workers,
-                          n_fields=len(fields)) as cap, \
-            telemetry.span("runtime.map_compress", n_fields=len(fields),
-                           workers=workers) as root:
+                          n_fields=len(fields)) as cap:
         if workers <= 1:
             blobs = _serial()
         else:
@@ -749,7 +732,6 @@ def map_compress(fields, codec: str = "cuszi", *,
                         pickled_bytes=sum(d.nbytes for d in fields)
                         + sum(len(b) for b in blobs),
                         items=len(fields)))
-        root.set(bytes_out=sum(len(b) for b in blobs))
         cap.set(bytes_in=sum(d.nbytes for d in fields),
                 bytes_out=sum(len(b) for b in blobs))
     return blobs
@@ -772,9 +754,7 @@ def map_decompress(blobs, *, workers: int | str | None = None,
         return out
 
     with recorder.capture("runtime.map_decompress", workers=workers,
-                          n_fields=len(blobs)) as cap, \
-            telemetry.span("runtime.map_decompress", n_fields=len(blobs),
-                           workers=workers):
+                          n_fields=len(blobs)) as cap:
         cap.set(bytes_in=sum(len(b) for b in blobs))
         if workers <= 1:
             out = _serial()

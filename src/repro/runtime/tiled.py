@@ -120,9 +120,6 @@ def tiled_compress_file(in_path, shape: tuple, *, out_path,
         with recorder.capture("runtime.tiled_compress", codec=codec,
                               n_tiles=n_tiles, tile_planes=tile_planes,
                               bytes_in=expected) as cap, \
-                telemetry.span("runtime.tiled_compress",
-                               n_tiles=n_tiles, tile_planes=tile_planes,
-                               bytes_in=expected) as sp, \
                 open(out_path, "wb") as fp:
             stream = SlabStreamWriter(fp, n_tiles)
             for i, start in enumerate(range(0, shape[0], tile_planes)):
@@ -137,7 +134,6 @@ def tiled_compress_file(in_path, shape: tuple, *, out_path,
                 stream.append_blob(blob)
                 del tile, blob  # the RSS bound: nothing outlives its tile
             stream.close()
-            sp.set(bytes_out=stream.bytes_out)
             cap.set(bytes_out=stream.bytes_out)
             if memory_budget_bytes is not None:
                 cap.set(memory_budget_bytes=int(memory_budget_bytes))
@@ -171,9 +167,6 @@ def tiled_decompress_file(stream_path, out_path) -> dict:
         with recorder.capture("runtime.tiled_decompress",
                               n_tiles=n_tiles,
                               bytes_in=len(mm)) as cap, \
-                telemetry.span("runtime.tiled_decompress",
-                               n_tiles=n_tiles,
-                               bytes_in=len(mm)) as sp, \
                 open(out_path, "wb") as out_fp:
             for i in range(n_tiles):
                 tile = reader.read_slab(i)
@@ -187,7 +180,6 @@ def tiled_decompress_file(stream_path, out_path) -> dict:
                 bytes_out += tile.nbytes
                 np.ascontiguousarray(tile).tofile(out_fp)
                 del tile
-            sp.set(bytes_out=bytes_out)
             cap.set(bytes_out=bytes_out)
     return {"shape": (planes, *tail), "dtype": dtype.str,
             "n_tiles": n_tiles, "bytes_out": bytes_out}

@@ -3,11 +3,12 @@
 Every hot path in this reproduction (the cuSZ-i pipeline, the G-Interp
 traversal, the Huffman codec, the lossless wrap, slab streaming, the
 transfer pipeline, the experiment harness) is instrumented with nested
-:func:`span` context managers. Tracing is **off by default** and the
-disabled path is a single module-level flag check returning a shared
-no-op object, so instrumentation costs nothing in normal runs — the
-paper's own evaluation discipline (per-kernel times, per-segment byte
-volumes) made first-class instead of ad hoc.
+:func:`span` context managers; runs and their top-level stages open
+theirs through the flight recorder's run capture instead. Tracing is
+**off by default** and the disabled path is a single module-level flag
+check returning a shared no-op object, so instrumentation costs nothing
+in normal runs — the paper's own evaluation discipline (per-kernel
+times, per-segment byte volumes) made first-class instead of ad hoc.
 
 Usage::
 
@@ -19,9 +20,10 @@ Usage::
 
 Spans carry wall-time plus arbitrary attributes (``bytes_in``,
 ``bytes_out``, ``segment_nbytes`` ...); counters and histograms live in
-the same process-local :class:`Registry`. Exporters (JSON-lines,
-span-tree text, Prometheus text) are in :mod:`repro.telemetry.exporters`;
-the measured-vs-modelled GPU cross-check is in
+the same process-local :class:`Registry` (cache hits and misses live in
+:mod:`repro.telemetry.caches` only). Exporters (JSON-lines, span-tree
+text, Prometheus text) are in :mod:`repro.telemetry.exporters`; the
+measured-vs-modelled GPU cross-check is in
 :mod:`repro.telemetry.crosscheck`. See ``docs/OBSERVABILITY.md`` for the
 span taxonomy.
 
@@ -44,7 +46,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["Span", "Registry", "span", "record_span", "merge_spans",
+__all__ = ["Span", "SpanTimer", "Registry", "span", "record_span", "merge_spans",
            "incr", "observe", "enable", "disable", "enabled",
            "get_registry", "recording"]
 
@@ -86,38 +88,57 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class _LiveSpan:
-    """Context manager recording one span into a registry."""
+class SpanTimer:
+    """Times one span into ``reg``; with ``reg=None`` it only times.
 
-    __slots__ = ("_reg", "_span")
+    Both clock readings are taken here, so callers that need the
+    duration read the very number the span records: :meth:`stop`
+    returns it, and ``totals`` (the flight recorder's per-record stage
+    dict) accumulates it under the span's name.
+    """
 
-    def __init__(self, reg: "Registry", name: str, attrs: dict):
+    __slots__ = ("_reg", "_name", "_span", "_totals", "_t0")
+
+    def __init__(self, reg: "Registry | None", name: str, attrs: dict,
+                 totals: dict | None = None):
         self._reg = reg
-        self._span = Span(name=name, span_id=reg._alloc_id(),
-                          parent_id=None, start=0.0, attrs=attrs,
-                          thread=threading.get_ident())
+        self._name = name
+        self._totals = totals
+        self._span = _NULL_SPAN if reg is None else Span(
+            name=name, span_id=reg._alloc_id(), parent_id=None, start=0.0,
+            attrs=attrs, thread=threading.get_ident())
 
-    def __enter__(self) -> Span:
-        reg = self._reg
-        stack = reg._stack()
-        sp = self._span
-        sp.parent_id = stack[-1] if stack else None
-        stack.append(sp.span_id)
-        sp.start = time.perf_counter() - reg.epoch
-        return sp
+    def __enter__(self):
+        if self._reg is not None:
+            stack = self._reg._stack()
+            self._span.parent_id = stack[-1] if stack else None
+            stack.append(self._span.span_id)
+        self._t0 = time.perf_counter()
+        return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        reg = self._reg
-        sp = self._span
-        sp.duration_s = time.perf_counter() - reg.epoch - sp.start
-        if exc_type is not None:
-            sp.status = "error"
-            sp.attrs.setdefault("error", exc_type.__name__)
-        stack = reg._stack()
-        if stack and stack[-1] == sp.span_id:
-            stack.pop()
-        reg._append(sp)
+        self.stop(exc_type)
         return False
+
+    def stop(self, exc_type=None) -> float:
+        """Close the span; returns its duration in seconds."""
+        dt = time.perf_counter() - self._t0
+        totals = self._totals
+        if totals is not None:
+            totals[self._name] = totals.get(self._name, 0.0) + dt
+        reg = self._reg
+        if reg is not None:
+            sp = self._span
+            sp.start = self._t0 - reg.epoch
+            sp.duration_s = dt
+            if exc_type is not None:
+                sp.status = "error"
+                sp.attrs.setdefault("error", exc_type.__name__)
+            stack = reg._stack()
+            if stack and stack[-1] == sp.span_id:
+                stack.pop()
+            reg._append(sp)
+        return dt
 
 
 class Registry:
@@ -152,9 +173,9 @@ class Registry:
 
     # -- recording ---------------------------------------------------------
 
-    def span(self, name: str, **attrs) -> _LiveSpan:
+    def span(self, name: str, **attrs) -> SpanTimer:
         """Open a nested span; use as a context manager."""
-        return _LiveSpan(self, name, attrs)
+        return SpanTimer(self, name, attrs)
 
     def record_span(self, name: str, duration_s: float,
                     parent_id: int | None = None, **attrs) -> Span:

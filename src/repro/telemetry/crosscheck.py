@@ -49,6 +49,12 @@ MEASURED_STAGES = {
     },
 }
 
+#: run attribute holding the compressed size, per direction. A traced
+#: run's root span carries its ledger record's attributes, so the span
+#: cross-check and :func:`repro.telemetry.recorder.model_deviation` read
+#: the same names.
+COMPRESSED_ATTR = {"compress": "bytes_out", "decompress": "bytes_in"}
+
 #: modelled kernel names folded into each stage, per (codec, direction).
 MODEL_STAGES = {
     ("cuszi", "compress"): {
@@ -160,7 +166,7 @@ def crosscheck(spans: list[Span], device: DeviceSpec | str = "a100",
     dir_ = root.name
     try:
         n_elements = int(root.attrs["n_elements"])
-        compressed = int(root.attrs["compressed_nbytes"])
+        compressed = int(root.attrs[COMPRESSED_ATTR[dir_]])
     except KeyError as exc:
         raise ConfigError(f"root span lacks required attribute {exc}")
     if (codec, dir_) not in MODEL_STAGES:

@@ -9,6 +9,12 @@ every runtime batch (parallel slabs, field maps) and every archive
 pack/unpack appends one compact :class:`RunRecord` to a bounded ring
 buffer, even while span tracing is off.
 
+The run capture is the one instrumentation call for runs and stages:
+:func:`capture` also opens the run's root span while tracing is on, and
+one timer reading per :meth:`RunCapture.stage` feeds both the record
+stage and its span. Tracing with the recorder off (or
+:func:`suppressed`) still yields the full span tree.
+
 A record carries the codec, error bound, shape, byte volumes, wall time
 split per top-level stage, worker count, per-run cache behaviour (hit /
 miss / eviction deltas of every cache in
@@ -23,10 +29,10 @@ The ring persists on demand as a JSONL **run ledger**
 ratio distributions, cache health, anomaly flags. See
 ``docs/OBSERVABILITY.md``.
 
-Overhead discipline mirrors the span tracer: the **disabled** path is a
-single flag check returning a shared no-op capture (the unit suite
-asserts sub-microsecond per append), and the enabled path costs two
-cache snapshots plus a handful of ``perf_counter`` reads per run —
+Overhead discipline mirrors the span tracer: with both sinks off the
+path is two flag checks returning a shared no-op capture (the unit
+suite asserts sub-microsecond per append), and the recording path costs
+two cache snapshots plus a handful of ``perf_counter`` reads per run —
 well under 1% of a real pipeline run. Set ``REPRO_FLIGHT_RECORDER=0``
 in the environment to start disabled.
 """
@@ -43,6 +49,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro import telemetry
 from repro.telemetry import caches
 
 __all__ = ["RunRecord", "RunCapture", "capture", "current", "annotate",
@@ -370,23 +377,9 @@ def trace_scope(ctx: dict | None):
 
 # -- capture ----------------------------------------------------------------
 
-class _NullStage:
-    """Shared do-nothing stage timer (recorder disabled/suppressed)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullStage":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_STAGE = _NullStage()
-
-
 class _NullCapture:
-    """Shared do-nothing capture returned while the recorder is off."""
+    """Shared do-nothing capture: recorder off (or suppressed) and
+    tracing off."""
 
     __slots__ = ()
 
@@ -394,8 +387,8 @@ class _NullCapture:
     run_id = None
     parent_run_id = None
 
-    def stage(self, name: str) -> _NullStage:
-        return _NULL_STAGE
+    def stage(self, name: str, **attrs):
+        return telemetry._NULL_SPAN
 
     def set(self, **attrs) -> "_NullCapture":
         return self
@@ -416,42 +409,28 @@ class _NullCapture:
 _NULL_CAPTURE = _NullCapture()
 
 
-class _Stage:
-    """Accumulating stage timer inside one capture."""
-
-    __slots__ = ("_cap", "_name", "_t0")
-
-    def __init__(self, cap: "RunCapture", name: str):
-        self._cap = cap
-        self._name = name
-
-    def __enter__(self) -> "_Stage":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        stages = self._cap._stages
-        stages[self._name] = stages.get(self._name, 0.0) \
-            + time.perf_counter() - self._t0
-        return False
-
-
 class RunCapture:
-    """Context manager building one :class:`RunRecord`.
+    """Context manager building one :class:`RunRecord` and, while span
+    tracing is on, the root span that mirrors it (name ``kind``, the
+    record's attrs, duration ``wall_s``).
 
     Opened by :func:`capture` at every top-level run site. Stage wall
     times accumulate via :meth:`stage`, arbitrary attributes via
     :meth:`set`, event counters via :meth:`count`, and worker-process
     stats via :meth:`merge_worker`; cache deltas and memory high-water
-    marks are collected automatically on exit.
+    marks are collected automatically on exit. With ``record=False``
+    (recorder off or suppressed) it only traces.
     """
 
-    __slots__ = ("kind", "_attrs", "_stages", "_counters", "_worker",
-                 "_pids", "_t0", "_snap0", "trace_id", "run_id",
-                 "parent_run_id")
+    __slots__ = ("kind", "_record", "_attrs", "_stages", "_counters",
+                 "_worker", "_pids", "_snap0", "_reg", "_timer", "_span",
+                 "trace_id", "run_id", "parent_run_id")
 
-    def __init__(self, kind: str, **attrs):
+    def __init__(self, kind: str, attrs: dict, record: bool = True):
         self.kind = kind
+        self._record = record
+        self._reg = telemetry.get_registry() if telemetry.enabled() \
+            else None
         self._attrs = attrs
         self._stages: dict[str, float] = {}
         self._counters: dict[str, float] = {}
@@ -461,12 +440,16 @@ class RunCapture:
         self.run_id: str | None = None
         self.parent_run_id: str | None = None
 
-    def stage(self, name: str) -> _Stage:
-        """Time one top-level stage (re-entry accumulates)."""
-        return _Stage(self, name)
+    def stage(self, name: str, **attrs) -> telemetry.SpanTimer:
+        """Time one top-level stage (re-entry accumulates): one timer
+        reading feeds the record's stage total and, while tracing, the
+        stage span carrying ``attrs``. ``as`` yields that span (a no-op
+        while tracing is off) for attributes known only at the end."""
+        return telemetry.SpanTimer(self._reg, name, attrs, self._stages)
 
     def set(self, **attrs) -> "RunCapture":
-        """Attach attributes to the record; returns self for chaining."""
+        """Attach attributes to the record and the root span; returns
+        self for chaining."""
         self._attrs.update(attrs)
         return self
 
@@ -481,7 +464,7 @@ class RunCapture:
         the worker's own run records — shipped across the process
         boundary because worker rings die with the worker — land in this
         ring ahead of the parent record, stitched by ``trace_id``."""
-        if not aux:
+        if not aux or not self._record:
             return self
         w = self._worker
         w["tasks"] = w.get("tasks", 0) + 1
@@ -503,26 +486,27 @@ class RunCapture:
         return self
 
     def __enter__(self) -> "RunCapture":
-        stack = _stack()
-        parent = stack[-1] if stack else None
-        if parent is not None:
-            self.trace_id = parent.trace_id
-            self.parent_run_id = parent.run_id
-        else:
-            ctx = getattr(_tls, "trace_ctx", None)
-            if ctx:
-                self.trace_id = ctx.get("trace_id") or mint_id()
-                self.parent_run_id = ctx.get("run_id")
-            else:
-                self.trace_id = mint_id()
-        self.run_id = mint_id()
-        stack.append(self)
-        self._snap0 = caches.snapshot()
-        self._t0 = time.perf_counter()
+        if self._record:
+            # nest under the open capture, else the propagated context
+            ctx = propagation_context() or {}
+            self.trace_id = ctx.get("trace_id") or mint_id()
+            self.parent_run_id = ctx.get("run_id")
+            self.run_id = mint_id()
+            _stack().append(self)
+            self._snap0 = caches.snapshot()
+        self._timer = telemetry.SpanTimer(self._reg, self.kind, {})
+        self._span = self._timer.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        wall = time.perf_counter() - self._t0
+        if self._reg is not None:
+            # stitched to the record (and merged worker spans) by id
+            self._span.attrs.update(self._attrs)
+            if self.run_id:
+                self._span.set(trace_id=self.trace_id, run_id=self.run_id)
+        wall = self._timer.stop(exc_type)
+        if not self._record:
+            return False
         stack = _stack()
         if stack and stack[-1] is self:
             stack.pop()
@@ -550,10 +534,13 @@ class RunCapture:
 
 
 def capture(kind: str, **attrs):
-    """Open a run capture; a shared no-op while disabled/suppressed."""
-    if not _enabled or getattr(_tls, "suppress", 0):
+    """Open a run capture: a ledger record while the recorder is on and
+    not suppressed, a root span while tracing is on, and a shared no-op
+    when neither."""
+    record = _enabled and not getattr(_tls, "suppress", 0)
+    if not record and not telemetry.enabled():
         return _NULL_CAPTURE
-    return RunCapture(kind, **attrs)
+    return RunCapture(kind, attrs, record)
 
 
 def current() -> RunCapture | None:
@@ -575,7 +562,9 @@ def annotate(**attrs) -> None:
 
 
 def count(name: str, value: float = 1.0) -> None:
-    """Bump a counter on the current capture (no-op without one)."""
+    """Count an event on the current capture's record (if any) and, while
+    tracing, in the span registry's counters."""
+    telemetry.incr(name, value)
     cap = current()
     if cap is not None:
         cap.count(name, value)
@@ -821,14 +810,15 @@ def model_deviation(rec: RunRecord, device: str = "a100",
     codec/direction, missing attributes)."""
     from repro.gpu.device import DEVICES
     from repro.gpu.perfmodel import estimate_throughput
-    from repro.telemetry.crosscheck import MEASURED_STAGES, MODEL_STAGES
+    from repro.telemetry.crosscheck import (COMPRESSED_ATTR,
+                                            MEASURED_STAGES, MODEL_STAGES)
 
     if rec.kind not in ("compress", "decompress") or rec.codec is None:
         return None
     if (rec.codec, rec.kind) not in MODEL_STAGES:
         return None
     n_elements = rec.attrs.get("n_elements")
-    compressed = rec.bytes_out if rec.kind == "compress" else rec.bytes_in
+    compressed = rec.attrs.get(COMPRESSED_ATTR[rec.kind])
     if not n_elements or not compressed:
         return None
     lossless = str(rec.attrs.get("lossless", "none"))

@@ -348,6 +348,50 @@ class TestProbeWidthChoice:
         assert (after["table_hits"], after["table_misses"]) == \
             (before["table_hits"], before["table_misses"])
 
+    def test_back_to_back_promotions_build_one_at_a_time(self):
+        """Background prewarms compete with the foreground decode for the
+        host's cores, so at most one runs at a time process-wide."""
+        streams = []
+        for seed in range(6):
+            rng = np.random.default_rng(100 + seed)
+            codes = rng.zipf(1.5, size=30000).astype(np.uint32) % 700
+            codes[:700] = np.arange(700)
+            streams.append(huffman_encode(codes, 1024))
+        expected = [decode_loop(s) for s in streams]
+        drain_lut_prewarm()
+        clear_codebook_caches()
+        live = [0]
+        stop = threading.Event()
+
+        def sample():
+            while not stop.is_set():
+                live[0] = max(live[0], sum(
+                    t.name == "repro-lut-prewarm" and t.is_alive()
+                    for t in threading.enumerate()))
+                time.sleep(1e-4)
+
+        sampler = threading.Thread(target=sample, daemon=True)
+        sampler.start()
+        outcomes = []
+        try:
+            for s, want in zip(streams, expected):   # cold: narrow LUTs
+                np.testing.assert_array_equal(huffman_decode(s), want)
+            for s, want in zip(streams, expected):   # reuse: promote
+                out, attrs = _unpack_span(s)
+                np.testing.assert_array_equal(out, want)
+                outcomes.append(attrs["lut"])
+        finally:
+            stop.set()
+            sampler.join(timeout=10)
+            drain_lut_prewarm()
+        assert not sampler.is_alive()
+        assert live[0] <= 1
+        assert "promoted" in outcomes
+        assert set(outcomes) <= {"promoted", "hit"}
+        for s, want in zip(streams, expected):
+            np.testing.assert_array_equal(huffman_decode(s), want)
+        clear_codebook_caches()
+
     def test_prewarm_is_not_a_lookup(self, stream):
         before = codebook_cache_stats()
         assert canonical.prewarm_lut_async(stream.lengths)

@@ -33,7 +33,8 @@ class TestCompressTrace:
                 "container", "lossless"} <= children
         assert root.attrs["codec"] == "cuszi"
         assert root.attrs["n_elements"] == field.size
-        assert root.attrs["compressed_nbytes"] == stats.compressed_nbytes
+        # the root span carries the run's ledger attributes
+        assert root.attrs["bytes_out"] == stats.compressed_nbytes
 
     def test_segment_byte_attrs_sum_to_stats(self):
         field = smooth_field((32, 28, 24), seed=11)
