@@ -19,7 +19,8 @@ from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import autotune
 from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
-                                       interp_compress, interp_decompress)
+                                       check_stream_header, interp_compress,
+                                       interp_decompress)
 from repro.core.ginterp.plans import get_plan
 from repro.core.pipeline import resolve_eb
 from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
@@ -108,13 +109,11 @@ class InterpCPUBase:
         codec, meta, segments = parse_container(inner)
         if codec != self.name:
             raise CodecError(f"blob codec {codec!r} is not {self.name!r}")
-        shape = tuple(meta["shape"])
-        dtype = np.dtype(meta["dtype"])
-        abs_eb = float(meta["abs_eb"])
-        radius = int(meta["radius"])
-        spec = InterpSpec.from_meta(meta["spec"])
-        quantizer = LinearQuantizer(radius, value_dtype=dtype)
         stream = HuffmanStream.from_bytes(segments["huffman"])
+        dtype, abs_eb, radius, spec = check_stream_header(
+            meta, stream.alphabet_size)
+        shape = tuple(meta["shape"])
+        quantizer = LinearQuantizer(radius, value_dtype=dtype)
         anchor_shape = check_stream_geometry(
             shape, shape, spec.anchor_stride, len(segments["anchors"]),
             dtype.itemsize, stream.n_symbols)

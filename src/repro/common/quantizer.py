@@ -164,26 +164,52 @@ class LinearQuantizer:
 
         ``outlier_values`` is the full compacted outlier stream;
         ``outlier_cursor`` the index of the next unconsumed outlier. Returns
-        the reconstructed float64 values and the advanced cursor. Raises
-        :class:`~repro.common.errors.CorruptStreamError` when the outlier
-        stream runs dry — a short slice would silently reconstruct garbage
-        at every remaining outlier position.
+        the reconstructed float64 values and the advanced cursor. A thin
+        allocating wrapper over :meth:`dequantize_into`.
+        """
+        codes = np.asarray(codes).ravel()
+        recon = np.empty(codes.size, dtype=np.float64)
+        cursor = self.dequantize_into(codes, predictions, eb, recon,
+                                      outlier_values, outlier_cursor)
+        return recon, cursor
+
+    def dequantize_into(self, codes: np.ndarray, predictions: np.ndarray,
+                        eb: float, out: np.ndarray,
+                        outlier_values: np.ndarray, outlier_cursor: int,
+                        *, q_buf: np.ndarray | None = None) -> int:
+        """Buffered :meth:`dequantize`: reconstruct straight into ``out``.
+
+        ``out`` may be any-dimensional (a strided view of the caller's
+        work array); ``codes`` and ``predictions`` are its flat-order code
+        and prediction vectors. The scaled codes ``ebx2*(codes - radius)``
+        are staged in the reusable float64 scratch ``q_buf`` (default:
+        ``out`` itself), so a strided ``out`` is written once, by the
+        final sum with the predictions, and nothing pass-sized is
+        allocated beyond the outlier mask. Returns the advanced outlier
+        cursor; raises :class:`~repro.common.errors.CorruptStreamError`
+        when the outlier stream runs dry — a short slice would silently
+        reconstruct garbage at every remaining outlier position.
+
+        Bit-identical to ``p + ebx2*(codes - radius)`` lane for lane: the
+        difference of two small integers is exact in float64, and
+        ``ebx2*q + p`` is the same IEEE sum as ``p + ebx2*q``.
         """
         if eb <= 0:
             raise ConfigError(f"error bound must be positive, got {eb}")
-        codes = np.asarray(codes, dtype=np.int64).ravel()
-        p = np.asarray(predictions, dtype=np.float64).ravel()
-        ebx2 = 2.0 * eb
-
-        q = codes - self.radius
-        recon = p + ebx2 * q.astype(np.float64)
+        shape = out.shape
+        codes = codes.reshape(shape)
+        q = out if q_buf is None else q_buf[:out.size].reshape(shape)
+        np.subtract(codes, self.radius, out=q, dtype=np.float64)
+        q *= 2.0 * eb
+        np.add(q, np.asarray(predictions, dtype=np.float64).reshape(shape),
+               out=out)
         is_out = codes == 0
-        n_out = int(is_out.sum())
+        n_out = int(np.count_nonzero(is_out))
         if n_out:
             take = outlier_values[outlier_cursor:outlier_cursor + n_out]
             if take.size != n_out:
                 raise CorruptStreamError(
                     f"outlier stream exhausted: pass has {n_out} outlier "
                     f"code(s) but only {take.size} stored value(s) remain")
-            recon[is_out] = take.astype(np.float64)
-        return recon, outlier_cursor + n_out
+            out[is_out] = take
+        return outlier_cursor + n_out

@@ -21,11 +21,17 @@ Both traversals execute through a **compiled pass plan**
 spline classification, neighbor addressing — is precomputed once per
 ``(shape, geometry)`` and LRU-cached, and the interior majority of every
 pass is predicted through fused strided-view kernels instead of index
-gathers. Compression fuses quantization into each pass
-(:meth:`~repro.core.ginterp.plans.CompiledPass.predict_quantize`), as one
-GPU thread block predicts and quantizes its window in place (§V-D). The
-equivalence suites compare both traversals byte for byte against the
-uncompiled gather traversal in ``tests/oracles.py``.
+gathers. Each pass fuses quantization (compress,
+:meth:`~repro.common.quantizer.LinearQuantizer.quantize_into`) or
+dequantization (decompress,
+:meth:`~repro.common.quantizer.LinearQuantizer.dequantize_into`) with its
+prediction, as one GPU thread block predicts and quantizes its window in
+place (§V-D) and decompression replays that kernel backwards: the
+reconstruction lands straight in the work array through the pass's
+strided target view. All per-pass scratch comes from one per-thread arena
+(:func:`~repro.core.ginterp.plans.scratch`). The equivalence suites
+compare both traversals byte for byte against the uncompiled gather
+traversal in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ from repro import telemetry
 from repro.common.errors import ConfigError, CorruptStreamError, DataError
 from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp.anchors import apply_anchors, extract_anchors
-from repro.core.ginterp.plans import _plan_key, get_plan
+from repro.core.ginterp.plans import _plan_key, get_plan, scratch
 from repro.core.ginterp.splines import CUBIC_NAK
 
 __all__ = ["InterpSpec", "level_error_bounds", "interp_compress",
-           "interp_decompress", "InterpResult", "check_stream_geometry"]
+           "interp_decompress", "InterpResult", "check_stream_header",
+           "check_stream_geometry", "HEADER_KEYS"]
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,10 @@ class InterpSpec:
         if s < 2 or (s & (s - 1)) != 0:
             raise ConfigError(
                 f"anchor_stride must be a power of two >= 2, got {s}")
-        if self.alpha < 1.0:
-            raise ConfigError(f"alpha must be >= 1, got {self.alpha}")
-        if self.beta < 1.0:
+        if not 1.0 <= self.alpha < math.inf:
+            raise ConfigError(
+                f"alpha must be finite and >= 1, got {self.alpha}")
+        if not self.beta >= 1.0:
             raise ConfigError(f"beta must be >= 1, got {self.beta}")
 
     @property
@@ -151,6 +159,61 @@ class InterpResult:
     anchors: np.ndarray          # float32 anchor grid
     reconstructed: np.ndarray    # float64, what the decompressor will see
     pass_sizes: list[int] = field(default_factory=list)
+
+
+#: header keys every interpolation decoder reads
+HEADER_KEYS = ("shape", "dtype", "abs_eb", "radius", "spec")
+#: value dtypes an interpolation stream can carry
+_VALUE_DTYPES = ("float32", "float64")
+
+
+def check_stream_header(meta: dict, alphabet_size: int,
+                        extra_keys: tuple[str, ...] = ()
+                        ) -> tuple[np.dtype, float, int, InterpSpec]:
+    """Validate a decoder's scalar header fields and parse them.
+
+    ``meta`` comes from an untrusted header and ``alphabet_size`` from
+    the Huffman stream's own header, so both are checked before anything
+    is decoded, compiled or allocated from them: every key in
+    :data:`HEADER_KEYS` and ``extra_keys`` is present, the grid keys are
+    lists (:func:`check_stream_geometry` checks their extents), the value
+    dtype is float32 or float64, the error bound is a finite positive
+    number, the radius is an int ``>= 2`` whose code alphabet
+    (``2*radius``) is the stream's, and the spec parses and fits the
+    shape's rank. Returns ``(dtype, abs_eb, radius, spec)``; raises
+    :class:`~repro.common.errors.CorruptStreamError` on any violation.
+    """
+    if not isinstance(meta, dict):
+        raise CorruptStreamError("header metadata is not a JSON object")
+    missing = [k for k in (*HEADER_KEYS, *extra_keys) if k not in meta]
+    if missing:
+        raise CorruptStreamError(f"header is missing key(s) {missing}")
+    for key in ("shape", "padded_shape"):
+        if key in meta and not isinstance(meta[key], list):
+            raise CorruptStreamError(f"header {key} is not a list")
+    if meta["dtype"] not in _VALUE_DTYPES:
+        raise CorruptStreamError(
+            f"header dtype {meta['dtype']!r} is not one of {_VALUE_DTYPES}")
+    abs_eb = meta["abs_eb"]
+    if type(abs_eb) not in (int, float) or not (math.isfinite(abs_eb)
+                                                and abs_eb > 0):
+        raise CorruptStreamError(
+            f"header error bound {abs_eb!r} is not a finite positive "
+            f"number")
+    radius = meta["radius"]
+    if type(radius) is not int or radius < 2:
+        raise CorruptStreamError(
+            f"header radius {radius!r} is not an int >= 2")
+    if alphabet_size != 2 * radius:
+        raise CorruptStreamError(
+            f"quant-code stream alphabet {alphabet_size} does not match "
+            f"header radius {radius} (needs {2 * radius})")
+    try:
+        spec = InterpSpec.from_meta(meta["spec"])
+        spec.resolved(len(meta["shape"]))
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptStreamError(f"header spec is invalid: {exc}") from exc
+    return np.dtype(meta["dtype"]), float(abs_eb), radius, spec
 
 
 def check_stream_geometry(shape, padded_shape, anchor_stride: int,
@@ -242,9 +305,10 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
     outlier_parts: list[np.ndarray] = []
     sizes: list[int] = []
     cursor = 0
-    scr_pred, scr_mul, scr_ev = plan.workspace()
     codes = np.empty(plan.n_targets, dtype=np.uint32)
-    q_buf, r_buf = plan.quant_workspace()
+    scr_pred, scr_mul, scr_ev, q_buf, r_buf = scratch(
+        plan.max_targets, plan.max_group, plan.max_staged,
+        plan.max_targets, plan.max_targets)
     for step in plan.passes:
         p = step.desc
         n = step.n_targets
@@ -254,10 +318,12 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                             stride=p.stride, targets=int(n)):
             if n == 0:
                 continue
-            outlier_parts.append(step.predict_quantize(
-                work, work_flat, data, quantizer, ebs[p.level],
-                codes[cursor:cursor + n], scr_pred, scr_mul, scr_ev,
-                q_buf, r_buf))
+            pred = step.predict(work, work_flat, scr_pred, scr_mul, scr_ev)
+            recon, pass_outliers = quantizer.quantize_into(
+                data[step.target_view], pred, ebs[p.level],
+                codes[cursor:cursor + n], q_buf=q_buf, r_buf=r_buf)
+            work[step.target_view] = recon
+            outlier_parts.append(pass_outliers)
             cursor += n
             telemetry.observe("ginterp.pass_targets", n)
 
@@ -275,10 +341,12 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
     """Replay :func:`interp_compress` from its outputs.
 
     Returns the float64 reconstruction, bit-identical to
-    ``InterpResult.reconstructed``. Raises
-    :class:`~repro.common.errors.CorruptStreamError` when the quant-code
-    or outlier stream is shorter (or longer) than the traversal demands —
-    truncated input must fail loudly, not decode garbage.
+    ``InterpResult.reconstructed``. Each pass predicts into scratch and
+    dequantizes straight into its strided view of the returned array.
+    Raises :class:`~repro.common.errors.CorruptStreamError` when the
+    quant-code or outlier stream is shorter (or longer) than the traversal
+    demands — truncated or padded input must fail loudly, not decode
+    garbage.
     """
     spec = spec.resolved(len(shape))
     quantizer = quantizer or LinearQuantizer()
@@ -293,7 +361,8 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
     codes = np.asarray(codes)
     cursor = 0
     out_cursor = 0
-    scr_pred, scr_mul, scr_ev = plan.workspace()
+    scr_pred, scr_mul, scr_ev, q_buf = scratch(
+        plan.max_targets, plan.max_group, plan.max_staged, plan.max_targets)
     for step in plan.passes:
         p = step.desc
         n = step.n_targets
@@ -306,17 +375,17 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
                     f"quant-code stream exhausted at level {p.level} "
                     f"axis {p.axis}: pass needs {n} codes, "
                     f"{codes.size - cursor} remain")
-            with telemetry.span("ginterp.gather"):
-                pred = step.predict(work, work_flat, scr_pred, scr_mul,
-                                    scr_ev)
-            pass_codes = codes[cursor:cursor + n]
+            pred = step.predict(work, work_flat, scr_pred, scr_mul, scr_ev)
+            out_cursor = quantizer.dequantize_into(
+                codes[cursor:cursor + n], pred, ebs[p.level],
+                work[step.target_view], outliers, out_cursor, q_buf=q_buf)
             cursor += n
-            with telemetry.span("ginterp.dequantize", level=p.level):
-                recon, out_cursor = quantizer.dequantize(
-                    pass_codes, pred, ebs[p.level], outliers, out_cursor)
-            work[step.target_view] = recon.reshape(step.block_shape)
     if cursor != codes.size:
         raise CorruptStreamError(
             f"quant-code stream has {codes.size - cursor} trailing "
             f"code(s) after the final pass")
+    if out_cursor != outliers.size:
+        raise CorruptStreamError(
+            f"outlier stream has {outliers.size - out_cursor} trailing "
+            f"value(s) after the final pass")
     return work

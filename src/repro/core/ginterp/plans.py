@@ -54,6 +54,7 @@ registry (:mod:`repro.telemetry.caches`) and :func:`plan_cache_stats`.
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 import time
 from collections import OrderedDict
@@ -68,7 +69,7 @@ from repro.core.ginterp.splines import (NEIGHBOR_OFFSETS, SPLINE_WEIGHTS,
                                         classify)
 
 __all__ = ["PassDesc", "pass_plan", "FusedGroup", "CompiledPass", "PassPlan",
-           "compile_plan", "get_plan", "plan_cache_stats",
+           "compile_plan", "get_plan", "plan_cache_stats", "scratch",
            "clear_plan_cache", "set_plan_cache_limit"]
 
 #: a run is fused only when it covers at least this many block elements;
@@ -214,48 +215,35 @@ class CompiledPass:
                 + self.b_w.nbytes)
 
     def predict(self, work: np.ndarray, work_flat: np.ndarray,
-                pred_buf: np.ndarray | None = None,
-                mul_buf: np.ndarray | None = None,
-                ev_buf: np.ndarray | None = None) -> np.ndarray:
+                pred_buf: np.ndarray, mul_buf: np.ndarray,
+                ev_buf: np.ndarray) -> np.ndarray:
         """Predictions for every pass target, in flat (block) order.
 
         Bit-identical to the reference gather path: each element runs the
         same zero-init + float64 multiply-add accumulation over
         :data:`NEIGHBOR_OFFSETS`, with identical operands (zero-weight
         terms skipped — an identity on the accumulation for finite data).
-        ``pred_buf``/``mul_buf``/``ev_buf`` are optional reusable scratch
-        buffers (see :meth:`PassPlan.workspace`); staging only *copies*
-        values, so it cannot change any bit of the accumulation.
+        ``pred_buf``/``mul_buf``/``ev_buf`` are scratch views sized for
+        the widest pass (see :func:`scratch`); the returned prediction is
+        a view of ``pred_buf``. Staging only *copies* values, so it cannot
+        change any bit of the accumulation.
         """
-        n = self.n_targets
-        if pred_buf is None:
-            pred = np.zeros(n, dtype=np.float64)
-        else:
-            pred = pred_buf[:n]
-            pred.fill(0.0)
+        pred = pred_buf[:self.n_targets]
+        pred.fill(0.0)
         if self.groups:
             staged = None
             if self.ev_size and any(g.staged is not None
                                     for g in self.groups):
                 # neighbors all live on the complementary even lattice;
                 # staging it once makes every neighbor read unit-stride
-                if ev_buf is None:
-                    staged = np.empty(self.ev_shape, dtype=np.float64)
-                else:
-                    staged = ev_buf[:self.ev_size].reshape(self.ev_shape)
+                staged = ev_buf[:self.ev_size].reshape(self.ev_shape)
                 np.copyto(staged, work[self.ev_sel])
             pred_nd = pred.reshape(self.block_shape)
             for g in self.groups:
                 sub = pred_nd[g.target_sel]
-                if mul_buf is None:
-                    buf = np.empty(g.shape, dtype=np.float64)
-                else:
-                    buf = mul_buf[:g.size].reshape(g.shape)
-                srcs = (zip(g.weights, g.staged)
-                        if staged is not None and g.staged is not None
-                        else None)
-                if srcs is not None:
-                    for w, src in srcs:
+                buf = mul_buf[:g.size].reshape(g.shape)
+                if staged is not None and g.staged is not None:
+                    for w, src in zip(g.weights, g.staged):
                         np.multiply(staged[src], w, out=buf)
                         sub += buf
                 else:
@@ -268,31 +256,6 @@ class CompiledPass:
                 pb += self.b_w[j] * work_flat[self.b_gather[j]]
             pred[self.b_sel] = pb
         return pred
-
-    def predict_quantize(self, work: np.ndarray, work_flat: np.ndarray,
-                         data: np.ndarray, quantizer, eb: float,
-                         codes_out: np.ndarray,
-                         scr_pred: np.ndarray, scr_mul: np.ndarray,
-                         scr_ev: np.ndarray, q_buf: np.ndarray,
-                         r_buf: np.ndarray) -> np.ndarray:
-        """Fused predict → quantize → reconstruct for one pass.
-
-        Runs :meth:`predict` and immediately folds the quantization into
-        the same pass: int codes land directly in ``codes_out`` (the
-        pass's slice of the full stream), the reconstruction is scattered
-        back into ``work`` through the strided target view, and only the
-        compacted outlier values (returned) are newly allocated — no
-        float residual intermediates, no per-pass code arrays.
-        Bit-identical to predict-then-:meth:`LinearQuantizer.quantize`
-        because :meth:`~repro.common.quantizer.LinearQuantizer\
-.quantize_into` replays the same float64 lane arithmetic.
-        """
-        pred = self.predict(work, work_flat, scr_pred, scr_mul, scr_ev)
-        recon, outliers = quantizer.quantize_into(
-            data[self.target_view], pred, eb, codes_out,
-            q_buf=q_buf, r_buf=r_buf)
-        work[self.target_view] = recon
-        return outliers
 
 
 @dataclass(frozen=True)
@@ -332,22 +295,41 @@ class PassPlan:
     def max_staged(self) -> int:
         return max((cp.ev_size for cp in self.passes), default=0)
 
-    def workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh reusable scratch buffers for :meth:`CompiledPass.predict`.
 
-        One triple per traversal keeps every pass allocation-free; callers
-        must not hold a pass's prediction past the next ``predict`` call.
-        """
-        return (np.empty(self.max_targets, dtype=np.float64),
-                np.empty(self.max_group, dtype=np.float64),
-                np.empty(self.max_staged, dtype=np.float64))
+# -- per-thread scratch arena ----------------------------------------------
 
-    def quant_workspace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scratch pair for :meth:`CompiledPass.predict_quantize`:
-        the float64 rounding and reconstruction buffers, sized for the
-        widest pass so the fused traversal allocates nothing per pass."""
-        return (np.empty(self.max_targets, dtype=np.float64),
-                np.empty(self.max_targets, dtype=np.float64))
+_arena = threading.local()
+
+
+def scratch(*sizes: int) -> tuple[np.ndarray, ...]:
+    """Disjoint float64 views of this thread's scratch arena, one per size.
+
+    Both traversals carve their per-pass buffers (prediction, multiply,
+    staging, rounding, reconstruction) from one buffer per thread that
+    grows to the largest total seen so far and is then reused by every
+    call, whatever its plan: a warm traversal allocates no scratch and
+    touches no fresh pages. Per thread, not per plan, so the memory held
+    is one widest traversal per thread rather than one per cached plan.
+    The views stay valid until the thread's next ``scratch`` call.
+
+    The arena is its own anonymous memory mapping rather than a malloc
+    block: a long-lived block carved from the malloc heap splits its free
+    space, and the allocator then trims and regrows the heap around it on
+    every call — thousands of fresh-page faults per 96³ compress. The
+    mapping is private, so a forked worker never writes its parent's
+    scratch.
+    """
+    total = sum(sizes)
+    buf = getattr(_arena, "buf", None)
+    if buf is None or buf.size < total:
+        mapping = mmap.mmap(-1, max(total, 1) * 8,
+                            flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        buf = _arena.buf = np.frombuffer(mapping, dtype=np.float64)
+    views, at = [], 0
+    for n in sizes:
+        views.append(buf[at:at + n])
+        at += n
+    return tuple(views)
 
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)

@@ -28,7 +28,8 @@ from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import (alpha_from_eb, autotune,
                                          field_fingerprint)
 from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
-                                       interp_compress, interp_decompress)
+                                       check_stream_header, interp_compress,
+                                       interp_decompress)
 from repro.core.ginterp.plans import get_plan
 from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
                            best_static_profile, huffman_decode,
@@ -340,15 +341,13 @@ class CuSZi:
             if codec != self.name:
                 raise CodecError(
                     f"blob codec {codec!r} is not {self.name!r}")
+            stream = HuffmanStream.from_bytes(segments["huffman"])
+            dtype, abs_eb, radius, spec = check_stream_header(
+                meta, stream.alphabet_size,
+                extra_keys=("padded_shape", "n_outliers"))
             shape = tuple(meta["shape"])
             padded_shape = tuple(meta["padded_shape"])
-            dtype = np.dtype(meta["dtype"])
-            abs_eb = float(meta["abs_eb"])
-            radius = int(meta["radius"])
-            spec = InterpSpec.from_meta(meta["spec"])
             quantizer = LinearQuantizer(radius, value_dtype=dtype)
-
-            stream = HuffmanStream.from_bytes(segments["huffman"])
             anchor_shape = check_stream_geometry(
                 shape, padded_shape, spec.anchor_stride,
                 len(segments["anchors"]), dtype.itemsize, stream.n_symbols)

@@ -151,6 +151,10 @@ def reference_decompress(shape: tuple[int, ...], spec: InterpSpec,
         raise CorruptStreamError(
             f"quant-code stream has {codes.size - cursor} trailing "
             f"code(s) after the final pass")
+    if out_cursor != outliers.size:
+        raise CorruptStreamError(
+            f"outlier stream has {outliers.size - out_cursor} trailing "
+            f"value(s) after the final pass")
     return work
 
 

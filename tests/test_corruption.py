@@ -6,16 +6,22 @@ reconstruction — checked here for every codec and several corruption
 positions.
 """
 
+import json
+import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import smooth_field
+from repro.common import container
 from repro.common.container import build_container, parse_container
-from repro.common.errors import ReproError
+from repro.common.errors import CorruptStreamError, ReproError
 from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
+from repro.common.quantizer import DEFAULT_RADIUS
+from repro.core.ginterp.engine import HEADER_KEYS
 from repro.registry import available, get_compressor
 
 
@@ -81,9 +87,34 @@ class TestCorruptionWithGLE:
             np.testing.assert_array_equal(out, clean)
 
 
+def _restamp(codec: str, meta: dict, segments: dict) -> bytes:
+    """Rebuild a container around forged metadata with a valid CRC. The
+    metadata is written with JSON's NaN/Infinity literals allowed, which
+    the container writer refuses but its parser accepts."""
+    with mock.patch.object(container, "_encode_json", lambda m: json.dumps(
+            m, separators=(",", ":")).encode("utf-8")):
+        inner = build_container(codec, meta, segments)
+    return wrap_lossless(inner, "none")
+
+
+#: forged header values, by forgery name: (key, value)
+_HEADER_VALUES = {
+    "dtype-int32": ("dtype", "int32"),
+    "dtype-float16": ("dtype", "float16"),
+    "abs_eb-nan": ("abs_eb", math.nan),
+    "abs_eb-inf": ("abs_eb", math.inf),
+    "abs_eb-zero": ("abs_eb", 0.0),
+    "abs_eb-negative": ("abs_eb", -1e-3),
+    "radius-1": ("radius", 1),
+    # a valid radius whose alphabet is not the Huffman stream's
+    "radius-mismatch": ("radius", DEFAULT_RADIUS // 2),
+    "spec-not-a-dict": ("spec", 8),
+}
+
+
 def _forge_geometry(blob: bytes, forgery: str) -> bytes:
-    """Rewrite an interpolation blob's header geometry and re-stamp the
-    container CRC, so only the decoder's own checks can catch it."""
+    """Rewrite an interpolation blob's header and re-stamp the container
+    CRC, so only the decoder's own checks can catch it."""
     codec, meta, segments = parse_container(unwrap_lossless(blob))
     # cuSZ-i decodes the padded grid; SZ3/QoZ decode ``shape`` itself
     key = "padded_shape" if "padded_shape" in meta else "shape"
@@ -99,21 +130,36 @@ def _forge_geometry(blob: bytes, forgery: str) -> bytes:
     elif forgery == "bad-extent":
         meta[key][0] = (meta["shape"][0] - 1 if key == "padded_shape"
                         else 0)
-    return wrap_lossless(build_container(codec, meta, segments), "none")
+    elif forgery.startswith("missing-"):
+        del meta[forgery[len("missing-"):]]
+    else:
+        field, value = _HEADER_VALUES[forgery]
+        meta[field] = value
+    return _restamp(codec, meta, segments)
 
 
-@pytest.mark.parametrize("forgery", ["huge-grid", "overflowing-grid",
-                                     "short-anchors", "bad-extent"])
-@pytest.mark.parametrize("codec", ["cuszi", "sz3", "qoz"])
+#: keys only cuSZ-i's header carries
+_CUSZI_KEYS = ("padded_shape", "n_outliers")
+_FORGERIES = ["huge-grid", "overflowing-grid", "short-anchors",
+              "bad-extent", *_HEADER_VALUES,
+              *(f"missing-{k}" for k in (*HEADER_KEYS, *_CUSZI_KEYS))]
+
+
+@pytest.mark.parametrize("codec,forgery", [
+    (codec, forgery) for codec in ("cuszi", "sz3", "qoz")
+    for forgery in _FORGERIES
+    if codec == "cuszi"
+    or forgery not in [f"missing-{k}" for k in _CUSZI_KEYS]])
 def test_forged_geometry_rejected_before_allocation(blobs, codec, forgery):
-    """Header geometry the payload CRCs cannot vouch for must raise a
-    typed error before anything is compiled or allocated from it."""
+    """Header geometry and scalars the payload CRCs cannot vouch for must
+    raise a typed error before anything is decoded, compiled or allocated
+    from them."""
     comp, blob = blobs[codec]
     forged = _forge_geometry(blob, forgery)
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
-        with pytest.raises(ReproError):
+        with pytest.raises(CorruptStreamError):
             comp.decompress(forged)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
@@ -121,3 +167,17 @@ def test_forged_geometry_rejected_before_allocation(blobs, codec, forgery):
         tracemalloc.stop()
     assert elapsed < 0.1
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("codec", ["cuszi", "sz3", "qoz"])
+def test_forged_trailing_outliers_rejected(blobs, codec):
+    """Outlier values the traversal never consumes are a forged stream,
+    even when the header's outlier count agrees with the segment."""
+    comp, blob = blobs[codec]
+    name, meta, segments = parse_container(unwrap_lossless(blob))
+    extra = np.ones(2, dtype=meta["dtype"])
+    segments["outliers"] += extra.tobytes()
+    if "n_outliers" in meta:
+        meta["n_outliers"] += extra.size
+    with pytest.raises(CorruptStreamError, match="trailing"):
+        comp.decompress(_restamp(name, meta, segments))

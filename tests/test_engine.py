@@ -1,5 +1,7 @@
 """Unit + property tests for the interpolation engine (paper §V)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,15 @@ class TestInterpSpec:
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):
             InterpSpec(alpha=0.5)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 2.0),
+                                            (math.nan, 2.0),
+                                            (1.5, math.nan)])
+    def test_non_finite_level_params(self, alpha, beta):
+        # a non-finite alpha (or NaN beta) would turn level error bounds
+        # into 0 or NaN, which decode silently
+        with pytest.raises(ConfigError):
+            InterpSpec(alpha=alpha, beta=beta)
 
     def test_n_levels(self):
         assert InterpSpec(anchor_stride=8).n_levels == 3

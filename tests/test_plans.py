@@ -257,6 +257,14 @@ class TestCorruptStreams:
                                   res.outliers[:res.outliers.size // 2],
                                   res.anchors, q)
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_trailing_outliers(self, archive, compiled):
+        shape, spec, eb, q, res = archive
+        padded = np.concatenate([res.outliers, res.outliers[:2]])
+        with pytest.raises(CorruptStreamError, match="trailing"):
+            _decompress(compiled)(shape, spec, eb, res.codes, padded,
+                                  res.anchors, q)
+
     def test_dequantize_direct_guard(self):
         q = LinearQuantizer(radius=8)
         codes = np.zeros(5, dtype=np.uint32)     # five outlier codes

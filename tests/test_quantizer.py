@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 
 
@@ -114,3 +114,69 @@ class TestQuantizeDequantize:
         limit = np.maximum(eb, np.spacing(np.abs(vals).astype(np.float32)
                                           ).astype(np.float64))
         assert (np.abs(recon32 - vals) <= limit * (1 + 1e-9)).all()
+
+
+def _unfused_dequantize(q, codes, preds, eb, outliers, cursor):
+    """The pre-fusion lane arithmetic, spelled out: int64 code minus
+    radius, upcast, ``p + ebx2*q``, then the outlier overwrite."""
+    codes = np.asarray(codes, dtype=np.int64).ravel()
+    recon = (np.asarray(preds, dtype=np.float64).ravel()
+             + 2.0 * eb * (codes - q.radius).astype(np.float64))
+    is_out = codes == 0
+    n_out = int(is_out.sum())
+    recon[is_out] = outliers[cursor:cursor + n_out].astype(np.float64)
+    return recon, cursor + n_out
+
+
+class TestDequantizeInto:
+    @pytest.fixture(params=[np.float32, np.float64])
+    def stream(self, request, rng):
+        """Codes with ~1/3 outlier lanes behind a nonzero cursor."""
+        dtype = request.param
+        q = LinearQuantizer(8, value_dtype=dtype)
+        vals = rng.normal(0, 1e-2, 600).astype(dtype)
+        preds = vals.astype(np.float64) + rng.normal(0, 1e-2, 600)
+        eb = 1e-3
+        res = q.quantize(vals, preds, eb)
+        assert 0 < res.n_outliers < vals.size
+        stored = np.concatenate([np.full(5, 7.0, dtype),
+                                 res.outlier_values])
+        return q, res, preds, eb, stored
+
+    def test_dequantize_matches_unfused_lanes(self, stream):
+        q, res, preds, eb, stored = stream
+        recon, cursor = q.dequantize(res.codes, preds, eb, stored, 5)
+        ref, ref_cursor = _unfused_dequantize(q, res.codes, preds, eb,
+                                              stored, 5)
+        assert recon.tobytes() == ref.tobytes()
+        assert recon.tobytes() == res.reconstructed.tobytes()
+        assert cursor == ref_cursor == stored.size
+
+    @pytest.mark.parametrize("staged", [False, True])
+    def test_into_strided_view(self, stream, staged):
+        # the decode traversal hands dequantize_into a strided n-d view of
+        # its work array; lanes fill in flat (C) order of that view
+        q, res, preds, eb, stored = stream
+        work = np.full((60, 3, 20), -1.0)
+        view = work[::2, 1, :]
+        assert view.size == res.codes.size and not view.flags.contiguous
+        q_buf = np.empty(view.size + 7) if staged else None
+        cursor = q.dequantize_into(res.codes, preds, eb, view, stored, 5,
+                                   q_buf=q_buf)
+        assert cursor == stored.size
+        assert view.ravel().tobytes() == res.reconstructed.tobytes()
+        untouched = np.ones(work.shape, dtype=bool)
+        untouched[::2, 1, :] = False
+        assert (work[untouched] == -1.0).all()
+
+    def test_exhausted_outliers(self, stream):
+        q, res, preds, eb, stored = stream
+        out = np.empty(res.codes.size)
+        with pytest.raises(CorruptStreamError, match="exhausted"):
+            q.dequantize_into(res.codes, preds, eb, out, stored, 6)
+
+    def test_bad_eb(self):
+        q = LinearQuantizer()
+        with pytest.raises(ConfigError):
+            q.dequantize_into(np.zeros(4, np.uint32), np.zeros(4), 0.0,
+                              np.empty(4), np.zeros(0, np.float32), 0)
