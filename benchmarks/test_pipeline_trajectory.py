@@ -368,7 +368,7 @@ def test_emit_pipeline_trajectory():
                                huffman_encode)
     from repro.huffman.canonical import (MAX_CODE_LEN, build_lut_tables,
                                          clear_codebook_caches)
-    from repro.huffman.codec import DEFAULT_CHUNK
+    from repro.huffman.codec import DEFAULT_CHUNK_BITS
     from repro.huffman.histogram import histogram
 
     hcodes = np.ascontiguousarray(res.codes).ravel()
@@ -384,7 +384,7 @@ def test_emit_pipeline_trajectory():
     build_lut_tables(hlengths)
     lut_build_s = time.perf_counter() - t0
 
-    hstream = huffman_encode(hcodes, alph, DEFAULT_CHUNK)
+    hstream = huffman_encode(hcodes, alph, DEFAULT_CHUNK_BITS)
     ref_syms = hcodes.astype(np.uint32)
     with telemetry.recording() as wrec:
         assert np.array_equal(huffman_decode(hstream), ref_syms)
@@ -393,13 +393,13 @@ def test_emit_pipeline_trajectory():
     probe_bits = next(sp.attrs["probe_bits"] for sp in wrec.spans
                       if sp.name == "huffman.unpack")
     assert np.array_equal(decode_loop(hstream), ref_syms)
-    assert encode_loop(hcodes, alph, DEFAULT_CHUNK).to_bytes() \
+    assert encode_loop(hcodes, alph, DEFAULT_CHUNK_BITS).to_bytes() \
         == hstream.to_bytes(), "encode engines must emit identical streams"
     clear_fingerprint_cache()
     enc_s = _best_inner(lambda: huffman_encode(hcodes, alph,
-                                               DEFAULT_CHUNK), 5)
+                                               DEFAULT_CHUNK_BITS), 5)
     loop_enc_s = _best_inner(
-        lambda: encode_loop(hcodes, alph, DEFAULT_CHUNK), 3)
+        lambda: encode_loop(hcodes, alph, DEFAULT_CHUNK_BITS), 3)
     codebook_cache = fingerprint_cache_stats()
     lut_s = _best_inner(lambda: huffman_decode(hstream), 5)
     loop_s = _best_inner(lambda: decode_loop(hstream), 3)
@@ -431,8 +431,8 @@ def test_emit_pipeline_trajectory():
     huffman = {
         "n_symbols": int(hcodes.size),
         "alphabet": int(alph),
-        "chunk_size": DEFAULT_CHUNK,
-        "n_chunks": int(hstream.chunk_bits.size),
+        "chunk_bits": DEFAULT_CHUNK_BITS,
+        "n_chunks": hstream.n_chunks,
         "probe_bits": probe_bits,
         "stream_bytes": int(hstream.nbytes),
         "lut_build_s": round(lut_build_s, 6),

@@ -22,8 +22,8 @@ from repro.common.errors import CodecError
 from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS
 from repro.core.pipeline import resolve_eb
-from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
-                           huffman_decode, huffman_encode)
+from repro.huffman import (FORMAT_KEY, FORMAT_VERSION, huffman_decode,
+                           huffman_encode, read_stream)
 from repro.registry import register
 
 __all__ = ["CuSZ"]
@@ -36,13 +36,11 @@ class CuSZ:
     name = "cusz"
 
     def __init__(self, eb: float = 1e-3, mode: str = "rel",
-                 lossless: str = "none", radius: int = DEFAULT_RADIUS,
-                 huffman_chunk: int = DEFAULT_CHUNK):
+                 lossless: str = "none", radius: int = DEFAULT_RADIUS):
         self.eb = float(eb)
         self.mode = mode
         self.lossless = lossless
         self.radius = int(radius)
-        self.huffman_chunk = int(huffman_chunk)
 
     def compress(self, data: np.ndarray) -> bytes:
         data = validate_field(data)
@@ -50,13 +48,14 @@ class CuSZ:
         prequant = lorenzo_prequantize(data, abs_eb)
         delta = lorenzo_delta(prequant)
         codes, outliers = split_outliers(delta, self.radius)
-        stream = huffman_encode(codes, 2 * self.radius, self.huffman_chunk)
+        stream = huffman_encode(codes, 2 * self.radius)
         meta = {
             "shape": list(data.shape),
             "dtype": data.dtype.name,
             "abs_eb": abs_eb,
             "radius": self.radius,
             "n_outliers": int(outliers.size),
+            FORMAT_KEY: FORMAT_VERSION,
         }
         segments = {
             "huffman": stream.to_bytes(),
@@ -74,7 +73,7 @@ class CuSZ:
         dtype = np.dtype(meta["dtype"])
         abs_eb = float(meta["abs_eb"])
         radius = int(meta["radius"])
-        codes = huffman_decode(HuffmanStream.from_bytes(segments["huffman"]))
+        codes = huffman_decode(read_stream(segments["huffman"], meta))
         outliers = np.frombuffer(segments["outliers"], dtype=np.int64)
         if outliers.size != int(meta["n_outliers"]):
             raise CodecError("outlier segment size mismatch")

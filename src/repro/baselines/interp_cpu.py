@@ -23,8 +23,8 @@ from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
                                        interp_decompress)
 from repro.core.ginterp.plans import get_plan
 from repro.core.pipeline import resolve_eb
-from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
-                           huffman_decode, huffman_encode)
+from repro.huffman import (FORMAT_KEY, FORMAT_VERSION, huffman_decode,
+                           huffman_encode, read_stream)
 
 __all__ = ["InterpCPUBase", "pow2ceil"]
 
@@ -42,15 +42,13 @@ class InterpCPUBase:
 
     def __init__(self, eb: float = 1e-3, mode: str = "rel",
                  lossless: str | None = None,
-                 radius: int = DEFAULT_RADIUS, tune: bool = True,
-                 huffman_chunk: int = DEFAULT_CHUNK):
+                 radius: int = DEFAULT_RADIUS, tune: bool = True):
         self.eb = float(eb)
         self.mode = mode
         self.lossless = lossless if lossless is not None \
             else self.lossless_default
         self.radius = int(radius)
         self.tune = bool(tune)
-        self.huffman_chunk = int(huffman_chunk)
 
     # -- policy hooks -------------------------------------------------------
 
@@ -86,8 +84,7 @@ class InterpCPUBase:
         # spec differences (stride, no window) key separate entries
         plan = get_plan(data.shape, spec)
         result = interp_compress(data, spec, abs_eb, quantizer, plan=plan)
-        stream = huffman_encode(result.codes, quantizer.n_codes,
-                                self.huffman_chunk)
+        stream = huffman_encode(result.codes, quantizer.n_codes)
         meta = {
             "shape": list(data.shape),
             "dtype": data.dtype.name,
@@ -95,6 +92,7 @@ class InterpCPUBase:
             "radius": self.radius,
             "n_outliers": int(result.outliers.size),
             "spec": spec.to_meta(),
+            FORMAT_KEY: FORMAT_VERSION,
         }
         segments = {
             "huffman": stream.to_bytes(),
@@ -109,7 +107,7 @@ class InterpCPUBase:
         codec, meta, segments = parse_container(inner)
         if codec != self.name:
             raise CodecError(f"blob codec {codec!r} is not {self.name!r}")
-        stream = HuffmanStream.from_bytes(segments["huffman"])
+        stream = read_stream(segments["huffman"], meta)
         dtype, abs_eb, radius, spec = check_stream_header(
             meta, stream.alphabet_size)
         shape = tuple(meta["shape"])

@@ -24,8 +24,8 @@ from repro.common.errors import CodecError
 from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.pipeline import resolve_eb
-from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
-                           huffman_decode, huffman_encode)
+from repro.huffman import (FORMAT_KEY, FORMAT_VERSION, huffman_decode,
+                           huffman_encode, read_stream)
 from repro.registry import register
 
 __all__ = ["SZ14", "wavefront_planes"]
@@ -84,13 +84,11 @@ class SZ14:
     name = "sz14"
 
     def __init__(self, eb: float = 1e-3, mode: str = "rel",
-                 lossless: str = "zlib", radius: int = DEFAULT_RADIUS,
-                 huffman_chunk: int = DEFAULT_CHUNK):
+                 lossless: str = "zlib", radius: int = DEFAULT_RADIUS):
         self.eb = float(eb)
         self.mode = mode
         self.lossless = lossless
         self.radius = int(radius)
-        self.huffman_chunk = int(huffman_chunk)
 
     def _traverse(self, shape, work_flat, quantizer, abs_eb,
                   orig_flat=None, codes=None, outliers=None):
@@ -135,14 +133,14 @@ class SZ14:
                                          abs_eb,
                                          orig_flat=data.astype(
                                              np.float64).ravel())
-        stream = huffman_encode(codes, quantizer.n_codes,
-                                self.huffman_chunk)
+        stream = huffman_encode(codes, quantizer.n_codes)
         meta = {
             "shape": list(data.shape),
             "dtype": data.dtype.name,
             "abs_eb": abs_eb,
             "radius": self.radius,
             "n_outliers": int(outliers.size),
+            FORMAT_KEY: FORMAT_VERSION,
         }
         segments = {
             "huffman": stream.to_bytes(),
@@ -160,7 +158,7 @@ class SZ14:
         dtype = np.dtype(meta["dtype"])
         abs_eb = float(meta["abs_eb"])
         quantizer = LinearQuantizer(int(meta["radius"]), value_dtype=dtype)
-        codes = huffman_decode(HuffmanStream.from_bytes(segments["huffman"]))
+        codes = huffman_decode(read_stream(segments["huffman"], meta))
         outliers = np.frombuffer(segments["outliers"], dtype=dtype)
         if outliers.size != int(meta["n_outliers"]):
             raise CodecError("outlier segment size mismatch")

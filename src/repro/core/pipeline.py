@@ -31,9 +31,9 @@ from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
                                        check_stream_header, interp_compress,
                                        interp_decompress)
 from repro.core.ginterp.plans import get_plan
-from repro.huffman import (DEFAULT_CHUNK, HuffmanStream,
+from repro.huffman import (FORMAT_KEY, FORMAT_VERSION,
                            best_static_profile, huffman_decode,
-                           huffman_encode, static_lengths)
+                           huffman_encode, read_stream, static_lengths)
 from repro.registry import register
 
 __all__ = ["CuSZi", "CompressionStats", "resolve_eb",
@@ -130,8 +130,8 @@ class CuSZi:
                  tune: bool = True, anchor_stride: int | None = None,
                  window_shape: tuple[int, ...] | None = None,
                  use_windows: bool = True, alpha: float | None = None,
-                 beta: float | None = None, huffman_chunk: int = DEFAULT_CHUNK,
-                 pad: bool = False, codebook: str = "dynamic"):
+                 beta: float | None = None, pad: bool = False,
+                 codebook: str = "dynamic"):
         self.eb = float(eb)
         self.mode = mode
         self.lossless = lossless
@@ -142,7 +142,6 @@ class CuSZi:
         self.use_windows = use_windows
         self.alpha = alpha
         self.beta = beta
-        self.huffman_chunk = int(huffman_chunk)
         self.pad = bool(pad)
         if codebook not in ("dynamic", "static"):
             raise ConfigError(f"codebook must be 'dynamic' or 'static', "
@@ -263,7 +262,7 @@ class CuSZi:
             else:
                 lengths = None
             stream = huffman_encode(result.codes, quantizer.n_codes,
-                                    self.huffman_chunk, lengths=lengths)
+                                    lengths=lengths)
             huff_seg = stream.to_bytes()
             sp.set(segment="huffman", segment_nbytes=len(huff_seg),
                    bytes_out=len(huff_seg), codebook=self.codebook)
@@ -280,6 +279,7 @@ class CuSZi:
             "radius": self.radius,
             "n_outliers": int(result.outliers.size),
             "spec": spec.to_meta(),
+            FORMAT_KEY: FORMAT_VERSION,
         }
         with cap.stage("container") as sp:
             inner = build_container(self.name, meta, segments)
@@ -341,7 +341,7 @@ class CuSZi:
             if codec != self.name:
                 raise CodecError(
                     f"blob codec {codec!r} is not {self.name!r}")
-            stream = HuffmanStream.from_bytes(segments["huffman"])
+            stream = read_stream(segments["huffman"], meta)
             dtype, abs_eb, radius, spec = check_stream_header(
                 meta, stream.alphabet_size,
                 extra_keys=("padded_shape", "n_outliers"))

@@ -6,8 +6,9 @@ build (worthwhile because G-Interp concentrates the histogram into few
 entries), and coarse-grained encoding where each thread block owns a fixed
 chunk of symbols and writes an independently decodable bitstream.
 
-The NumPy transcription keeps exactly that structure: chunks are encoded
-into byte-aligned payloads via one vectorized variable-length bit scatter
+The NumPy transcription keeps that structure, with chunks cut at a fixed
+bit budget (gap arrays) so every chunk carries the same decode work:
+the stream is encoded via one vectorized variable-length bit scatter
 (:func:`repro.common.bitpack.pack_varbits64` — a 64-bit word scatter-OR
 driven by a packed code/length pair gather), and decoded by stepping all
 chunks *simultaneously* — each batched advance probes a multi-symbol
@@ -39,7 +40,11 @@ from repro.huffman.codec import (
     huffman_encode,
     huffman_decode,
     HuffmanStream,
-    DEFAULT_CHUNK,
+    HuffmanStreamV1,
+    read_stream,
+    DEFAULT_CHUNK_BITS,
+    FORMAT_KEY,
+    FORMAT_VERSION,
     PROBE_WIDTHS,
     choose_probe_bits,
 )
@@ -70,7 +75,11 @@ __all__ = [
     "huffman_encode",
     "huffman_decode",
     "HuffmanStream",
-    "DEFAULT_CHUNK",
+    "HuffmanStreamV1",
+    "read_stream",
+    "DEFAULT_CHUNK_BITS",
+    "FORMAT_KEY",
+    "FORMAT_VERSION",
     "PROBE_WIDTHS",
     "choose_probe_bits",
     "static_lengths",

@@ -1,15 +1,19 @@
 """Coarse-grained chunked Huffman encode/decode (paper §VI-A).
 
-Encoding mirrors the cuSZ GPU encoder: the symbol stream is split into
-fixed-size chunks (one per thread block on the GPU); every chunk's bitstream
-starts on a byte boundary, and per-chunk bit lengths are recorded so chunks
-are independently decodable.
+Chunks are independently decodable, as in the cuSZ GPU encoder, but they
+are cut at a fixed *bit* budget rather than a fixed symbol count: the
+payload is one plain concatenated bitstream, and chunk ``k`` holds the
+codewords whose start bit lies in ``[k*B, (k+1)*B)``. The chunk table
+keeps each chunk's symbol count and its *gap* — the offset of its first
+codeword from ``k*B`` — so every chunk carries ``B ± 15`` bits and every
+decode lane finishes in about the same number of steps (the gap-array
+layout of Yamamoto et al., ICPP 2020).
 
 * **Encode** is chunk-vectorized end to end. It gathers one packed
   ``(code, length)`` 64-bit pair per symbol, derives every codeword's
-  absolute bit offset from an exclusive prefix sum of the gathered
-  lengths (rebased per chunk to the byte-aligned chunk starts), and emits
-  the whole stream through one
+  absolute bit offset from one exclusive prefix sum of the gathered
+  lengths, reads the chunk table off those offsets with one
+  ``searchsorted``, and emits the whole stream through one
   :func:`repro.common.bitpack.pack_varbits64` scatter-OR into 64-bit
   output words — the exact mirror of the decode-side window gather.
   Dynamic codebooks are resolved through
@@ -17,13 +21,19 @@ are independently decodable.
   timestep streams skip the tree build and prewarm the decode LUT.
 * **Decode** steps all chunks simultaneously. Each outer step gathers one
   64-bit window per chunk and then chains multi-symbol LUT probes inside
-  it: each probe reads the next ``K`` bits and emits every complete
-  codeword they contain in a single gather, falling back to the flat
-  ``MAX_CODE_LEN`` table only for the rare codeword wider than the probe.
-  ``K`` is chosen per stream (:func:`choose_probe_bits`): a narrow LUT
-  builds several times faster than the full-width one, which a recurring
-  codebook is promoted to.
+  it: each probe reads the next ``K`` bits and yields every complete
+  codeword they contain, falling back to the flat ``MAX_CODE_LEN`` table
+  only for the rare codeword wider than the probe. Steps record only
+  ``(probe, emit count)`` per lane; read chunk by chunk those records
+  are in output order, so the symbols are expanded after the loop by one
+  row gather and one boolean compaction. ``K`` is chosen per stream
+  (:func:`choose_probe_bits`): a narrow LUT builds several times faster
+  than the full-width one, which a recurring codebook is promoted to.
 
+Streams written before the gap-array layout (version 1: fixed-count,
+byte-aligned chunks) still decode through the same core; only their
+table validation (:meth:`HuffmanStreamV1.layout`) differs. The container
+meta key :data:`FORMAT_KEY` names the version (:func:`read_stream`).
 The one-codeword-per-lookup decoder and the byte-plane encoder in
 ``tests/oracles.py`` are the references the equivalence suites compare
 this codec against byte for byte.
@@ -34,6 +44,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,22 +58,135 @@ from repro.huffman.histogram import histogram
 from repro.huffman.tree import fingerprint_code_lengths
 
 __all__ = ["huffman_encode", "huffman_decode", "HuffmanStream",
-           "choose_probe_bits", "PROBE_WIDTHS", "DEFAULT_CHUNK"]
+           "HuffmanStreamV1", "read_stream", "section_bounds",
+           "choose_probe_bits",
+           "PROBE_WIDTHS", "DEFAULT_CHUNK_BITS", "FORMAT_KEY",
+           "FORMAT_VERSION"]
 
-#: default symbols per chunk for new streams. 256 (was 2048) widens the
-#: chunk-parallel front the batched LUT decoder advances over by 8x —
-#: the decode wall scales with symbols-per-chunk, not stream length —
-#: at the cost of 4 bytes of chunk table per extra chunk (~2% of a
-#: typical 64**3 container before the orchestrator losslessly packs the
-#: highly regular chunk table back down). Streams self-describe their
-#: chunk size, so any chunk size remains decodable.
-DEFAULT_CHUNK = 256
-_HDR = struct.Struct("<QIIII")  # n_symbols, alphabet, chunk_size, n_chunks, crc32
+#: default chunk bit budget ``B`` of new streams. A 1024-bit chunk holds
+#: ~700 symbols of a typical 1.5 bit/symbol quant-code stream, so the
+#: 3-byte chunk table is ~0.3% of the payload, and a full-width decode
+#: lane finishes a chunk in ~23 steps.
+DEFAULT_CHUNK_BITS = 1024
+#: the largest budget whose per-chunk symbol count always fits the u16
+#: count column (a chunk holds at most ``B`` codeword starts)
+MAX_CHUNK_BITS = 0xFFFF
+#: stream version :func:`huffman_encode` writes
+FORMAT_VERSION = 2
+#: container-meta key recording the Huffman stream version of a blob's
+#: ``huffman`` segment; a blob without it holds a version-1 stream
+FORMAT_KEY = "huffman_format"
+
+# n_symbols, alphabet, chunk_bits, n_chunks, total_bits, crc32
+_HDR = struct.Struct("<QIIIQI")
+# n_symbols, alphabet, chunk_size, n_chunks, crc32
+_HDR_V1 = struct.Struct("<QIIII")
+
+
+def _table_crc(counts: np.ndarray, gaps: np.ndarray,
+               payload: np.ndarray) -> int:
+    """CRC-32 over the chunk table and the payload, in stream order."""
+    crc = zlib.crc32(np.ascontiguousarray(counts, dtype="<u2"))
+    crc = zlib.crc32(np.ascontiguousarray(gaps, dtype=np.uint8), crc)
+    return zlib.crc32(np.ascontiguousarray(payload), crc)
 
 
 @dataclass
 class HuffmanStream:
-    """A serialized chunked-Huffman stream."""
+    """A serialized gap-array Huffman stream (format version 2)."""
+
+    HEADER: ClassVar[struct.Struct] = _HDR
+
+    n_symbols: int
+    alphabet_size: int
+    chunk_bits: int          # bit budget B: chunk k starts in [k*B, (k+1)*B)
+    lengths: np.ndarray      # uint8[alphabet] canonical code lengths
+    counts: np.ndarray       # uint16[n_chunks] symbols per chunk
+    gaps: np.ndarray         # uint8[n_chunks] first codeword's offset from k*B
+    total_bits: int          # payload bits (the rest of the last byte is 0)
+    payload: np.ndarray      # uint8, one concatenated MSB-first bitstream
+    crc32: int = 0           # checksum of counts, gaps and payload
+
+    @property
+    def n_chunks(self) -> int:
+        return int(self.counts.size)
+
+    def to_bytes(self) -> bytes:
+        head = self.HEADER.pack(self.n_symbols, self.alphabet_size,
+                                self.chunk_bits, self.n_chunks,
+                                self.total_bits, self.crc32)
+        return (head + self.lengths.astype(np.uint8).tobytes()
+                + self.counts.astype("<u2").tobytes()
+                + self.gaps.astype(np.uint8).tobytes()
+                + self.payload.tobytes())
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "HuffmanStream":
+        if len(blob) < cls.HEADER.size:
+            raise CorruptStreamError("truncated Huffman stream header")
+        n_symbols, alphabet, chunk_bits, n_chunks, total_bits, crc = \
+            cls.HEADER.unpack_from(blob, 0)
+        pos = cls.HEADER.size
+        if len(blob) < pos + alphabet + 3 * n_chunks:
+            raise CorruptStreamError("truncated Huffman stream tables")
+        lengths = np.frombuffer(blob, np.uint8, alphabet, pos)
+        pos += alphabet
+        counts = np.frombuffer(blob, "<u2", n_chunks, pos)
+        pos += 2 * n_chunks
+        gaps = np.frombuffer(blob, np.uint8, n_chunks, pos)
+        pos += n_chunks
+        payload = np.frombuffer(blob, np.uint8, offset=pos)
+        return cls(n_symbols=n_symbols, alphabet_size=alphabet,
+                   chunk_bits=chunk_bits, lengths=lengths, counts=counts,
+                   gaps=gaps, total_bits=total_bits, payload=payload,
+                   crc32=crc)
+
+    @property
+    def nbytes(self) -> int:
+        return (self.HEADER.size + self.lengths.size + 3 * self.n_chunks
+                + self.payload.size)
+
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(counts, start bits, end bits)`` per chunk.
+
+        Only O(table) work happens before the CRC, and nothing is sized
+        from the header's scalars: the budget must admit a non-empty,
+        u16-countable chunk; the chunk count and payload size must follow
+        from ``total_bits``; the CRC must cover table and payload; the
+        first gap must be 0 and every gap below ``MAX_CODE_LEN`` (a gap
+        is the tail of a codeword begun in the previous chunk); and the
+        counts must sum to the header's symbol count.
+        """
+        budget, n_chunks = self.chunk_bits, self.n_chunks
+        if not MAX_CODE_LEN <= budget <= MAX_CHUNK_BITS:
+            raise CorruptStreamError(
+                f"chunk bit budget {budget} outside "
+                f"[{MAX_CODE_LEN}, {MAX_CHUNK_BITS}]")
+        if n_chunks != -(-self.total_bits // budget):
+            raise CorruptStreamError(
+                "chunk count inconsistent with the stream's bit count")
+        if self.payload.size != -(-self.total_bits // 8):
+            raise CorruptStreamError("payload size mismatch")
+        if _table_crc(self.counts, self.gaps, self.payload) != self.crc32:
+            raise CorruptStreamError("Huffman stream checksum mismatch")
+        gaps = self.gaps.astype(np.int64)
+        if n_chunks and (gaps[0] != 0 or int(gaps.max()) >= MAX_CODE_LEN):
+            raise CorruptStreamError("chunk gap outside the codeword reach")
+        counts = self.counts.astype(np.int64)
+        if int(counts.sum()) != self.n_symbols:
+            raise CorruptStreamError(
+                "chunk symbol counts inconsistent with symbol count")
+        starts = np.arange(n_chunks, dtype=np.int64) * budget + gaps
+        ends = np.append(starts[1:], self.total_bits)
+        return counts, starts, ends
+
+
+@dataclass
+class HuffmanStreamV1:
+    """A version-1 stream: fixed ``chunk_size``-symbol chunks, each
+    starting on a byte boundary. Read only; new streams are version 2."""
+
+    HEADER: ClassVar[struct.Struct] = _HDR_V1
 
     n_symbols: int
     alphabet_size: int
@@ -70,38 +194,87 @@ class HuffmanStream:
     lengths: np.ndarray      # uint8[alphabet] canonical code lengths
     chunk_bits: np.ndarray   # uint32[n_chunks] payload bits per chunk
     payload: np.ndarray      # uint8, concatenated byte-aligned chunks
-    crc32: int = 0           # checksum of the payload (corruption guard)
+    crc32: int = 0           # checksum of the payload
 
-    def to_bytes(self) -> bytes:
-        head = _HDR.pack(self.n_symbols, self.alphabet_size,
-                         self.chunk_size, int(self.chunk_bits.size),
-                         self.crc32)
-        return (head + self.lengths.astype(np.uint8).tobytes()
-                + self.chunk_bits.astype(np.uint32).tobytes()
-                + self.payload.tobytes())
+    @property
+    def n_chunks(self) -> int:
+        return int(self.chunk_bits.size)
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "HuffmanStream":
-        if len(blob) < _HDR.size:
+    def from_bytes(cls, blob: bytes) -> "HuffmanStreamV1":
+        if len(blob) < cls.HEADER.size:
             raise CorruptStreamError("truncated Huffman stream header")
         n_symbols, alphabet, chunk_size, n_chunks, crc = \
-            _HDR.unpack_from(blob, 0)
-        pos = _HDR.size
+            cls.HEADER.unpack_from(blob, 0)
+        pos = cls.HEADER.size
         if len(blob) < pos + alphabet + 4 * n_chunks:
             raise CorruptStreamError("truncated Huffman stream tables")
         lengths = np.frombuffer(blob, np.uint8, alphabet, pos)
         pos += alphabet
-        chunk_bits = np.frombuffer(blob, np.uint32, n_chunks, pos)
+        chunk_bits = np.frombuffer(blob, "<u4", n_chunks, pos)
         pos += 4 * n_chunks
         payload = np.frombuffer(blob, np.uint8, offset=pos)
         return cls(n_symbols=n_symbols, alphabet_size=alphabet,
                    chunk_size=chunk_size, lengths=lengths,
                    chunk_bits=chunk_bits, payload=payload, crc32=crc)
 
-    @property
-    def nbytes(self) -> int:
-        return (_HDR.size + self.lengths.size + 4 * self.chunk_bits.size
-                + self.payload.size)
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(counts, start bits, end bits)`` per chunk, derived
+        from the symbol-count chunking and the per-chunk bit table."""
+        n, chunk_size, n_chunks = self.n_symbols, self.chunk_size, \
+            self.n_chunks
+        if chunk_size < 1:
+            raise CorruptStreamError("chunk size must be >= 1")
+        if n_chunks != -(-n // chunk_size):
+            raise CorruptStreamError(
+                "chunk count inconsistent with symbol count")
+        if zlib.crc32(np.ascontiguousarray(self.payload)) != self.crc32:
+            raise CorruptStreamError("Huffman payload checksum mismatch")
+        bits = self.chunk_bits.astype(np.int64)
+        byte_off = np.concatenate(([0], np.cumsum(-(-bits // 8))))
+        if int(byte_off[-1]) != self.payload.size:
+            raise CorruptStreamError("payload size mismatch")
+        counts = np.full(n_chunks, chunk_size, dtype=np.int64)
+        counts[-1] = n - chunk_size * (n_chunks - 1)
+        starts = byte_off[:-1] * 8
+        return counts, starts, starts + bits
+
+
+#: Huffman stream classes by the version :data:`FORMAT_KEY` records
+_VERSIONS = {1: HuffmanStreamV1, 2: HuffmanStream}
+
+
+def _stream_class(meta: dict):
+    """The stream class of the version a container's ``meta`` records
+    (:data:`FORMAT_KEY`; absent means version 1)."""
+    if not isinstance(meta, dict):
+        raise CorruptStreamError("header metadata is not a JSON object")
+    version = meta.get(FORMAT_KEY, 1)
+    cls = _VERSIONS.get(version) if type(version) is int else None
+    if cls is None:
+        raise CorruptStreamError(
+            f"unknown Huffman stream version {version!r}")
+    return cls
+
+
+def read_stream(blob: bytes, meta: dict) -> HuffmanStream | HuffmanStreamV1:
+    """Parse a container's ``huffman`` segment at the version its
+    ``meta`` records."""
+    return _stream_class(meta).from_bytes(blob)
+
+
+def section_bounds(blob, meta: dict) -> tuple[int, int] | None:
+    """Byte offsets ``(head_end, table_end)`` that split a container's
+    serialized ``huffman`` segment into header plus code lengths, chunk
+    table and payload, at the version its ``meta`` records; ``None``
+    when the segment does not parse."""
+    try:
+        cls = _stream_class(meta)
+        stream = cls.from_bytes(blob)
+    except CorruptStreamError:
+        return None
+    return (cls.HEADER.size + stream.alphabet_size,
+            len(blob) - stream.payload.size)
 
 
 # below this symbol count the whole bit-offset computation fits uint32
@@ -110,51 +283,47 @@ class HuffmanStream:
 _NARROW_LAYOUT_SYMBOLS = ((1 << 32) - 64) // MAX_CODE_LEN
 
 
-def _chunk_layout(sym_len: np.ndarray, n: int, chunk_size: int):
-    """Per-chunk bit counts and byte-aligned per-symbol bit offsets.
+def _chunk_layout(sym_len: np.ndarray, chunk_bits: int):
+    """Every codeword's bit offset plus the gap-array chunk table.
 
-    Chunk boundaries, padding, and every codeword's landing position are
-    decided here; the emitter only scatters bits to these positions.
-    The offset arithmetic is exact in either dtype; uint32 is chosen
-    whenever the stream's total bit count cannot overflow it, and the
-    cumulative-sum buffer is reused in place for the exclusive scan and
-    the rebased positions so only two full-size arrays are ever live.
+    Returns ``(offsets, total_bits, counts, gaps)``. The offsets are one
+    exclusive prefix sum of the codeword lengths, in uint32 whenever the
+    stream's bit count cannot overflow it, computed in place so only one
+    full-size array is live. Chunk ``k``'s first codeword is the first
+    offset ``>= k*B``; the offsets are sorted, so one ``searchsorted``
+    over the chunk bounds yields the whole table. Every ``B``-bit window
+    inside the stream holds a codeword start (no codeword is longer than
+    ``MAX_CODE_LEN <= B``), so only the last chunk can be empty; its gap
+    then reaches ``total_bits``.
     """
-    n_chunks = -(-n // chunk_size)
-    bounds = np.arange(0, n_chunks * chunk_size, chunk_size)
-    ends = np.minimum(bounds + chunk_size, n)
+    n = sym_len.size
     acc = np.uint32 if n <= _NARROW_LAYOUT_SYMBOLS else np.int64
-
-    cum = np.cumsum(sym_len, dtype=acc)        # inclusive bit scan
-    end_bits = cum[ends - 1].astype(np.int64)
-    np.subtract(cum, sym_len, out=cum, casting="unsafe")
-    chunk_first = cum[bounds].astype(np.int64)  # first symbol's offset
-    chunk_bits = (end_bits - chunk_first).astype(np.uint32)
-    chunk_bytes = -(-chunk_bits.astype(np.int64) // 8)
-    chunk_byte_off = np.concatenate(([0], np.cumsum(chunk_bytes)))
-
-    # rebase global bit offsets to chunk-local byte-aligned positions:
-    # the adjustment (chunk_byte_off*8 - chunk_first) is constant within
-    # a chunk (and non-negative, since byte alignment only adds padding),
-    # so repeat each chunk's adjustment across its symbols
-    adj = (chunk_byte_off[:-1] * 8 - chunk_first).astype(acc)
-    np.add(cum, np.repeat(adj, ends - bounds), out=cum, casting="unsafe")
-    return chunk_bits, cum, int(chunk_byte_off[-1]), n_chunks
+    pos = np.cumsum(sym_len, dtype=acc)        # inclusive bit scan
+    total_bits = int(pos[-1])
+    np.subtract(pos, sym_len, out=pos, casting="unsafe")
+    bounds = np.arange(0, total_bits, chunk_bits, dtype=np.int64)
+    first = np.searchsorted(pos, bounds.astype(acc))
+    counts = np.diff(first, append=n).astype(np.uint16)
+    first_bit = pos[np.minimum(first, n - 1)].astype(np.int64)
+    first_bit[first == n] = total_bits
+    gaps = (first_bit - bounds).astype(np.uint8)
+    return pos, total_bits, counts, gaps
 
 
 def huffman_encode(codes: np.ndarray, alphabet_size: int,
-                   chunk_size: int = DEFAULT_CHUNK,
+                   chunk_bits: int = DEFAULT_CHUNK_BITS,
                    lengths: np.ndarray | None = None) -> HuffmanStream:
-    """Encode a symbol stream into a chunked canonical Huffman stream.
+    """Encode a symbol stream into a gap-array canonical Huffman stream.
 
-    Passing prebuilt ``lengths`` (see :mod:`repro.huffman.static`) skips
-    the histogram and tree build — the paper's §VI-A speed direction — at
-    the cost of a slightly suboptimal code. A dynamic codebook that hits
-    the fingerprint cache also starts its decode LUT build in the
-    background.
+    ``chunk_bits`` is the chunk bit budget ``B``. Passing prebuilt
+    ``lengths`` (see :mod:`repro.huffman.static`) skips the histogram and
+    tree build — the paper's §VI-A speed direction — at the cost of a
+    slightly suboptimal code. A dynamic codebook that hits the
+    fingerprint cache also starts its decode LUT build in the background.
     """
-    if chunk_size < 1:
-        raise CodecError("chunk size must be >= 1")
+    if not MAX_CODE_LEN <= chunk_bits <= MAX_CHUNK_BITS:
+        raise CodecError(f"chunk bit budget must be in "
+                         f"[{MAX_CODE_LEN}, {MAX_CHUNK_BITS}]")
     codes = np.asarray(codes, dtype=np.uint32).ravel()
     n = codes.size
     with telemetry.span("huffman.codebook", n_symbols=n,
@@ -173,10 +342,10 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                     "static codebook lacks a code for a symbol")
         codebook = canonical_codebook(lengths)
     if n == 0:
-        return HuffmanStream(0, alphabet_size, chunk_size,
+        return HuffmanStream(0, alphabet_size, chunk_bits,
                              lengths.astype(np.uint8),
-                             np.empty(0, np.uint32), np.empty(0, np.uint8),
-                             crc32=0)
+                             np.empty(0, np.uint16), np.empty(0, np.uint8),
+                             0, np.empty(0, np.uint8), crc32=0)
 
     with telemetry.span("huffman.pack", n_symbols=n) as sp:
         # one packed pair per alphabet symbol: MSB-aligned codeword in
@@ -190,21 +359,20 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
             np.uint64(0))
         g = pair64[codes]
         sym_len = g.astype(np.uint8)   # truncation keeps the low byte
-        chunk_bits, pos, total_bytes, n_chunks = \
-            _chunk_layout(sym_len, n, chunk_size)
+        pos, total_bits, counts, gaps = _chunk_layout(sym_len, chunk_bits)
         g &= np.uint64(0xFFFFFFFFFFFFFF00)  # strip lengths in place
-        payload = pack_varbits64(g, sym_len, pos, total_bytes)
-        sp.set(bytes_out=int(payload.size), n_chunks=int(n_chunks))
+        payload = pack_varbits64(g, sym_len, pos, -(-total_bits // 8))
+        sp.set(bytes_out=int(payload.size), n_chunks=int(counts.size))
     return HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
-                         chunk_size=chunk_size,
-                         lengths=lengths.astype(np.uint8),
-                         chunk_bits=chunk_bits, payload=payload,
-                         crc32=zlib.crc32(payload.tobytes()))
+                         chunk_bits=chunk_bits,
+                         lengths=lengths.astype(np.uint8), counts=counts,
+                         gaps=gaps, total_bits=total_bits, payload=payload,
+                         crc32=_table_crc(counts, gaps, payload))
 
 
-def huffman_decode(stream: HuffmanStream, *,
+def huffman_decode(stream: HuffmanStream | HuffmanStreamV1, *,
                    probe_bits: int | None = None) -> np.ndarray:
-    """Decode a :class:`HuffmanStream` back into its uint32 symbol array.
+    """Decode a Huffman stream (either version) into its uint32 symbols.
 
     Raises :class:`~repro.common.errors.CorruptStreamError` on a corrupt
     stream. The probe width is picked per stream
@@ -212,50 +380,40 @@ def huffman_decode(stream: HuffmanStream, *,
     ``huffman.unpack`` span records the width used and the LUT outcome:
     ``hit`` (cached), ``built`` (cold build) or ``promoted`` (a cached
     narrow LUT reused, full-width build started in the background); an
-    empty stream uses no LUT and records ``none`` at width 0.
+    empty stream uses no LUT and records ``none`` at width 0. It also
+    records the decode loop's shape: ``n_chunks`` lanes ran ``steps``
+    window steps, and ``records_kept`` probe records emitted symbols — a
+    straggler-bound decode shows many steps, a replay-bound one many
+    records per symbol.
     """
     with telemetry.span("huffman.unpack", n_symbols=stream.n_symbols,
                         bytes_in=int(stream.payload.size)) as sp:
-        out, width, outcome = _decode_lut(stream, probe_bits)
-        sp.set(probe_bits=width, lut=outcome)
+        out, width, outcome, shape = _decode_lut(stream, probe_bits)
+        sp.set(probe_bits=width, lut=outcome, **shape)
         return out
 
 
-def _decode_prepare(stream: HuffmanStream):
+def _decode_prepare(stream: HuffmanStream | HuffmanStreamV1):
     """Stream validation + per-chunk cursor state for the decoder.
 
     Everything sized from the header is checked here, before the decoder
-    allocates its output: the symbol count is outside the CRC, so
-    each chunk's bit budget must be reachable by its symbol count at the
-    stream's shortest and longest code lengths.
+    allocates its output. Each version derives its chunk symbol counts
+    and bit spans (:meth:`HuffmanStream.layout`); then each chunk's span
+    must be reachable by its symbol count at the stream's shortest and
+    longest code lengths. Returns ``(padded payload, counts, start bits,
+    end bits)``.
     """
-    n = stream.n_symbols
-    chunk_size = stream.chunk_size
-    if chunk_size < 1:
-        raise CorruptStreamError("chunk size must be >= 1")
-    n_chunks = int(stream.chunk_bits.size)
-    if n_chunks != -(-n // chunk_size):
-        raise CorruptStreamError("chunk count inconsistent with symbol count")
+    counts, bitpos, bit_end = stream.layout()
     used = stream.lengths[stream.lengths > 0]
     if used.size == 0:
         raise CorruptStreamError("Huffman stream has no codewords")
-    counts = np.full(n_chunks, chunk_size, dtype=np.int64)
-    counts[-1] = n - chunk_size * (n_chunks - 1)
-    chunk_bits = stream.chunk_bits.astype(np.int64)
-    if np.any(chunk_bits < counts * int(used.min())) \
-            or np.any(chunk_bits > counts * int(used.max())):
+    bits = bit_end - bitpos
+    if np.any(bits < counts * int(used.min())) \
+            or np.any(bits > counts * int(used.max())):
         raise CorruptStreamError(
             "chunk bit counts inconsistent with symbol count")
-    if zlib.crc32(np.ascontiguousarray(stream.payload).tobytes()) \
-            != stream.crc32:
-        raise CorruptStreamError("Huffman payload checksum mismatch")
-    chunk_byte_off = np.concatenate(([0], np.cumsum(-(-chunk_bits // 8))))
-    if int(chunk_byte_off[-1]) != stream.payload.size:
-        raise CorruptStreamError("payload size mismatch")
     # pad so window gathers never read past the end
     pay = np.concatenate([stream.payload, np.zeros(8, np.uint8)])
-    bitpos = chunk_byte_off[:-1] * 8
-    bit_end = bitpos + chunk_bits
     return pay, counts, bitpos, bit_end
 
 
@@ -263,13 +421,18 @@ def _decode_prepare(stream: HuffmanStream):
 PROBE_WIDTHS = (12, 13, 14, MAX_CODE_LEN)
 
 # Cold-decode cost model (ms), calibrated on a 2-CPU x86-64 VM with
-# NumPy 2.4 over real pipeline streams of 65k-883k symbols (chunk 256):
+# NumPy 2.4 over real pipeline streams of 65k-883k symbols (version-1
+# streams, 256-symbol chunks):
 # - LUT build: ~0.9 ms fixed (flat table) plus _BUILD_MS_PER_ROW per
 #   probe row, i.e. 1.5 ms at K=12, 3.0 at K=14 and 11.5 at K=16;
 # - narrow-probe penalty over a full-width decode: every codeword wider
 #   than K idles its chunk lane for the rest of a 64-bit window, so the
 #   penalty scales with the share of such codewords, p(K), as
 #   p(K) * (_STALL_MS + _STALL_MS_PER_SYMBOL * n_symbols).
+# On version-2 streams the measured penalty is 2-3x this model, but a
+# refit (which picks wider, larger LUTs) did not lower archive-mixed
+# decompress_ms_p50 beyond noise and raised its peak RSS ~6%, so the
+# constants stay.
 _BUILD_MS_PER_ROW = 1.62e-4
 _STALL_MS = 89.0
 _STALL_MS_PER_SYMBOL = 3.9e-4
@@ -318,31 +481,47 @@ def _lut_for(stream: HuffmanStream, probe_bits: int | None):
     return probe_bits, outcome, lut
 
 
-def _decode_lut(stream: HuffmanStream, probe_bits: int | None = None
-                ) -> tuple[np.ndarray, int, str]:
+#: probe records one replay block spans (chunks x record columns): its
+#: row gather is ~256 KiB at the full-width LUT's 16 uint16 symbols
+_REPLAY_RECORDS = 8192
+
+
+def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
+                probe_bits: int | None = None
+                ) -> tuple[np.ndarray, int, str, dict]:
     """Chunk-parallel multi-symbol LUT decode.
 
-    Returns ``(symbols, probe width, LUT outcome)`` (see
-    :func:`_lut_for`). One batched advance per step: every still-active
-    chunk gathers the 64-bit big-endian window at its bit cursor and
-    chains ``(64 - 7) // K`` probes of the next ``K`` bits through the
+    Returns ``(symbols, probe width, LUT outcome, loop shape)`` (see
+    :func:`_lut_for`; the shape dict holds ``steps``, ``n_chunks`` and
+    ``records_kept``). One batched advance per step: every chunk lane
+    gathers the 64-bit big-endian window at its bit cursor and chains
+    ``(64 - 7) // K`` probes of the next ``K`` bits through the
     multi-symbol LUT, advancing by every complete codeword each probe
     contained (after ``<= 7`` alignment bits every chained probe still
-    fits the window, so no slot needs a feasibility mask). A probe whose
-    first codeword is wider than ``K`` emits nothing and advances by
-    nothing, so its lane idles for the rest of the word; only after the
-    slot loop do the idle lanes take one flat-table step, off the
-    per-slot critical ops. A full-width probe never idles on a valid
-    stream, so there an idle lane means an invalid codeword. Symbol
-    *emission* is deferred: steps only record ``(probe row, output
-    start, emit count)`` triples, and one ragged scatter at the end
-    expands every probe of every step into the output array — so
-    per-step cost is a handful of width-``n_chunks`` gathers and wall
-    time scales with the longest chunk, not the sum of chunk lengths.
+    fits the window, so no slot needs a feasibility mask). A drained lane
+    keeps stepping with zero emits; chunks carry about the same bit count,
+    so few lanes idle that way. A probe whose first codeword is wider than
+    ``K`` emits nothing and advances by nothing, so its lane idles for the
+    rest of the word; only after the slot loop do the idle lanes take one
+    flat-table step, off the per-slot critical ops. A full-width probe
+    never idles on a valid stream, so there an idle lane means an invalid
+    codeword.
+
+    Symbol *emission* is deferred: each slot only records one
+    ``(probe, emit count)`` column across all lanes (a flat-table step
+    takes over its idle lane's empty last-slot record, storing the
+    symbol as the negative probe ``~symbol``). Stacked chunk
+    by chunk, those records are in output order, since chunks are
+    consecutive in the output and each lane's records are in stream
+    order. The replay drops the zero-emit records, gathers each kept
+    probe's LUT row, and keeps each row's emitted prefix through a
+    per-emit-count mask — one boolean compaction into the output per
+    block of chunks.
     """
     n = stream.n_symbols
     if n == 0:
-        return np.empty(0, dtype=np.uint32), 0, "none"
+        return (np.empty(0, dtype=np.uint32), 0, "none",
+                {"steps": 0, "n_chunks": 0, "records_kept": 0})
     pay, counts, bitpos, bit_end = _decode_prepare(stream)
     probe_bits, outcome, (lut_count, lut_cum, lut_syms) = \
         _lut_for(stream, probe_bits)
@@ -361,33 +540,28 @@ def _decode_lut(stream: HuffmanStream, probe_bits: int | None = None
     slots = (64 - 7) // probe_bits
     last_byte = pay.size - 8
 
-    base = np.arange(n_chunks, dtype=np.int64) * stream.chunk_size
-    decoded = np.zeros(n_chunks, dtype=np.int64)
-    active = np.arange(n_chunks)
-    probes, starts, emits = [], [], []      # LUT probes, replayed at the end
-    fb_wins, fb_starts = [], []             # flat-table fallback singles
-    while active.size:
-        bp = bitpos[active]
-        byte = np.minimum(bp >> 3, last_byte)  # drift-safe gather
+    rem = counts.astype(np.uint32)   # holds any v1 or v2 chunk count
+    probes, emits = [], []          # one record column per slot
+    steps = 0
+    while rem.any():
+        steps += 1
+        byte = np.minimum(bitpos >> 3, last_byte)  # drift-safe gather
         # big-endian *signed* view: arithmetic shift then mask extracts
         # the same bit field a logical shift would, without uint64
         # mixed-dtype shift headaches
         word = windows8[byte].view(">i8").ravel().astype(np.int64)
-        off0 = bp & 7
-        off = off0.copy()                    # bit cursor within the word
-        here = base[active] + decoded[active]
-        rem = counts[active] - decoded[active]
+        # shift that brings the next probe to the low bits: each slot
+        # lowers it by the bits its probe consumed
+        sh0 = (64 - probe_bits) - (bitpos & 7)
+        sh = sh0.copy()
         for _ in range(slots):
-            probe = (word >> (64 - probe_bits - off)) & kmask
+            probe = (word >> sh) & kmask
             raw = lut_count[probe]
             emit = np.minimum(raw, rem)
-            adv = cum_flat[probe * cstride + emit]
-            probes.append(probe)
-            starts.append(here.copy())
-            emits.append(emit)
-            off += adv
-            here += emit
+            sh -= cum_flat[probe * cstride + emit]
             rem -= emit
+            probes.append(probe)
+            emits.append(emit)
         # a lane idled (its last probe held no complete codeword) iff its
         # first idle probe recurred through the remaining slots
         idle = np.flatnonzero((raw == 0) & (rem > 0))
@@ -397,44 +571,48 @@ def _decode_lut(stream: HuffmanStream, probe_bits: int | None = None
                     "corrupt Huffman payload (invalid codeword)")
             # one flat-table step per idle lane, from a fresh gather at
             # its cursor (the rest of the word may be too short for it)
-            cur = bp[idle] + (off[idle] - off0[idle])
+            cur = bitpos[idle] + (sh0[idle] - sh[idle])
             fw = windows8[np.minimum(cur >> 3, last_byte)] \
                 .view(">i8").ravel().astype(np.int64)
             win = (fw >> (64 - MAX_CODE_LEN - (cur & 7))) & fmask
-            ln = table_len[win].astype(np.int64)
+            ln = table_len[win]
             if np.any(ln == 0):
                 raise CorruptStreamError(
                     "corrupt Huffman payload (invalid codeword)")
-            fb_wins.append(win)
-            fb_starts.append(here[idle])
-            off[idle] += ln
+            # the idle lane's last-slot record emitted nothing: it
+            # becomes the flat-table step's record
+            probe[idle] = ~table_sym[win].astype(np.int64)
+            emit[idle] = 1
+            sh[idle] -= ln
             rem[idle] -= 1
-        bitpos[active] += off - off0
-        decoded[active] = counts[active] - rem
-        active = active[rem > 0]
+        bitpos += sh0 - sh
     if np.any(bitpos != bit_end):
         raise CorruptStreamError("chunk bit counts do not match decoded "
                                  "stream")
 
+    emits, probes = np.array(emits), np.array(probes)   # (slot, chunk)
+    width = lut_syms.shape[1]
+    prefix = np.arange(width) < np.arange(width + 1)[:, None]
+    first = np.concatenate(([0], np.cumsum(counts)))   # output per chunk
     out = np.empty(n, dtype=np.uint32)
-    pr = np.concatenate(probes)
-    st = np.concatenate(starts)
-    em = np.concatenate(emits)
-    # idle lanes (chunk already drained within the step) record
-    # zero-emit probes; dropping them up front shrinks the ragged
-    # replay below, whose cost scales with the probe count
-    keep = np.flatnonzero(em)
-    pr, st, em = pr[keep], st[keep], em[keep]
-    # ragged replay: per probe p, symbols lut_syms[pr[p], :em[p]]
-    # land at out[st[p]:st[p]+em[p]]. Folding the exclusive prefix
-    # sum into both bases keeps this at two repeats + one arange —
-    # this is the hottest allocation of the whole decode
-    csum = np.cumsum(em)
-    excl = csum - em
-    ranges = np.arange(int(csum[-1]) if em.size else 0, dtype=np.int64)
-    out[np.repeat(st - excl, em) + ranges] = \
-        lut_syms.ravel()[np.repeat(pr * lut_syms.shape[1] - excl, em)
-                         + ranges]
-    if fb_wins:
-        out[np.concatenate(fb_starts)] = table_sym[np.concatenate(fb_wins)]
-    return out, probe_bits, outcome
+    kept = 0
+    # replay a block of chunks at a time, so the row gather and its mask
+    # stay cache-sized however long the stream is
+    block = max(1, _REPLAY_RECORDS // emits.shape[0])
+    for c0 in range(0, n_chunks, block):
+        c1 = min(c0 + block, n_chunks)
+        # chunk-major records are in output order
+        em = emits[:, c0:c1].T.ravel()
+        keep = np.flatnonzero(em)
+        em = em[keep]
+        pr = probes[:, c0:c1].T.ravel()[keep]
+        kept += keep.size
+        # the clip mode maps the flat-table records' negative probes to
+        # row 0, whose first slot is then overwritten with the symbol
+        rows = np.take(lut_syms, pr, axis=0, mode="clip")
+        if narrow:
+            fb = np.flatnonzero(pr < 0)
+            rows[fb, 0] = ~pr[fb]
+        out[first[c0]:first[c1]] = rows[np.take(prefix, em, axis=0)]
+    return out, probe_bits, outcome, {"steps": steps, "n_chunks": n_chunks,
+                                      "records_kept": kept}

@@ -4,7 +4,7 @@ The paper pairs Huffman with a repeated-pattern-canceling lossless pass
 (§VI-B); "Boosting Scientific Error-Bounded Lossy Compression through
 Optimized Synergistic Lossy-Lossless Orchestration" shows the treatment
 should be chosen *per stream*, not once per archive: the Huffman payload,
-the chunk-length table, the anchor grid and the outlier list have wildly
+the chunk table, the anchor grid and the outlier list have wildly
 different statistics, and a codec that pays for one wastes time (or
 ratio) on another.
 
@@ -19,7 +19,7 @@ This module is that orchestration layer:
   that predicts each backend's output size and picks the cheapest one
   that clears its speed gate, *without* trial-encoding losers;
 * a **container-aware splitter** that breaks an ``RPRC`` container into
-  its framing header, the Huffman stream's (head, chunk-length table,
+  its framing header, the Huffman stream's (head, chunk table,
   payload) parts and the side segments; any non-container input is
   orchestrated as a single ``raw`` stream;
 * a **self-describing frame** (``ORC1``) recording the per-stream backend
@@ -34,6 +34,7 @@ above never observe the orchestration.
 
 from __future__ import annotations
 
+import json
 import struct
 import threading
 import weakref
@@ -45,6 +46,7 @@ from repro import telemetry
 from repro.telemetry import caches, recorder
 from repro.common.bitpack import bit_length
 from repro.common.errors import ConfigError, CorruptStreamError
+from repro.huffman.codec import section_bounds
 from repro.lossless.gle import (MIN_RUN, PACK_BLOCK, _as_bytes_view,
                                 gle_compress, gle_decompress)
 
@@ -220,19 +222,15 @@ def backend_names() -> list[str]:
 # -- container-aware stream splitting ---------------------------------------
 
 _CONTAINER_MAGIC = b"RPRC"
-_HUFF_HDR = struct.Struct("<QIIII")   # mirrors repro.huffman.codec._HDR
 
 
-def _split_huffman(name: str, view: memoryview):
+def _split_huffman(name: str, view: memoryview, meta):
     """Split a chunked-Huffman segment at its fixed internal boundaries:
-    header+code lengths, the per-chunk bit-length table, the payload."""
-    if len(view) < _HUFF_HDR.size:
+    header+code lengths, the chunk table, the payload."""
+    bounds = section_bounds(view, meta)
+    if bounds is None:
         return [(name, view)]
-    _n, alphabet, _chunk, n_chunks, _crc = _HUFF_HDR.unpack_from(view, 0)
-    head_end = _HUFF_HDR.size + alphabet
-    table_end = head_end + 4 * n_chunks
-    if table_end > len(view):
-        return [(name, view)]
+    head_end, table_end = bounds
     return [(f"{name}.head", view[:head_end]),
             (f"{name}.chunks", view[head_end:table_end]),
             (f"{name}.payload", view[table_end:])]
@@ -242,7 +240,7 @@ def split_streams(data) -> list[tuple[str, memoryview]]:
     """Break input bytes into independently-treatable streams.
 
     An ``RPRC`` container yields its framing header plus one stream per
-    segment (the Huffman segment further split into head / chunk-length
+    segment (the Huffman segment further split into head / chunk
     table / payload); anything else is one ``raw`` stream. Concatenating
     the stream views always reproduces the input bytes exactly.
     """
@@ -256,6 +254,7 @@ def split_streams(data) -> list[tuple[str, memoryview]]:
         (clen,) = struct.unpack_from("<B", view, pos)
         pos += 1 + clen
         (mlen,) = struct.unpack_from("<I", view, pos)
+        meta = json.loads(bytes(view[pos + 4:pos + 4 + mlen]))
         pos += 4 + mlen
         (nseg,) = struct.unpack_from("<H", view, pos)
         pos += 2
@@ -274,7 +273,7 @@ def split_streams(data) -> list[tuple[str, memoryview]]:
             seg = view[pos:pos + slen]
             pos += slen
             if name == "huffman":
-                streams.extend(_split_huffman(name, seg))
+                streams.extend(_split_huffman(name, seg, meta))
             else:
                 streams.append((name, seg))
         if pos != len(view):
@@ -525,7 +524,7 @@ def orchestrate_compress(data, *, profile: str = "balanced",
             if plan_cache is not None and flags & _ORC_FLAG_EXTCRC:
                 # fingerprint: the framing header determines the segment
                 # table; the Huffman sub-split additionally depends on the
-                # first _HUFF_HDR bytes of each huffman segment, so probe
+                # header and code lengths of each huffman segment, so probe
                 # those too. A probe mismatch just falls back to a cold
                 # pass — and even a hypothetical stale split stays
                 # byte-correct, because decode is ordered concatenation.
@@ -535,8 +534,7 @@ def orchestrate_compress(data, *, profile: str = "balanced",
                 for name, sv in streams:
                     spans.append((pos, pos + len(sv)))
                     if name.endswith(".head"):
-                        probes.append(
-                            (pos, bytes(sv[:_HUFF_HDR.size])))
+                        probes.append((pos, bytes(sv)))
                     pos += len(sv)
                 if len(plan_cache) >= _PLAN_CACHE_MAX:
                     plan_cache.pop(next(iter(plan_cache)))

@@ -13,8 +13,9 @@ emits must match them byte for byte:
 * :func:`decode_loop` — one codeword per flat-table lookup. Oracle for
   the multi-symbol LUT decoder of :mod:`repro.huffman.codec`.
 * :func:`encode_loop` — the byte-plane emitter (:func:`pack_varbits`)
-  over the same codebook and chunk layout. Oracle for the packed-pair
-  word-scatter encoder.
+  over the same codebook, with the gap-array chunk table derived its own
+  way (a ``bincount`` of each codeword's chunk). Oracle for the
+  packed-pair word-scatter encoder and its ``searchsorted`` layout.
 
 Both traversals accept (and ignore) ``plan=`` so they can stand in for
 ``repro.core.pipeline.interp_compress`` / ``interp_decompress``.
@@ -34,10 +35,10 @@ from repro.core.ginterp.engine import (InterpResult, InterpSpec,
 from repro.core.ginterp.plans import (PassDesc, _axis_indices, _class_1d,
                                       _flat_block, pass_plan)
 from repro.core.ginterp.splines import NEIGHBOR_OFFSETS, SPLINE_WEIGHTS
-from repro.huffman import (MAX_CODE_LEN, DEFAULT_CHUNK, HuffmanStream,
+from repro.huffman import (MAX_CODE_LEN, DEFAULT_CHUNK_BITS, HuffmanStream,
                            build_decode_table, canonical_codebook,
                            fingerprint_code_lengths, histogram)
-from repro.huffman.codec import _chunk_layout, _decode_prepare
+from repro.huffman.codec import MAX_CHUNK_BITS, _decode_prepare
 
 
 # -- interpolation traversal -----------------------------------------------
@@ -216,13 +217,13 @@ def pack_varbits(codes: np.ndarray, lengths: np.ndarray,
 
 
 def encode_loop(codes: np.ndarray, alphabet_size: int,
-                chunk_size: int = DEFAULT_CHUNK,
+                chunk_bits: int = DEFAULT_CHUNK_BITS,
                 lengths: np.ndarray | None = None) -> HuffmanStream:
-    """The byte-plane Huffman encoder: the same codebook and chunk layout
-    as :func:`repro.huffman.huffman_encode`, bits emitted through
-    :func:`pack_varbits`."""
-    if chunk_size < 1:
-        raise CodecError("chunk size must be >= 1")
+    """The byte-plane Huffman encoder: the same codebook and stream as
+    :func:`repro.huffman.huffman_encode`, bits emitted through
+    :func:`pack_varbits` and the chunk table counted per chunk."""
+    if not MAX_CODE_LEN <= chunk_bits <= MAX_CHUNK_BITS:
+        raise CodecError("chunk bit budget out of range")
     codes = np.asarray(codes, dtype=np.uint32).ravel()
     n = codes.size
     if lengths is None:
@@ -232,24 +233,36 @@ def encode_loop(codes: np.ndarray, alphabet_size: int,
         lengths = np.asarray(lengths, dtype=np.int64)
     codebook = canonical_codebook(lengths)
     if n == 0:
-        return HuffmanStream(0, alphabet_size, chunk_size,
+        return HuffmanStream(0, alphabet_size, chunk_bits,
                              lengths.astype(np.uint8),
-                             np.empty(0, np.uint32), np.empty(0, np.uint8),
-                             crc32=0)
+                             np.empty(0, np.uint16), np.empty(0, np.uint8),
+                             0, np.empty(0, np.uint8), crc32=0)
     sym_len = lengths[codes]               # int64 per-symbol lengths
-    chunk_bits, pos, total_bytes, n_chunks = \
-        _chunk_layout(sym_len, n, chunk_size)
-    payload = pack_varbits(codebook[codes], sym_len, pos, total_bytes)
+    pos = np.cumsum(sym_len) - sym_len     # every codeword's start bit
+    total_bits = int(pos[-1] + sym_len[-1])
+    n_chunks = -(-total_bits // chunk_bits)
+    # chunk k holds the codewords starting in [k*B, (k+1)*B); its gap is
+    # its first codeword's offset from k*B (an empty last chunk's first
+    # "codeword" is the end of the stream)
+    counts = np.bincount(pos // chunk_bits, minlength=n_chunks)
+    first = np.cumsum(counts) - counts
+    starts = np.append(pos, total_bits)[first]
+    gaps = starts - np.arange(n_chunks) * chunk_bits
+    payload = pack_varbits(codebook[codes], sym_len, pos,
+                           -(-total_bits // 8))
+    counts, gaps = counts.astype(np.uint16), gaps.astype(np.uint8)
+    crc = zlib.crc32(counts.astype("<u2").tobytes() + gaps.tobytes()
+                     + payload.tobytes())
     return HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
-                         chunk_size=chunk_size,
-                         lengths=lengths.astype(np.uint8),
-                         chunk_bits=chunk_bits, payload=payload,
-                         crc32=zlib.crc32(payload.tobytes()))
+                         chunk_bits=chunk_bits,
+                         lengths=lengths.astype(np.uint8), counts=counts,
+                         gaps=gaps, total_bits=total_bits, payload=payload,
+                         crc32=crc)
 
 
-def decode_loop(stream: HuffmanStream) -> np.ndarray:
+def decode_loop(stream) -> np.ndarray:
     """One codeword per flat-table lookup, up to three lookups per
-    64-bit window gather."""
+    64-bit window gather. Takes a stream of either version."""
     n = stream.n_symbols
     if n == 0:
         return np.empty(0, dtype=np.uint32)
@@ -258,17 +271,15 @@ def decode_loop(stream: HuffmanStream) -> np.ndarray:
     n_chunks = counts.size
     table_sym, table_len = build_decode_table(stream.lengths)
 
-    # flat output sized to n (not a padded (n_chunks, chunk_size) matrix):
-    # chunk c's symbols land at c*chunk_size + step, and only the final
-    # chunk is short, so every index stays < n
+    # chunk c's symbols land at (symbols of chunks before c) + step
     out = np.empty(n, dtype=np.uint32)
-    base = np.arange(n_chunks, dtype=np.int64) * stream.chunk_size
+    base = np.cumsum(counts) - counts
     decoded = np.zeros(n_chunks, dtype=np.int64)
     mask = np.uint64((1 << MAX_CODE_LEN) - 1)
     # one 64-bit gather decodes up to K symbols per chunk per step: after
     # the <= 7 alignment bits, 57 bits remain — three <=16-bit codewords
     k_per_step = (64 - 7) // MAX_CODE_LEN
-    active = np.arange(n_chunks)
+    active = np.flatnonzero(counts)     # a last chunk may be empty
     while active.size:
         bp = bitpos[active]
         byte = np.minimum(bp >> 3, pay.size - 8)  # drift-safe gather

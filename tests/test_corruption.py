@@ -109,6 +109,10 @@ _HEADER_VALUES = {
     # a valid radius whose alphabet is not the Huffman stream's
     "radius-mismatch": ("radius", DEFAULT_RADIUS // 2),
     "spec-not-a-dict": ("spec", 8),
+    "huffman_format-3": ("huffman_format", 3),
+    "huffman_format-str": ("huffman_format", "2"),
+    # a version-2 stream read as version 1 must fail its checks
+    "huffman_format-1": ("huffman_format", 1),
 }
 
 
@@ -141,7 +145,7 @@ def _forge_geometry(blob: bytes, forgery: str) -> bytes:
 #: keys only cuSZ-i's header carries
 _CUSZI_KEYS = ("padded_shape", "n_outliers")
 _FORGERIES = ["huge-grid", "overflowing-grid", "short-anchors",
-              "bad-extent", *_HEADER_VALUES,
+              "bad-extent", *_HEADER_VALUES, "missing-huffman_format",
               *(f"missing-{k}" for k in (*HEADER_KEYS, *_CUSZI_KEYS))]
 
 

@@ -26,42 +26,42 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 MODES = {"abs": 1e-3, "rel": 1e-4}
 
 GOLDEN = {
-    "cuszi-1d-f32-abs": "c0aa9dcbe87ed74deaa49d0b5e2e82a64d0e4becdc6ad5d72f029a3438b5bbe3",
-    "cuszi-1d-f32-rel": "ccda8bd2fe4b7050e1dc22479a2e00b374e40e3b741b53a94e892c89abfd285f",
-    "cuszi-1d-f64-abs": "d664950926569ff6d9ba3003ea3819dc9dd33944acbacc74478419d215f2e6bd",
-    "cuszi-1d-f64-rel": "2fe227af541ec6163717f0bfe39e63785bf639df92e7b0da222c48dc5e2bb37f",
-    "cuszi-2d-f32-abs": "3ad23b755afcad57559a6549e07d7c8a44d9d37a3f014133c378fda3828b4ca1",
-    "cuszi-2d-f32-rel": "43ab6a8239815b411863438ecc6f29c35d0fcdd63119e1892345ff6dcc1cf4bd",
-    "cuszi-2d-f64-abs": "f564089f5b6eb2a237aa8c7daf3df7199e964c00ba014dd0e2cd2ebb451db9d4",
-    "cuszi-2d-f64-rel": "6110b84725cb66a3020b81df46c62e6c26528fb8265199c7beeee21029f98217",
-    "cuszi-3d-f32-abs": "9f060f07c0eedaea1d28d8d45fba4b87e02b3cdcee7589282bbb10ab99afe743",
-    "cuszi-3d-f32-rel": "437574fa78f6d1d7a5c56491992d0b5d55cdb59827d124c49fb29385863363fe",
-    "cuszi-3d-f64-abs": "dbd33f388ab1199e4c50d095ecb0b12c49149dc4e8ed669b18c5b717d282be09",
-    "cuszi-3d-f64-rel": "a02419db3cdb84828c7a7888ee8c0b8601a7bddbf6a2fc95677b17a70df07a08",
-    "sz3-1d-f32-abs": "c74d7ce56c4a74786b6042a1fcd315d9df374c2ad48be7858fd68b12c49ee36d",
-    "sz3-1d-f32-rel": "e69ef2bd33deb0269f8de4deb0153bafda444d4f58c6aafa41c2f85c17d58537",
-    "sz3-1d-f64-abs": "3d3fc0fc166886b538d684884023502e0dc29393b930cf0c3ad55cc8785b5ecd",
-    "sz3-1d-f64-rel": "a7c81ad9926c119a1ee86929894d24c638a0c6220bd05f7f8c1cee0e1fcc9168",
-    "sz3-2d-f32-abs": "c315f4fa7cdc72a97ed7d61390798345ede73ed0777e9ee8e838a54709dce484",
-    "sz3-2d-f32-rel": "d2618b09d87828bcf12a7f7fe04545f7cbef23c43665dad53e792c7b352d1184",
-    "sz3-2d-f64-abs": "e60a98c023ce1e2caf27ee66d538e5e8fe5775f38c46d2c1a2e0f468b16a9609",
-    "sz3-2d-f64-rel": "a477b89b14846930fd68a71e85b52a5f331b6c60c02192aee2da48d9c883d92b",
-    "sz3-3d-f32-abs": "340abb44ba0463279241f6dc96357b53c53f960cb700c36b8ec941d884cb02f2",
-    "sz3-3d-f32-rel": "f1970ab5fa336e395cf16ff74e0d56d18bd497904c857d06be7e6eda76370455",
-    "sz3-3d-f64-abs": "f4627e82abe291575daa780b45108f854cfe2d6da1414efc175055205db5300d",
-    "sz3-3d-f64-rel": "5c6e24371f85656a1b9fa53246e96d1de4f9bfabe840395083b8d0725eac1487",
-    "qoz-1d-f32-abs": "9ac3321ac0b127ba2cf039451d7f41de7a0831e9e0fc00450442a8fb3c7be066",
-    "qoz-1d-f32-rel": "b15171f90e4d34bde68edae75fc721e521334194fbd5e0b68d2face3910ec3b3",
-    "qoz-1d-f64-abs": "7bcfa1f396837318ca2df48f5ef672bb045fb27e9a438fa7a35cbf0d5713430e",
-    "qoz-1d-f64-rel": "c38669056f7e662a2e7cb8639532f882a099791a5b11bb5ca7abfbc91d11f6c0",
-    "qoz-2d-f32-abs": "4362371015d1cd53236657c4b02d048d163642c9f951e61319ab90c6c5656dcd",
-    "qoz-2d-f32-rel": "222163e55479093d90f60004c17c5f615343bd81e94321d23567546ff3fe1005",
-    "qoz-2d-f64-abs": "c68cc0fa0d2cb38ad2cb9961e1e4016d23fbb78c1669c919bfe51c416d29e706",
-    "qoz-2d-f64-rel": "9cc953038a2c30d00a1563caee403c5f8d36a00143386ebcc0bbd1f1ebabc26a",
-    "qoz-3d-f32-abs": "d20fe9a9fc516f02fb1aea388f1c42a689d700cae3b589e03ebf7f07bd5439fc",
-    "qoz-3d-f32-rel": "800c93d6cc6b3cd4a42142cb69d169f4f7c09b72930054db0947affc0f69e2fa",
-    "qoz-3d-f64-abs": "12d8e9df7dad1a0311d80b73987169fc3b8a277929d5e328e131ef6ab70f03b7",
-    "qoz-3d-f64-rel": "cdbe24ce10ae2114f58f8713d3bd63bcdd9166f891a65dd83e99c1eea13a7632",
+    "cuszi-1d-f32-abs": "40fc61e4886f5f18f9801538049297ed32128526bd25d9939c19beb833110174",
+    "cuszi-1d-f32-rel": "c9f699ce51e319a30e8118976aaa4e6469a7e56a831a1ab41e8b36c755e0a34f",
+    "cuszi-1d-f64-abs": "5d88426182ae30626a19653eb42e4f1693d95c8b6bc6bf5226800f6b74fb3b27",
+    "cuszi-1d-f64-rel": "0e6b1a17af701977abf2ec09bb2e8421ff8af787bd98339f7642a00ca3929a65",
+    "cuszi-2d-f32-abs": "4cda009b318d1891f1c42ec5d7a076672b9a46ff3dee5b549e6b1b4fa0865157",
+    "cuszi-2d-f32-rel": "c079cd94d934c5d8aa6aed884ae8c054b9f7346b42a76698dfc5ac323cda9507",
+    "cuszi-2d-f64-abs": "5af9ef1ccbf44a0decc9547140bc8048f9a79e5ee55f59c857175893176d6cf9",
+    "cuszi-2d-f64-rel": "5e2098b81f01a2fbd2643cf1f652f062b41f768f0071d7701d903ae793b32160",
+    "cuszi-3d-f32-abs": "8500b63581eb7e7dd2b2a5d7c1a9604216d266f3424cfef0257ab60a32d723c6",
+    "cuszi-3d-f32-rel": "de7394641d9faa8b31fb2244f7e64bf530df1860777adc3611e91ee8854bd8f6",
+    "cuszi-3d-f64-abs": "c785f2dfd7362b483bffcebcb2c5c3934bc54688e229a5d18bd2269244d39ebe",
+    "cuszi-3d-f64-rel": "b45ca2ea4a82a56a34915a24901f14230fd53559fe46724bc7fc560238616e4c",
+    "sz3-1d-f32-abs": "d5ff1596ed2236a221bf4b29ebf3c328e98f5e1c573444adfcacd5a738ede5d4",
+    "sz3-1d-f32-rel": "66d1fde651601c140c94967ee12766fbce2b79873f112e35485ebb43bd198a56",
+    "sz3-1d-f64-abs": "148b3ef7233423d3fc7d4f16d3a0260c19440e276c1d4595f1c87b3c13f0e482",
+    "sz3-1d-f64-rel": "6e150d0783c44a0b9abd13da64083b0524e60076744d0d73bfa4fc057756eeac",
+    "sz3-2d-f32-abs": "cefc9df3ecc64bbb76e044d36bc37f49b8e1899afbed0cf7f059413a9edac32e",
+    "sz3-2d-f32-rel": "2f56076c9d7820e8ae07869c67e56d2efd5604b2121443010775862d1d288fc5",
+    "sz3-2d-f64-abs": "fd2429815574ea91503a4f39f536ab0de3fd6c0bcaa6b9942c41e5189a04fbdb",
+    "sz3-2d-f64-rel": "49b589fa9756b4c791251ada034b5fe4b59e3988269b7486efb121e5d06edd8e",
+    "sz3-3d-f32-abs": "59037a4be72bd3d36134382d4f2de0de84e17051116b67ab64418231162ef216",
+    "sz3-3d-f32-rel": "a0d46a458f1fdb1f75a4792aa9e6ca27166e29facb228a23413a650c3d0fdcb4",
+    "sz3-3d-f64-abs": "1b61e1b934048e8071350254caf04444b4e65e7a0a599d637137d426e8ccd5e4",
+    "sz3-3d-f64-rel": "bf8c7e2daf5c911e56bc3c0b75ec04c1980280f9e87302e2dbf61877c7826b57",
+    "qoz-1d-f32-abs": "a1986e58c1177b60e2d8b05dca9ef9a1f25119ec45b91baa010a5f04e00ace52",
+    "qoz-1d-f32-rel": "edfbc044dfef6b880990c0c0dee79f813dbd298961f930f9ffb663ebbb5508e7",
+    "qoz-1d-f64-abs": "bd95ff3f595e38481fe15a8700c7aca2e6d30c122c35ac63c8273703a5940b8e",
+    "qoz-1d-f64-rel": "54f2ca206f996cf5f4838b8e3ed2ad1a45c9e687c9d37d596dd61a05f1531a6d",
+    "qoz-2d-f32-abs": "dae663337a7bc420655a42de6e43ff4d07f9533000fe76d0490e0ec85ed98fbd",
+    "qoz-2d-f32-rel": "37a6c51f84a12864720fc799e8d5fb497ee5e921a0b81ab07f3c98284288ec5b",
+    "qoz-2d-f64-abs": "fbcc9a156795ba01475e76bf7aa903c2a4bacce0bcd4803f2f51b91a84445e0d",
+    "qoz-2d-f64-rel": "8c70e6a22df797f2aba51977481017bab3cf60167d65eecb8a645ce588773989",
+    "qoz-3d-f32-abs": "049417a3079b89676c2cba6f7ae2dcc985affdb2f9778add75492f723422b80a",
+    "qoz-3d-f32-rel": "657e323284d02b8cc603d6ddf457402c55bf9ceebbb70cb10209205351bd103f",
+    "qoz-3d-f64-abs": "5b28d6241be2812365e973a73016be67f61cfbf3469bdcbedf984e02477262e1",
+    "qoz-3d-f64-rel": "f949b720f2f2331a455cab110ba2f950a44077f9cf8801c28d62ea34693cf713",
 }
 
 

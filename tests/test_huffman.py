@@ -1,5 +1,7 @@
 """Unit + property tests for the chunked Huffman codec."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,33 +143,32 @@ class TestCodec:
     def test_single_distinct_symbol(self):
         codes = np.full(9999, 3, np.uint32)
         stream = huffman_encode(codes, 16)
-        # 1 bit per element
-        assert stream.payload.size <= 9999 // 8 + stream.chunk_bits.size
+        # 1 bit per element, with no per-chunk padding
+        assert stream.payload.size == -(-9999 // 8)
         np.testing.assert_array_equal(huffman_decode(stream), codes)
 
     def test_chunk_boundary_sizes(self, rng):
         for n in (2047, 2048, 2049, 4096):
             codes = rng.integers(0, 50, n).astype(np.uint32)
-            stream = huffman_encode(codes, 64, chunk_size=2048)
+            stream = huffman_encode(codes, 64, chunk_bits=2048)
             np.testing.assert_array_equal(huffman_decode(stream), codes)
 
     def test_tiny_chunks(self, rng):
         codes = rng.integers(0, 8, 100).astype(np.uint32)
-        stream = huffman_encode(codes, 8, chunk_size=3)
+        stream = huffman_encode(codes, 8, chunk_bits=MAX_CODE_LEN)
         np.testing.assert_array_equal(huffman_decode(stream), codes)
 
     def test_bad_chunk_size(self):
-        with pytest.raises(CodecError):
-            huffman_encode(np.zeros(4, np.uint32), 8, chunk_size=0)
+        for budget in (0, MAX_CODE_LEN - 1, 1 << 16):
+            with pytest.raises(CodecError):
+                huffman_encode(np.zeros(4, np.uint32), 8, chunk_bits=budget)
 
     def test_corrupt_payload_detected(self, rng):
         codes = rng.integers(0, 64, 5000).astype(np.uint32)
         stream = huffman_encode(codes, 64)
         payload = stream.payload.copy()
         payload[: payload.size // 2] ^= 0xFF
-        corrupt = HuffmanStream(stream.n_symbols, stream.alphabet_size,
-                                stream.chunk_size, stream.lengths,
-                                stream.chunk_bits, payload)
+        corrupt = dataclasses.replace(stream, payload=payload, crc32=0)
         with pytest.raises(CodecError):
             huffman_decode(corrupt)
 
@@ -179,10 +180,10 @@ class TestCodec:
         assert bpe < 2.0  # entropy ~0.65 bits
 
     @given(st.lists(st.integers(0, 255), max_size=300),
-           st.integers(1, 64))
+           st.integers(MAX_CODE_LEN, 256))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property(self, values, chunk):
         codes = np.array(values, dtype=np.uint32)
-        stream = huffman_encode(codes, 256, chunk_size=chunk)
+        stream = huffman_encode(codes, 256, chunk_bits=chunk)
         back = huffman_decode(HuffmanStream.from_bytes(stream.to_bytes()))
         np.testing.assert_array_equal(back, codes)

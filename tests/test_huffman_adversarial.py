@@ -6,7 +6,8 @@ every valid stream and raise
 :class:`~repro.common.errors.CorruptStreamError` — never mis-decode — on
 every corrupt one. These tests drive both decoders through degenerate
 codebooks (single symbol, maximally skewed trees), codewords wider than
-the LUT probe, hostile chunk tables, and the full pipeline across
+the LUT probe, hostile gap-array chunk tables (each rejected before any
+allocation sized from the stream), and the full pipeline across
 dtypes, shapes and the slab / tiled / shm transports. The LUT decoder
 also runs pinned to a narrow probe width, so the flat-table fallback
 path sees the same hostile streams, and its per-stream width choice and
@@ -15,6 +16,7 @@ full-width promotion are checked directly.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 import threading
@@ -24,11 +26,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline
 import repro.huffman.canonical as canonical
 import repro.huffman.codec as codec
-from oracles import decode_loop
+from oracles import decode_loop, encode_loop
 from repro import telemetry
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman import (MAX_CODE_LEN, PROBE_WIDTHS, HuffmanStream,
@@ -51,15 +55,20 @@ DECODERS = (huffman_decode,
             decode_loop)
 
 
-def _reencode(stream, payload=None, chunk_bits=None):
+def _crc(stream):
+    """The stream's CRC, recomputed from its serialized table and payload
+    (chunk counts as u16, gaps as u8, then the payload bytes)."""
+    return zlib.crc32(np.asarray(stream.counts).astype("<u2").tobytes()
+                      + np.asarray(stream.gaps).astype(np.uint8).tobytes()
+                      + np.asarray(stream.payload).tobytes())
+
+
+def _reencode(stream, **parts):
     """Clone a stream with substituted parts, keeping the CRC honest so
     corruption must be caught by *decoding*, not the checksum."""
-    payload = stream.payload if payload is None else payload
-    return HuffmanStream(
-        n_symbols=stream.n_symbols, alphabet_size=stream.alphabet_size,
-        chunk_size=stream.chunk_size, lengths=stream.lengths,
-        chunk_bits=stream.chunk_bits if chunk_bits is None else chunk_bits,
-        payload=payload, crc32=zlib.crc32(payload.tobytes()))
+    bad = dataclasses.replace(stream, **parts)
+    bad.crc32 = _crc(bad)
+    return bad
 
 
 def _assert_both_engines_equal(stream, expected):
@@ -85,7 +94,7 @@ class TestDegenerateCodebooks:
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 4096])
     def test_single_symbol_stream(self, n):
         codes = np.full(n, 3, dtype=np.uint32)
-        stream = huffman_encode(codes, 8, chunk_size=64)
+        stream = huffman_encode(codes, 8, chunk_bits=64)
         _assert_both_engines_equal(stream, codes)
 
     def test_maximally_skewed_tree(self):
@@ -100,12 +109,12 @@ class TestDegenerateCodebooks:
         codes = rng.choice(24, size=5000,
                            p=freqs / freqs.sum()).astype(np.uint32)
         codes[:24] = np.arange(24)          # force every codeword to occur
-        stream = huffman_encode(codes, 24, chunk_size=97)
+        stream = huffman_encode(codes, 24, chunk_bits=97)
         _assert_both_engines_equal(stream, codes)
 
     def test_two_symbol_alternation(self):
         codes = (np.arange(3000) & 1).astype(np.uint32)
-        stream = huffman_encode(codes, 2, chunk_size=128)
+        stream = huffman_encode(codes, 2, chunk_bits=128)
         _assert_both_engines_equal(stream, codes)
 
 
@@ -118,7 +127,7 @@ class TestNarrowProbeFallback:
         rng = np.random.default_rng(7)
         codes = (rng.zipf(1.2, size=20000).astype(np.uint32) % 512)
         codes[:512] = np.arange(512)
-        stream = huffman_encode(codes, 512, chunk_size=256)
+        stream = huffman_encode(codes, 512, chunk_bits=256)
         expected = decode_loop(stream)
         clear_codebook_caches()
         try:
@@ -177,7 +186,7 @@ class TestHostileStreams:
         codes = rng.integers(0, 3, 2000).astype(np.uint32)
         # three 2-bit codes leave the fourth 2-bit prefix unused, so
         # hostile payload bytes can hit an invalid codeword
-        return huffman_encode(codes, 3, chunk_size=128)
+        return huffman_encode(codes, 3, chunk_bits=128)
 
     def test_truncated_header(self, stream):
         with pytest.raises(CorruptStreamError):
@@ -199,46 +208,52 @@ class TestHostileStreams:
         _assert_both_engines_raise(bad)
 
     def test_chunk_bits_stretched(self, stream):
-        # one extra bit in a chunk's budget must surface as a corrupt
-        # stream (cursor/bit-count mismatch), never as wrong symbols
-        bits = stream.chunk_bits.copy()
-        bits[0] += 1
-        _assert_both_engines_raise(_reencode(stream, chunk_bits=bits))
+        # one extra bit in a chunk's budget (its successor's gap grown by
+        # one) must surface as a corrupt stream (cursor/bit-count
+        # mismatch), never as wrong symbols
+        gaps = stream.gaps.copy()
+        gaps[1] += 1
+        _assert_both_engines_raise(_reencode(stream, gaps=gaps))
 
     def test_chunk_bits_shrunk(self, stream):
-        bits = stream.chunk_bits.copy()
-        bits[1] -= 1
-        _assert_both_engines_raise(_reencode(stream, chunk_bits=bits))
+        gaps = stream.gaps.copy()
+        [k] = np.flatnonzero(gaps)[:1]   # a chunk that starts mid-codeword
+        gaps[k] -= 1
+        _assert_both_engines_raise(_reencode(stream, gaps=gaps))
 
     def test_chunk_table_garbage(self, stream):
-        bits = np.full_like(stream.chunk_bits, 0xFFFF)
-        _assert_both_engines_raise(_reencode(stream, chunk_bits=bits))
+        _assert_both_engines_raise(_reencode(
+            stream, counts=np.full_like(stream.counts, 0xFFFF),
+            gaps=np.full_like(stream.gaps, 0xFF)))
 
     def test_chunk_count_mismatch(self, stream):
         bad = _reencode(stream)
-        bad.n_symbols += stream.chunk_size
+        bad.n_symbols += 128
         _assert_both_engines_raise(bad)
 
     def test_flipped_payload_byte_fails_checksum(self, stream):
         payload = stream.payload.copy()
         payload[len(payload) // 2] ^= 0x40
-        bad = HuffmanStream(
-            n_symbols=stream.n_symbols,
-            alphabet_size=stream.alphabet_size,
-            chunk_size=stream.chunk_size, lengths=stream.lengths,
-            chunk_bits=stream.chunk_bits, payload=payload,
-            crc32=stream.crc32)          # stale CRC kept on purpose
+        # stale CRC kept on purpose
+        bad = dataclasses.replace(stream, payload=payload)
         _assert_both_engines_raise(bad)
 
+    def test_flipped_table_byte_fails_checksum(self, stream):
+        counts = stream.counts.copy()
+        counts[0] ^= 0x10
+        _assert_both_engines_raise(dataclasses.replace(stream, counts=counts))
 
-def _forged_stream(n_symbols, chunk_bits, payload):
+
+def _forged_stream(n_symbols, total_bits, payload, count=None):
     """A one-chunk stream over two 1-bit codes with an honest CRC."""
     payload = np.asarray(payload, dtype=np.uint8)
-    return HuffmanStream(
-        n_symbols=n_symbols, alphabet_size=2, chunk_size=n_symbols,
+    stream = HuffmanStream(
+        n_symbols=n_symbols, alphabet_size=2, chunk_bits=max(total_bits, 16),
         lengths=np.array([1, 1], dtype=np.uint8),
-        chunk_bits=np.array([chunk_bits], dtype=np.uint32),
-        payload=payload, crc32=zlib.crc32(payload.tobytes()))
+        counts=np.array([n_symbols if count is None else count], np.uint16),
+        gaps=np.zeros(1, np.uint8), total_bits=total_bits, payload=payload)
+    stream.crc32 = _crc(stream)
+    return stream
 
 
 class TestForgedSymbolCount:
@@ -247,8 +262,8 @@ class TestForgedSymbolCount:
     symbols must be rejected before any symbol-sized allocation."""
 
     def test_huge_count_in_tiny_stream_rejected_fast(self):
-        stream = _forged_stream(1 << 22, 8, [0xA5])
-        assert len(stream.to_bytes()) == 31
+        stream = _forged_stream(1 << 22, 8, [0xA5], count=8)
+        assert len(stream.to_bytes()) == 38
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
@@ -274,6 +289,207 @@ class TestForgedSymbolCount:
         stream = _forged_stream(8, 8, [0xA5])
         _assert_both_engines_equal(
             stream, np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.uint32))
+
+
+def _rejected_before_allocation(stream):
+    """Every decoder raises a typed error within the corruption suite's
+    bounds: 0.1 s and 8 MiB, far below what the forged sizes would
+    allocate."""
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        _assert_both_engines_raise(stream)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 8 << 20
+
+
+class TestHostileV2Tables:
+    """Gap-array chunk tables forged with a re-stamped CRC, so only the
+    table validation can catch them."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        rng = np.random.default_rng(21)
+        codes = rng.zipf(1.6, size=20000).astype(np.uint32) % 40
+        stream = huffman_encode(codes, 40, chunk_bits=256)
+        assert stream.n_chunks > 8
+        return stream
+
+    def test_forged_symbol_count(self, stream):
+        # a count moved between chunks keeps the sum, so only the
+        # per-chunk bit spans can catch it
+        counts = stream.counts.astype(np.int64)
+        counts[2] += 40
+        counts[5] -= 40
+        _rejected_before_allocation(
+            _reencode(stream, counts=counts.astype(np.uint16)))
+
+    def test_huge_counts(self, stream):
+        counts = np.full_like(stream.counts, 0xFFFF)
+        bad = _reencode(stream, counts=counts)
+        bad.n_symbols = 0xFFFF * stream.n_chunks   # sum consistent
+        _rejected_before_allocation(bad)
+
+    @pytest.mark.parametrize("delta", [1, -1, 1 << 40])
+    def test_counts_do_not_sum_to_symbol_count(self, stream, delta):
+        bad = _reencode(stream)
+        bad.n_symbols += delta
+        _rejected_before_allocation(bad)
+
+    @pytest.mark.parametrize("gap", [MAX_CODE_LEN, 0xFF])
+    def test_gap_beyond_codeword_reach(self, stream, gap):
+        gaps = stream.gaps.copy()
+        gaps[3] = gap
+        _rejected_before_allocation(_reencode(stream, gaps=gaps))
+
+    def test_codewords_moved_across_a_chunk_bound(self, stream):
+        # hand chunk 3's leading codewords to chunk 2: every chunk still
+        # decodes to the right symbols, but chunk 3's gap now exceeds
+        # any codeword's reach, so the table breaks the layout rule
+        codes = decode_loop(stream)
+        lengths = stream.lengths.astype(np.int64)[codes]
+        first = int(stream.counts[:3].astype(np.int64).sum())
+        k, gap = 0, int(stream.gaps[3])
+        while gap < MAX_CODE_LEN:
+            gap += int(lengths[first + k])
+            k += 1
+        counts, gaps = stream.counts.copy(), stream.gaps.copy()
+        counts[2] += k
+        counts[3] -= k
+        gaps[3] = gap
+        _rejected_before_allocation(_reencode(stream, counts=counts,
+                                              gaps=gaps))
+
+    def test_first_gap_nonzero(self, stream):
+        gaps = stream.gaps.copy()
+        gaps[0] = 1
+        _rejected_before_allocation(_reencode(stream, gaps=gaps))
+
+    def test_leading_junk_bit(self, stream):
+        # one junk bit ahead of the payload, every gap and the bit count
+        # grown to match: the chunks still decode to the right symbols,
+        # but the stream no longer starts with a codeword
+        assert int(stream.gaps.max()) < MAX_CODE_LEN - 1
+        assert stream.total_bits % stream.chunk_bits
+        bits = np.unpackbits(stream.payload)[:stream.total_bits]
+        payload = np.packbits(np.concatenate([[1], bits]))
+        _rejected_before_allocation(_reencode(
+            stream, payload=payload, gaps=stream.gaps + 1,
+            total_bits=stream.total_bits + 1))
+
+    @pytest.mark.parametrize("forgery", ["total-bits-up", "total-bits-down",
+                                         "extra-chunk", "missing-chunk",
+                                         "merged-chunks"])
+    def test_chunk_count_not_ceil_of_total_bits(self, stream, forgery):
+        budget = stream.chunk_bits
+        if forgery == "total-bits-up":
+            bad = _reencode(stream, total_bits=stream.total_bits + budget)
+        elif forgery == "total-bits-down":
+            bad = _reencode(stream, total_bits=stream.total_bits - budget)
+        elif forgery == "extra-chunk":
+            bad = _reencode(stream,
+                            counts=np.append(stream.counts, np.uint16(0)),
+                            gaps=np.append(stream.gaps, np.uint8(0)))
+        elif forgery == "missing-chunk":
+            bad = _reencode(stream, counts=stream.counts[:-1],
+                            gaps=stream.gaps[:-1])
+            bad.n_symbols -= int(stream.counts[-1])
+        else:
+            # the last two chunks as one: it still decodes to the right
+            # symbols, but one lane now carries two chunks' bits
+            counts = stream.counts[:-1].copy()
+            counts[-1] += stream.counts[-1]
+            bad = _reencode(stream, counts=counts, gaps=stream.gaps[:-1])
+        _rejected_before_allocation(bad)
+
+    @pytest.mark.parametrize("budget", [0, 1, MAX_CODE_LEN - 1, 1 << 16,
+                                        (1 << 32) - 1])
+    def test_budget_out_of_range(self, stream, budget):
+        # the chunk count and payload stay consistent with the budget,
+        # so only the range check rejects it
+        n_chunks = -(-stream.total_bits // budget) if budget else 0
+        _rejected_before_allocation(_reencode(
+            stream, chunk_bits=budget, counts=np.zeros(n_chunks, np.uint16),
+            gaps=np.zeros(n_chunks, np.uint8)))
+
+    @pytest.mark.parametrize("side", ["min", "max"])
+    def test_count_cannot_fit_chunk_span(self, stream, side):
+        # move symbols between two chunks so the sum holds but one chunk
+        # claims more symbols than its B +- 15 bits hold at the shortest
+        # code, or fewer than they need at the longest
+        used = stream.lengths[stream.lengths > 0]
+        counts = stream.counts.astype(np.int64)
+        span = stream.chunk_bits + MAX_CODE_LEN - 1
+        if side == "min":
+            shift = span // int(used.min()) + 1 - counts[1]
+        else:
+            shift = (stream.chunk_bits - MAX_CODE_LEN) // int(used.max()) \
+                - 1 - counts[1]
+        counts[1] += shift
+        # take the surplus from (or give the deficit to) later chunks
+        for k in range(2, counts.size):
+            take = min(shift, counts[k])
+            counts[k] -= take
+            shift -= take
+        assert shift == 0 and counts.max() <= 0xFFFF
+        _rejected_before_allocation(
+            _reencode(stream, counts=counts.astype(np.uint16)))
+
+    def test_serialized_round_trip_of_forgery(self, stream):
+        gaps = stream.gaps.copy()
+        gaps[1] = MAX_CODE_LEN
+        blob = _reencode(stream, gaps=gaps).to_bytes()
+        _rejected_before_allocation(HuffmanStream.from_bytes(blob))
+
+
+@st.composite
+def _codebooks(draw):
+    """A canonical length vector: random (Kraft-repaired), all 16-bit
+    codes, or a single 1-bit symbol; unused alphabet slots get 0."""
+    kind = draw(st.sampled_from(["random", "all16", "single"]))
+    if kind == "random":
+        lengths = np.array(draw(st.lists(st.integers(1, MAX_CODE_LEN),
+                                         min_size=2, max_size=48)))
+        # lengthen the shortest codes until the Kraft sum fits
+        while np.ldexp(1.0, -lengths).sum() > 1:
+            lengths[np.argmin(lengths)] += 1
+    elif kind == "all16":
+        lengths = np.full(draw(st.integers(1, 64)), MAX_CODE_LEN)
+    else:
+        lengths = np.array([1])
+    pad = draw(st.integers(0, 3))
+    return np.concatenate([lengths, np.zeros(pad, np.int64)])
+
+
+class TestOracleProperty:
+    """The library coder equals the oracles on every stream: the encoder
+    byte for byte, the decoder symbol for symbol at every pinned probe
+    width (widths below the longest code route codewords through the
+    flat-table fallback inside the chunk-major replay)."""
+
+    @given(lengths=_codebooks(), n=st.integers(0, 3000),
+           seed=st.integers(0, 2 ** 32 - 1),
+           budget=st.sampled_from([16, 64, 1024, 4096]),
+           width=st.integers(12, MAX_CODE_LEN))
+    @settings(max_examples=80, deadline=None)
+    def test_decode_equals_oracle(self, lengths, n, seed, budget, width):
+        used = np.flatnonzero(lengths)
+        weights = np.ldexp(1.0, -lengths[used])
+        rng = np.random.default_rng(seed)
+        codes = rng.choice(used, size=n, p=weights / weights.sum()) \
+            .astype(np.uint32)
+        stream = huffman_encode(codes, lengths.size, budget,
+                                lengths=lengths)
+        assert stream.to_bytes() == encode_loop(
+            codes, lengths.size, budget, lengths=lengths).to_bytes()
+        stream = HuffmanStream.from_bytes(stream.to_bytes())
+        np.testing.assert_array_equal(decode_loop(stream), codes)
+        np.testing.assert_array_equal(
+            huffman_decode(stream, probe_bits=width), codes)
 
 
 class TestProbeWidthChoice:
@@ -400,6 +616,35 @@ class TestProbeWidthChoice:
         assert (after["lut_hits"], after["lut_misses"]) == \
             (before["lut_hits"], before["lut_misses"])
         assert lut_cached(stream.lengths)
+
+
+class TestUnpackSpanShape:
+    """The ``huffman.unpack`` span reports the decode loop's shape."""
+
+    def test_loop_shape_attrs(self):
+        data = smooth_field((40, 44, 36), seed=9)
+        codes = np.clip(np.round(np.diff(data.ravel(), prepend=0) * 64)
+                        + 512, 0, 1023).astype(np.uint32)
+        stream = huffman_encode(codes, 1024)
+        out, attrs = _unpack_span(stream)
+        np.testing.assert_array_equal(out, codes)
+        assert attrs["n_chunks"] == stream.n_chunks > 1
+        # every kept record emits 1..16 symbols
+        assert codes.size / MAX_CODE_LEN <= attrs["records_kept"] \
+            <= codes.size
+        # a step consumes at most 57 bits per lane, and chunks of equal
+        # bit budgets finish together: the step count tracks the budget
+        # (B + 15 bits), not the longest chunk's symbol count
+        slots = (64 - 7) // attrs["probe_bits"]
+        per_step = slots * attrs["probe_bits"]
+        assert -(-(stream.chunk_bits - 15) // per_step) <= attrs["steps"]
+        assert attrs["steps"] <= 3 * -(-(stream.chunk_bits + 15)
+                                        // per_step)
+
+    def test_empty_stream_shape(self):
+        _, attrs = _unpack_span(huffman_encode(np.empty(0, np.uint32), 4))
+        assert (attrs["steps"], attrs["n_chunks"], attrs["records_kept"]) \
+            == (0, 0, 0)
 
 
 class TestLutCacheByteBudget:

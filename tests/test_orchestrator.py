@@ -129,6 +129,26 @@ class TestSplitStreams:
         assert names[0] == "header"
         assert "huffman.payload" in names
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_huffman_split_follows_stream_version(self, container, version):
+        """The Huffman segment splits at its own version's boundaries:
+        header + code lengths, chunk table, payload."""
+        from pathlib import Path
+        from repro.common.container import parse_container
+        from repro.common.lossless_wrap import unwrap_lossless
+        from repro.huffman import read_stream
+        if version == 1:
+            fixture = Path(__file__).parent / "data/huffman_v1/cuszi-3d.bin"
+            container = unwrap_lossless(fixture.read_bytes())
+        _, meta, segments = parse_container(container)
+        stream = read_stream(segments["huffman"], meta)
+        parts = dict(split_streams(container))
+        head = {1: 24, 2: 32}[version] + stream.alphabet_size
+        assert len(parts["huffman.head"]) == head
+        assert len(parts["huffman.chunks"]) == \
+            {1: 4, 2: 3}[version] * stream.n_chunks
+        assert bytes(parts["huffman.payload"]) == stream.payload.tobytes()
+
     def test_non_container_is_raw(self):
         streams = split_streams(b"not a container at all")
         assert [name for name, _ in streams] == ["raw"]
