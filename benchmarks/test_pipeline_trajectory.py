@@ -291,8 +291,6 @@ def test_emit_pipeline_trajectory():
     ginterp = {
         "plan_compile_s": round(plan.compile_s, 6),
         "plan_nbytes": plan.nbytes,
-        "n_fused": plan.n_fused,
-        "n_gather": plan.n_gather,
         "reps": reps,
         "rounds": rounds,
         "reference_compress_s": round(ref_s, 6),

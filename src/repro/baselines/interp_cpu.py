@@ -19,7 +19,8 @@ from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import autotune
 from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
-                                       check_stream_header, interp_compress,
+                                       check_stream_header,
+                                       check_stream_values, interp_compress,
                                        interp_decompress)
 from repro.core.ginterp.plans import get_plan
 from repro.core.pipeline import resolve_eb
@@ -119,6 +120,7 @@ class InterpCPUBase:
         outliers = np.frombuffer(segments["outliers"], dtype=dtype)
         anchors = np.frombuffer(segments["anchors"],
                                 dtype=dtype).reshape(anchor_shape)
+        check_stream_values(anchors, outliers, abs_eb, radius, spec)
         plan = get_plan(shape, spec.resolved(len(shape)))
         work = interp_decompress(shape, spec, abs_eb, codes, outliers,
                                  anchors, quantizer, plan=plan)

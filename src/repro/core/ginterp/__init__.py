@@ -10,8 +10,8 @@ The package splits along the paper's own structure:
 * :mod:`repro.core.ginterp.autotune` — profiling-based auto-tuning (§V-C);
 * :mod:`repro.core.ginterp.anchors` — lossless anchor-point storage;
 * :mod:`repro.core.ginterp.plans` — compiled pass plans: precomputed
-  per-``(shape, geometry)`` traversal geometry with fused strided-view
-  prediction kernels, LRU-cached per process.
+  per-``(shape, geometry)`` traversal geometry with whole-pass slice
+  kernels over a zero-padded staged lattice, LRU-cached per process.
 """
 
 from repro.core.ginterp.splines import (

@@ -19,9 +19,9 @@ replay.
 Both traversals execute through a **compiled pass plan**
 (:mod:`repro.core.ginterp.plans`): the per-pass geometry — target indices,
 spline classification, neighbor addressing — is precomputed once per
-``(shape, geometry)`` and LRU-cached, and the interior majority of every
-pass is predicted through fused strided-view kernels instead of index
-gathers. Each pass fuses quantization (compress,
+``(shape, geometry)`` and LRU-cached, and every pass is predicted by
+slice multiply-adds over one zero-padded staged copy of its neighbor
+lattice instead of index gathers. Each pass fuses quantization (compress,
 :meth:`~repro.common.quantizer.LinearQuantizer.quantize_into`) or
 dequantization (decompress,
 :meth:`~repro.common.quantizer.LinearQuantizer.dequantize_into`) with its
@@ -46,11 +46,11 @@ from repro.common.errors import ConfigError, CorruptStreamError, DataError
 from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp.anchors import apply_anchors, extract_anchors
 from repro.core.ginterp.plans import _plan_key, get_plan, scratch
-from repro.core.ginterp.splines import CUBIC_NAK
+from repro.core.ginterp.splines import CUBIC_NAK, SPLINE_WEIGHTS
 
 __all__ = ["InterpSpec", "level_error_bounds", "interp_compress",
            "interp_decompress", "InterpResult", "check_stream_header",
-           "check_stream_geometry", "HEADER_KEYS"]
+           "check_stream_geometry", "check_stream_values", "HEADER_KEYS"]
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,63 @@ def check_stream_geometry(shape, padded_shape, anchor_stride: int,
     return anchor_shape
 
 
+#: the most one prediction can scale a magnitude: no spline class's
+#: absolute weights sum to more than this (cubic natural: 52/40)
+_GROWTH = float(np.abs(SPLINE_WEIGHTS).sum(axis=1).max())
+#: the reconstruction bound :func:`_fits_float64` must stay under; half
+#: the float64 range leaves room for rounding
+_LOG_LIMIT = math.log(float(np.finfo(np.float64).max) / 2)
+
+
+def _fits_float64(amax: float, eb: float, radius: int,
+                  n_passes: int) -> bool:
+    """Whether a traversal stays finite when it starts from values of
+    magnitude at most ``amax`` (the anchors), stores outliers no larger,
+    and runs ``n_passes`` passes at error bound ``eb`` and ``radius``.
+
+    A pass predicts at most ``_GROWTH`` times the largest value so far
+    and adds at most ``e = 2*radius*eb`` (every level's bound is at most
+    ``eb``, as ``alpha, beta >= 1``), or stores an outlier. So after
+    ``n`` passes no value exceeds ``G**n * amax + e*(G**n - 1)/(G - 1)``,
+    which is below ``G**n * (amax + e/(G - 1))``. The test runs in log
+    space, so absurd pass counts cannot overflow it.
+    """
+    g = _GROWTH
+    return (n_passes * math.log(g)
+            + math.log(amax + 2.0 * radius * eb / (g - 1.0)) < _LOG_LIMIT)
+
+
+def check_stream_values(anchors: np.ndarray, outliers: np.ndarray,
+                        abs_eb: float, radius: int,
+                        spec: InterpSpec) -> None:
+    """Reject a stream whose reconstruction could hold a non-finite value.
+
+    Both segments are copied verbatim into the reconstruction, so a NaN
+    or ±inf there would spread through every later prediction that reads
+    it — also with a zero weight, as ``0.0 * inf`` is NaN — and how far
+    it spreads depends on which neighbors a kernel multiplies. The same
+    holds for a finite stream whose values or error bound are so large
+    that the reconstruction overflows (:func:`_fits_float64`). The
+    encoder never emits either (it rejects such input), so one is forged
+    or corrupt. ``anchors`` has the anchor grid's shape. Raises
+    :class:`~repro.common.errors.CorruptStreamError`.
+    """
+    amax = 0.0
+    for name, values in (("anchor", anchors), ("outlier", outliers)):
+        if not np.isfinite(values).all():
+            raise CorruptStreamError(
+                f"{name} segment holds "
+                f"{int(values.size - np.isfinite(values).sum())} "
+                f"non-finite value(s)")
+        if values.size:
+            amax = max(amax, float(np.abs(values).max()))
+    if not _fits_float64(amax, abs_eb, radius,
+                         anchors.ndim * spec.n_levels):
+        raise CorruptStreamError(
+            f"values up to {amax:.3g} with error bound {abs_eb:.3g} and "
+            f"radius {radius} could overflow the reconstruction")
+
+
 def _resolve_plan(shape: tuple[int, ...], spec: InterpSpec, plan):
     """The explicit ``plan`` validated against this call's geometry, or
     the LRU-cached plan for it."""
@@ -266,15 +323,26 @@ def _resolve_plan(shape: tuple[int, ...], spec: InterpSpec, plan):
     return plan
 
 
-def _check_finite(data: np.ndarray) -> None:
+def _check_input(data: np.ndarray, eb: float, radius: int,
+                 n_passes: int) -> None:
     """Reject NaN/Inf up front: a single non-finite sample poisons every
     prediction that (even with zero weight) gathers it — ``0.0 * inf``
-    is NaN — and would silently destroy the whole field."""
-    if not np.isfinite(data).all():
+    is NaN — and would silently destroy the whole field. Reject, too, a
+    field so large against its error bound that the reconstruction could
+    overflow (:func:`_fits_float64`): the decoders refuse such a stream.
+    """
+    if not data.size:
+        return
+    lo, hi = float(data.min()), float(data.max())   # NaN propagates
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         bad = int(data.size - np.isfinite(data).sum())
         raise DataError(
             f"interpolation input contains {bad} non-finite value(s) "
             f"(NaN/Inf); mask or filter them before compression")
+    if not _fits_float64(max(-lo, hi), eb, radius, n_passes):
+        raise DataError(
+            f"interpolation input reaches {max(-lo, hi):.3g}; with error "
+            f"bound {eb:.3g} the reconstruction could overflow float64")
 
 
 def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
@@ -292,23 +360,24 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
     residual intermediates.
     """
     spec = spec.resolved(data.ndim)
-    _check_finite(data)
     quantizer = quantizer or LinearQuantizer()
+    _check_input(data, eb, quantizer.radius, data.ndim * spec.n_levels)
     plan = _resolve_plan(data.shape, spec, plan)
     work = data.astype(np.float64, copy=True)
     anchors = extract_anchors(work, spec.anchor_stride,
                               quantizer.value_dtype)
     apply_anchors(work, anchors, spec.anchor_stride)
-    work_flat = work.ravel()
 
     ebs = level_error_bounds(eb, spec)
     outlier_parts: list[np.ndarray] = []
     sizes: list[int] = []
     cursor = 0
     codes = np.empty(plan.n_targets, dtype=np.uint32)
-    scr_pred, scr_mul, scr_ev, q_buf, r_buf = scratch(
-        plan.max_targets, plan.max_group, plan.max_staged,
-        plan.max_targets, plan.max_targets)
+    # the multiply temporary is dead once a pass's prediction is made, so
+    # it shares the quantizer's buffer (every group fits in max_targets)
+    scr_pred, scr_ev, q_buf, r_buf = scratch(
+        plan.max_targets, plan.max_staged, plan.max_targets,
+        plan.max_targets)
     for step in plan.passes:
         p = step.desc
         n = step.n_targets
@@ -318,7 +387,7 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                             stride=p.stride, targets=int(n)):
             if n == 0:
                 continue
-            pred = step.predict(work, work_flat, scr_pred, scr_mul, scr_ev)
+            pred = step.predict(work, scr_pred, q_buf, scr_ev)
             recon, pass_outliers = quantizer.quantize_into(
                 data[step.target_view], pred, ebs[p.level],
                 codes[cursor:cursor + n], q_buf=q_buf, r_buf=r_buf)
@@ -355,14 +424,13 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
     apply_anchors(work, anchors.reshape(
         tuple(-(-n // spec.anchor_stride) for n in shape)),
         spec.anchor_stride)
-    work_flat = work.ravel()
 
     ebs = level_error_bounds(eb, spec)
     codes = np.asarray(codes)
     cursor = 0
     out_cursor = 0
-    scr_pred, scr_mul, scr_ev, q_buf = scratch(
-        plan.max_targets, plan.max_group, plan.max_staged, plan.max_targets)
+    scr_pred, scr_ev, q_buf = scratch(
+        plan.max_targets, plan.max_staged, plan.max_targets)
     for step in plan.passes:
         p = step.desc
         n = step.n_targets
@@ -375,7 +443,7 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
                     f"quant-code stream exhausted at level {p.level} "
                     f"axis {p.axis}: pass needs {n} codes, "
                     f"{codes.size - cursor} remain")
-            pred = step.predict(work, work_flat, scr_pred, scr_mul, scr_ev)
+            pred = step.predict(work, scr_pred, q_buf, scr_ev)
             out_cursor = quantizer.dequantize_into(
                 codes[cursor:cursor + n], pred, ebs[p.level],
                 work[step.target_view], outliers, out_cursor, q_buf=q_buf)

@@ -1,46 +1,51 @@
-"""Compiled pass plans: precomputed geometry + fused slice kernels.
+"""Compiled pass plans: precomputed geometry + whole-pass slice kernels.
 
 The GPU kernels this engine mirrors (paper §V-A/§V-D) owe their speed to a
 *fixed launch geometry*: the per-level/per-axis pass structure and the
 33x9x9 shared-window neighbor layout are compile-time constants, so each
-launch only moves data. The NumPy engine used to rebuild all of that
-geometry — per-axis index grids, flat target blocks, spline classification,
-class broadcasts, and four full-size clipped neighbor index arrays — on
-*every* traversal, even though it depends only on ``(shape, spec)``.
-
-:func:`compile_plan` hoists that work out of the hot path. For one
-``(shape, resolved InterpSpec)`` it precomputes, per pass:
+launch only moves data, and each thread applies its own target's spline
+weights. :func:`compile_plan` hoists that geometry out of the hot path.
+For one ``(shape, resolved InterpSpec)`` it precomputes, per pass:
 
 * the target lattice as strided-view selectors, in the exact raveled
-  block order of the reference path (the test oracle in
-  ``tests/oracles.py``), so quant-code streams stay byte-identical — but
-  gathered and scattered through plain slices instead of int64 fancy
-  indexing;
-* the spline-class partition along the interpolation axis;
-* **fused slice groups** — maximal runs of targets sharing one spline
-  class. Each run's neighbors sit on strided lattices
-  (``work[..., t0+k*s : ... : 2*s, ...]``), so prediction is a few
-  scalar-weight multiply-adds over array *views*: no flat index arrays,
-  no ``np.clip``, no per-neighbor gather;
-* a precompiled **gather tail** for whatever the slices do not cover
-  (class-change singletons on blocks too small to amortize a slice op):
-  clipped neighbor indices and per-target weight rows are baked into the
-  plan, so execution is four gathers and four multiply-adds.
+  block order of the uncompiled traversal (the test oracle in
+  ``tests/oracles.py``), so quant-code streams stay byte-identical;
+* the spline class of every target position along the pass axis;
+* the **padded lattice**: every neighbor of every target lies on the
+  complementary even lattice (``t = s*(2i+1)`` and odd offsets ``k``
+  give ``t + k*s = 2s*(i + (k+1)/2)``). Each pass copies that lattice
+  once into scratch, with one zero column before it and two after it
+  along the pass axis. Neighbor ``k`` of target ``i`` is then column
+  ``i + (k+3)/2``, so each neighbor of the whole pass is the plain slice
+  ``[j, j+m)`` with ``j = (k+3)/2`` (``m`` targets): every read is in
+  bounds, with no clipping and no gather;
+* one **weight-row kernel** over that buffer: one multiply-add per
+  neighbor over the whole block, with that neighbor's per-position
+  weight row (one weight per target position, the spline weight of its
+  class) broadcast across the other axes. The block is cut into
+  cache-sized slabs along axis 0 (:data:`ROW_GROUP_ELEMENTS`), so each
+  multiply temporary is still in cache when it is added. Where those
+  slabs cut the pass axis itself, the periodic stretch of the classes is
+  folded so that the slabs share one period of weight rows
+  (:func:`_row_groups`). A neighbor whose weight is zero on every target
+  of a slab is skipped.
 
-Bit-exactness is non-negotiable and holds by construction. Every target is
-computed by the same float64 accumulation the reference path runs —
-zero-init then ``pred += w_k * neighbor_k`` over
+Bit-exactness is non-negotiable and holds by construction. Every target
+is computed by the same float64 accumulation the oracle runs — zero-init
+then ``pred += w_k * neighbor_k`` over
 :data:`~repro.core.ginterp.splines.NEIGHBOR_OFFSETS` in order, with the
-same weight values and operands. The fused kernels *skip* zero-weight
-neighbors, which cannot change any bit of the result for finite inputs
-(the engine rejects NaN/Inf up front): an accumulator seeded at ``+0.0``
-can never become ``-0.0`` (a nonzero float64 sum has magnitude at least
-the smallest subnormal, and ``+0.0 + ±0.0 == +0.0``), so adding a
-zero-weight product ``±0.0`` is always an identity. Skipping them also
-means a fused run only ever touches *available* neighbors — the spline
-table puts nonzero weight only on in-domain samples — so the reference
-path's ``np.clip`` has nothing to do on the fused majority; the clipped
-(weight-zero) gathers survive verbatim in the gather tail.
+same weight values and, wherever the weight is nonzero, the same operand.
+The oracle multiplies its zero weights with clipped in-domain samples;
+the kernel multiplies them with other samples or the zero padding, or
+skips them (a whole all-zero row). Each is an identity for finite data
+(the engine rejects NaN/Inf input, and the decoders reject streams whose
+reconstruction could hold a non-finite value): an accumulator
+seeded at ``+0.0`` can never become ``-0.0`` (a nonzero float64 sum has
+magnitude at least the smallest subnormal, and ``+0.0 + ±0.0 == +0.0``),
+so adding a zero-weight product ``±0.0`` never changes a bit. Nonzero
+weight only ever sits on an in-domain neighbor (an available one, or
+``t - s`` for the class a target with no available neighbor gets), so
+no nonzero weight reads the padding.
 
 Plans are LRU-cached per process (:func:`get_plan`), keyed on the geometry
 ``(shape, anchor_stride, window_shape, cubic_variant, axis_order)`` —
@@ -72,10 +77,13 @@ __all__ = ["PassDesc", "pass_plan", "FusedGroup", "CompiledPass", "PassPlan",
            "compile_plan", "get_plan", "plan_cache_stats", "scratch",
            "clear_plan_cache", "set_plan_cache_limit"]
 
-#: a run is fused only when it covers at least this many block elements;
-#: below that the per-slice call overhead costs more than one batched
-#: gather over the (precompiled) tail
-_MIN_FUSED_ELEMENTS = 64
+#: the kernel works through its block in slabs along axis 0 of about this
+#: many elements (256 KiB), so each slab's multiply temporary and
+#: prediction stay in cache between its multiply-adds
+ROW_GROUP_ELEMENTS = 32768
+#: a folded slab repeats a weight unit of at least this many
+#: targets, so its broadcast inner loop stays long
+_FOLD_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -118,21 +126,6 @@ def _axis_indices(shape: tuple[int, ...], p: PassDesc) -> list[np.ndarray]:
     return out
 
 
-def _flat_block(axes_idx: list[np.ndarray], shape: tuple[int, ...]
-                ) -> np.ndarray:
-    """Broadcast-sum per-axis offsets into a block of flat C indices."""
-    ndim = len(shape)
-    strides = [1] * ndim
-    for ax in range(ndim - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * shape[ax + 1]
-    total = np.zeros((1,) * ndim, dtype=np.int64)
-    for ax, idx in enumerate(axes_idx):
-        view = [1] * ndim
-        view[ax] = idx.size
-        total = total + (idx * strides[ax]).reshape(view)
-    return total
-
-
 def _class_1d(t: np.ndarray, n: int, s: int, window: int | None,
               cubic_variant: int) -> np.ndarray:
     """Spline class per target position along the interpolation axis."""
@@ -152,23 +145,23 @@ def _class_1d(t: np.ndarray, n: int, s: int, window: int | None,
 
 @dataclass(frozen=True)
 class FusedGroup:
-    """One maximal run of same-class targets, predicted through views.
+    """One slab of a pass, predicted by one multiply-add per neighbor.
 
-    ``target_sel`` selects the run inside the block-shaped prediction
-    buffer; ``sources[j]`` selects the run targets' ``j``-th
-    *nonzero-weight* neighbor as a strided view of the work array;
-    ``weights[j]`` is that neighbor's spline weight as a scalar;
-    ``shape``/``size`` describe the run's sub-block.
+    ``target_sel`` selects the slab inside the block-shaped prediction
+    buffer; ``sources[j]`` selects its targets' ``j``-th live neighbor in
+    the pass's padded lattice; ``weights[j]`` is that neighbor's
+    per-position weight row, which broadcasts across the slab;
+    ``shape``/``size`` describe the slab. A ``folded`` slab is contiguous,
+    and the kernel views it as ``shape`` (``(k, unit, ...)``), so that one
+    unit of weight rows broadcasts over its ``k`` repeats.
     """
 
     target_sel: tuple[slice, ...]
     sources: tuple[tuple[slice, ...], ...]
-    weights: tuple[float, ...]
+    weights: tuple[np.ndarray, ...]
     shape: tuple[int, ...]
     size: int
-    #: the same sources re-based onto the pass's staged even-lattice buffer
-    #: (unit stride along the pass axis); ``None`` when not alignable
-    staged: tuple[tuple[slice, ...], ...] | None = None
+    folded: bool = False
 
 
 class CompiledPass:
@@ -178,83 +171,58 @@ class CompiledPass:
     the work array — targets along the interpolation axis are
     ``stride::2*stride`` and ``0::step`` on every other axis — so the
     quantize gather and the reconstruction scatter are strided view ops,
-    not int64 fancy indexing.
+    not int64 fancy indexing. ``ev_sel`` addresses the complementary even
+    lattice in the work array and ``ev_dst`` its place inside the padded
+    buffer of shape ``pad_shape``; ``pad_sels`` are the zero columns.
     """
 
     __slots__ = ("desc", "block_shape", "target_view", "n_targets",
-                 "groups", "ev_sel", "ev_shape", "ev_size",
-                 "b_sel", "b_gather", "b_w", "compile_s")
+                 "groups", "ev_sel", "ev_dst", "pad_sels",
+                 "pad_shape", "pad_size", "nbytes", "compile_s")
 
-    def __init__(self, desc, block_shape, target_view, n_targets, groups,
-                 ev_sel, ev_shape, ev_size, b_sel, b_gather, b_w,
-                 compile_s):
+    def __init__(self, desc, block_shape, target_view, groups,
+                 ev_sel, ev_dst, pad_sels, pad_shape, nbytes, compile_s):
         self.desc = desc
         self.block_shape = block_shape
         self.target_view = target_view
-        self.n_targets = n_targets
+        self.n_targets = math.prod(block_shape)
         self.groups = groups          # tuple[FusedGroup, ...]
-        self.ev_sel = ev_sel          # even-lattice staging selector
-        self.ev_shape = ev_shape
-        self.ev_size = ev_size
-        self.b_sel = b_sel            # int64 positions within the block
-        self.b_gather = b_gather      # (4, nb) clipped work_flat indices
-        self.b_w = b_w                # (4, nb) per-target weights
+        self.ev_sel = ev_sel
+        self.ev_dst = ev_dst
+        self.pad_sels = pad_sels
+        self.pad_shape = pad_shape
+        self.pad_size = math.prod(pad_shape)
+        self.nbytes = nbytes          # weight rows held by the plan
         self.compile_s = compile_s
 
-    @property
-    def n_boundary(self) -> int:
-        return int(self.b_sel.size)
-
-    @property
-    def max_group(self) -> int:
-        return max((g.size for g in self.groups), default=0)
-
-    @property
-    def nbytes(self) -> int:
-        return (self.b_sel.nbytes + self.b_gather.nbytes
-                + self.b_w.nbytes)
-
-    def predict(self, work: np.ndarray, work_flat: np.ndarray,
-                pred_buf: np.ndarray, mul_buf: np.ndarray,
-                ev_buf: np.ndarray) -> np.ndarray:
+    def predict(self, work: np.ndarray, pred_buf: np.ndarray,
+                mul_buf: np.ndarray, ev_buf: np.ndarray) -> np.ndarray:
         """Predictions for every pass target, in flat (block) order.
 
-        Bit-identical to the reference gather path: each element runs the
-        same zero-init + float64 multiply-add accumulation over
-        :data:`NEIGHBOR_OFFSETS`, with identical operands (zero-weight
-        terms skipped — an identity on the accumulation for finite data).
-        ``pred_buf``/``mul_buf``/``ev_buf`` are scratch views sized for
-        the widest pass (see :func:`scratch`); the returned prediction is
+        Bit-identical to the oracle's gather traversal (see the module
+        docstring). ``pred_buf``/``mul_buf``/``ev_buf`` are scratch views
+        of at least ``n_targets``/``n_targets``/``pad_size`` elements;
+        ``mul_buf`` is dead once this returns. The returned prediction is
         a view of ``pred_buf``. Staging only *copies* values, so it cannot
         change any bit of the accumulation.
         """
         pred = pred_buf[:self.n_targets]
         pred.fill(0.0)
-        if self.groups:
-            staged = None
-            if self.ev_size and any(g.staged is not None
-                                    for g in self.groups):
-                # neighbors all live on the complementary even lattice;
-                # staging it once makes every neighbor read unit-stride
-                staged = ev_buf[:self.ev_size].reshape(self.ev_shape)
-                np.copyto(staged, work[self.ev_sel])
-            pred_nd = pred.reshape(self.block_shape)
-            for g in self.groups:
-                sub = pred_nd[g.target_sel]
-                buf = mul_buf[:g.size].reshape(g.shape)
-                if staged is not None and g.staged is not None:
-                    for w, src in zip(g.weights, g.staged):
-                        np.multiply(staged[src], w, out=buf)
-                        sub += buf
-                else:
-                    for w, src in zip(g.weights, g.sources):
-                        np.multiply(work[src], w, out=buf)
-                        sub += buf
-        if self.b_sel.size:
-            pb = np.zeros(self.b_sel.size, dtype=np.float64)
-            for j in range(len(NEIGHBOR_OFFSETS)):
-                pb += self.b_w[j] * work_flat[self.b_gather[j]]
-            pred[self.b_sel] = pb
+        ev = ev_buf[:self.pad_size].reshape(self.pad_shape)
+        for sel in self.pad_sels:
+            ev[sel] = 0.0
+        np.copyto(ev[self.ev_dst], work[self.ev_sel])
+        pred_nd = pred.reshape(self.block_shape)
+        for g in self.groups:
+            sub = pred_nd[g.target_sel]
+            if g.folded:    # a view: folded slabs are contiguous
+                sub = sub.reshape(g.shape)
+            buf = mul_buf[:g.size].reshape(g.shape)
+            for w, src in zip(g.weights, g.sources):
+                n = ev[src]
+                np.multiply(n.reshape(g.shape) if g.folded else n, w,
+                            out=buf)
+                sub += buf
         return pred
 
 
@@ -272,14 +240,6 @@ class PassPlan:
         return sum(cp.n_targets for cp in self.passes)
 
     @property
-    def n_fused(self) -> int:
-        return sum(cp.n_targets - cp.n_boundary for cp in self.passes)
-
-    @property
-    def n_gather(self) -> int:
-        return sum(cp.n_boundary for cp in self.passes)
-
-    @property
     def nbytes(self) -> int:
         return sum(cp.nbytes for cp in self.passes)
 
@@ -288,12 +248,9 @@ class PassPlan:
         return max((cp.n_targets for cp in self.passes), default=0)
 
     @property
-    def max_group(self) -> int:
-        return max((cp.max_group for cp in self.passes), default=0)
-
-    @property
     def max_staged(self) -> int:
-        return max((cp.ev_size for cp in self.passes), default=0)
+        """Elements of the widest pass's padded lattice."""
+        return max((cp.pad_size for cp in self.passes), default=0)
 
 
 # -- per-thread scratch arena ----------------------------------------------
@@ -304,8 +261,8 @@ _arena = threading.local()
 def scratch(*sizes: int) -> tuple[np.ndarray, ...]:
     """Disjoint float64 views of this thread's scratch arena, one per size.
 
-    Both traversals carve their per-pass buffers (prediction, multiply,
-    staging, rounding, reconstruction) from one buffer per thread that
+    Both traversals carve their per-pass buffers (prediction, padded
+    lattice, rounding, reconstruction) from one buffer per thread that
     grows to the largest total seen so far and is then reused by every
     call, whatever its plan: a warm traversal allocates no scratch and
     touches no fresh pages. Per thread, not per plan, so the memory held
@@ -332,13 +289,6 @@ def scratch(*sizes: int) -> tuple[np.ndarray, ...]:
     return tuple(views)
 
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_GATHER = np.empty((len(NEIGHBOR_OFFSETS), 0), dtype=np.int64)
-_EMPTY_W = np.empty((len(NEIGHBOR_OFFSETS), 0), dtype=np.float64)
-for _a in (_EMPTY_I64, _EMPTY_GATHER, _EMPTY_W):
-    _a.setflags(write=False)
-
-
 def _lattice_slice(idx: np.ndarray) -> slice:
     """The equally-spaced index array ``idx`` as an equivalent slice."""
     if idx.size == 1:
@@ -349,139 +299,123 @@ def _lattice_slice(idx: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
-def _class_runs(cls1d: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of constant class as ``[start, stop)`` pairs."""
-    change = np.flatnonzero(np.diff(cls1d)) + 1
-    bounds = [0, *change.tolist(), cls1d.size]
-    return list(zip(bounds[:-1], bounds[1:]))
+def _weight_rows(cls: np.ndarray, n_after: int
+                 ) -> list[tuple[int, np.ndarray]]:
+    """``(padded-lattice column, weight row)`` of every neighbor with a
+    nonzero weight on some target of classes ``cls``; each row has one
+    weight per target and ``n_after`` broadcast axes."""
+    rows = []
+    for j, k in enumerate(NEIGHBOR_OFFSETS):
+        row = SPLINE_WEIGHTS[cls, j]
+        if row.any():           # an all-zero row is an identity; skip
+            row = row.reshape((cls.size,) + (1,) * n_after)
+            row.setflags(write=False)
+            rows.append(((k + 3) // 2, row))
+    return rows
+
+
+def _periodic_core(cls1d: np.ndarray, period: int) -> tuple[int, int]:
+    """The longest ``[a, b)`` of whole periods over which ``cls1d``
+    repeats with ``period``; ``(0, 0)`` if shorter than two periods."""
+    same = np.concatenate(([False], cls1d[period:] == cls1d[:-period],
+                           [False]))
+    edges = np.flatnonzero(same[1:] != same[:-1])
+    if not edges.size:
+        return 0, 0
+    starts, stops = edges[::2], edges[1::2]
+    i = int(np.argmax(stops - starts))
+    a = int(starts[i])
+    n = (int(stops[i]) + period - a) // period * period
+    return (a, a + n) if n >= 2 * period else (0, 0)
+
+
+def _row_groups(block_shape: tuple[int, ...], ax: int, cls1d: np.ndarray,
+                period: int) -> tuple[list[FusedGroup], int]:
+    """The kernel's groups: cache-sized slabs of the block along
+    axis 0, and the bytes of weight rows they hold.
+
+    On a later pass axis every slab shares the pass's weight rows. On
+    axis 0 the slabs cut the pass axis itself, so one row per target
+    would grow with the extent. A pass that needs more than one slab
+    there folds the stretch over which its classes repeat (every
+    ``period`` targets, the window's) to ``(k, unit, ...)`` slabs that
+    share one ``unit`` of weight rows; only its irregular ends (domain
+    boundary, truncated last window) get rows of their own.
+    """
+    ndim, m = len(block_shape), block_shape[ax]
+    n_after = ndim - ax - 1
+    step = max(1, ROW_GROUP_ELEMENTS // math.prod(block_shape[1:]))
+    groups, nbytes = [], 0
+
+    def add(r0, r1, rows, cols, shape, folded=False):
+        groups.append(FusedGroup((slice(r0, r1),), tuple(cols),
+                                 tuple(row for _, row in rows), shape,
+                                 math.prod(shape), folded))
+
+    if ax > 0:
+        rows = _weight_rows(cls1d, n_after)
+        nbytes = sum(row.nbytes for _, row in rows)
+        inner = (slice(None),) * (ax - 1)
+        for r0 in range(0, block_shape[0], step):
+            r1 = min(r0 + step, block_shape[0])
+            add(r0, r1, rows, [(slice(r0, r1),) + inner
+                               + (slice(col, col + m),) for col, _ in rows],
+                (r1 - r0,) + block_shape[1:])
+        return groups, nbytes
+    a = b = unit = 0
+    if m > step:
+        unit = period * -(-_FOLD_MIN // period)
+        a, b = _periodic_core(cls1d, unit)
+    for lo, hi, fold in ((0, a, 0), (a, b, unit), (b, m, 0)):
+        if fold:
+            rows = _weight_rows(cls1d[lo:lo + fold], n_after)
+            nbytes += sum(row.nbytes for _, row in rows)
+        chunk = max(1, step // fold) * fold if fold else step
+        for r0 in range(lo, hi, chunk):
+            r1 = min(r0 + chunk, hi)
+            if not fold:
+                rows = _weight_rows(cls1d[r0:r1], n_after)
+                nbytes += sum(row.nbytes for _, row in rows)
+            shape = ((r1 - r0) // fold, fold) if fold else (r1 - r0,)
+            add(r0, r1, rows, [(slice(r0 + col, r1 + col),)
+                               for col, _ in rows], shape + block_shape[1:],
+                bool(fold))
+    return groups, nbytes
 
 
 def _compile_pass(shape: tuple[int, ...], spec, p) -> CompiledPass:
-    """Precompute one pass's targets, class partition, and kernels."""
+    """Precompute one pass's targets, padded lattice and kernel."""
     t0 = time.perf_counter()
-    ndim = len(shape)
+    ndim, ax = len(shape), p.axis
     axes_idx = _axis_indices(shape, p)
-    t = axes_idx[p.axis]
-    if t.size == 0 or any(a.size == 0 for a in axes_idx):
-        empty_view = tuple(slice(0, 0, 1) for _ in range(ndim))
-        return CompiledPass(p, (0,) * ndim, empty_view, 0, (), empty_view,
-                            (0,) * ndim, 0, _EMPTY_I64, _EMPTY_GATHER,
-                            _EMPTY_W, time.perf_counter() - t0)
-    flat_nd = _flat_block(axes_idx, shape)
-    block_shape = flat_nd.shape
-    flat = np.ascontiguousarray(flat_nd.ravel())
+    if any(a.size == 0 for a in axes_idx):
+        empty = tuple(slice(0, 0, 1) for _ in range(ndim))
+        return CompiledPass(p, (0,) * ndim, empty, (), empty,
+                            empty, (), (0,) * ndim, 0,
+                            time.perf_counter() - t0)
+    block_shape = tuple(a.size for a in axes_idx)
     # every pass's target set is itself a regular lattice, so the quantize
     # gather / reconstruction scatter compile to strided views
     target_view = tuple(_lattice_slice(idx) for idx in axes_idx)
+    window = spec.window_shape[ax] if spec.window_shape else None
+    cls1d = _class_1d(axes_idx[ax], shape[ax], p.stride, window,
+                      spec.cubic_variant[ax])
 
-    window = spec.window_shape[p.axis] if spec.window_shape else None
-    cubic = spec.cubic_variant[p.axis]
-    cls1d = _class_1d(t, shape[p.axis], p.stride, window, cubic)
+    def along(sl: slice) -> tuple[slice, ...]:
+        """``sl`` on the pass axis, everything on the others."""
+        return (slice(None),) * ax + (sl,) + (slice(None),) * (ndim - ax - 1)
 
-    m = t.size
-    n = shape[p.axis]
-    block_other = flat.size // m
-    covered = np.zeros(m, dtype=bool)
-    s = p.stride
-    # every neighbor of every target lies on the complementary even
-    # lattice (t = s*(2i+1), offsets odd => t + k*s = 2s*j), so one staged
-    # copy of that lattice turns all neighbor reads unit-stride
-    ev_sel = []
-    for ax in range(ndim):
-        if ax == p.axis:
-            ev_sel.append(slice(0, n, 2 * s))
-        else:
-            ev_sel.append(slice(0, shape[ax], p.steps[ax]))
-    ev_sel = tuple(ev_sel)
-    ev_shape = list(block_shape)
-    ev_shape[p.axis] = len(range(0, n, 2 * s))
-    ev_shape = tuple(ev_shape)
-    groups = []
-    n_fused = 0
-    for a, b in _class_runs(cls1d):
-        if (b - a) * block_other < _MIN_FUSED_ELEMENTS:
-            continue            # too small to amortize a slice op
-        cls = int(cls1d[a])
-        weights = []
-        sources = []
-        staged_srcs = []
-        in_domain = True
-        for j, k in enumerate(NEIGHBOR_OFFSETS):
-            w = float(SPLINE_WEIGHTS[cls, j])
-            if w == 0.0:
-                continue        # identity on the accumulation; skip
-            start = int(t[a]) + k * s
-            stop = int(t[b - 1]) + k * s + 1
-            if start < 0 or stop > n:
-                # nonzero weight always sits on an available (in-domain)
-                # neighbor; this guard only ever fires on configurations
-                # the classifier promises not to produce
-                in_domain = False
-                break
-            src = []
-            for ax in range(ndim):
-                if ax == p.axis:
-                    src.append(slice(start, stop, 2 * s))
-                else:
-                    src.append(slice(0, shape[ax], p.steps[ax]))
-            weights.append(w)
-            sources.append(tuple(src))
-            if staged_srcs is not None and start % (2 * s) == 0:
-                st = list(src)
-                st[p.axis] = slice(start // (2 * s),
-                                   start // (2 * s) + (b - a), 1)
-                st[p.axis + 1:] = [slice(None)] * (ndim - p.axis - 1)
-                for ax in range(p.axis):
-                    st[ax] = slice(None)
-                staged_srcs.append(tuple(st))
-            else:
-                staged_srcs = None
-        if not in_domain:
-            continue
-        covered[a:b] = True
-        n_fused += b - a
-        tsel = [slice(None)] * ndim
-        tsel[p.axis] = slice(a, b)
-        run_shape = list(block_shape)
-        run_shape[p.axis] = b - a
-        groups.append(FusedGroup(tuple(tsel), tuple(sources),
-                                 tuple(weights), tuple(run_shape),
-                                 math.prod(run_shape),
-                                 tuple(staged_srcs)
-                                 if staged_srcs is not None else None))
-
-    b_axis = np.flatnonzero(~covered)
-    if b_axis.size:
-        sel_nd = np.take(np.arange(flat.size, dtype=np.int64)
-                         .reshape(block_shape), b_axis, axis=p.axis)
-        b_sel = np.ascontiguousarray(sel_nd.ravel())
-        view = [1] * ndim
-        view[p.axis] = b_axis.size
-        cls_b = np.broadcast_to(cls1d[b_axis].reshape(view),
-                                sel_nd.shape).ravel()
-        b_w = np.ascontiguousarray(SPLINE_WEIGHTS[cls_b].T)
-        ax_stride = 1
-        for ax in range(p.axis + 1, ndim):
-            ax_stride *= shape[ax]
-        size = math.prod(shape)
-        base = flat[b_sel]
-        b_gather = np.empty((len(NEIGHBOR_OFFSETS), b_sel.size),
-                            dtype=np.int64)
-        for j, k in enumerate(NEIGHBOR_OFFSETS):
-            idx = base + (k * s * ax_stride)
-            # identical clip semantics to the reference path: zero-weight
-            # out-of-domain neighbors gather the same (ignored) operand
-            np.clip(idx, 0, size - 1, out=idx)
-            b_gather[j] = idx
-        for arr in (b_sel, b_gather, b_w):
-            arr.setflags(write=False)
-    else:
-        b_sel, b_gather, b_w = _EMPTY_I64, _EMPTY_GATHER, _EMPTY_W
-    has_staged = any(g.staged is not None for g in groups)
-    return CompiledPass(p, block_shape, target_view, int(flat.size),
-                        tuple(groups), ev_sel, ev_shape,
-                        math.prod(ev_shape) if has_staged else 0,
-                        b_sel, b_gather, b_w, time.perf_counter() - t0)
+    ev_sel = tuple(slice(0, shape[ax], 2 * p.stride) if a == ax
+                   else slice(0, n, p.steps[a]) for a, n in enumerate(shape))
+    n_even = len(range(0, shape[ax], 2 * p.stride))     # m or m + 1
+    pad_shape = block_shape[:ax] + (n_even + 3,) + block_shape[ax + 1:]
+    pad_sels = (along(slice(0, 1)), along(slice(n_even + 1, n_even + 3)))
+    period = 1 if window is None else \
+        (window - 1) // math.gcd(window - 1, 2 * p.stride)
+    groups, nbytes = _row_groups(block_shape, ax, cls1d, period)
+    return CompiledPass(p, block_shape, target_view, tuple(groups),
+                        ev_sel, along(slice(1, n_even + 1)), pad_sels,
+                        pad_shape, nbytes, time.perf_counter() - t0)
 
 
 def _plan_key(shape: tuple[int, ...], spec) -> tuple:
@@ -502,8 +436,7 @@ def compile_plan(shape: tuple[int, ...], spec) -> PassPlan:
         plan = PassPlan(shape=shape, key=_plan_key(shape, spec),
                         passes=passes,
                         compile_s=time.perf_counter() - t0)
-        sp.set(n_passes=len(passes), n_fused=plan.n_fused,
-               n_gather=plan.n_gather, plan_nbytes=plan.nbytes)
+        sp.set(n_passes=len(passes), plan_nbytes=plan.nbytes)
     return plan
 
 

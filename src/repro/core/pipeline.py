@@ -28,7 +28,8 @@ from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
 from repro.core.ginterp.autotune import (alpha_from_eb, autotune,
                                          field_fingerprint)
 from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
-                                       check_stream_header, interp_compress,
+                                       check_stream_header,
+                                       check_stream_values, interp_compress,
                                        interp_decompress)
 from repro.core.ginterp.plans import get_plan
 from repro.huffman import (FORMAT_KEY, FORMAT_VERSION,
@@ -360,6 +361,7 @@ class CuSZi:
                 raise CodecError("outlier segment size mismatch")
             anchors = np.frombuffer(segments["anchors"],
                                     dtype=dtype).reshape(anchor_shape)
+            check_stream_values(anchors, outliers, abs_eb, radius, spec)
             with cap.stage("plan"):
                 plan = get_plan(padded_shape,
                                 spec.resolved(len(padded_shape)))

@@ -31,9 +31,9 @@ from repro.common.errors import CodecError, CorruptStreamError
 from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp.anchors import apply_anchors, extract_anchors
 from repro.core.ginterp.engine import (InterpResult, InterpSpec,
-                                       _check_finite, level_error_bounds)
+                                       _check_input, level_error_bounds)
 from repro.core.ginterp.plans import (PassDesc, _axis_indices, _class_1d,
-                                      _flat_block, pass_plan)
+                                      pass_plan)
 from repro.core.ginterp.splines import NEIGHBOR_OFFSETS, SPLINE_WEIGHTS
 from repro.huffman import (MAX_CODE_LEN, DEFAULT_CHUNK_BITS, HuffmanStream,
                            build_decode_table, canonical_codebook,
@@ -42,6 +42,21 @@ from repro.huffman.codec import MAX_CHUNK_BITS, _decode_prepare
 
 
 # -- interpolation traversal -----------------------------------------------
+
+def _flat_block(axes_idx: list[np.ndarray], shape: tuple[int, ...]
+                ) -> np.ndarray:
+    """Broadcast-sum per-axis offsets into a block of flat C indices."""
+    ndim = len(shape)
+    strides = [1] * ndim
+    for ax in range(ndim - 2, -1, -1):
+        strides[ax] = strides[ax + 1] * shape[ax + 1]
+    total = np.zeros((1,) * ndim, dtype=np.int64)
+    for ax, idx in enumerate(axes_idx):
+        view = [1] * ndim
+        view[ax] = idx.size
+        total = total + (idx * strides[ax]).reshape(view)
+    return total
+
 
 def _pass_predict(work_flat: np.ndarray, shape: tuple[int, ...],
                   spec: InterpSpec, p: PassDesc
@@ -83,8 +98,8 @@ def reference_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                        plan=None) -> InterpResult:
     """The uncompiled compression traversal (``plan`` is ignored)."""
     spec = spec.resolved(data.ndim)
-    _check_finite(data)
     quantizer = quantizer or LinearQuantizer()
+    _check_input(data, eb, quantizer.radius, data.ndim * spec.n_levels)
     work = data.astype(np.float64, copy=True)
     anchors = extract_anchors(work, spec.anchor_stride,
                               quantizer.value_dtype)

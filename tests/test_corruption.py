@@ -15,10 +15,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import smooth_field
+from conftest import rough_field, smooth_field
 from repro.common import container
 from repro.common.container import build_container, parse_container
-from repro.common.errors import CorruptStreamError, ReproError
+from repro.common.errors import CorruptStreamError, DataError, ReproError
 from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
 from repro.common.quantizer import DEFAULT_RADIUS
 from repro.core.ginterp.engine import HEADER_KEYS
@@ -185,3 +185,67 @@ def test_forged_trailing_outliers_rejected(blobs, codec):
         meta["n_outliers"] += extra.size
     with pytest.raises(CorruptStreamError, match="trailing"):
         comp.decompress(_restamp(name, meta, segments))
+
+
+@pytest.fixture(scope="module")
+def outlier_blobs():
+    """Interpolation blobs with outliers: white noise, a tiny radius."""
+    data = rough_field((24, 24, 24), seed=102)
+    out = {}
+    for codec in ("cuszi", "sz3", "qoz"):
+        comp = get_compressor(codec, eb=1e-4, mode="rel", radius=8,
+                              lossless="none")
+        out[codec] = (comp, comp.compress(data))
+    return out
+
+
+@pytest.mark.parametrize("codec", ["cuszi", "sz3", "qoz"])
+@pytest.mark.parametrize("segment,value", [
+    ("anchors", math.nan), ("outliers", math.inf),
+    ("outliers", -math.inf)], ids=["anchor-nan", "outlier-inf",
+                                   "outlier-neginf"])
+def test_forged_non_finite_values_rejected(outlier_blobs, codec, segment,
+                                           value):
+    """A non-finite anchor or outlier would spread through every later
+    prediction that reads it, by an amount that depends on the kernel,
+    so a CRC-valid stream carrying one must fail before the traversal."""
+    comp, blob = outlier_blobs[codec]
+    name, meta, segments = parse_container(unwrap_lossless(blob))
+    values = np.frombuffer(segments[segment], dtype=meta["dtype"]).copy()
+    assert values.size > 0
+    values[values.size // 2] = value
+    segments[segment] = values.tobytes()
+    with mock.patch("repro.core.pipeline.interp_decompress") as cuszi, \
+            mock.patch("repro.baselines.interp_cpu.interp_decompress") as cpu:
+        with pytest.raises(CorruptStreamError, match="non-finite"):
+            comp.decompress(_restamp(name, meta, segments))
+    cuszi.assert_not_called()
+    cpu.assert_not_called()
+
+
+@pytest.mark.parametrize("codec", ["cuszi", "sz3", "qoz"])
+def test_forged_overflowing_error_bound_rejected(outlier_blobs, codec):
+    """A finite error bound so large that the reconstruction overflows to
+    ±inf would make the decoded bytes depend on which neighbors a kernel
+    multiplies, so a CRC-valid stream carrying one must fail before the
+    traversal."""
+    comp, blob = outlier_blobs[codec]
+    name, meta, segments = parse_container(unwrap_lossless(blob))
+    meta["abs_eb"] = 1e306
+    with mock.patch("repro.core.pipeline.interp_decompress") as cuszi, \
+            mock.patch("repro.baselines.interp_cpu.interp_decompress") as cpu:
+        with pytest.raises(CorruptStreamError, match="overflow"):
+            comp.decompress(_restamp(name, meta, segments))
+    cuszi.assert_not_called()
+    cpu.assert_not_called()
+
+
+@pytest.mark.parametrize("codec", ["cuszi", "sz3", "qoz"])
+def test_overflowing_input_rejected_by_encoder(codec):
+    """The encoder refuses a field whose reconstruction could overflow
+    float64, so every stream it writes passes the decoders' bound."""
+    data = np.full((16, 16), 1e307)
+    data[3, 5] = -1e307
+    comp = get_compressor(codec, eb=1e-3, mode="rel", lossless="none")
+    with pytest.raises(DataError, match="overflow"):
+        comp.compress(data)

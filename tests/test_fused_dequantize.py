@@ -23,6 +23,7 @@ from oracles import reference_decompress
 from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp import (InterpSpec, get_plan, interp_compress,
                                 interp_decompress)
+from repro.core.ginterp import plans
 from repro.core.ginterp.plans import scratch
 
 #: radius 8 at an absolute bound of 1e-6 on a field of range ~1e-3 turns
@@ -113,6 +114,33 @@ def test_forked_worker_gets_a_private_arena():
     proc.join(timeout=60)
     assert proc.exitcode == 0
     assert (view == 1.0).all()
+
+
+def test_warm_traversal_reuses_the_arena_unchanged():
+    """The first traversal of a fresh thread sizes the arena to the
+    plan's widest pass; a second same-shape traversal reuses that very
+    buffer and does not grow it."""
+    shape = (48, 40, 56)
+    data = smooth_field(shape)
+    spec = InterpSpec(anchor_stride=8, window_shape=(9, 9, 33))
+    plan = get_plan(shape, spec.resolved(3))
+    seen = []
+
+    def run():
+        plans._arena.buf = None           # a fresh thread's empty arena
+        for _ in range(2):
+            res = interp_compress(data, spec, 1e-3, plan=plan)
+            interp_decompress(shape, spec, 1e-3, res.codes, res.outliers,
+                              res.anchors, plan=plan)
+            seen.append(plans._arena.buf)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    first, second = seen[0], seen[1]
+    assert second is first
+    # prediction, padded lattice, rounding and reconstruction buffers
+    assert first.size == 3 * plan.max_targets + plan.max_staged
 
 
 def test_warm_decode_allocates_about_one_work_array():

@@ -7,6 +7,7 @@ tests compare full streams with ``tobytes()``, not ``allclose``.
 
 import concurrent.futures
 import multiprocessing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.common.quantizer import LinearQuantizer
 from repro.core.ginterp import (InterpSpec, clear_plan_cache, compile_plan,
                                 get_plan, interp_compress, interp_decompress,
                                 plan_cache_stats, set_plan_cache_limit)
+from repro.core.ginterp import plans
 from repro.core.ginterp.autotune import autotune, profile_cubic_errors
 from repro.core.ginterp.splines import CUBIC_NAK, CUBIC_NAT, SPLINE_WEIGHTS
 
@@ -118,6 +120,88 @@ class TestBitExactEquivalence:
         spec = InterpSpec(anchor_stride=stride,
                           window_shape=(9, 17) if windowed else None)
         _assert_equivalent((h, w), spec, seed)
+
+
+def _plan_with(shape, spec, group_elements, fold_min=plans._FOLD_MIN):
+    """An uncached plan compiled under the given slab-shape constants."""
+    with mock.patch.object(plans, "ROW_GROUP_ELEMENTS", group_elements), \
+            mock.patch.object(plans, "_FOLD_MIN", fold_min):
+        return compile_plan(shape, spec.resolved(len(shape)))
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@st.composite
+def _geometries(draw):
+    """A shape and a spec: 1-3D, prime/odd/tiny extents, windowed or
+    global, both cubic variants, any axis order, anchor strides 2-64."""
+    ndim = draw(st.integers(1, 3))
+    top = {1: 300, 2: 48, 3: 20}[ndim]
+    shape = tuple(draw(st.one_of(st.sampled_from(_PRIMES),
+                                 st.integers(2, top)))
+                  for _ in range(ndim))
+    windowed = draw(st.booleans())
+    spec = InterpSpec(
+        anchor_stride=draw(st.sampled_from([2, 4, 8, 16, 32, 64])),
+        window_shape=tuple(draw(st.sampled_from([2, 3, 5, 9, 17, 33]))
+                           for _ in range(ndim)) if windowed else None,
+        cubic_variant=tuple(draw(st.sampled_from([CUBIC_NAK, CUBIC_NAT]))
+                            for _ in range(ndim)),
+        axis_order=tuple(draw(st.permutations(range(ndim)))))
+    return shape, spec
+
+
+class TestKernelEquivalence:
+    """The weight-row kernel, on every geometry and slab cut, against the
+    gather oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(geom=_geometries(),
+           group_elements=st.sampled_from([1, 7, plans.ROW_GROUP_ELEMENTS]),
+           fold_min=st.sampled_from([1, 3, plans._FOLD_MIN]),
+           radius=st.sampled_from([8, None]), seed=st.integers(0, 3))
+    def test_property_matches_oracle(self, geom, group_elements, fold_min,
+                                     radius, seed):
+        shape, spec = geom
+        plan = _plan_with(shape, spec, group_elements, fold_min)
+        data = _field(shape, seed)
+        eb = 1e-3 * float(data.max() - data.min()) or 1e-3
+        q = LinearQuantizer(radius) if radius else None
+        ref = reference_compress(data, spec, eb, q)
+        got = interp_compress(data, spec, eb, q, plan=plan)
+        assert ref.codes.tobytes() == got.codes.tobytes()
+        assert ref.outliers.tobytes() == got.outliers.tobytes()
+        assert ref.reconstructed.tobytes() == got.reconstructed.tobytes()
+        out = interp_decompress(shape, spec, eb, got.codes, got.outliers,
+                                got.anchors, q, plan=plan)
+        assert out.tobytes() == ref.reconstructed.tobytes()
+
+    @pytest.mark.parametrize("shape,spec", [
+        ((4099,), InterpSpec(anchor_stride=64, window_shape=(33,))),
+        ((3001,), InterpSpec(anchor_stride=16)),
+        ((301, 7), InterpSpec(anchor_stride=8, window_shape=(17, 9),
+                              axis_order=(1, 0)))], ids=["1d", "1d-global",
+                                                         "2d"])
+    def test_folded_row_slabs_match_oracle(self, shape, spec):
+        """Small slabs make every axis-0 pass fold its periodic stretch."""
+        plan = _plan_with(shape, spec, 16, fold_min=4)
+        assert any(len(g.shape) > len(shape) for cp in plan.passes
+                   for g in cp.groups)
+        data = _field(shape)
+        ref = reference_compress(data, spec, 1e-3)
+        got = interp_compress(data, spec, 1e-3, plan=plan)
+        assert ref.codes.tobytes() == got.codes.tobytes()
+        assert ref.reconstructed.tobytes() == got.reconstructed.tobytes()
+
+    def test_axis0_weight_rows_do_not_grow_with_extent(self):
+        """Folding keeps a 1D plan's weight rows bounded: 16x the extent
+        leaves them about the same size, far below one row per target."""
+        spec = InterpSpec(anchor_stride=512, window_shape=(2049,))
+        small = compile_plan((1 << 18,), spec.resolved(1)).nbytes
+        large = compile_plan((1 << 22,), spec.resolved(1)).nbytes
+        assert large <= 1.25 * small
+        assert large < 8 * (1 << 22) // 4
 
 
 class TestPlanCache:
