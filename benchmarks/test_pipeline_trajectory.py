@@ -60,8 +60,8 @@ bench's own runs.
 Schema 6 adds a ``transport`` section: serial vs pooled wall times for
 both directions on a 128^3 field (big enough to clear the shm floors),
 the shm-vs-pickled byte accounting from
-:func:`repro.runtime.pool.transport_stats`, and the active transport's
-size floors — the sentinel gates on pooled decompress staying
+:func:`repro.runtime.pool.transport_stats`, and the pool's size
+floors — the sentinel gates on pooled decompress staying
 competitive with serial. ``runtime.cpu_count`` now reports *usable*
 cores (``sched_getaffinity``), with the installed count kept as
 ``cpu_count_logical``.
@@ -148,9 +148,7 @@ def _bench_parallel_sections(data, shape, usable_cpus):
     # times for both directions plus the byte accounting that proves
     # payloads moved through arenas rather than the pickle queue.
     from repro.runtime import pool as runtime_pool
-    from repro.runtime import transport_kind
     tdata = load_field(dataset, field, shape=(128, 128, 128))
-    tkind = transport_kind()
     runtime_pool.reset_transport_stats()
     # warm the daemon pool (fork + codec import cost is one-time)
     parallel_compress_slabs(tdata[:2 * SLAB_PLANES], SLAB_PLANES,
@@ -171,7 +169,7 @@ def _bench_parallel_sections(data, shape, usable_cpus):
     ser_c, par_c = t1 - t0, t2 - t1
     ser_d, par_d = t3 - t2, t4 - t3
     transport = {
-        "kind": tkind,
+        "kind": "shm",
         "field_shape": [128, 128, 128],
         "field_bytes": tdata.nbytes,
         "workers": workers,
@@ -184,10 +182,8 @@ def _bench_parallel_sections(data, shape, usable_cpus):
         "shm_bytes_moved": tstats["shm_bytes"],
         "pickled_bytes": tstats["pickled_bytes"],
         "copies_avoided": tstats["copies_avoided"],
-        "min_encode_bytes": runtime_pool.SHM_MIN_ENCODE_BYTES
-        if tkind == "shm" else runtime_pool.PARALLEL_MIN_ENCODE_BYTES,
-        "min_decode_bytes": runtime_pool.SHM_MIN_DECODE_BYTES
-        if tkind == "shm" else runtime_pool.PARALLEL_MIN_DECODE_BYTES,
+        "min_encode_bytes": runtime_pool.PARALLEL_MIN_ENCODE_BYTES,
+        "min_decode_bytes": runtime_pool.PARALLEL_MIN_DECODE_BYTES,
     }
     return runtime, transport
 

@@ -24,7 +24,6 @@ _ARCHIVE_CODEC = "field-archive"
 def save_archive(fields: dict[str, np.ndarray], codec: str = "cuszi",
                  per_field: dict[str, dict] | None = None,
                  workers: int | str | None = None,
-                 transport: str | None = None,
                  **kwargs) -> bytes:
     """Compress a named set of fields into one archive blob.
 
@@ -32,9 +31,7 @@ def save_archive(fields: dict[str, np.ndarray], codec: str = "cuszi",
     field name to overrides (including ``"codec"``), e.g. compress a
     rough field with a different bound than the rest. Fields are
     independent archives, so ``workers`` fans them out across processes
-    (:mod:`repro.runtime`) with byte-identical output; ``transport``
-    pins the pool's payload transport (``"shm"``/``"pickle"``, default
-    auto).
+    (:mod:`repro.runtime`) with byte-identical output.
     """
     if not fields:
         raise ConfigError("archive needs at least one field")
@@ -47,7 +44,7 @@ def save_archive(fields: dict[str, np.ndarray], codec: str = "cuszi",
                           workers=resolve_workers(workers)) as cap:
         with cap.stage("fields"):
             blobs = map_compress([fields[name] for name in names], codec,
-                                 workers=workers, transport=transport,
+                                 workers=workers,
                                  per_item=[{"codec": c, **ov}
                                            for c, ov in zip(codecs,
                                                             overrides)],
@@ -73,8 +70,8 @@ def save_archive(fields: dict[str, np.ndarray], codec: str = "cuszi",
 
 def load_archive(blob: bytes,
                  fields: list[str] | None = None,
-                 workers: int | str | None = None,
-                 transport: str | None = None) -> dict[str, np.ndarray]:
+                 workers: int | str | None = None
+                 ) -> dict[str, np.ndarray]:
     """Decompress (a subset of) an archive back into named arrays."""
     from repro.runtime import map_decompress, resolve_workers
     with recorder.capture("archive.load", bytes_in=len(blob),
@@ -90,7 +87,7 @@ def load_archive(blob: bytes,
                                   f"contains {sorted(segments)}")
         with cap.stage("fields"):
             arrays = map_decompress([segments[name] for name in wanted],
-                                    workers=workers, transport=transport)
+                                    workers=workers)
         cap.set(n_fields=len(wanted),
                 bytes_out=sum(a.nbytes for a in arrays))
     return dict(zip(wanted, arrays))
@@ -118,9 +115,8 @@ def write_archive(path: str, fields: dict[str, np.ndarray],
 
 def read_archive(path: str,
                  fields: list[str] | None = None,
-                 workers: int | str | None = None,
-                 transport: str | None = None) -> dict[str, np.ndarray]:
+                 workers: int | str | None = None
+                 ) -> dict[str, np.ndarray]:
     """Load (a subset of) an archive from disk."""
     with open(path, "rb") as f:
-        return load_archive(f.read(), fields, workers=workers,
-                            transport=transport)
+        return load_archive(f.read(), fields, workers=workers)

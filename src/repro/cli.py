@@ -205,7 +205,7 @@ def _cmd_pack(args) -> int:
     from repro.archive import write_archive
     write_archive(args.output, fields, codec=args.codec, eb=args.eb,
                   mode=args.mode, lossless=args.lossless,
-                  workers=args.workers, transport=args.transport)
+                  workers=args.workers)
     from repro.archive import read_archive  # noqa: F401  (symmetry)
     import os
     raw = sum(d.nbytes for d in fields.values())
@@ -220,8 +220,7 @@ def _cmd_unpack(args) -> int:
     from repro.archive import read_archive
     fields = read_archive(args.input,
                           fields=args.fields.split(",") if args.fields
-                          else None, workers=args.workers,
-                          transport=args.transport)
+                          else None, workers=args.workers)
     for name, data in fields.items():
         path = f"{args.prefix}{name}.f32"
         data.astype(np.float32).tofile(path)
@@ -603,10 +602,6 @@ def main(argv=None) -> int:
                    metavar="N",
                    help="compress fields across N worker processes "
                         "('auto' = all cores; default serial)")
-    p.add_argument("--transport", default=None,
-                   choices=("shm", "pickle"),
-                   help="pool payload transport (default: shm arenas "
-                        "when the platform supports them)")
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("unpack", help="extract fields from an archive")
@@ -619,10 +614,6 @@ def main(argv=None) -> int:
                    metavar="N",
                    help="decompress fields across N worker processes "
                         "('auto' = all cores; default serial)")
-    p.add_argument("--transport", default=None,
-                   choices=("shm", "pickle"),
-                   help="pool payload transport (default: shm arenas "
-                        "when the platform supports them)")
     p.set_defaults(func=_cmd_unpack)
 
     p = sub.add_parser("stats", help="aggregate a flight-recorder run "

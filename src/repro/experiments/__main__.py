@@ -56,19 +56,10 @@ def main(argv=None) -> int:
                         help="process-pool size for experiments that "
                              "support batch fan-out ('auto' = all cores; "
                              "default serial)")
-    parser.add_argument("--transport", default=None,
-                        choices=("shm", "pickle"),
-                        help="pool payload transport for fanned-out "
-                             "experiments (default: shm arenas when the "
-                             "platform supports them)")
     args = parser.parse_args(argv)
     workers = args.workers
     if workers is not None and workers != "auto":
         workers = int(workers)
-    if args.transport:
-        # the runtime reads REPRO_TRANSPORT at each pooled call, so one
-        # env set pins the transport for every experiment in this run
-        os.environ["REPRO_TRANSPORT"] = args.transport
     names = sorted(MODULES) if args.name == "all" else [args.name]
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -84,15 +84,13 @@ def run_codec_batch(codec: str, fields: list[tuple[str, str, np.ndarray]],
                     *, eb: float | None = None, lossless: str = "none",
                     mode: str = "rel", verify: bool = True,
                     workers: int | str | None = None,
-                    transport: str | None = None,
                     **kwargs) -> list[CompressionRun]:
     """Batch form of :func:`run_codec` over many ``(dataset, field,
     data)`` triples, fanned out via :mod:`repro.runtime`.
 
     Results are identical to calling :func:`run_codec` per field (same
     blobs, same metrics) — ``workers`` only changes where the codec work
-    runs and ``transport`` which pool transport carries the payloads
-    (``"shm"``/``"pickle"``, default auto). The default stays serial.
+    runs. The default stays serial.
     """
     from repro.runtime import map_compress, map_decompress
     fields = list(fields)
@@ -102,12 +100,10 @@ def run_codec_batch(codec: str, fields: list[tuple[str, str, np.ndarray]],
     with telemetry.span("experiment.batch", codec=codec,
                         n_fields=len(fields)):
         blobs = map_compress([data for _, _, data in fields], codec,
-                             workers=workers, transport=transport,
-                             **codec_kwargs)
+                             workers=workers, **codec_kwargs)
         telemetry.incr("experiment.runs", len(fields))
         if verify:
-            recons = map_decompress(blobs, workers=workers,
-                                    transport=transport)
+            recons = map_decompress(blobs, workers=workers)
         else:
             recons = [None] * len(fields)
     runs = []

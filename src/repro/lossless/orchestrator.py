@@ -167,8 +167,7 @@ def _blocks_encode(view, checksum, workers=None):
     from repro.runtime.pool import resolve_workers, run_batch
     nworkers = resolve_workers(workers if workers is not None else "auto")
     if nworkers > 1 and len(blocks) > 1:
-        payloads = [bytes(b) for b in blocks]
-        encoded = run_batch(_gle_block_task, payloads, nworkers)
+        encoded = run_batch(_gle_block_task, blocks, nworkers)
     else:
         encoded = [gle_compress(b, checksum=False) for b in blocks]
     parts = [struct.pack("<I", len(encoded))]

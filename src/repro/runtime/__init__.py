@@ -8,28 +8,27 @@ See :mod:`repro.runtime.pool` for the engine. Public surface:
 * :func:`map_compress` / :func:`map_decompress` — many-field batches;
 * :func:`resolve_workers` — the shared ``workers=`` knob
   (``None`` = serial, ``"auto"`` = one worker per usable core);
-* :func:`transport_kind` — which payload transport is active
-  (``"shm"`` zero-copy arenas via :mod:`repro.runtime.workers`, or the
-  ``"pickle"`` executor fallback); ``transport_stats`` totals the bytes
-  each mechanism moved;
+* :func:`transport_stats` — cumulative bytes the pool moved through
+  its shared-memory arenas (:mod:`repro.runtime.workers`, the one
+  payload transport) and the rare result that spilled to the queue;
 * :func:`tiled_compress_file` / :func:`tiled_decompress_file` — the
   out-of-core path (:mod:`repro.runtime.tiled`): memory-mapped input,
   bounded peak RSS, byte-identical ``RPST`` streams;
-* :func:`shutdown_pools` — tear down the cached worker pools (both
-  transports) and unlink their shared-memory arenas.
+* :func:`shutdown_pools` — tear down the cached worker pools and
+  unlink their shared-memory arenas.
 """
 
 from repro.runtime.pool import (map_compress, map_decompress,
                                 parallel_compress_slabs,
                                 parallel_decompress_slabs,
                                 resolve_workers, shutdown_pools,
-                                transport_kind, transport_stats)
+                                transport_stats)
 from repro.runtime.tiled import (resolve_tile_planes,
                                  tiled_compress_file,
                                  tiled_decompress_file)
 
 __all__ = ["parallel_compress_slabs", "parallel_decompress_slabs",
            "map_compress", "map_decompress", "resolve_workers",
-           "shutdown_pools", "transport_kind", "transport_stats",
+           "shutdown_pools", "transport_stats",
            "tiled_compress_file", "tiled_decompress_file",
            "resolve_tile_planes"]

@@ -1,13 +1,14 @@
 """Shared-memory slab arenas: the zero-copy transport substrate.
 
-The pickle transport the PR-2 pool used serialized every slab out to the
-worker and every blob back — four buffer copies plus two pipe traversals
-per payload, which is why small-stream parallel decompress benched *6.7x
-slower* than serial. This module provides the replacement substrate: a
-named ``multiprocessing.shared_memory`` segment (an :class:`Arena`) that
-both sides map once, so a payload crosses the process boundary as **one**
+Pickling a slab out to a worker process and its blob back costs four
+buffer copies plus two pipe traversals per payload. This module
+provides the substrate that removes them: a named
+``multiprocessing.shared_memory`` segment (an :class:`Arena`) that both
+sides map once, so a payload crosses the process boundary as **one**
 ``memcpy`` into the arena and an ``(offset, length)`` pair in a tiny
-control message. Nothing is pickled but control metadata.
+control message. Nothing is pickled but control metadata. The worker
+pool (:mod:`repro.runtime.workers`) moves every pooled payload this
+way; where :func:`available` is false, pooled requests run serially.
 
 Layout of one arena segment::
 

@@ -1,14 +1,15 @@
 """Persistent worker daemons over shared-memory arenas.
 
-The PR-2 pool paid two taxes on every request: per-call pickle transport
-(slabs out, blobs back) and cold per-task process state. This module
-replaces both. A :class:`ShmPool` holds long-lived worker processes that
-loop on a control queue; payloads cross through two :class:`Arena`
-segments (:mod:`repro.runtime.shm`) — the parent writes inputs into the
-input arena, workers compress/decompress **in place** and write results
-into the output arena under a cross-process cursor lock, and only small
-control tuples (offsets, lengths, codec config, trace context) are ever
-pickled.
+This is the runtime's one pooled transport. A :class:`ShmPool` holds
+long-lived worker processes that loop on a control queue; payloads
+cross through two :class:`Arena` segments (:mod:`repro.runtime.shm`) —
+the parent writes inputs into the input arena, workers compress,
+decompress or transform them **in place** and write results into the
+output arena under a cross-process cursor lock, and only small control
+tuples (offsets, lengths, codec config, trace context) are ever
+pickled. Five request kinds exist: slab groups and whole fields, each
+way, plus :meth:`ShmPool.map_bytes`, which applies a module-level
+bytes-to-bytes function to arena-resident blocks.
 
 Because workers are daemons, not per-batch forks, their per-process
 caches — compiled interpolation plans, Huffman codebooks/decode tables,
@@ -28,6 +29,9 @@ Failure discipline:
 * a worker *task* that raises surfaces as :class:`WorkerTaskError` — the
   caller re-runs serially, which reproduces the real exception with its
   original type;
+* a pool that cannot start (no shared memory, no processes) raises
+  :class:`~repro.runtime.shm.ArenaError` from the constructor — the
+  caller runs serially;
 * an output arena too small for a result degrades that one payload to
   inline queue transport (counted as ``pickled_bytes``), never an error.
 
@@ -47,7 +51,8 @@ import numpy as np
 
 import multiprocessing as mp
 
-from repro.runtime.shm import Arena, ArenaError, available as shm_available
+from repro.runtime.shm import ALIGN, Arena, ArenaError, \
+    available as shm_available
 
 __all__ = ["ShmPool", "BrokenWorkerPool", "WorkerTaskError",
            "DEFAULT_INPUT_BYTES", "DEFAULT_OUTPUT_BYTES",
@@ -193,28 +198,19 @@ def _run_task(kind: str, ctrl: dict, lock):
 
     def _execute():
         meta = []
+        items = enumerate(ctrl["items"], ctrl["start"])
         if kind == "compress_slabs":
             comp = get_compressor(ctrl["codec"], eb=ctrl["eb"],
                                   mode="abs", **ctrl["kwargs"])
-            start = ctrl["start"]
-            for i, (off, shape, dtype) in enumerate(ctrl["items"]):
+            for index, (off, shape, dtype) in items:
                 slab = _in_array(arena_in, off, shape, dtype)
-                with telemetry.span("slab.append", index=start + i,
+                with telemetry.span("slab.append", index=index,
                                     bytes_in=slab.nbytes) as sp:
                     blob = comp.compress(slab)
                     sp.set(bytes_out=len(blob))
                 meta.append(_ship_bytes(arena_out, lock, blob))
-        elif kind == "decompress_slabs":
-            start = ctrl["start"]
-            for i, (off, nbytes) in enumerate(ctrl["items"]):
-                blob = bytes(arena_in.view(off, nbytes))
-                with telemetry.span("slab.read", index=start + i,
-                                    bytes_in=nbytes) as sp:
-                    arr = decompress_any(blob)
-                    sp.set(bytes_out=arr.nbytes)
-                meta.append(_ship_array(arena_out, lock, arr))
         elif kind == "compress_fields":
-            for index, off, shape, dtype, codec, kwargs in ctrl["items"]:
+            for index, (off, shape, dtype, codec, kwargs) in items:
                 data = _in_array(arena_in, off, shape, dtype)
                 with telemetry.span("runtime.field", index=index,
                                     codec=codec,
@@ -222,14 +218,20 @@ def _run_task(kind: str, ctrl: dict, lock):
                     blob = get_compressor(codec, **kwargs).compress(data)
                     sp.set(bytes_out=len(blob))
                 meta.append(_ship_bytes(arena_out, lock, blob))
-        elif kind == "decompress_fields":
-            for index, off, nbytes in ctrl["items"]:
+        elif kind in ("decompress_slabs", "decompress_fields"):
+            name = "slab.read" if kind == "decompress_slabs" \
+                else "runtime.field"
+            for index, (off, nbytes) in items:
                 blob = bytes(arena_in.view(off, nbytes))
-                with telemetry.span("runtime.field", index=index,
+                with telemetry.span(name, index=index,
                                     bytes_in=nbytes) as sp:
                     arr = decompress_any(blob)
                     sp.set(bytes_out=arr.nbytes)
                 meta.append(_ship_array(arena_out, lock, arr))
+        elif kind == "map_bytes":
+            for _, (off, nbytes) in items:
+                blob = ctrl["func"](bytes(arena_in.view(off, nbytes)))
+                meta.append(_ship_bytes(arena_out, lock, blob))
         else:  # pragma: no cover - parent/worker version skew
             raise ValueError(f"unknown task kind {kind!r}")
         return meta
@@ -399,11 +401,10 @@ class ShmPool:
         arena.reset()
         return arena
 
-    def _observe_result_bytes(self, kind: str, in_bytes: int,
-                              out_bytes: int) -> None:
+    def _observe_decode_ratio(self, in_bytes: int, out_bytes: int) -> None:
         """Track the decode expansion ratio so the output arena is sized
         right *before* the next decompress request, not after it spills."""
-        if kind.startswith("decompress") and in_bytes > 0:
+        if in_bytes > 0:
             ratio = out_bytes / in_bytes
             self._decode_ratio = max(2.0, ratio * 1.3,
                                      self._decode_ratio * 0.5)
@@ -477,20 +478,44 @@ class ShmPool:
                 # codebooks instead of cold-filling on first decode
                 "warm_lengths": warm_lengths(limit=4)}
 
-    def _finish(self, kind: str, tasks: list, stats: TransportStats,
-                materialize, consume, in_bytes: int = 0) -> RequestResult:
-        """Collect, decode result metadata in task order, and hand the
+    def _stage(self, payloads: list, out_factor: float
+               ) -> tuple[list[int], TransportStats]:
+        """Size both arenas for one request and copy every payload
+        (contiguous arrays or bytes-likes) into the input arena; returns
+        the payloads' arena offsets and the request's transport stats."""
+        self._check_open()
+        total = sum(memoryview(p).nbytes for p in payloads)
+        arena_in = self._ensure("in", total + ALIGN * len(payloads))
+        self._ensure("out", int(total * out_factor) + (1 << 20))
+        offsets = []
+        for payload in payloads:
+            off = arena_in.write(payload)
+            assert off is not None, "input arena sized for request"
+            offsets.append(off)
+        return offsets, TransportStats(items=len(payloads),
+                                       shm_bytes=total)
+
+    def _run(self, kind: str, items: list, bounds: list,
+             stats: TransportStats, trace: bool, tctx, consume,
+             **extra) -> RequestResult:
+        """Dispatch one task per ``(start, end)`` group of ``items``,
+        collect, decode result metadata in task order, and hand the
         still-arena-backed payloads to ``consume`` under the pool lock
         (views into the output arena die at the next request)."""
+        common = {**self._common_ctrl(trace, tctx), **extra}
+        tasks = [(kind, {**common, "start": s, "items": items[s:e]})
+                 for s, e in bounds]
+        in_bytes = stats.shm_bytes
         got = self._submit(tasks)
         outcomes = [got[i] for i in range(len(tasks))]
-        payloads = []
-        for outcome in outcomes:
-            for entry in outcome.meta:
-                payloads.append(materialize(entry, stats))
-        self._observe_result_bytes(kind, in_bytes,
-                                   sum(getattr(p, "nbytes", None)
-                                       or len(p) for p in payloads))
+        decode = kind.startswith("decompress")
+        materialize = self._materialize_array if decode \
+            else self._materialize_bytes
+        payloads = [materialize(entry, stats)
+                    for outcome in outcomes for entry in outcome.meta]
+        if decode:
+            self._observe_decode_ratio(
+                in_bytes, sum(a.nbytes for a in payloads))
         final = consume(payloads)
         return RequestResult(final=final, outcomes=outcomes, stats=stats)
 
@@ -520,24 +545,12 @@ class ShmPool:
                        trace: bool, tctx, consume) -> RequestResult:
         """Compress slab groups; ``consume`` sees ordered blob views."""
         with self._lock:
-            self._check_open()
-            total = sum(s.nbytes for s in slabs)
-            arena_in = self._ensure("in", total + 64 * len(slabs))
-            self._ensure("out", int(total * 1.5) + (1 << 20))
-            stats = TransportStats(items=len(slabs))
-            items = []
-            for slab in slabs:
-                off = arena_in.write(np.ascontiguousarray(slab))
-                assert off is not None, "input arena sized for request"
-                stats.shm_bytes += slab.nbytes
-                items.append((off, slab.shape, slab.dtype.str))
-            common = self._common_ctrl(trace, tctx)
-            tasks = [("compress_slabs",
-                      {**common, "start": s, "items": items[s:e],
-                       "codec": codec, "eb": eb, "kwargs": kwargs})
-                     for s, e in bounds]
-            return self._finish("compress_slabs", tasks, stats,
-                                self._materialize_bytes, consume)
+            offsets, stats = self._stage(slabs, 1.5)
+            items = [(off, s.shape, s.dtype.str)
+                     for off, s in zip(offsets, slabs)]
+            return self._run("compress_slabs", items, bounds, stats,
+                             trace, tctx, consume,
+                             codec=codec, eb=eb, kwargs=kwargs)
 
     def decompress_slabs(self, stream, offsets: list, bounds: list,
                          trace: bool, tctx, consume) -> RequestResult:
@@ -545,68 +558,47 @@ class ShmPool:
         ordered ndarray views. The whole stream is written into the
         arena once; items address it by (offset, length)."""
         with self._lock:
-            self._check_open()
-            arena_in = self._ensure("in", len(stream) + 64)
-            self._ensure("out",
-                         int(len(stream) * self._decode_ratio) + (1 << 20))
-            base = arena_in.write(stream)
-            assert base is not None, "input arena sized for request"
-            stats = TransportStats(items=len(offsets),
-                                   shm_bytes=len(stream))
+            (base,), stats = self._stage([stream], self._decode_ratio)
+            stats.items = len(offsets)
             items = [(base + off, length) for off, length in offsets]
-            common = self._common_ctrl(trace, tctx)
-            tasks = [("decompress_slabs",
-                      {**common, "start": s, "items": items[s:e]})
-                     for s, e in bounds]
-            return self._finish("decompress_slabs", tasks, stats,
-                                self._materialize_array, consume,
-                                in_bytes=len(stream))
+            return self._run("decompress_slabs", items, bounds, stats,
+                             trace, tctx, consume)
 
     def compress_fields(self, fields: list[np.ndarray], configs: list,
                         bounds: list, trace: bool, tctx,
                         consume) -> RequestResult:
+        """Compress fields, each with its own ``(codec, kwargs)``."""
         with self._lock:
-            self._check_open()
-            total = sum(f.nbytes for f in fields)
-            arena_in = self._ensure("in", total + 64 * len(fields))
-            self._ensure("out", int(total * 1.5) + (1 << 20))
-            stats = TransportStats(items=len(fields))
-            items = []
-            for i, (data, (codec, kwargs)) in enumerate(
-                    zip(fields, configs)):
-                off = arena_in.write(np.ascontiguousarray(data))
-                assert off is not None, "input arena sized for request"
-                stats.shm_bytes += data.nbytes
-                items.append((i, off, data.shape, data.dtype.str,
-                              codec, kwargs))
-            common = self._common_ctrl(trace, tctx)
-            tasks = [("compress_fields", {**common, "items": items[s:e]})
-                     for s, e in bounds]
-            return self._finish("compress_fields", tasks, stats,
-                                self._materialize_bytes, consume)
+            fields = [np.ascontiguousarray(f) for f in fields]
+            offsets, stats = self._stage(fields, 1.5)
+            items = [(off, f.shape, f.dtype.str, codec, kwargs)
+                     for off, f, (codec, kwargs)
+                     in zip(offsets, fields, configs)]
+            return self._run("compress_fields", items, bounds, stats,
+                             trace, tctx, consume)
 
     def decompress_fields(self, blobs: list, bounds: list, trace: bool,
                           tctx, consume) -> RequestResult:
         with self._lock:
-            self._check_open()
-            total = sum(len(b) for b in blobs)
-            arena_in = self._ensure("in", total + 64 * len(blobs))
-            self._ensure("out",
-                         int(total * self._decode_ratio) + (1 << 20))
-            stats = TransportStats(items=len(blobs))
-            items = []
-            for i, blob in enumerate(blobs):
-                off = arena_in.write(blob)
-                assert off is not None, "input arena sized for request"
-                stats.shm_bytes += len(blob)
-                items.append((i, off, len(blob)))
-            common = self._common_ctrl(trace, tctx)
-            tasks = [("decompress_fields",
-                      {**common, "items": items[s:e]})
-                     for s, e in bounds]
-            return self._finish("decompress_fields", tasks, stats,
-                                self._materialize_array, consume,
-                                in_bytes=total)
+            offsets, stats = self._stage(blobs, self._decode_ratio)
+            items = [(off, memoryview(b).nbytes)
+                     for off, b in zip(offsets, blobs)]
+            return self._run("decompress_fields", items, bounds, stats,
+                             trace, tctx, consume)
+
+    def map_bytes(self, func, payloads: list, trace: bool, tctx,
+                  consume) -> RequestResult:
+        """Apply a module-level ``func`` (bytes-like in, bytes out) to
+        each payload, one task per payload; ``consume`` sees ordered
+        result views. ``func`` crosses the control queue by reference,
+        so it must be importable by name in the workers."""
+        with self._lock:
+            offsets, stats = self._stage(payloads, 1.5)
+            items = [(off, memoryview(p).nbytes)
+                     for off, p in zip(offsets, payloads)]
+            bounds = [(i, i + 1) for i in range(len(items))]
+            return self._run("map_bytes", items, bounds, stats, trace,
+                             tctx, consume, func=func)
 
     def _check_open(self) -> None:
         if self._closed:

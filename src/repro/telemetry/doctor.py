@@ -17,7 +17,8 @@ gate CI via ``repro doctor --check``:
   stores raw) but the predictor is mismodelling;
 - **serial fallbacks** — pooled requests that degraded to the serial
   path: ``size_floor`` is expected (informational), ``spawn_failure``
-  means worker processes could not be (re)spawned in that environment,
+  means worker processes could not be (re)spawned in that environment
+  or it has no shared memory,
   and ``worker_crash`` means a shm daemon worker died mid-request (the
   pool is rebuilt, but a crash is never expected);
 - **quality audits** — sampled error-bound violations are always
@@ -319,7 +320,8 @@ def diagnose(records: list[RunRecord],
     checks.append(Check(
         "serial fallbacks (pool spawn)", spawn == 0,
         f"{spawn:g} pooled request(s) degraded because worker processes "
-        f"could not be spawned" if spawn else "none"))
+        f"could not be spawned or shared memory is unavailable"
+        if spawn else "none"))
     crash = _counter_total(records, "runtime.serial_fallback.worker_crash")
     checks.append(Check(
         "serial fallbacks (worker crash)", crash == 0,

@@ -67,7 +67,6 @@ def filespecs_from_fields(named_fields, codec: str = "cuszi", *,
                           eb: float = 1e-3, mode: str = "rel",
                           lossless: str = "gle",
                           workers: int | str | None = None,
-                          transport: str | None = None,
                           **codec_kwargs) -> list[FileSpec]:
     """Compress real arrays into the :class:`FileSpec` list a schedule
     needs — measured compressed sizes, not modelled ones.
@@ -75,16 +74,14 @@ def filespecs_from_fields(named_fields, codec: str = "cuszi", *,
     ``named_fields`` is a sequence of ``(name, ndarray)`` pairs; the
     fields are independent, so the codec work fans out across worker
     processes via :func:`repro.runtime.map_compress` when ``workers`` is
-    set (results are identical either way); ``transport`` pins the
-    pool's payload transport (``"shm"``/``"pickle"``, default auto).
+    set (results are identical either way).
     """
     from repro.runtime import map_compress
     named_fields = list(named_fields)
     if not named_fields:
         raise ConfigError("no fields to compress")
     blobs = map_compress([data for _, data in named_fields], codec,
-                         workers=workers, transport=transport,
-                         eb=eb, mode=mode,
+                         workers=workers, eb=eb, mode=mode,
                          lossless=lossless, **codec_kwargs)
     return [FileSpec(name=name, n_elements=int(data.size),
                      compressed_bytes=len(blob))
@@ -98,13 +95,12 @@ def pipelined_transfer_fields(codec: str, named_fields, *,
                               eb: float = 1e-3, mode: str = "rel",
                               lossless: str = "gle",
                               workers: int | str | None = None,
-                              transport: str | None = None,
                               **codec_kwargs) -> PipelineSchedule:
     """Compress real arrays (optionally in parallel), then schedule them
     through the three-stage transfer pipeline."""
     files = filespecs_from_fields(named_fields, codec, eb=eb, mode=mode,
                                   lossless=lossless, workers=workers,
-                                  transport=transport, **codec_kwargs)
+                                  **codec_kwargs)
     return pipelined_transfer(codec, files, link=link,
                               src_device=src_device, dst_device=dst_device,
                               lossless=lossless)

@@ -2,7 +2,7 @@
 
 Each environment variable the library reads is an option every test and
 benchmark configuration must cover. The library reads exactly these
-four operational settings; selecting between execution paths is not one
+three operational settings; selecting between execution paths is not one
 of them.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ALLOWED = {"REPRO_FLIGHT_RECORDER", "REPRO_QUALITY_AUDIT",
-           "REPRO_WORKER_CACHE_LIMIT", "REPRO_TRANSPORT"}
+           "REPRO_WORKER_CACHE_LIMIT"}
 
 #: ``os.environ.get("X"``, ``os.environ["X"]``, ``os.getenv("X"`` and
 #: ``"X" in os.environ`` — the ways Python code reads a variable

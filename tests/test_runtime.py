@@ -93,7 +93,7 @@ class TestParallelSlabs:
         def boom(*args, **kwargs):
             raise AssertionError("pool used below min_parallel_bytes")
 
-        monkeypatch.setattr(pool, "_run_batch", boom)
+        monkeypatch.setattr(pool, "_get_shm_pool", boom)
         kwargs = dict(codec="cuszi", eb=1e-3, mode="abs")
         stream = pool.parallel_compress_slabs(field3d, 8, workers=2,
                                               **kwargs)
@@ -104,24 +104,23 @@ class TestParallelSlabs:
     def test_grouped_batches_one_task_per_worker(self, field3d,
                                                  monkeypatch):
         from repro.runtime import pool
+        from repro.runtime.workers import ShmPool
+        submit = ShmPool._submit
         calls = []
 
-        def inline(task, payloads, workers):
-            calls.append(len(payloads))
-            return [task(p) for p in payloads]
+        def counting(self, tasks):
+            calls.append([len(ctrl["items"]) for _, ctrl in tasks])
+            return submit(self, tasks)
 
-        monkeypatch.setattr(pool, "_run_batch", inline)
-        # grouping is a pickle-transport concern (_run_batch payloads);
-        # the shm transport groups identically but dispatches through
-        # its own daemon queue
+        monkeypatch.setattr(ShmPool, "_submit", counting)
         stream = pool.parallel_compress_slabs(
             field3d, 5, workers=2, min_parallel_bytes=0,
-            transport="pickle", codec="cuszi", eb=1e-3, mode="abs")
+            codec="cuszi", eb=1e-3, mode="abs")
         pool.parallel_decompress_slabs(stream, workers=2,
-                                       min_parallel_bytes=0,
-                                       transport="pickle")
-        # 8 slabs collapse into one contiguous group per worker
-        assert calls == [2, 2]
+                                       min_parallel_bytes=0)
+        # 8 slabs collapse into one contiguous group per worker, on both
+        # the compress and the decompress request
+        assert calls == [[4, 4], [4, 4]]
 
     def test_chunk_bounds_cover_in_order(self):
         from repro.runtime.pool import _chunk_bounds
