@@ -31,42 +31,31 @@ __all__ = ["pack_uint", "unpack_uint", "pack_varbits64",
 _MAX_WIDTH = 64
 
 
-def _scatter_or_words(words: np.ndarray, idx: np.ndarray,
-                      vals: np.ndarray) -> None:
-    """OR ``vals`` into ``words`` grouped by the non-decreasing ``idx``."""
-    if idx.size == 0:
-        return
-    firsts = np.empty(0, dtype=np.int64)
-    if idx.size > 1:
-        firsts = np.flatnonzero(idx[1:] != idx[:-1]) + 1
-    firsts = np.concatenate(([0], firsts))
-    words[idx[firsts]] |= np.bitwise_or.reduceat(vals, firsts)
-
-
 def pack_varbits64(stage: np.ndarray, lengths: np.ndarray,
                    bitpos: np.ndarray, total_bytes: int) -> np.ndarray:
-    """Scatter variable-length codewords into a dense MSB-first bitstream
+    """Scatter variable-length bit units into a dense MSB-first bitstream
     (trusted inputs: only cheap scalar bounds are checked).
 
-    ``stage[i]`` is the ``i``-th codeword already MSB-aligned in a uint64
-    (``code << (64 - lengths[i])``); it lands at absolute bit offset
-    ``bitpos[i]``. Offsets must be non-decreasing and the codewords
-    non-overlapping — this is the producer-side mirror of the decoder's
-    64-bit window gather, so the caller (the Huffman encoder) derives the
-    offsets from its own prefix sum and only cheap scalar bounds are
-    re-checked here. ``stage`` is **consumed**: the hi-plane shift runs
-    in place, so the caller must not reuse the array. The hot path is
-    memory-bound, which is why offsets are taken in whatever (ideally
-    ``uint32``) dtype the caller provides and the per-symbol temporaries
-    stay as narrow as the arithmetic allows.
+    ``stage[i]`` is the ``i``-th unit already MSB-aligned in a uint64
+    (``code << (64 - lengths[i])``, ``1 <= lengths[i] <= 64``, every bit
+    below the unit zero); it lands at absolute bit offset ``bitpos[i]``.
+    A unit is one codeword or several already concatenated (the Huffman
+    encoder packs four codewords per unit). Offsets must be
+    non-decreasing and the units non-overlapping — this is the
+    producer-side mirror of the decoder's 64-bit window gather, so the
+    caller (the Huffman encoder) derives the offsets from its own prefix
+    sum and only cheap scalar bounds are re-checked here. ``stage`` is
+    **consumed**: the shift runs in place, so the caller must not reuse
+    the array. The hot path is memory-bound, which is why offsets are
+    taken in whatever (ideally ``uint32``) dtype the caller provides.
 
-    Emission is two scatter-OR planes over little-endian *word* indices:
-    every codeword ORs ``stage >> (bitpos & 63)`` into its start word,
-    and only the codewords that actually straddle a word boundary pay a
-    second (compacted) scatter of the spilled low bits into the next
-    word. Per distinct word the OR-combine is one
-    ``bitwise_or.reduceat`` group, and the word array's big-endian byte
-    view is the MSB-first byte stream.
+    Emission works per 64-bit output *word*: every unit ORs
+    ``stage >> (bitpos & 63)`` into the word it starts in, one
+    ``bitwise_or.reduceat`` group per word. A unit spans at most two
+    words, and only the last unit starting in a word can spill into the
+    next, so the spilled low bits are one more OR per word, not per
+    unit. The word array's big-endian byte view is the MSB-first byte
+    stream.
     """
     stage = np.asarray(stage, dtype=np.uint64).ravel()
     lengths = np.asarray(lengths).ravel()
@@ -78,32 +67,33 @@ def pack_varbits64(stage: np.ndarray, lengths: np.ndarray,
     pos = np.asarray(bitpos).ravel()
     end_bit = int(pos[-1]) + int(lengths[-1])
     if int(pos[0]) < 0 or end_bit > int(total_bytes) * 8:
-        raise CodecError("codeword falls outside the output stream")
-    # one slack word so the tail codeword's spill plane stays in bounds
+        raise CodecError("unit falls outside the output stream")
+    # one slack word so the tail unit's spill stays in bounds
     n_words = (int(total_bytes) + 7) // 8 + 1
     words = np.zeros(n_words, dtype=np.uint64)
-    if pos.dtype == np.uint32:
-        off = pos & np.uint32(63)
-        wi = pos >> np.uint32(6)
-    else:
-        p64 = pos.astype(np.int64, copy=False)
+    if pos.dtype != np.uint32:
         # the values are non-negative, so the uint64 view is free and
-        # keeps the shift below in unsigned arithmetic
-        off = (p64 & 63).view(np.uint64)
-        wi = p64 >> 6
-    # straddling lanes must be captured before the in-place shift below
-    # consumes the staged codewords
-    spill = np.flatnonzero((off + lengths) > 64)
+        # keeps the shifts below in unsigned arithmetic
+        pos = pos.astype(np.int64, copy=False).view(np.uint64)
+    word = pos >> pos.dtype.type(6)
+    # the units grouped by start word: each group's first and last unit
+    last = np.flatnonzero(word[1:] != word[:-1])
+    first = np.concatenate(([0], last + 1))
+    last = np.append(last, n - 1)
+    off = pos & pos.dtype.type(63)
+    # a straddling unit must be captured before the in-place shift below
+    # consumes the staged units
+    spill = last[(off[last] + lengths[last]) > 64]
     sp_stage = stage[spill]
     sp_off = off[spill]
     np.right_shift(stage, off, out=stage, casting="unsafe")
-    _scatter_or_words(words, wi, stage)
+    words[word[first]] = np.bitwise_or.reduceat(stage, first)
     if spill.size:
-        # two shifts keep every shift count <= 63: a codeword starting at
+        # two shifts keep every shift count <= 63: a unit starting at
         # off == 0 never spills, but the blanket expression must not hit
         # the undefined uint64 << 64 either way
         lo = (sp_stage << (sp_off.dtype.type(63) - sp_off)) << np.uint64(1)
-        _scatter_or_words(words, wi[spill] + 1, lo)
+        words[word[spill] + pos.dtype.type(1)] |= lo
     return words.astype(">u8").view(np.uint8)[:int(total_bytes)].copy()
 
 

@@ -322,9 +322,11 @@ class CuSZi:
             segment_nbytes={k: len(v) for k, v in segments.items()},
             inner_nbytes=len(inner),
             n_outliers=int(result.outliers.size),
-            nonzero_code_fraction=float(
-                (result.codes != self.radius).mean()) if result.codes.size
-            else 0.0,
+            # read off the encoder's symbol counts: no second scan of
+            # the code stream
+            nonzero_code_fraction=(
+                (stream.n_symbols - int(stream.symbol_counts[self.radius]))
+                / stream.n_symbols) if stream.n_symbols else 0.0,
             abs_eb=abs_eb,
             tuning=tuning,
         )

@@ -7,10 +7,13 @@ entries), and coarse-grained encoding where each thread block owns a fixed
 chunk of symbols and writes an independently decodable bitstream.
 
 The NumPy transcription keeps that structure, with chunks cut at a fixed
-bit budget (gap arrays) so every chunk carries the same decode work:
-the stream is encoded via one vectorized variable-length bit scatter
-(:func:`repro.common.bitpack.pack_varbits64` — a 64-bit word scatter-OR
-driven by a packed code/length pair gather), and decoded by stepping all
+bit budget (gap arrays) so every chunk carries the same decode work. The
+encoder leans on the same concentration the GPU histogram does: it
+ranks codes in a 255-code band around the center, counts and codes
+them two at a time through one per-codebook pair table (escapes are
+recoded from the per-symbol codebook), merges pairs into 64-bit units of
+four codewords, and emits them through one vectorized word scatter
+(:func:`repro.common.bitpack.pack_varbits64`). The decoder steps all
 chunks *simultaneously* — each batched advance probes a multi-symbol
 lookup table (:func:`repro.huffman.canonical.build_lut_tables`) that
 emits every complete codeword in the next ``K`` bits, ``K`` chosen per

@@ -9,13 +9,25 @@ codeword from ``k*B`` — so every chunk carries ``B ± 15`` bits and every
 decode lane finishes in about the same number of steps (the gap-array
 layout of Yamamoto et al., ICPP 2020).
 
-* **Encode** is chunk-vectorized end to end. It gathers one packed
-  ``(code, length)`` 64-bit pair per symbol, derives every codeword's
-  absolute bit offset from one exclusive prefix sum of the gathered
-  lengths, reads the chunk table off those offsets with one
-  ``searchsorted``, and emits the whole stream through one
-  :func:`repro.common.bitpack.pack_varbits64` scatter-OR into 64-bit
-  output words — the exact mirror of the decode-side window gather.
+* **Encode** works on symbol *pairs*, because interpolation concentrates
+  nearly every quant-code in a narrow band around the zero bin (the
+  observation behind cuSZ-i's register-cached top-k histogram). Each
+  code gets an 8-bit rank in the 255-code band centered on the
+  alphabet's middle, or the escape rank. Viewed as uint16, the rank
+  stream is one pair per cell of a 256x256 table: one ``bincount`` over
+  the ``n/2`` pairs gives the band counts (only escapes are counted per
+  symbol), and one gather from a per-codebook *pair table* gives each
+  pair's two codewords, MSB-aligned, with their summed length in the
+  low byte. The table is filled only over the block of band ranks whose
+  counts repay it; pairs holding a symbol outside it (and the odd
+  tail) are recoded from the per-symbol codebook, at a cost linear in
+  their count. Adjacent pairs then merge into 64-bit units of four
+  codewords, so the prefix sum of unit lengths, the chunk table and the
+  :func:`repro.common.bitpack.pack_varbits64` word scatter all run over
+  ``n/4`` units. The chunk table stays at symbol granularity: each
+  chunk bound resolves the ``<= 4`` symbol starts inside the unit that
+  straddles it. A stream where the table would cover too few symbols
+  (most pairs escape) codes every pair from the per-symbol codebook.
   Dynamic codebooks are resolved through
   :func:`repro.huffman.tree.fingerprint_code_lengths`, so eb-retunes and
   timestep streams skip the tree build and prewarm the decode LUT.
@@ -36,15 +48,16 @@ table validation (:meth:`HuffmanStreamV1.layout`) differs. The container
 meta key :data:`FORMAT_KEY` names the version (:func:`read_stream`).
 The one-codeword-per-lookup decoder and the byte-plane encoder in
 ``tests/oracles.py`` are the references the equivalence suites compare
-this codec against byte for byte.
+this codec against byte for byte: the pair-table encoder writes exactly
+the bytes a symbol-at-a-time encoder would.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -106,6 +119,10 @@ class HuffmanStream:
     total_bits: int          # payload bits (the rest of the last byte is 0)
     payload: np.ndarray      # uint8, one concatenated MSB-first bitstream
     crc32: int = 0           # checksum of counts, gaps and payload
+    #: int64[alphabet] count of every symbol, as the encoder tallied it
+    #: for the codebook; not serialized, so ``None`` on a parsed stream
+    symbol_counts: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_chunks(self) -> int:
@@ -282,30 +299,289 @@ def section_bounds(blob, meta: dict) -> tuple[int, int] | None:
 # layout and scatter index arrays on the encode hot path
 _NARROW_LAYOUT_SYMBOLS = ((1 << 32) - 64) // MAX_CODE_LEN
 
+#: codes in the pair-table band: the ``_BAND`` codes centered on the
+#: alphabet's middle (quant-codes center on the radius) take the ranks
+#: ``0 .. _BAND - 1``; every other code takes the escape rank ``_BAND``
+_BAND = 255
+_ESCAPE = _BAND
+#: symbols per packed unit: two pair-table cells of at most
+#: ``2 * MAX_CODE_LEN`` bits each fill one 64-bit unit
+_UNIT_SYMBOLS = 4
+#: from this symbol count on, band ranks are counted by one ``bincount``
+#: over the ``n/2`` rank pairs; below it the 64Ki-cell pair histogram's
+#: zeroing and reductions cost more than a ``bincount`` over all ``n``
+#: ranks (on a 2-vCPU x86-64 VM the two meet near 64Ki symbols; at 256Ki
+#: the pair count takes 0.37 ms against 0.58 ms)
+_PAIR_COUNT_SYMBOLS = 1 << 16
+#: cost of one pair-table cell relative to recoding one pair from the
+#: per-symbol codebook (measured 4.3 ns against 17 ns on the same VM); a
+#: band rank joins the table only when its count repays the table row
+#: and column it adds
+_CELL_COST = 0.25
+#: the pair table is built only when its block holds at least this share
+#: of the symbols; below it most pairs hold an escape, and coding every
+#: pair from the per-symbol codebook beats gathering and then recoding
+#: them (measured on 96^3-sized streams: the table still won at 80%, the
+#: per-symbol coding at 70%)
+_TABLE_MIN_SHARE = 0.75
+_LENGTH_MASK = np.uint64(0xFF)
+_CODE_MASK = np.uint64(0xFFFFFFFFFFFFFF00)
 
-def _chunk_layout(sym_len: np.ndarray, chunk_bits: int):
-    """Every codeword's bit offset plus the gap-array chunk table.
+
+def _check_codes(codes, alphabet_size: int) -> np.ndarray:
+    """The encoder's input contract: a flat array of unsigned symbols.
+
+    The codes must be integers in ``[0, alphabet_size)``. Both bounds are
+    read with reductions over the input as given, so a bad stream fails
+    before anything input-sized is allocated (a negative or wide code
+    must not turn into a huge histogram, nor silently wrap to a valid
+    symbol). Non-negative signed codes come back as an unsigned view.
+    """
+    if not 1 <= alphabet_size <= 0xFFFFFFFF:
+        raise CodecError(f"alphabet size {alphabet_size} outside "
+                         f"[1, 2**32 - 1]")
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu":
+        raise CodecError(f"Huffman symbols must be integers, "
+                         f"not {codes.dtype}")
+    if codes.size:
+        if codes.dtype.kind == "i" and int(codes.min()) < 0:
+            raise CodecError("negative symbol")
+        if int(codes.max()) >= alphabet_size:
+            raise CodecError("symbol outside alphabet")
+    codes = np.ascontiguousarray(codes).ravel()
+    return codes.view(codes.dtype.str.replace("i", "u"))
+
+
+def _band_ranks(codes: np.ndarray, base: int) -> np.ndarray:
+    """Every code's band rank as uint8, padded with one escape rank when
+    ``n`` is odd so the buffer views as whole uint16 pairs."""
+    n = codes.size
+    ranks = np.empty(n + (n & 1), dtype=np.uint8)
+    wide = np.uint64 if codes.dtype.itemsize > 4 else np.uint32
+    off = codes.astype(wide, copy=False)
+    if base:
+        # codes below the band wrap to huge offsets and escape too
+        off = np.subtract(off, wide(base))
+    np.minimum(off, wide(_ESCAPE), out=ranks[:n], casting="unsafe")
+    ranks[n:] = _ESCAPE
+    return ranks
+
+
+def _rank_counts(ranks: np.ndarray, n: int) -> np.ndarray:
+    """Count of every rank among the first ``n`` (the odd-``n`` pad is
+    not counted). A long stream takes one ``bincount`` over its rank
+    pairs: each rank's count is its row plus its column of the 256x256
+    pair histogram."""
+    if n < _PAIR_COUNT_SYMBOLS:
+        return np.bincount(ranks[:n], minlength=256)
+    cells = np.bincount(ranks.view("<u2"), minlength=1 << 16)
+    cells = cells.reshape(256, 256)
+    counts = cells.sum(axis=0) + cells.sum(axis=1)
+    counts[_ESCAPE] -= n & 1
+    return counts
+
+
+def _table_block(rank_counts: np.ndarray, n: int) -> tuple[int, int]:
+    """The band ranks ``[lo, hi)`` the pair table covers.
+
+    A rank joins when its count repays the ``2 m`` cells it adds to an
+    ``m x m`` table (``m`` = the occupied span); the block spans the
+    ranks that do. It is empty when no rank does, or when it would hold
+    less than :data:`_TABLE_MIN_SHARE` of the symbols.
+    """
+    band = rank_counts[:_BAND]
+    occupied = np.flatnonzero(band)
+    if occupied.size == 0:
+        return 0, 0
+    span = int(occupied[-1] - occupied[0]) + 1
+    keep = np.flatnonzero(band >= 2 * span * _CELL_COST)
+    if keep.size == 0:
+        return 0, 0
+    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    if int(band[lo:hi].sum()) < _TABLE_MIN_SHARE * n:
+        return 0, 0
+    return lo, hi
+
+
+class _PairPlan(NamedTuple):
+    """How the pair table codes a stream."""
+
+    ranks: np.ndarray     # uint8 ranks rebased on the block, odd-n padded
+    first: int            # the symbol of rank 0
+    width: int            # block ranks; any other rank is an escape
+    escapes: np.ndarray   # sorted positions of the escapes
+
+
+def _count_symbols(codes: np.ndarray, alphabet_size: int
+                   ) -> tuple[np.ndarray, _PairPlan | None]:
+    """Every symbol's count, plus the pair-table plan (``None`` when
+    the table does not pay and every pair is coded per symbol).
+
+    The band ranks are counted first (:func:`_rank_counts`); only the
+    escapes of the chosen block are then counted per symbol, by a
+    histogram over that subset.
+    """
+    n = codes.size
+    if n == 0:
+        return np.zeros(alphabet_size, dtype=np.int64), None
+    base = max(0, alphabet_size // 2 - _BAND // 2)   # band's first code
+    ranks = _band_ranks(codes, base)
+    rank_counts = _rank_counts(ranks, n)
+    lo, hi = _table_block(rank_counts, n)
+    if hi == lo:
+        return histogram(codes, alphabet_size), None
+    # rebase the ranks on the block: every symbol outside it (the band's
+    # escapes included) then has a rank >= its width
+    if lo:
+        np.subtract(ranks, np.uint8(lo), out=ranks)
+    escapes = np.flatnonzero(ranks[:n] >= hi - lo)
+    freqs = histogram(codes[escapes], alphabet_size)
+    freqs[base + lo:base + hi] += rank_counts[lo:hi]
+    return freqs, _PairPlan(ranks, base + lo, hi - lo, escapes)
+
+
+def _symbol_table(lengths: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """The per-symbol codebook as MSB-aligned ``codeword | length`` in
+    one uint64 per alphabet symbol (0 for a symbol without a code)."""
+    lu = lengths.astype(np.uint64)
+    used = lu > 0
+    shift = np.where(used, np.uint64(64) - lu, np.uint64(0))
+    return np.where(used, (codebook.astype(np.uint64) << shift) | lu,
+                    np.uint64(0))
+
+
+def _pair_table(sym_table: np.ndarray, first: int,
+                width: int) -> np.ndarray:
+    """MSB-aligned ``(codeword pair | bit length)`` per pair of symbols
+    ``first + a, first + b`` with ``a, b < width``.
+
+    Cell ``a | b << 8`` (the uint16 view of ranks ``a, b`` in stream
+    order) holds ``a``'s codeword followed by ``b``'s, shifted to the top
+    of a uint64, with their summed length in the low byte (two codewords
+    take at most 32 bits, so code and length never overlap: OR is ADD).
+    Only the ``width x width`` block is filled; the encoder gathers no
+    other cell without recoding it.
+    """
+    table = np.empty(1 << 16, dtype=np.uint64)
+    sym = sym_table[first:first + width]
+    ln = sym & _LENGTH_MASK
+    # row b, column a: b's codeword shifted past a's, plus b's length,
+    # plus a's codeword and length
+    block = table.reshape(256, 256)[:width, :width]
+    np.right_shift((sym ^ ln)[:, None], ln, out=block)
+    block += ln[:, None]
+    block += sym
+    return table
+
+
+def _symbol_pairs(sym_table: np.ndarray, codes: np.ndarray,
+                  at: np.ndarray | None = None):
+    """``(units, bit lengths)`` of the symbol pairs ``at`` (sorted, all
+    pairs when ``None``), coded from the per-symbol codebook. The second
+    symbol of pair ``n // 2`` is the odd-``n`` pad, which has no bits."""
+    n = codes.size
+    if at is None:
+        first = sym_table[codes[0::2]]
+        second = np.zeros(first.size, dtype=np.uint64)
+        np.take(sym_table, codes[1::2], out=second[:n // 2])
+    else:
+        first = sym_table[codes[2 * at]]
+        second = sym_table[codes[np.minimum(2 * at + 1, n - 1)]]
+        if n & 1:
+            second[-1] = 0              # the pad pair sorts last
+    bits = first.astype(np.uint8)
+    second_bits = second.astype(np.uint8)
+    first &= _CODE_MASK
+    second &= _CODE_MASK
+    np.right_shift(second, bits, out=second)
+    first |= second
+    bits += second_bits
+    return first, bits
+
+
+def _pair_units(codes: np.ndarray, sym_table: np.ndarray,
+                plan: _PairPlan | None):
+    """Every symbol pair as ``(MSB-aligned codewords, bit length)``.
+
+    Through the pair table: one gather per pair, whose length byte peels
+    off by a uint8 truncation before one scalar mask strips it in place;
+    then the pairs holding an escape, plus the odd-``n`` pad, are recoded
+    from the per-symbol codebook (the escape positions are sorted, so
+    the two escapes of one pair are adjacent).
+    """
+    if plan is None:
+        return _symbol_pairs(sym_table, codes)
+    n = codes.size
+    table = _pair_table(sym_table, plan.first, plan.width)
+    pairs = table[plan.ranks.view("<u2")]
+    pair_len = pairs.astype(np.uint8)
+    pairs &= _CODE_MASK
+    redo = plan.escapes >> 1
+    if n & 1:
+        redo = np.append(redo, n >> 1)
+    if redo.size:
+        redo = redo[np.flatnonzero(np.diff(redo, prepend=-1))]
+        pairs[redo], pair_len[redo] = _symbol_pairs(sym_table, codes, redo)
+    return pairs, pair_len
+
+
+def _merge_pairs(pairs: np.ndarray, pair_len: np.ndarray):
+    """Adjacent pair units merged into ``(units, bit lengths)`` of four
+    codewords each (at most 64 bits); an odd last pair stays alone."""
+    m = pairs.size
+    q = m // 2
+    units = np.empty(q + (m & 1), dtype=np.uint64)
+    unit_len = np.empty(units.size, dtype=np.uint8)
+    first_len = pair_len[0:2 * q:2]
+    np.right_shift(pairs[1:2 * q:2], first_len, out=units[:q])
+    units[:q] |= pairs[0:2 * q:2]
+    np.add(first_len, pair_len[1:2 * q:2], out=unit_len[:q])
+    if m & 1:
+        units[q] = pairs[-1]
+        unit_len[q] = pair_len[-1]
+    return units, unit_len
+
+
+def _chunk_layout(unit_len: np.ndarray, codes: np.ndarray,
+                  lengths: np.ndarray, chunk_bits: int):
+    """Every unit's bit offset plus the gap-array chunk table.
 
     Returns ``(offsets, total_bits, counts, gaps)``. The offsets are one
-    exclusive prefix sum of the codeword lengths, in uint32 whenever the
-    stream's bit count cannot overflow it, computed in place so only one
-    full-size array is live. Chunk ``k``'s first codeword is the first
-    offset ``>= k*B``; the offsets are sorted, so one ``searchsorted``
-    over the chunk bounds yields the whole table. Every ``B``-bit window
-    inside the stream holds a codeword start (no codeword is longer than
-    ``MAX_CODE_LEN <= B``), so only the last chunk can be empty; its gap
-    then reaches ``total_bits``.
+    exclusive prefix sum of the unit lengths, in uint32 whenever the
+    stream's bit count cannot overflow it, computed in place. The chunk
+    table is at symbol granularity: chunk ``k``'s first codeword is the
+    first *symbol* start ``>= k*B``. One ``searchsorted`` finds the unit
+    that starts at or before each bound; its ``<= 4`` symbol starts plus
+    its end (the next unit's start) come from its symbols' code lengths,
+    and the first of those five at or past the bound is the chunk's
+    start, so the work past the prefix sum is O(chunks). Every ``B``-bit
+    window inside the stream holds a codeword start (no codeword is
+    longer than ``MAX_CODE_LEN <= B``), so only the last chunk can be
+    empty; its gap then reaches ``total_bits``.
     """
-    n = sym_len.size
+    n = codes.size
     acc = np.uint32 if n <= _NARROW_LAYOUT_SYMBOLS else np.int64
-    pos = np.cumsum(sym_len, dtype=acc)        # inclusive bit scan
+    pos = np.cumsum(unit_len, dtype=acc)       # inclusive bit scan
     total_bits = int(pos[-1])
-    np.subtract(pos, sym_len, out=pos, casting="unsafe")
+    np.subtract(pos, unit_len, out=pos, casting="unsafe")
     bounds = np.arange(0, total_bits, chunk_bits, dtype=np.int64)
-    first = np.searchsorted(pos, bounds.astype(acc))
+    unit = np.searchsorted(pos, bounds.astype(acc), side="right") - 1
+    sym = unit[:, None] * _UNIT_SYMBOLS + np.arange(_UNIT_SYMBOLS)
+    # symbol starts, then the unit's end; the last unit may hold fewer
+    # symbols, and a missing one has no bits, so it starts (as symbol n)
+    # where the stream ends
+    starts = np.empty((unit.size, _UNIT_SYMBOLS + 1), dtype=np.int64)
+    starts[:, 0] = pos[unit]
+    starts[:, 1:] = lengths[codes[np.minimum(sym, n - 1)]]
+    if sym[-1, -1] >= n:
+        starts[:, 1:][sym >= n] = 0
+    np.cumsum(starts, axis=1, out=starts)
+    at = np.argmax(starts >= bounds[:, None], axis=1)
+    first = sym[:, 0] + at
+    first_bit = starts.ravel()[at + np.arange(0, starts.size,
+                                              _UNIT_SYMBOLS + 1)]
     counts = np.diff(first, append=n).astype(np.uint16)
-    first_bit = pos[np.minimum(first, n - 1)].astype(np.int64)
-    first_bit[first == n] = total_bits
     gaps = (first_bit - bounds).astype(np.uint8)
     return pos, total_bits, counts, gaps
 
@@ -315,59 +591,63 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                    lengths: np.ndarray | None = None) -> HuffmanStream:
     """Encode a symbol stream into a gap-array canonical Huffman stream.
 
-    ``chunk_bits`` is the chunk bit budget ``B``. Passing prebuilt
-    ``lengths`` (see :mod:`repro.huffman.static`) skips the histogram and
+    ``codes`` must be integers in ``[0, alphabet_size)``; anything else
+    raises :class:`~repro.common.errors.CodecError` before the encoder
+    allocates. ``chunk_bits`` is the chunk bit budget ``B``. Passing
+    prebuilt ``lengths`` (see :mod:`repro.huffman.static`) skips the
     tree build — the paper's §VI-A speed direction — at the cost of a
     slightly suboptimal code. A dynamic codebook that hits the
-    fingerprint cache also starts its decode LUT build in the background.
+    fingerprint cache also starts its decode LUT build in the
+    background. The returned stream carries the symbol counts in
+    :attr:`HuffmanStream.symbol_counts`. The ``huffman.pack`` span
+    records ``n_escapes``: the symbols outside the pair table, each
+    coded with its pair from the per-symbol codebook.
     """
     if not MAX_CODE_LEN <= chunk_bits <= MAX_CHUNK_BITS:
         raise CodecError(f"chunk bit budget must be in "
                          f"[{MAX_CODE_LEN}, {MAX_CHUNK_BITS}]")
-    codes = np.asarray(codes, dtype=np.uint32).ravel()
+    codes = _check_codes(codes, alphabet_size)
     n = codes.size
     with telemetry.span("huffman.codebook", n_symbols=n,
                         alphabet=alphabet_size,
                         static=lengths is not None):
+        freqs, plan = _count_symbols(codes, alphabet_size)
         if lengths is None:
-            freqs = histogram(codes, alphabet_size)
             lengths = fingerprint_code_lengths(freqs, MAX_CODE_LEN,
                                                prewarm_lut=True)
         else:
             lengths = np.asarray(lengths, dtype=np.int64)
             if lengths.size != alphabet_size:
                 raise CodecError("static codebook size mismatch")
-            if n and int(lengths[codes].min(initial=1)) == 0:
+            if np.any(lengths[freqs > 0] == 0):
                 raise CodecError(
                     "static codebook lacks a code for a symbol")
         codebook = canonical_codebook(lengths)
-    if n == 0:
-        return HuffmanStream(0, alphabet_size, chunk_bits,
-                             lengths.astype(np.uint8),
-                             np.empty(0, np.uint16), np.empty(0, np.uint8),
-                             0, np.empty(0, np.uint8), crc32=0)
-
-    with telemetry.span("huffman.pack", n_symbols=n) as sp:
-        # one packed pair per alphabet symbol: MSB-aligned codeword in
-        # the high bits, its length in the low byte. A single gather
-        # then yields both the staged bits and the per-symbol length,
-        # and the emitter never shifts codes again.
-        lu = lengths.astype(np.uint64)
-        sh = np.where(lu > 0, np.uint64(64) - lu, np.uint64(0))
-        pair64 = np.where(
-            lu > 0, (codebook.astype(np.uint64) << sh) | lu,
-            np.uint64(0))
-        g = pair64[codes]
-        sym_len = g.astype(np.uint8)   # truncation keeps the low byte
-        pos, total_bits, counts, gaps = _chunk_layout(sym_len, chunk_bits)
-        g &= np.uint64(0xFFFFFFFFFFFFFF00)  # strip lengths in place
-        payload = pack_varbits64(g, sym_len, pos, -(-total_bits // 8))
-        sp.set(bytes_out=int(payload.size), n_chunks=int(counts.size))
-    return HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
-                         chunk_bits=chunk_bits,
-                         lengths=lengths.astype(np.uint8), counts=counts,
-                         gaps=gaps, total_bits=total_bits, payload=payload,
-                         crc32=_table_crc(counts, gaps, payload))
+    counts = np.empty(0, np.uint16)
+    gaps = np.empty(0, np.uint8)
+    payload = np.empty(0, np.uint8)
+    total_bits = 0
+    if n:
+        n_escapes = n if plan is None else int(plan.escapes.size)
+        with telemetry.span("huffman.pack", n_symbols=n,
+                            n_escapes=n_escapes) as sp:
+            pairs, pair_len = _pair_units(
+                codes, _symbol_table(lengths, codebook), plan)
+            units, unit_len = _merge_pairs(pairs, pair_len)
+            del pairs, pair_len, plan
+            pos, total_bits, counts, gaps = _chunk_layout(
+                unit_len, codes, lengths, chunk_bits)
+            payload = pack_varbits64(units, unit_len, pos,
+                                     -(-total_bits // 8))
+            sp.set(bytes_out=int(payload.size), n_chunks=int(counts.size))
+    stream = HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
+                           chunk_bits=chunk_bits,
+                           lengths=lengths.astype(np.uint8), counts=counts,
+                           gaps=gaps, total_bits=total_bits,
+                           payload=payload,
+                           crc32=_table_crc(counts, gaps, payload))
+    stream.symbol_counts = freqs
+    return stream
 
 
 def huffman_decode(stream: HuffmanStream | HuffmanStreamV1, *,

@@ -15,7 +15,8 @@ emits must match them byte for byte:
 * :func:`encode_loop` — the byte-plane emitter (:func:`pack_varbits`)
   over the same codebook, with the gap-array chunk table derived its own
   way (a ``bincount`` of each codeword's chunk). Oracle for the
-  packed-pair word-scatter encoder and its ``searchsorted`` layout.
+  pair-table encoder, its four-codeword units and its symbol-granular
+  chunk layout.
 
 Both traversals accept (and ignore) ``plan=`` so they can stand in for
 ``repro.core.pipeline.interp_compress`` / ``interp_decompress``.

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitpack import (bit_length, min_bit_width, pack_uint,
-                                  unpack_uint, zigzag_decode, zigzag_encode)
+                                  pack_varbits64, unpack_uint,
+                                  zigzag_decode, zigzag_encode)
 from repro.common.errors import CodecError
 
 
@@ -112,3 +113,71 @@ class TestBitLength:
         assert min_bit_width(np.array([0, 0])) == 0
         assert min_bit_width(np.array([5])) == 3
         assert min_bit_width(np.array([], np.uint64)) == 0
+
+
+def _varbits_reference(units, lengths, pos, total_bytes):
+    """Bit-by-bit reference of pack_varbits64 through one Python int."""
+    acc = 0
+    for u, ln, p in zip(units, lengths, pos):
+        ln, p = int(ln), int(p)
+        acc |= (int(u) >> (64 - ln)) << (8 * total_bytes - p - ln)
+    return np.frombuffer(acc.to_bytes(total_bytes, "big"), np.uint8)
+
+
+def _staged(rng, lengths):
+    """Random units of the given lengths, MSB-aligned in uint64 with
+    every bit below a unit zero."""
+    words = rng.integers(0, 2 ** 64, len(lengths), dtype=np.uint64)
+    return np.array([int(w) >> (64 - int(ln)) << (64 - int(ln))
+                     for w, ln in zip(words, lengths)], dtype=np.uint64)
+
+
+class TestPackVarbits64:
+    """Units up to 64 bits: the Huffman encoder packs four codewords per
+    unit, so a unit can fill a whole output word or spill 63 bits."""
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize("lead", [0, 1, 31, 63])
+    def test_full_64_bit_units(self, dtype, lead, rng):
+        lengths = np.full(50, 64, np.uint8)
+        units = _staged(rng, lengths)
+        pos = (lead + 64 * np.arange(50)).astype(dtype)
+        total = -(-(lead + 64 * 50) // 8)
+        ref = _varbits_reference(units, lengths, pos, total)
+        out = pack_varbits64(units.copy(), lengths, pos, total)
+        np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_every_offset_of_a_64_bit_unit(self, dtype, rng):
+        for off in range(64):
+            units = _staged(rng, np.array([64]))
+            pos = np.array([off], dtype)
+            total = -(-(off + 64) // 8)
+            out = pack_varbits64(units.copy(), np.array([64], np.uint8),
+                                 pos, total)
+            np.testing.assert_array_equal(
+                out, _varbits_reference(units, [64], pos, total))
+
+    @given(lengths=st.lists(st.integers(1, 64), min_size=1, max_size=300),
+           gaps=st.lists(st.integers(0, 70), min_size=300, max_size=300),
+           seed=st.integers(0, 2 ** 32 - 1), narrow=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference(self, lengths, gaps, seed, narrow):
+        # contiguous runs and gaps, words holding many units or none
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths, np.uint8)
+        skip = np.array(gaps[:lengths.size]) * rng.integers(0, 2,
+                                                            lengths.size)
+        pos = np.cumsum(lengths.astype(np.int64) + skip) - lengths
+        pos = pos.astype(np.uint32 if narrow else np.int64)
+        units = _staged(rng, lengths)
+        total = -(-(int(pos[-1]) + int(lengths[-1])) // 8) + \
+            int(rng.integers(0, 3))
+        out = pack_varbits64(units.copy(), lengths, pos, total)
+        np.testing.assert_array_equal(
+            out, _varbits_reference(units, lengths, pos, total))
+
+    def test_unit_past_the_stream_rejected(self):
+        with pytest.raises(CodecError):
+            pack_varbits64(np.zeros(1, np.uint64), np.array([64], np.uint8),
+                           np.array([1], np.uint32), 8)
