@@ -43,12 +43,31 @@ _cache_lock = threading.Lock()
 #: digest -> (value_range, profiled (ndim, 2) error matrix)
 _profile_cache: OrderedDict[bytes, tuple[float, np.ndarray]] = OrderedDict()
 _cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
+#: running bytes held by ``_profile_cache`` (per entry: SHA-1 key +
+#: value-range float + error matrix), so a registry snapshot never walks
+#: the entries
+_cache_bytes = 0
+
+
+def _entry_nbytes(errors: np.ndarray) -> int:
+    return 20 + 8 + errors.nbytes
+
+
+def _evict_over_limit() -> None:
+    """Drop least-recently-used profiles past the limit (lock held)."""
+    global _cache_bytes
+    while len(_profile_cache) > _CACHE_SIZE:
+        _, (_rng, evicted) = _profile_cache.popitem(last=False)
+        _cache_bytes -= _entry_nbytes(evicted)
+        _cache_stats["evictions"] += 1
 
 
 def clear_autotune_cache() -> None:
     """Drop the content-keyed profiling cache (mainly for tests)."""
+    global _cache_bytes
     with _cache_lock:
         _profile_cache.clear()
+        _cache_bytes = 0
         _cache_stats["hits"] = 0
         _cache_stats["misses"] = 0
         _cache_stats["evictions"] = 0
@@ -57,11 +76,8 @@ def clear_autotune_cache() -> None:
 def autotune_cache_stats() -> dict[str, int]:
     """Snapshot of the profiling cache hit/miss counters and occupancy."""
     with _cache_lock:
-        # entry payload: SHA-1 key + value-range float + error matrix
-        size_bytes = sum(20 + 8 + errors.nbytes
-                         for _rng, errors in _profile_cache.values())
         return {**_cache_stats, "size": len(_profile_cache),
-                "limit": _CACHE_SIZE, "size_bytes": size_bytes}
+                "limit": _CACHE_SIZE, "size_bytes": _cache_bytes}
 
 
 def set_autotune_cache_limit(limit: int) -> int:
@@ -75,9 +91,7 @@ def set_autotune_cache_limit(limit: int) -> int:
     with _cache_lock:
         old = _CACHE_SIZE
         _CACHE_SIZE = int(limit)
-        while len(_profile_cache) > _CACHE_SIZE:
-            _profile_cache.popitem(last=False)
-            _cache_stats["evictions"] += 1
+        _evict_over_limit()
     return old
 
 
@@ -228,6 +242,7 @@ def autotune(data: np.ndarray, abs_eb: float,
     value range (hence ``rel_eb`` and alpha) NaN and poisons the sampled
     spline errors, silently mistuning the whole traversal.
     """
+    global _cache_bytes
     if not np.isfinite(data).all():
         bad = int(data.size - np.isfinite(data).sum())
         raise DataError(
@@ -247,11 +262,13 @@ def autotune(data: np.ndarray, abs_eb: float,
         errors.setflags(write=False)
         with _cache_lock:
             _cache_stats["misses"] += 1
+            # a racing miss on the same key replaces the entry it inserted
+            old = _profile_cache.pop(key, None)
+            if old is not None:
+                _cache_bytes -= _entry_nbytes(old[1])
             _profile_cache[key] = (rng, errors)
-            _profile_cache.move_to_end(key)
-            while len(_profile_cache) > _CACHE_SIZE:
-                _profile_cache.popitem(last=False)
-                _cache_stats["evictions"] += 1
+            _cache_bytes += _entry_nbytes(errors)
+            _evict_over_limit()
     rel_eb = abs_eb / rng if rng > 0 else 1.0
     alpha = alpha_from_eb(rel_eb)
     variants = tuple(CUBIC_NAK if errors[ax, 0] <= errors[ax, 1]

@@ -448,10 +448,23 @@ _cache_lock = threading.Lock()
 _plan_cache: OrderedDict[tuple, PassPlan] = OrderedDict()
 _cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
 _cache_limit = _DEFAULT_CACHE_LIMIT
+#: running ``PassPlan.nbytes`` total of the cached plans, so a registry
+#: snapshot never walks the entries
+_cache_bytes = 0
+
+
+def _evict_over_limit() -> None:
+    """Drop least-recently-used plans past the limit (lock held)."""
+    global _cache_bytes
+    while len(_plan_cache) > _cache_limit:
+        _, evicted = _plan_cache.popitem(last=False)
+        _cache_bytes -= evicted.nbytes
+        _cache_stats["evictions"] += 1
 
 
 def get_plan(shape: tuple[int, ...], spec) -> PassPlan:
     """The compiled plan for ``(shape, spec)``, LRU-cached per process."""
+    global _cache_bytes
     shape = tuple(int(n) for n in shape)
     spec = spec.resolved(len(shape))
     key = _plan_key(shape, spec)
@@ -465,11 +478,13 @@ def get_plan(shape: tuple[int, ...], spec) -> PassPlan:
     plan = compile_plan(shape, spec)
     with _cache_lock:
         _cache_stats["misses"] += 1
+        # a racing miss on the same key replaces the plan it inserted
+        old = _plan_cache.pop(key, None)
+        if old is not None:
+            _cache_bytes -= old.nbytes
         _plan_cache[key] = plan
-        _plan_cache.move_to_end(key)
-        while len(_plan_cache) > _cache_limit:
-            _plan_cache.popitem(last=False)
-            _cache_stats["evictions"] += 1
+        _cache_bytes += plan.nbytes
+        _evict_over_limit()
     return plan
 
 
@@ -478,14 +493,15 @@ def plan_cache_stats() -> dict[str, int]:
     with _cache_lock:
         return {**_cache_stats, "size": len(_plan_cache),
                 "limit": _cache_limit,
-                "size_bytes": sum(p.nbytes
-                                  for p in _plan_cache.values())}
+                "size_bytes": _cache_bytes}
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan and reset the counters (mainly for tests)."""
+    global _cache_bytes
     with _cache_lock:
         _plan_cache.clear()
+        _cache_bytes = 0
         _cache_stats["hits"] = 0
         _cache_stats["misses"] = 0
         _cache_stats["evictions"] = 0
@@ -499,9 +515,7 @@ def set_plan_cache_limit(limit: int) -> int:
     with _cache_lock:
         old = _cache_limit
         _cache_limit = int(limit)
-        while len(_plan_cache) > _cache_limit:
-            _plan_cache.popitem(last=False)
-            _cache_stats["evictions"] += 1
+        _evict_over_limit()
     return old
 
 

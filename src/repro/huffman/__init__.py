@@ -30,7 +30,7 @@ from repro.huffman.tree import (code_lengths, fingerprint_code_lengths,
                                 fingerprint_cache_stats)
 from repro.huffman.canonical import (
     canonical_codebook,
-    build_decode_table,
+    canonical_order,
     build_lut_tables,
     warm_lengths,
     warm_tables,
@@ -69,7 +69,7 @@ __all__ = [
     "prewarm_lut_async",
     "drain_lut_prewarm",
     "canonical_codebook",
-    "build_decode_table",
+    "canonical_order",
     "build_lut_tables",
     "warm_lengths",
     "warm_tables",

@@ -1,54 +1,65 @@
 """Canonical code assignment and the table-driven decode surfaces.
 
 Canonical Huffman codes are fully determined by the per-symbol code
-*lengths*, so only the length array travels in the compressed stream. The
-decoder expands it into two lookup surfaces:
+*lengths*, so only the length array travels in the compressed stream.
+Both sides expand it through one helper, :func:`canonical_order`: the
+used symbols in canonical order (shortest first, ties by symbol index),
+their lengths, and each codeword's *left-justified start* — its value
+shifted to ``MAX_CODE_LEN`` bits. In that order the codewords tile
+``[0, end)`` of the ``2**MAX_CODE_LEN`` windows without gaps, so
 
-* the **flat table** — ``2**MAX_CODE_LEN`` entries mapping any window of
-  ``MAX_CODE_LEN`` bits to ``(symbol, code length)``; one gather per
-  decoded symbol, used as the rare-path fallback;
+* the encoder's per-symbol codewords are the starts shifted back down
+  (:func:`canonical_codebook`);
+* the codeword a window opens with is one ``searchsorted`` over the
+  starts, and a window at or past ``end`` opens no codeword — the
+  decoder's rare fallback for a codeword wider than its probe;
 * the **multi-symbol LUT** (:func:`build_lut_tables`) — ``2**K`` entries
   (``K`` = probe width, chosen per stream by the decoder) mapping the
   next ``K`` bits to *every complete codeword inside the probe*:
-  ``(symbols[:count], cumulative bits)``.
-  One gather decodes up to ``K`` symbols, which is what lets the
+  ``(symbols[:count], cumulative bits)`` — is built from a first-codeword
+  table at width ``K`` alone: the codes no wider than ``K`` fill a
+  prefix of the ``2**K`` windows, so two ``np.repeat`` calls lay it
+  out. One gather decodes up to ``K`` symbols, which is what lets the
   chunk-parallel decode loop in :mod:`repro.huffman.codec` consume tens
   of bits per 64-bit window instead of one codeword per table lookup.
 
-All three surfaces are pure functions of the length array, and static
+No surface spans all ``2**MAX_CODE_LEN`` windows: a cold decode pays
+only for the widths it probes at.
+
+Both surfaces are pure functions of the length array, and static
 codebooks (:mod:`repro.huffman.static`) reuse the same handful of length
 vectors across every chunk-stream of a run, so each is memoized in an LRU
-cache keyed on the length bytes. The decode-table and LUT caches are
-additionally **byte-budgeted** (their entries are 100s of KiB each;
-count-based eviction alone let the table cache grow unbounded in
-multi-field runs). Cached arrays are returned read-only so one caller
-cannot corrupt another's view.
+cache keyed on the length bytes. The LUT cache is additionally
+**byte-budgeted** (its entries are 100s of KiB each). Both caches keep
+running byte totals, so a registry snapshot reads them without walking
+entries. Cached arrays are returned read-only so one caller cannot
+corrupt another's view.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.telemetry import caches
 from repro.common.errors import CodecError
-from repro.common.scan import concat_ranges
 
-__all__ = ["canonical_codebook", "build_decode_table", "build_lut_tables",
-           "lut_cached", "MAX_CODE_LEN",
+__all__ = ["canonical_codebook", "canonical_order", "CanonicalCode",
+           "build_lut_tables", "lut_cached", "MAX_CODE_LEN",
            "clear_codebook_caches", "codebook_cache_stats",
            "warm_lengths", "warm_tables",
            "prewarm_lut_async", "drain_lut_prewarm"]
 
-#: Single flat-table decode requires bounded code lengths; 16 bits keeps the
-#: table at 64 Ki entries while supporting the 1024-symbol quant alphabet.
+#: Code lengths are bounded so every codeword fits one 16-bit window;
+#: 16 bits supports the 1024-symbol quant alphabet with room to spare.
 #: It is also the widest (and default) probe of the multi-symbol LUT: a
 #: full-width probe can never meet a codeword it cannot finish, so decode
-#: never needs the flat-table fallback, at the price of the largest build
-#: (~3 MiB, 10-16 ms). Narrower probes build far faster and decode
+#: never needs the wide-codeword fallback, at the price of the largest
+#: build (~3 MiB, 10-16 ms). Narrower probes build far faster and decode
 #: somewhat slower; :func:`repro.huffman.codec.choose_probe_bits` picks
 #: one per stream (see docs/PERFORMANCE.md for the measured table).
 MAX_CODE_LEN = 16
@@ -57,35 +68,31 @@ MAX_CODE_LEN = 16
 #: and dynamic codebooks are per-field, so a few dozen covers real runs
 _CACHE_SIZE = 64
 
-#: byte budgets for the expanded decode surfaces (the codebook cache stays
-#: count-bounded: its entries are a few KiB). A flat table is ~320 KiB and
-#: a full-width probe LUT ~3 MiB, so these budgets hold the whole static
-#: family plus several dynamic codebooks — enough for real multi-field
-#: runs — while bounding worst-case growth.
-TABLE_CACHE_BYTES = 12 << 20
+#: byte budget of the probe-LUT cache (the codebook cache stays
+#: count-bounded: its entries are a few KiB). A full-width probe LUT is
+#: ~3 MiB, so the budget holds the whole static family plus several
+#: dynamic codebooks — enough for real multi-field runs — while bounding
+#: worst-case growth.
 LUT_CACHE_BYTES = 24 << 20
 
 _cache_lock = threading.Lock()
-_codebook_cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
-_table_cache: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = \
-    OrderedDict()
+_codebook_cache: OrderedDict[bytes, "CanonicalCode"] = OrderedDict()
 _lut_cache: OrderedDict[tuple, tuple] = OrderedDict()
 _cache_stats = {"codebook_hits": 0, "codebook_misses": 0,
                 "codebook_evictions": 0,
-                "table_hits": 0, "table_misses": 0, "table_evictions": 0,
                 "lut_hits": 0, "lut_misses": 0, "lut_evictions": 0}
-#: running byte totals of the byte-budgeted caches (keys and values)
-_cache_bytes = {"table": 0, "lut": 0}
+#: running byte totals (keys and values) of each cache, kept by every
+#: insert, replace, eviction and clear so registry snapshots are O(1)
+_cache_bytes = {"codebook": 0, "lut": 0}
 
-_BYTE_BUDGETS = {"table": TABLE_CACHE_BYTES, "lut": LUT_CACHE_BYTES}
+_BYTE_BUDGETS = {"lut": LUT_CACHE_BYTES}
 
 
 def clear_codebook_caches() -> None:
-    """Drop all three LRU caches (tests; long-lived processes never
+    """Drop both LRU caches (tests; long-lived processes never
     need to)."""
     with _cache_lock:
         _codebook_cache.clear()
-        _table_cache.clear()
         _lut_cache.clear()
         for k in _cache_stats:
             _cache_stats[k] = 0
@@ -94,7 +101,7 @@ def clear_codebook_caches() -> None:
 
 
 def codebook_cache_stats() -> dict[str, int]:
-    """Snapshot of hit/miss counters for all three caches."""
+    """Snapshot of hit/miss counters for both caches."""
     with _cache_lock:
         return dict(_cache_stats)
 
@@ -106,8 +113,8 @@ def _entry_nbytes(value) -> int:
 
 
 def _footprint(key, value) -> int:
-    """Bytes an entry holds against its cache's budget: the same key plus
-    value total the registry reports as ``size_bytes``, so a cache the
+    """Bytes an entry holds against its cache's running total: key plus
+    value, the ``size_bytes`` the registry reports, so a cache the
     eviction loop keeps within budget never reads as over it."""
     return _key_nbytes(key) + _entry_nbytes(value)
 
@@ -136,28 +143,24 @@ def _cache_put(cache: OrderedDict, key, value, kind: str) -> None:
         # the same key twice: replace, and stop counting the old bytes
         old = cache.pop(key, None)
         cache[key] = value
-        if budget is not None:
-            if old is not None:
-                _cache_bytes[kind] -= _footprint(key, old)
-            _cache_bytes[kind] += _footprint(key, value)
+        if old is not None:
+            _cache_bytes[kind] -= _footprint(key, old)
+        _cache_bytes[kind] += _footprint(key, value)
         while len(cache) > _CACHE_SIZE or (
                 budget is not None and _cache_bytes[kind] > budget
                 and len(cache) > 1):
             k, evicted = cache.popitem(last=False)
-            if budget is not None:
-                _cache_bytes[kind] -= _footprint(k, evicted)
+            _cache_bytes[kind] -= _footprint(k, evicted)
             _cache_stats[f"{kind}_evictions"] += 1
 
 
-def _registry_stats(cache: OrderedDict, kind: str,
-                    nbytes) -> dict[str, int]:
+def _registry_stats(cache: OrderedDict, kind: str) -> dict[str, int]:
     with _cache_lock:
         stats = {"hits": _cache_stats[f"{kind}_hits"],
                  "misses": _cache_stats[f"{kind}_misses"],
                  "evictions": _cache_stats[f"{kind}_evictions"],
                  "size": len(cache), "limit": _CACHE_SIZE,
-                 "size_bytes": sum(_key_nbytes(k) + nbytes(v)
-                                   for k, v in cache.items())}
+                 "size_bytes": _cache_bytes[kind]}
         budget = _BYTE_BUDGETS.get(kind)
         if budget is not None:
             stats["byte_limit"] = budget
@@ -170,17 +173,10 @@ def _key_nbytes(key) -> int:
     return sum(len(k) if isinstance(k, bytes) else 8 for k in key)
 
 
-caches.register(
-    "huffman.codebook",
-    lambda: _registry_stats(_codebook_cache, "codebook",
-                            lambda v: v.nbytes))
-caches.register(
-    "huffman.table",
-    lambda: _registry_stats(_table_cache, "table",
-                            lambda v: v[0].nbytes + v[1].nbytes))
-caches.register(
-    "huffman.lut",
-    lambda: _registry_stats(_lut_cache, "lut", _entry_nbytes))
+caches.register("huffman.codebook",
+                lambda: _registry_stats(_codebook_cache, "codebook"))
+caches.register("huffman.lut",
+                lambda: _registry_stats(_lut_cache, "lut"))
 
 
 def _length_key(lengths: np.ndarray) -> bytes:
@@ -191,77 +187,75 @@ def _length_key(lengths: np.ndarray) -> bytes:
     return lengths.astype(np.uint8).tobytes()
 
 
-def canonical_codebook(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical codewords given per-symbol lengths.
+class CanonicalCode(NamedTuple):
+    """A length vector expanded into its canonical code.
 
-    Returns a read-only uint32 array of codewords (valid only where
-    ``lengths > 0``). Codes are assigned shortest-first, ties broken by
-    symbol index — the canonical convention, reproducible on both sides
-    from lengths alone. Results are memoized per length vector.
+    ``order`` lists the used symbols in canonical order (shortest code
+    first, ties by symbol index), ``lens`` their code lengths, and
+    ``starts`` each codeword left-justified to ``MAX_CODE_LEN`` bits. In
+    that order the codewords tile ``[0, end)`` of the
+    ``2**MAX_CODE_LEN`` windows without gaps: codeword ``i`` owns
+    ``[starts[i], starts[i] + 2**(MAX_CODE_LEN - lens[i]))``. ``codes``
+    is the per-symbol codeword the encoder emits (valid only where the
+    symbol's length is nonzero).
+    """
+
+    codes: np.ndarray
+    order: np.ndarray
+    lens: np.ndarray
+    starts: np.ndarray
+    end: int
+
+
+def canonical_order(lengths: np.ndarray) -> CanonicalCode:
+    """The canonical code of ``lengths``, memoized per length vector.
+
+    Codes are assigned shortest-first, ties broken by symbol index — the
+    canonical convention, reproducible on both sides from lengths alone.
+    Raises :class:`CodecError` on lengths outside ``[0, MAX_CODE_LEN]``
+    or lengths that violate the Kraft inequality. All arrays are
+    read-only.
     """
     lengths = np.asarray(lengths, dtype=np.int64).ravel()
     key = _length_key(lengths)
     cached = _cache_get(_codebook_cache, key, "codebook")
     if cached is not None:
         return cached
-    codes = _canonical_codebook_uncached(lengths)
-    codes.setflags(write=False)
-    _cache_put(_codebook_cache, key, codes, "codebook")
-    return codes
+    code = _canonical_uncached(lengths)
+    for arr in code[:4]:
+        arr.setflags(write=False)
+    _cache_put(_codebook_cache, key, code, "codebook")
+    return code
 
 
-def _canonical_codebook_uncached(lengths: np.ndarray) -> np.ndarray:
-    codes = np.zeros(lengths.size, dtype=np.uint32)
-    used = np.flatnonzero(lengths)
-    if used.size == 0:
-        return codes
-    order = used[np.lexsort((used, lengths[used]))]
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for s in order:
-        ln = int(lengths[s])
-        code <<= (ln - prev_len)
-        codes[s] = code
-        code += 1
-        prev_len = ln
-    if code > (1 << prev_len):
-        raise CodecError("length array violates the Kraft inequality")
-    return codes
+def canonical_codebook(lengths: np.ndarray) -> np.ndarray:
+    """Assign canonical codewords given per-symbol lengths.
 
-
-def build_decode_table(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expand code lengths into the flat decode table.
-
-    Returns ``(symbols, lens)``: two read-only ``2**MAX_CODE_LEN`` arrays
-    such that for any bit window ``w`` starting at a codeword boundary,
-    ``symbols[w]`` is the decoded symbol and ``lens[w]`` how many bits to
-    consume. Table slots not reachable from any codeword keep length 0 so a
-    corrupted stream is detected instead of looping forever. The 64 Ki
-    tables are memoized per length vector — static codebooks decode every
-    chunk-stream of a run through the same cached pair.
+    Returns a read-only uint32 array of codewords (valid only where
+    ``lengths > 0``), the ``codes`` of :func:`canonical_order`.
     """
-    lengths = np.asarray(lengths, dtype=np.int64).ravel()
-    key = _length_key(lengths)
-    cached = _cache_get(_table_cache, key, "table")
-    if cached is not None:
-        return cached
-    codes = canonical_codebook(lengths)
-    size = 1 << MAX_CODE_LEN
-    symbols = np.zeros(size, dtype=np.uint32)
-    lens = np.zeros(size, dtype=np.uint8)
+    return canonical_order(lengths).codes
+
+
+def _canonical_uncached(lengths: np.ndarray) -> CanonicalCode:
+    """Vectorized canonical assignment: in canonical order each
+    left-justified start is the previous one plus the previous
+    codeword's span, so one cumulative sum lays out every codeword."""
     used = np.flatnonzero(lengths)
-    if used.size:
-        shifts = MAX_CODE_LEN - lengths[used]
-        starts = (codes[used].astype(np.int64) << shifts)
-        counts = (np.int64(1) << shifts)
-        # scatter each codeword across its table span
-        idx = np.repeat(starts, counts) + concat_ranges(counts)
-        symbols[idx] = np.repeat(used.astype(np.uint32), counts)
-        lens[idx] = np.repeat(lengths[used].astype(np.uint8), counts)
-    symbols.setflags(write=False)
-    lens.setflags(write=False)
-    _cache_put(_table_cache, key, (symbols, lens), "table")
-    return symbols, lens
+    # stable: equal lengths keep ascending symbol order
+    order = used[np.argsort(lengths[used], kind="stable")]
+    lens = lengths[order]
+    span = np.int64(1) << (MAX_CODE_LEN - lens)
+    ends = np.cumsum(span)
+    end = int(ends[-1]) if ends.size else 0
+    if end > 1 << MAX_CODE_LEN:
+        raise CodecError("length array violates the Kraft inequality")
+    starts = ends - span
+    codes = np.zeros(lengths.size, dtype=np.uint32)
+    codes[order] = starts >> (MAX_CODE_LEN - lens)
+    return CanonicalCode(codes=codes, order=order.astype(np.uint32),
+                         lens=lens.astype(np.uint8),
+                         starts=starts.astype(np.uint32), end=end)
 
 
 def lut_cached(lengths: np.ndarray, probe_bits: int = MAX_CODE_LEN) -> bool:
@@ -283,8 +277,8 @@ def build_lut_tables(lengths: np.ndarray,
     next ``probe_bits`` payload bits (MSB-first):
 
     * ``count[w]`` — how many *complete* codewords the probe window ``w``
-      contains (0 means the first codeword overruns the probe: take the
-      flat-table fallback);
+      contains (0 means the first codeword overruns the probe: the
+      decoder resolves it from :func:`canonical_order`'s starts);
     * ``syms[w, :count[w]]`` — the decoded symbols, in stream order;
     * ``cum_bits[w, j]`` — total bits consumed after emitting the first
       ``j`` symbols, with ``cum_bits[w, 0] == 0``: the decode loop
@@ -292,8 +286,10 @@ def build_lut_tables(lengths: np.ndarray,
       out zero-emit lanes, and any prefix is directly addressable when
       the chunk ends mid-entry.
 
-    Construction simulates chained flat-table decodes per row, vectorized
-    across all ``2**probe_bits`` rows at once. A codeword only counts
+    Construction chains first-codeword lookups at the probe width per
+    row, vectorized across all ``2**probe_bits`` rows at once (the
+    table is built at width ``probe_bits`` directly, never at
+    ``MAX_CODE_LEN``). A codeword only counts
     when it fits *entirely* inside the probe's real bits — the low-order
     zero padding introduced by the row shift is never interpreted — so a
     LUT probe can never mis-decode across the probe boundary.
@@ -325,12 +321,34 @@ def _put_lut(key: tuple, entry: tuple) -> None:
     _cache_put(_lut_cache, key, entry, "lut")
 
 
+def _first_codeword_table(lengths: np.ndarray, probe_bits: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """``(symbols, lens)`` of the codeword each ``probe_bits``-bit window
+    opens with, length 0 where it opens none that fits the window (a
+    wider codeword, or no codeword at all).
+
+    In canonical order the codes no wider than the probe come first and
+    fill a prefix of the ``2**probe_bits`` windows, each spanning
+    ``2**(probe_bits - length)`` of them, so two ``np.repeat`` calls lay
+    the table out.
+    """
+    code = canonical_order(lengths)
+    size = 1 << probe_bits
+    fits = int(np.searchsorted(code.lens, probe_bits, side="right"))
+    span = np.int64(1) << (probe_bits - code.lens[:fits].astype(np.int64))
+    filled = int(span.sum())
+    symbols = np.zeros(size, dtype=np.uint32)
+    lens = np.zeros(size, dtype=np.int32)
+    symbols[:filled] = np.repeat(code.order[:fits], span)
+    lens[:filled] = np.repeat(code.lens[:fits], span)
+    return symbols, lens
+
+
 def _expand_lut(lengths: np.ndarray, probe_bits: int) -> tuple:
     """The uncached LUT construction behind :func:`build_lut_tables`."""
-    table_syms, table_lens = build_decode_table(lengths)
+    table_syms, lens32 = _first_codeword_table(lengths, probe_bits)
     size = 1 << probe_bits
     mask = np.int32(size - 1)
-    up = MAX_CODE_LEN - probe_bits
     count = np.zeros(size, dtype=np.uint8)
     cum = np.zeros((size, probe_bits + 1), dtype=np.uint8)
     # uint16 symbol slots halve the dominant LUT plane whenever the
@@ -338,7 +356,6 @@ def _expand_lut(lengths: np.ndarray, probe_bits: int) -> tuple:
     # codewords, so only sparse oversized alphabets need uint32)
     sym_dtype = np.uint16 if lengths.size <= (1 << 16) else np.uint32
     syms = np.zeros((size, probe_bits), dtype=sym_dtype)
-    lens32 = table_lens.astype(np.int32)
     # rows drop out of `live` once their next codeword overruns the
     # probe, so iteration j only touches rows with >= j+1 symbols; with
     # int32 row state the whole build runs at a fraction of the naive
@@ -346,7 +363,7 @@ def _expand_lut(lengths: np.ndarray, probe_bits: int) -> tuple:
     live = np.arange(size, dtype=np.int32)
     consumed = np.zeros(size, dtype=np.int32)
     for j in range(probe_bits):
-        idx = ((live << consumed) & mask) << up
+        idx = (live << consumed) & mask
         ln = lens32[idx]
         fit = (ln > 0) & (consumed + ln <= probe_bits)
         live = live[fit]
@@ -435,15 +452,15 @@ def drain_lut_prewarm() -> int:
 def warm_lengths(limit: int = 8) -> list[bytes]:
     """Raw length vectors (uint8 bytes) of the most-recently-used
     codebooks, newest first — the parent ships these to persistent shm
-    workers so their decode tables and LUTs are built before the first
-    pooled request instead of on it."""
+    workers so their LUTs are built before the first pooled request
+    instead of on it."""
     with _cache_lock:
         keys = list(_codebook_cache.keys())
     return keys[::-1][:max(0, int(limit))]
 
 
 def warm_tables(length_blobs) -> int:
-    """Prebuild the flat table and probe LUT for each raw length vector
+    """Prebuild the full-width probe LUT for each raw length vector
     (as produced by :func:`warm_lengths`). Invalid blobs are skipped —
     a stale warm hint must never fail a worker. Returns how many
     codebooks were warmed."""
@@ -453,7 +470,6 @@ def warm_tables(length_blobs) -> int:
             lengths = np.frombuffer(blob, dtype=np.uint8).astype(np.int64)
             if lengths.size == 0:
                 continue
-            build_decode_table(lengths)
             build_lut_tables(lengths)
             warmed += 1
         except (CodecError, ValueError):

@@ -34,11 +34,12 @@ layout of Yamamoto et al., ICPP 2020).
 * **Decode** steps all chunks simultaneously. Each outer step gathers one
   64-bit window per chunk and then chains multi-symbol LUT probes inside
   it: each probe reads the next ``K`` bits and yields every complete
-  codeword they contain, falling back to the flat ``MAX_CODE_LEN`` table
-  only for the rare codeword wider than the probe. Steps record only
-  ``(probe, emit count)`` per lane; read chunk by chunk those records
-  are in output order, so the symbols are expanded after the loop by one
-  row gather and one boolean compaction. ``K`` is chosen per stream
+  codeword they contain, falling back to one ``searchsorted`` over the
+  canonical codewords' left-justified starts only for the rare codeword
+  wider than the probe. Steps record only ``(probe, emit count)`` per
+  lane; read chunk by chunk those records are in output order, so the
+  symbols are expanded after the loop by one row gather and one boolean
+  compaction. ``K`` is chosen per stream
   (:func:`choose_probe_bits`): a narrow LUT builds several times faster
   than the full-width one, which a recurring codebook is promoted to.
 
@@ -64,8 +65,8 @@ import numpy as np
 from repro import telemetry
 from repro.common.bitpack import pack_varbits64
 from repro.common.errors import CodecError, CorruptStreamError
-from repro.huffman.canonical import (MAX_CODE_LEN, build_decode_table,
-                                     build_lut_tables, canonical_codebook,
+from repro.huffman.canonical import (MAX_CODE_LEN, build_lut_tables,
+                                     canonical_codebook, canonical_order,
                                      lut_cached, prewarm_lut_async)
 from repro.huffman.histogram import histogram
 from repro.huffman.tree import fingerprint_code_lengths
@@ -703,8 +704,9 @@ PROBE_WIDTHS = (12, 13, 14, MAX_CODE_LEN)
 # Cold-decode cost model (ms), calibrated on a 2-CPU x86-64 VM with
 # NumPy 2.4 over real pipeline streams of 65k-883k symbols (version-1
 # streams, 256-symbol chunks):
-# - LUT build: ~0.9 ms fixed (flat table) plus _BUILD_MS_PER_ROW per
-#   probe row, i.e. 1.5 ms at K=12, 3.0 at K=14 and 11.5 at K=16;
+# - LUT build: _BUILD_MS_PER_ROW per probe row, i.e. 1.5 ms at K=12,
+#   3.0 at K=14 and 11.5 at K=16 (a fixed cost common to every width
+#   does not enter the choice);
 # - narrow-probe penalty over a full-width decode: every codeword wider
 #   than K idles its chunk lane for the rest of a 64-bit window, so the
 #   penalty scales with the share of such codewords, p(K), as
@@ -724,8 +726,8 @@ def choose_probe_bits(n_symbols: int, lengths: np.ndarray) -> int:
 
     A canonical code of length ``L`` carries probability ``~2**-L``, so
     the share of codewords wider than ``K`` (the ones a ``K``-bit probe
-    must hand to the flat-table fallback) is read off the lengths alone;
-    the result is a pure function of its two arguments.
+    must hand to the wide-codeword fallback) is read off the lengths
+    alone; the result is a pure function of its two arguments.
     """
     lengths = np.asarray(lengths, dtype=np.int64).ravel()
     used = lengths[lengths > 0]
@@ -783,12 +785,13 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
     so few lanes idle that way. A probe whose first codeword is wider than
     ``K`` emits nothing and advances by nothing, so its lane idles for the
     rest of the word; only after the slot loop do the idle lanes take one
-    flat-table step, off the per-slot critical ops. A full-width probe
+    wide-codeword step (a ``searchsorted`` over the canonical codewords'
+    starts), off the per-slot critical ops. A full-width probe
     never idles on a valid stream, so there an idle lane means an invalid
     codeword.
 
     Symbol *emission* is deferred: each slot only records one
-    ``(probe, emit count)`` column across all lanes (a flat-table step
+    ``(probe, emit count)`` column across all lanes (a wide-codeword step
     takes over its idle lane's empty last-slot record, storing the
     symbol as the negative probe ``~symbol``). Stacked chunk
     by chunk, those records are in output order, since chunks are
@@ -807,7 +810,7 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
         _lut_for(stream, probe_bits)
     narrow = probe_bits < MAX_CODE_LEN
     if narrow:
-        table_sym, table_len = build_decode_table(stream.lengths)
+        code = canonical_order(stream.lengths)
     windows8 = np.lib.stride_tricks.sliding_window_view(pay, 8)
     n_chunks = counts.size
     # flattened cum-bits gather (row*stride + emit) beats 2-D fancy
@@ -849,19 +852,22 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
             if not narrow:
                 raise CorruptStreamError(
                     "corrupt Huffman payload (invalid codeword)")
-            # one flat-table step per idle lane, from a fresh gather at
-            # its cursor (the rest of the word may be too short for it)
+            # one wide-codeword step per idle lane, from a fresh gather
+            # at its cursor (the rest of the word may be too short for
+            # it): the codeword is the last one starting at or before
+            # the 16-bit window, and none starts at or past the end
             cur = bitpos[idle] + (sh0[idle] - sh[idle])
             fw = windows8[np.minimum(cur >> 3, last_byte)] \
                 .view(">i8").ravel().astype(np.int64)
             win = (fw >> (64 - MAX_CODE_LEN - (cur & 7))) & fmask
-            ln = table_len[win]
-            if np.any(ln == 0):
+            if np.any(win >= code.end):
                 raise CorruptStreamError(
                     "corrupt Huffman payload (invalid codeword)")
+            at = np.searchsorted(code.starts, win, side="right") - 1
+            ln = code.lens[at]
             # the idle lane's last-slot record emitted nothing: it
-            # becomes the flat-table step's record
-            probe[idle] = ~table_sym[win].astype(np.int64)
+            # becomes the wide-codeword step's record
+            probe[idle] = ~code.order[at].astype(np.int64)
             emit[idle] = 1
             sh[idle] -= ln
             rem[idle] -= 1
@@ -887,7 +893,7 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
         em = em[keep]
         pr = probes[:, c0:c1].T.ravel()[keep]
         kept += keep.size
-        # the clip mode maps the flat-table records' negative probes to
+        # the clip mode maps the wide-codeword records' negative probes to
         # row 0, whose first slot is then overwritten with the symbol
         rows = np.take(lut_syms, pr, axis=0, mode="clip")
         if narrow:

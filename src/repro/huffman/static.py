@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import CodecError
-from repro.huffman.canonical import (MAX_CODE_LEN, build_decode_table,
-                                     build_lut_tables, canonical_codebook)
+from repro.huffman.canonical import (MAX_CODE_LEN, build_lut_tables,
+                                     canonical_codebook)
 from repro.huffman.tree import code_lengths
 
 __all__ = ["static_lengths", "best_static_profile", "prewarm_static",
@@ -69,7 +69,7 @@ def static_lengths(alphabet_size: int, center: int,
 
 def prewarm_static(alphabet_size: int, center: int,
                    spreads=STATIC_SPREADS) -> int:
-    """Build codebook, flat table, and probe LUT for every member of the
+    """Build codebook and probe LUT for every member of the
     static family — one call fills the caches a fresh process (or a
     freshly spawned pool worker) would otherwise fill one miss at a time
     on its first streams. Returns the number of codebooks warmed."""
@@ -77,7 +77,6 @@ def prewarm_static(alphabet_size: int, center: int,
     for spread in spreads:
         lengths = static_lengths(alphabet_size, center, spread)
         canonical_codebook(lengths)
-        build_decode_table(lengths)
         build_lut_tables(lengths)
         warmed += 1
     return warmed

@@ -3,8 +3,8 @@
 The codebook is built on the CPU (paper §VI-A: with G-Interp's concentrated
 histograms, a GPU tree build is not worthwhile; cuSZ-i moves it host-side at
 ~200 us end-to-end). We build the optimal tree with a heap, then limit code
-lengths to :data:`repro.huffman.canonical.MAX_CODE_LEN` so the decoder can
-use a single flat lookup table — the standard trick of clamping and then
+lengths to :data:`repro.huffman.canonical.MAX_CODE_LEN` so every codeword
+fits one 16-bit decode window — the standard trick of clamping and then
 restoring the Kraft inequality by lengthening the cheapest (least frequent)
 short codes.
 
@@ -47,6 +47,9 @@ _FP_CACHE_SIZE = 64
 _fp_lock = threading.Lock()
 _fp_cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
 _fp_stats = {"hits": 0, "misses": 0, "evictions": 0}
+#: running bytes (keys and length vectors) held by ``_fp_cache``, so a
+#: registry snapshot never walks its entries
+_fp_bytes = 0
 
 
 def _tree_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -176,6 +179,7 @@ def fingerprint_code_lengths(freqs: np.ndarray, max_len: int, *,
     decode of the same stream family, so its decode surface is built
     while the encode is still running instead of inside that decode.
     """
+    global _fp_bytes
     key, rep = histogram_fingerprint(freqs)
     key = max_len.to_bytes(2, "little") + key
     with _fp_lock:
@@ -192,18 +196,25 @@ def fingerprint_code_lengths(freqs: np.ndarray, max_len: int, *,
     lengths.setflags(write=False)
     with _fp_lock:
         _fp_stats["misses"] += 1
+        # a racing miss on the same key replaces the entry it inserted
+        old = _fp_cache.pop(key, None)
+        if old is not None:
+            _fp_bytes -= len(key) + old.nbytes
         _fp_cache[key] = lengths
-        _fp_cache.move_to_end(key)
+        _fp_bytes += len(key) + lengths.nbytes
         while len(_fp_cache) > _FP_CACHE_SIZE:
-            _fp_cache.popitem(last=False)
+            k, evicted = _fp_cache.popitem(last=False)
+            _fp_bytes -= len(k) + evicted.nbytes
             _fp_stats["evictions"] += 1
     return lengths
 
 
 def clear_fingerprint_cache() -> None:
     """Drop the fingerprint LRU and reset its counters (tests)."""
+    global _fp_bytes
     with _fp_lock:
         _fp_cache.clear()
+        _fp_bytes = 0
         for k in _fp_stats:
             _fp_stats[k] = 0
 
@@ -213,8 +224,7 @@ def fingerprint_cache_stats() -> dict[str, int]:
     with _fp_lock:
         return {**_fp_stats, "size": len(_fp_cache),
                 "limit": _FP_CACHE_SIZE,
-                "size_bytes": sum(len(k) + v.nbytes
-                                  for k, v in _fp_cache.items())}
+                "size_bytes": _fp_bytes}
 
 
 caches.register("huffman.fingerprint", fingerprint_cache_stats)

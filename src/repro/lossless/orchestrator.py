@@ -99,14 +99,17 @@ _STORE_BIAS = 0.95
 
 # -- introspection (unified cache registry + doctor counters) ---------------
 
-_stats_lock = threading.Lock()
-#: header-fingerprint plan-cache counters, aggregated across every codec
-#: instance (the cache dicts themselves stay per-instance)
-_plan_stats = {"hits": 0, "misses": 0, "evictions": 0}
+#: reentrant: a dead codec's :meth:`PlanCache.release` runs from the
+#: garbage collector, which may fire inside a holder of this lock
+_stats_lock = threading.RLock()
+#: header-fingerprint plan-cache counters and occupancy, aggregated
+#: across every live codec instance (the caches themselves stay
+#: per-instance); occupancy is kept as entries come and go, so a registry
+#: snapshot walks no instance's entries
+_plan_stats = {"hits": 0, "misses": 0, "evictions": 0,
+               "size": 0, "size_bytes": 0}
 #: times the never-expand guard replaced a mispredicted backend by store
 _never_expand = 0
-#: live OrchestratorCodec instances, for plan-cache occupancy accounting
-_live_codecs: "weakref.WeakSet[OrchestratorCodec]" = weakref.WeakSet()
 
 
 def _note_plan(event: str) -> None:
@@ -118,19 +121,55 @@ def plan_cache_stats() -> dict[str, int]:
     """Aggregate hit/miss/eviction counters and occupancy of every live
     instance's header-fingerprint plan cache."""
     with _stats_lock:
-        stats = dict(_plan_stats)
-    size = size_bytes = 0
-    for codec in list(_live_codecs):
-        pc = codec._plan_cache
-        if not pc:
-            continue
-        size += len(pc)
-        for probes, spans, plan, names in pc.values():
-            size_bytes += (sum(len(pb) for _off, pb in probes)
-                           + 16 * len(spans)
-                           + sum(len(nm) + 8 for nm in names))
-    return {**stats, "size": size, "limit": _PLAN_CACHE_MAX,
-            "size_bytes": size_bytes}
+        return {**_plan_stats, "limit": _PLAN_CACHE_MAX}
+
+
+def _plan_nbytes(entry: tuple) -> int:
+    """Bytes one plan-cache entry holds: its header probes, segment
+    spans and framed stream names."""
+    probes, spans, _plan, names = entry
+    return (sum(len(pb) for _off, pb in probes) + 16 * len(spans)
+            + sum(len(nm) + 8 for nm in names))
+
+
+class PlanCache:
+    """One codec instance's header-fingerprint plan cache: at most
+    ``_PLAN_CACHE_MAX`` entries, oldest evicted first. Every insert,
+    replacement and eviction updates the process-wide occupancy in
+    ``_plan_stats``; :meth:`release` takes a dead codec's entries out
+    of it."""
+
+    def __init__(self):
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        return self._entries.get(key)
+
+    def put(self, key, entry: tuple) -> None:
+        with _stats_lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._account(old, -1)
+            elif len(self._entries) >= _PLAN_CACHE_MAX:
+                self._account(self._entries.pop(next(iter(self._entries))),
+                              -1)
+                _plan_stats["evictions"] += 1
+            self._entries[key] = entry
+            self._account(entry, 1)
+
+    def release(self) -> None:
+        with _stats_lock:
+            for entry in self._entries.values():
+                self._account(entry, -1)
+            self._entries.clear()
+
+    @staticmethod
+    def _account(entry: tuple, sign: int) -> None:
+        _plan_stats["size"] += sign
+        _plan_stats["size_bytes"] += sign * _plan_nbytes(entry)
 
 
 def never_expand_trips() -> int:
@@ -465,7 +504,7 @@ def _decide(view: memoryview, profile: str) -> str:
 # -- frame encode / decode --------------------------------------------------
 
 def orchestrate_compress(data, *, profile: str = "balanced",
-                         workers=None, plan_cache: dict | None = None)\
+                         workers=None, plan_cache: PlanCache | None = None)\
         -> bytes:
     """Compress ``data`` with a per-stream backend choice (``ORC1`` frame).
 
@@ -535,10 +574,7 @@ def orchestrate_compress(data, *, profile: str = "balanced",
                     if name.endswith(".head"):
                         probes.append((pos, bytes(sv)))
                     pos += len(sv)
-                if len(plan_cache) >= _PLAN_CACHE_MAX:
-                    plan_cache.pop(next(iter(plan_cache)))
-                    _note_plan("evictions")
-                plan_cache[key] = (probes, spans, plan, names)
+                plan_cache.put(key, (probes, spans, plan, names))
         zlevel = _ZLIB_LEVEL[profile]
         table: list[bytes] = []
         payloads = []
@@ -729,8 +765,10 @@ class OrchestratorCodec:
                               f"choose from {sorted(ZLIB_CAP)}")
         self.profile = profile
         self.workers = workers
-        self._plan_cache: dict | None = {} if plan_cache else None
-        _live_codecs.add(self)
+        self._plan_cache: PlanCache | None = None
+        if plan_cache:
+            self._plan_cache = PlanCache()
+            weakref.finalize(self, self._plan_cache.release)
 
     def compress_bytes(self, data) -> bytes:
         return orchestrate_compress(data, profile=self.profile,

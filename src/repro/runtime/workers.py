@@ -12,7 +12,7 @@ way, plus :meth:`ShmPool.map_bytes`, which applies a module-level
 bytes-to-bytes function to arena-resident blocks.
 
 Because workers are daemons, not per-batch forks, their per-process
-caches — compiled interpolation plans, Huffman codebooks/decode tables,
+caches — compiled interpolation plans, Huffman codebooks and probe LUTs,
 the lossless orchestrator's plan cache — stay **warm across requests and
 batches**. Each task ships its cache-counter deltas back on the existing
 aux channel; the pool accumulates them and registers a
@@ -142,12 +142,12 @@ _warmed_codebooks: set[bytes] = set()
 
 def _warm_from_ctrl(ctrl: dict) -> None:
     """Expand parent-shipped warm codebook hints into this worker's
-    decode-table and LUT caches before the task body runs.
+    codebook and LUT caches before the task body runs.
 
     The parent piggybacks its most-recently-used Huffman length vectors
     on every task's control dict (they are ~1 KiB each), so a freshly
     spawned daemon builds its decode surfaces once, here, instead of
-    paying the table+LUT build inside the first decode request."""
+    paying the LUT build inside the first decode request."""
     hints = ctrl.get("warm_lengths")
     if not hints:
         return
@@ -474,7 +474,7 @@ class ShmPool:
                 "cache_limit": self.cache_limit,
                 # warm codebook hints ride along on the existing control
                 # path (the aux channel's parent-bound mirror): workers
-                # prebuild decode tables/LUTs for the parent's hottest
+                # prebuild the probe LUTs of the parent's hottest
                 # codebooks instead of cold-filling on first decode
                 "warm_lengths": warm_lengths(limit=4)}
 

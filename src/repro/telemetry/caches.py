@@ -1,9 +1,9 @@
 """Unified cache registry: one introspection surface for every cache.
 
-PRs 2-4 each grew a memoization layer — the Huffman codebook/decode-table
-LRUs, the content-keyed autotune cache, the compiled pass-plan LRU, the
-orchestrator's header-fingerprint plan cache — and each exposed its own
-ad-hoc counters. This module is the single registry they all plug into:
+Several memoization layers grew side by side — the Huffman codebook and
+probe-LUT LRUs, the content-keyed autotune cache, the compiled pass-plan
+LRU, the orchestrator's header-fingerprint plan cache — and each exposed
+its own ad-hoc counters. This module is the single registry they all plug into:
 
 * every cache module calls :func:`register` at import time with a
   zero-argument **provider** returning its current statistics;
@@ -17,8 +17,9 @@ ad-hoc counters. This module is the single registry they all plug into:
 
 Providers may return any subset of the normalized keys; missing values
 default to 0 (``limit`` defaults to -1 = unbounded/unknown). Providers
-must be cheap (a lock + a small dict copy) — snapshots run on the
-always-on recorder path.
+must be cheap (a lock + a small dict copy; ``size_bytes`` a running
+total, never a walk over the entries) — snapshots run on the always-on
+recorder path.
 """
 
 from __future__ import annotations

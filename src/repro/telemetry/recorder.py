@@ -32,9 +32,11 @@ ratio distributions, cache health, anomaly flags. See
 Overhead discipline mirrors the span tracer: with both sinks off the
 path is two flag checks returning a shared no-op capture (the unit
 suite asserts sub-microsecond per append), and the recording path costs
-two cache snapshots plus a handful of ``perf_counter`` reads per run —
-well under 1% of a real pipeline run. Set ``REPRO_FLIGHT_RECORDER=0``
-in the environment to start disabled.
+two cache snapshots plus a handful of ``perf_counter`` reads per run:
+about 0.09 ms with the caches full (measured on a 2-vCPU Xeon VM),
+~1-2% of a small 4-9 ms call and under 0.5% of a 96^3 field. The
+snapshots read each cache's running totals and walk no entries. Set
+``REPRO_FLIGHT_RECORDER=0`` in the environment to start disabled.
 """
 
 from __future__ import annotations

@@ -10,8 +10,16 @@ emits must match them byte for byte:
   :meth:`~repro.common.quantizer.LinearQuantizer.quantize` /
   :meth:`~repro.common.quantizer.LinearQuantizer.dequantize`. Oracle for
   the compiled, fused traversal of :mod:`repro.core.ginterp.engine`.
-* :func:`decode_loop` — one codeword per flat-table lookup. Oracle for
-  the multi-symbol LUT decoder of :mod:`repro.huffman.codec`.
+* :func:`decode_loop` — one codeword per lookup in the flat
+  ``2**MAX_CODE_LEN`` table (:func:`build_decode_table`). Oracle for the
+  multi-symbol LUT decoder of :mod:`repro.huffman.codec`, whose probe
+  LUTs are built at their own width and never from this table.
+* :func:`expand_lut_flat` — the probe LUT built by chaining lookups in
+  that flat table. Oracle for the width-``K`` construction of
+  :func:`repro.huffman.canonical.build_lut_tables`.
+* :func:`canonical_codebook_loop` — canonical code assignment one
+  symbol at a time. Oracle for the vectorized
+  :func:`repro.huffman.canonical.canonical_order`.
 * :func:`encode_loop` — the byte-plane emitter (:func:`pack_varbits`)
   over the same codebook, with the gap-array chunk table derived its own
   way (a ``bincount`` of each codeword's chunk). Oracle for the
@@ -36,9 +44,10 @@ from repro.core.ginterp.engine import (InterpResult, InterpSpec,
 from repro.core.ginterp.plans import (PassDesc, _axis_indices, _class_1d,
                                       pass_plan)
 from repro.core.ginterp.splines import NEIGHBOR_OFFSETS, SPLINE_WEIGHTS
+from repro.common.scan import concat_ranges
 from repro.huffman import (MAX_CODE_LEN, DEFAULT_CHUNK_BITS, HuffmanStream,
-                           build_decode_table, canonical_codebook,
-                           fingerprint_code_lengths, histogram)
+                           canonical_codebook, fingerprint_code_lengths,
+                           histogram)
 from repro.huffman.codec import MAX_CHUNK_BITS, _decode_prepare
 
 
@@ -176,6 +185,82 @@ def reference_decompress(shape: tuple[int, ...], spec: InterpSpec,
 
 
 # -- Huffman coder ----------------------------------------------------------
+
+def canonical_codebook_loop(lengths: np.ndarray) -> np.ndarray:
+    """Canonical codewords, assigned one symbol at a time: shortest
+    first, ties by symbol index, each code the previous plus one shifted
+    up to the new length. Raises :class:`CodecError` when the lengths
+    violate the Kraft inequality."""
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    codes = np.zeros(lengths.size, dtype=np.uint32)
+    used = np.flatnonzero(lengths)
+    if used.size == 0:
+        return codes
+    order = used[np.lexsort((used, lengths[used]))]
+    code = 0
+    prev_len = int(lengths[order[0]])
+    for s in order:
+        ln = int(lengths[s])
+        code <<= (ln - prev_len)
+        codes[s] = code
+        code += 1
+        prev_len = ln
+    if code > (1 << prev_len):
+        raise CodecError("length array violates the Kraft inequality")
+    return codes
+
+
+def build_decode_table(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat decode table: ``(symbols, lens)``, two ``2**MAX_CODE_LEN``
+    arrays such that for any bit window ``w`` starting at a codeword
+    boundary, ``symbols[w]`` is the decoded symbol and ``lens[w]`` how
+    many bits to consume. Windows no codeword reaches keep length 0, so
+    a corrupted stream is detected instead of looping forever."""
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    codes = canonical_codebook_loop(lengths)
+    size = 1 << MAX_CODE_LEN
+    symbols = np.zeros(size, dtype=np.uint32)
+    lens = np.zeros(size, dtype=np.uint8)
+    used = np.flatnonzero(lengths)
+    if used.size:
+        shifts = MAX_CODE_LEN - lengths[used]
+        starts = (codes[used].astype(np.int64) << shifts)
+        counts = (np.int64(1) << shifts)
+        # scatter each codeword across its table span
+        idx = np.repeat(starts, counts) + concat_ranges(counts)
+        symbols[idx] = np.repeat(used.astype(np.uint32), counts)
+        lens[idx] = np.repeat(lengths[used].astype(np.uint8), counts)
+    return symbols, lens
+
+
+def expand_lut_flat(lengths: np.ndarray, probe_bits: int) -> tuple:
+    """The probe LUT as ``(count, cum_bits, syms)``, built by chaining
+    flat-table lookups (:func:`build_decode_table`) across every row at
+    once; a row stops at the first codeword that does not fit the
+    probe."""
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    table_syms, table_lens = build_decode_table(lengths)
+    size = 1 << probe_bits
+    up = MAX_CODE_LEN - probe_bits
+    count = np.zeros(size, dtype=np.uint8)
+    cum = np.zeros((size, probe_bits + 1), dtype=np.uint8)
+    sym_dtype = np.uint16 if lengths.size <= (1 << 16) else np.uint32
+    syms = np.zeros((size, probe_bits), dtype=sym_dtype)
+    rows = np.arange(size, dtype=np.int64)
+    consumed = np.zeros(size, dtype=np.int64)
+    live = np.ones(size, dtype=bool)
+    for j in range(probe_bits):
+        idx = (((rows << consumed) & (size - 1)) << up)
+        ln = table_lens[idx].astype(np.int64)
+        live &= (ln > 0) & (consumed + ln <= probe_bits)
+        if not live.any():
+            break
+        consumed = np.where(live, consumed + ln, consumed)
+        syms[live, j] = table_syms[idx[live]]
+        cum[live, j + 1] = consumed[live]
+        count[live] += 1
+    smax = max(int(count.max()), 1)
+    return count, cum[:, :smax + 1], syms[:, :smax]
 
 #: widest variable-length codeword :func:`pack_varbits` accepts; the staged
 #: word must hold ``width + 7`` alignment bits inside a uint32 byte triple

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CodecError
-from repro.huffman import (MAX_CODE_LEN, HuffmanStream, build_decode_table,
-                           canonical_codebook, code_lengths, histogram,
+from repro.huffman import (MAX_CODE_LEN, HuffmanStream, canonical_codebook,
+                           canonical_order, code_lengths, histogram,
                            huffman_decode, huffman_encode, topk_coverage)
+
+from oracles import build_decode_table
 
 
 class TestHistogram:
@@ -111,6 +113,28 @@ class TestCanonical:
     def test_empty_table(self):
         sym_t, len_t = build_decode_table(np.zeros(4, np.int64))
         assert (len_t == 0).all()
+
+    def test_empty_order(self):
+        code = canonical_order(np.zeros(4, np.int64))
+        assert code.order.size == code.starts.size == 0
+        assert code.end == 0
+
+    @pytest.mark.parametrize("n_symbols", [1, 2, 7, 300, 1024])
+    def test_order_starts_tile_the_flat_table(self, rng, n_symbols):
+        """A ``searchsorted`` over the left-justified starts resolves
+        every 16-bit window exactly as the flat table does, and a window
+        at or past ``end`` is exactly a zero-length table slot."""
+        freqs = rng.integers(0, 1000, n_symbols)
+        freqs[0] = 1
+        lengths = code_lengths(freqs, MAX_CODE_LEN)
+        code = canonical_order(lengths)
+        sym_t, len_t = build_decode_table(lengths)
+        win = np.arange(1 << MAX_CODE_LEN)
+        at = np.searchsorted(code.starts, win, side="right") - 1
+        inside = win < code.end
+        np.testing.assert_array_equal(inside, len_t > 0)
+        np.testing.assert_array_equal(code.order[at][inside], sym_t[inside])
+        np.testing.assert_array_equal(code.lens[at][inside], len_t[inside])
 
 
 class TestCodec:

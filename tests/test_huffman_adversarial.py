@@ -9,7 +9,7 @@ codebooks (single symbol, maximally skewed trees), codewords wider than
 the LUT probe, hostile gap-array chunk tables (each rejected before any
 allocation sized from the stream), and the full pipeline across
 dtypes, shapes and the slab / tiled / shm transports. The LUT decoder
-also runs pinned to a narrow probe width, so the flat-table fallback
+also runs pinned to a narrow probe width, so the wide-codeword fallback
 path sees the same hostile streams, and its per-stream width choice and
 full-width promotion are checked directly.
 """
@@ -119,7 +119,7 @@ class TestDegenerateCodebooks:
 
 
 class TestNarrowProbeFallback:
-    """Codewords wider than the probe exercise the flat-table fallback
+    """Codewords wider than the probe exercise the wide-codeword fallback
     (the full-width default probe never needs it)."""
 
     @pytest.mark.parametrize("probe_bits", [1, 2, 4, 8])
@@ -469,7 +469,7 @@ class TestOracleProperty:
     """The library coder equals the oracles on every stream: the encoder
     byte for byte, the decoder symbol for symbol at every pinned probe
     width (widths below the longest code route codewords through the
-    flat-table fallback inside the chunk-major replay)."""
+    wide-codeword fallback inside the chunk-major replay)."""
 
     @given(lengths=_codebooks(), n=st.integers(0, 3000),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -555,14 +555,21 @@ class TestProbeWidthChoice:
                 (PROBE_WIDTHS[0], outcome)
         assert not lut_cached(stream.lengths, MAX_CODE_LEN)
 
-    def test_full_width_decode_skips_flat_table(self, stream):
+    def test_full_width_decode_skips_wide_fallback(self, stream,
+                                                   monkeypatch):
+        """Only a narrow probe meets codewords it cannot finish, so only
+        a narrow decode fetches the canonical starts its fallback
+        searches."""
+        calls = []
+        real = codec.canonical_order
+        monkeypatch.setattr(codec, "canonical_order",
+                            lambda lengths: calls.append(1) or real(lengths))
         build_lut_tables(stream.lengths)
-        before = codebook_cache_stats()
         _, attrs = _unpack_span(stream)
-        after = codebook_cache_stats()
         assert attrs["probe_bits"] == MAX_CODE_LEN
-        assert (after["table_hits"], after["table_misses"]) == \
-            (before["table_hits"], before["table_misses"])
+        assert calls == []
+        _, attrs = _unpack_span(stream, probe_bits=PROBE_WIDTHS[0])
+        assert calls == [1]
 
     def test_back_to_back_promotions_build_one_at_a_time(self):
         """Background prewarms compete with the foreground decode for the
@@ -717,8 +724,9 @@ class TestLutCacheByteBudget:
                     assert not t.is_alive()
                 drain_lut_prewarm()
                 reported = canonical.caches.snapshot()["huffman.lut"]
-                assert canonical._cache_bytes["lut"] == \
-                    reported["size_bytes"]
+                recount = sum(canonical._footprint(k, v)
+                              for k, v in canonical._lut_cache.items())
+                assert reported["size_bytes"] == recount
                 assert all(lut_cached(lens) for lens in lengths)
         finally:
             sys.setswitchinterval(interval)

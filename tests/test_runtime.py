@@ -267,18 +267,18 @@ class TestTraceMerge:
 
 
 class TestCodebookCache:
-    def test_decode_table_cache_hit_returns_same_arrays(self):
-        from repro.huffman.canonical import (build_decode_table,
+    def test_lut_cache_hit_returns_same_arrays(self):
+        from repro.huffman.canonical import (build_lut_tables,
                                              clear_codebook_caches,
                                              codebook_cache_stats)
         clear_codebook_caches()
         lengths = np.array([1, 2, 3, 3], np.int64)
-        first = build_decode_table(lengths)
-        second = build_decode_table(lengths.copy())
-        assert first[0] is second[0] and first[1] is second[1]
+        first = build_lut_tables(lengths, 8)
+        second = build_lut_tables(lengths.copy(), 8)
+        assert all(a is b for a, b in zip(first, second))
         stats = codebook_cache_stats()
-        assert stats["table_hits"] == 1
-        assert stats["table_misses"] == 1
+        assert stats["lut_hits"] == 1
+        assert stats["lut_misses"] == 1
 
     def test_codebook_cache_hit(self):
         from repro.huffman.canonical import (canonical_codebook,
@@ -292,23 +292,23 @@ class TestCodebookCache:
         assert codebook_cache_stats()["codebook_hits"] == 1
 
     def test_cached_arrays_are_read_only(self):
-        from repro.huffman.canonical import (build_decode_table,
-                                             canonical_codebook,
+        from repro.huffman.canonical import (build_lut_tables,
+                                             canonical_order,
                                              clear_codebook_caches)
         clear_codebook_caches()
         lengths = np.array([1, 1], np.int64)
-        codes = canonical_codebook(lengths)
-        sym, ln = build_decode_table(lengths)
-        for arr in (codes, sym, ln):
+        code = canonical_order(lengths)
+        count, cum, syms = build_lut_tables(lengths, 4)
+        for arr in (*code[:4], count, cum, syms):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
     def test_distinct_lengths_do_not_collide(self):
-        from repro.huffman.canonical import (build_decode_table,
+        from repro.huffman.canonical import (build_lut_tables,
                                              clear_codebook_caches)
         clear_codebook_caches()
-        sym_a, _ = build_decode_table(np.array([1, 1], np.int64))
-        sym_b, _ = build_decode_table(np.array([1, 2, 2], np.int64))
+        _, _, sym_a = build_lut_tables(np.array([1, 1], np.int64), 4)
+        _, _, sym_b = build_lut_tables(np.array([1, 2, 2], np.int64), 4)
         assert sym_a is not sym_b
         assert int(sym_b.max()) == 2
 

@@ -238,9 +238,11 @@ class TestExporters:
                 in text
             # the four built-in cache families all export series
             for cache in ("ginterp.plan", "ginterp.autotune",
-                          "huffman.codebook", "huffman.table",
+                          "huffman.codebook", "huffman.lut",
                           "lossless.orchestrator_plan"):
                 assert f'repro_cache_size{{cache="{cache}"}}' in text
+            # the flat decode table and its cache are gone
+            assert 'cache="huffman.table"' not in text
             off = exporters.to_prometheus(Registry(),
                                           include_caches=False)
             assert "repro_cache_" not in off
