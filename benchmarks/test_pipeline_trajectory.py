@@ -501,10 +501,11 @@ def test_emit_pipeline_trajectory():
         quality.disable()
 
     # schema 9: ledger analytics — replay every run this bench recorded
-    # through a fresh engine, timing the append-time scoring path and
-    # one full report build. The per-run scoring cost must stay under
-    # 1% of a warm 64^3 compress wall: the engine rides the recorder
-    # subscriber hook, so this is pure overhead on every traced run.
+    # through a fresh engine, timing the per-run scoring path and one
+    # full report build. Nothing scores runs as they happen: the engine
+    # runs only in ``repro analyze`` and ``repro doctor``, over a
+    # finished ledger. The per-run scoring cost is still asserted under
+    # 1% of a warm 64^3 compress wall.
     from repro.telemetry import analytics as analytics_mod
     engine = analytics_mod.AnalyticsEngine()
     for rec in recorder.records():

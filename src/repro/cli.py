@@ -16,11 +16,7 @@ nonzero for CI, and ``--slo`` adds error-budget exhaustion to the gate.
 (:mod:`repro.telemetry.analytics`): fingerprint-keyed cohort baselines,
 robust per-run anomaly scores, and change points with stage attribution
 (``--json``, ``--save-baseline``/``--baseline`` for persisted
-references, ``--check`` to gate). ``repro top`` is a live terminal
-dashboard over a growing ledger or an ops server's SSE stream.
-``repro serve-ops`` boots the live ops plane
-(:mod:`repro.telemetry.opsd`): /metrics, /health, /ready, /runs (+SSE),
-/slo, /analytics, /profile over HTTP. See ``docs/OBSERVABILITY.md``.
+references, ``--check`` to gate). See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -206,7 +202,6 @@ def _cmd_pack(args) -> int:
     write_archive(args.output, fields, codec=args.codec, eb=args.eb,
                   mode=args.mode, lossless=args.lossless,
                   workers=args.workers)
-    from repro.archive import read_archive  # noqa: F401  (symmetry)
     import os
     raw = sum(d.nbytes for d in fields.values())
     comp = os.path.getsize(args.output)
@@ -222,9 +217,11 @@ def _cmd_unpack(args) -> int:
                           fields=args.fields.split(",") if args.fields
                           else None, workers=args.workers)
     for name, data in fields.items():
-        path = f"{args.prefix}{name}.f32"
-        data.astype(np.float32).tofile(path)
-        print(f"{name}: {data.shape} -> {path}")
+        # each field in its recorded dtype, as decompress writes it: a
+        # float32 cast would break a float64 field's error bound on disk
+        path = f"{args.prefix}{name}.f{data.dtype.itemsize * 8}"
+        data.tofile(path)
+        print(f"{name}: {data.shape} {data.dtype} -> {path}")
     return 0
 
 
@@ -413,18 +410,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    from repro.telemetry.top import run_top
-
-    if not args.ledger and not args.url:
-        print("error: repro top needs a ledger file or --url",
-              file=sys.stderr)
-        return 2
-    return run_top(ledger=args.ledger, url=args.url,
-                   interval=args.interval, frames=args.frames,
-                   once=args.once)
-
-
 def _cmd_doctor(args) -> int:
     from repro.telemetry import caches, doctor, recorder
 
@@ -466,56 +451,6 @@ def _cmd_doctor(args) -> int:
     return 0
 
 
-def _cmd_serve_ops(args) -> int:
-    import time as _time
-    from repro.telemetry import opsd, recorder
-
-    try:
-        slos = _load_slos(args.slo)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load SLOs from {args.slo!r}: {exc}",
-              file=sys.stderr)
-        return 1
-    base = []
-    if args.ledger:
-        try:
-            base = recorder.read_ledger(args.ledger)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read ledger {args.ledger!r}: {exc}",
-                  file=sys.stderr)
-            return 1
-    port = opsd.DEFAULT_PORT if args.port is None else args.port
-    keep = (recorder.DEFAULT_LEDGER_KEEP if args.persist_keep is None
-            else args.persist_keep)
-    try:
-        server = opsd.start_ops_server(
-            args.host, port, slos=slos, base_records=base,
-            persist_path=args.persist,
-            persist_max_bytes=args.persist_max_bytes,
-            persist_keep=keep,
-            warm_hit_threshold=args.warm_hit_threshold)
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"ops server on {server.url} "
-          f"({len(base)} ledger record(s) loaded; endpoints: /metrics "
-          f"/health /ready /runs /runs/stream /slo /analytics /profile)",
-          flush=True)
-    try:
-        if args.for_seconds is not None:
-            _time.sleep(args.for_seconds)
-        else:
-            while True:
-                _time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        print("ops server stopped")
-    return 0
-
-
 def _cmd_list(args) -> int:
     print("compressors:", ", ".join(available()))
     print("datasets:")
@@ -530,7 +465,8 @@ def _cmd_bench(args) -> int:
     return exp_main([args.name, "--scale", args.scale])
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser with every subcommand registered."""
     parser = argparse.ArgumentParser(
         prog="repro", description="cuSZ-i reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -659,25 +595,6 @@ def main(argv=None) -> int:
                         "drift, or regressed baseline comparison")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("top",
-                       help="live terminal dashboard over a growing "
-                            "run ledger or an ops server stream")
-    p.add_argument("ledger", nargs="?", default=None,
-                   help="JSONL run ledger to follow (tail -f style, "
-                        "rotation-aware)")
-    p.add_argument("--url", default=None, metavar="URL",
-                   help="follow an ops server instead (its "
-                        "/runs/stream SSE endpoint)")
-    p.add_argument("--interval", type=float, default=1.0, metavar="S",
-                   help="refresh interval in seconds (default 1)")
-    p.add_argument("--frames", type=int, default=None, metavar="N",
-                   help="render N frames then exit (default: until "
-                        "interrupted)")
-    p.add_argument("--once", action="store_true",
-                   help="render a single frame and exit (no screen "
-                        "clearing; script/CI friendly)")
-    p.set_defaults(func=_cmd_top)
-
     p = sub.add_parser("doctor", help="diagnose ledger + environment + "
                                       "cache health")
     p.add_argument("ledger", nargs="?", default=None,
@@ -695,36 +612,6 @@ def main(argv=None) -> int:
                         "exhausted budget fails --check")
     p.set_defaults(func=_cmd_doctor)
 
-    p = sub.add_parser("serve-ops",
-                       help="serve the live ops plane over HTTP "
-                            "(/metrics /health /ready /runs /profile)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
-                   help="TCP port (default 9178; 0 = ephemeral)")
-    p.add_argument("--ledger", default=None, metavar="FILE",
-                   help="seed the server with an existing JSONL run "
-                        "ledger")
-    p.add_argument("--slo", default=None, metavar="FILE",
-                   help="SLO objectives file ('default' or omitted = "
-                        "built-ins)")
-    p.add_argument("--persist", default=None, metavar="FILE",
-                   help="append every new run record to this JSONL "
-                        "ledger")
-    p.add_argument("--persist-max-bytes", type=int, default=None,
-                   metavar="N",
-                   help="rotate the persisted ledger at N bytes")
-    p.add_argument("--persist-keep", type=int, default=None,
-                   metavar="K",
-                   help="rotated segments to keep (default 4)")
-    p.add_argument("--warm-hit-threshold", type=float, default=None,
-                   help="minimum acceptable warm cache hit ratio for "
-                        "/health")
-    p.add_argument("--for-seconds", type=float, default=None,
-                   metavar="S",
-                   help="serve for S seconds then exit (default: "
-                        "until interrupted)")
-    p.set_defaults(func=_cmd_serve_ops)
-
     p = sub.add_parser("list", help="list codecs and datasets")
     p.set_defaults(func=_cmd_list)
 
@@ -733,7 +620,11 @@ def main(argv=None) -> int:
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.set_defaults(func=_cmd_bench)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -26,8 +26,7 @@ references:
     ``(x - median) / (1.4826 * MAD)`` past :data:`Z_THRESHOLD` in the
     degrading direction (and at least :data:`REL_FLOOR` away in relative
     terms, so near-constant series cannot alarm on noise) flags an
-    :class:`Anomaly`. The engine can :meth:`~AnalyticsEngine.attach` to
-    the live recorder exactly like the ops server's SSE fan-out.
+    :class:`Anomaly`.
 
 **Change-point detection with stage attribution.**
     :meth:`AnalyticsEngine.change_points` scans each cohort's run
@@ -43,9 +42,7 @@ references:
     regression.
 
 Surfaces: ``repro analyze`` (text / ``--json`` / persisted baseline
-files), ``repro top`` (:mod:`repro.telemetry.top`), the ops plane's
-``/analytics`` endpoint and ``repro_anomaly_*`` / ``repro_drift_*``
-Prometheus series, and gating doctor checks. See
+files) and gating doctor checks, both over a finished ledger. See
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -66,7 +63,7 @@ from repro.telemetry.recorder import RunRecord
 __all__ = ["AnalyticsEngine", "MetricBaseline", "Anomaly", "RunScore",
            "ChangePoint", "cohort_key", "cohort_label", "record_metrics",
            "analyze", "save_baselines", "load_baselines",
-           "compare_baselines", "metrics_lines", "format_report",
+           "compare_baselines", "format_report",
            "REPORT_SCHEMA", "BASELINE_SCHEMA", "DEFAULT_WINDOW",
            "MIN_BASELINE", "Z_THRESHOLD", "REL_FLOOR", "EWMA_ALPHA",
            "MIN_SEGMENT", "MAD_SCALE"]
@@ -100,7 +97,7 @@ MIN_SEGMENT = 5
 #: median-shift size (in pooled-MAD sigmas) for a significant change point
 SHIFT_SIGMA = 3.0
 
-#: flagged anomalies retained by a live engine
+#: flagged anomalies an engine retains (oldest dropped first)
 _ANOMALY_KEEP = 256
 
 #: metrics where *larger* is a degradation; everything else measured
@@ -388,9 +385,8 @@ def _best_split(x: np.ndarray) -> tuple[int, float, float, float] | None:
 class AnalyticsEngine:
     """Incremental per-cohort baselines + anomaly scoring + drift scan.
 
-    Thread-safe: :meth:`observe` may run on whichever thread closes a
-    run capture (it is recorder-subscriber shaped), while
-    :meth:`report` / :meth:`change_points` serve HTTP threads.
+    Thread-safe: :meth:`observe`, :meth:`report` and
+    :meth:`change_points` may be called from different threads.
     """
 
     def __init__(self, *, window: int = DEFAULT_WINDOW,
@@ -411,22 +407,6 @@ class AnalyticsEngine:
         self._scored_runs = 0
         self._anomalous_runs = 0
         self._score_time_s = 0.0
-        self._sub_token: int | None = None
-
-    # -- live attachment --------------------------------------------------
-
-    def attach(self) -> "AnalyticsEngine":
-        """Subscribe to the live recorder (like the SSE fan-out)."""
-        from repro.telemetry import recorder
-        if self._sub_token is None:
-            self._sub_token = recorder.subscribe(self.observe)
-        return self
-
-    def detach(self) -> None:
-        from repro.telemetry import recorder
-        if self._sub_token is not None:
-            recorder.unsubscribe(self._sub_token)
-            self._sub_token = None
 
     # -- scoring -----------------------------------------------------------
 
@@ -619,7 +599,7 @@ class AnalyticsEngine:
                 "overhead": self.overhead()}
 
 
-# -- one-shot analysis (CLI / opsd / doctor) ---------------------------------
+# -- one-shot analysis (CLI / doctor) ----------------------------------------
 
 def analyze(records: list[RunRecord], *,
             baseline_doc: dict | None = None,
@@ -707,46 +687,6 @@ def compare_baselines(report: dict, baseline_doc: dict,
                              "regressed": bool(worse
                                                and abs(rel) > thr)})
     return findings
-
-
-# -- Prometheus rendering ----------------------------------------------------
-
-def metrics_lines(report: dict) -> list[str]:
-    """``repro_anomaly_*`` / ``repro_drift_*`` exposition lines."""
-    from repro.telemetry.exporters import gauge_lines
-    per_cohort: dict[str, int] = {}
-    for anomaly in report.get("anomalies", []):
-        cohort = anomaly.get("cohort", "-")
-        per_cohort[cohort] = per_cohort.get(cohort, 0) + 1
-    change_points = report.get("change_points", [])
-    lines = gauge_lines(
-        "repro_anomaly_runs_total",
-        "runs flagged anomalous by the ledger analytics engine",
-        [({}, report.get("verdict", {}).get("anomalous_runs", 0))],
-        kind="counter")
-    lines += gauge_lines(
-        "repro_anomaly_active",
-        "flagged metric anomalies per cohort",
-        [({"cohort": cohort}, per_cohort[cohort])
-         for cohort in sorted(per_cohort)])
-    lines += gauge_lines(
-        "repro_drift_change_points",
-        "detected sustained level shifts across all cohorts",
-        [({}, len(change_points))])
-    lines += gauge_lines(
-        "repro_drift_rel",
-        "relative level shift per detected change point",
-        [({"cohort": cp.get("cohort", "-"),
-           "metric": cp.get("metric", "-"),
-           "kind": cp.get("kind", "-")}, cp.get("rel", 0.0))
-         for cp in change_points])
-    lines += gauge_lines(
-        "repro_drift_attributed_stage",
-        "share of a wall change point explained by the attributed stage",
-        [({"cohort": cp.get("cohort", "-"), "stage": cp.get("stage")},
-          cp.get("stage_share") or 0.0)
-         for cp in change_points if cp.get("stage")])
-    return lines
 
 
 # -- text rendering (repro analyze) ------------------------------------------

@@ -22,7 +22,7 @@ from repro.telemetry import Registry, Span
 
 __all__ = ["to_jsonl", "from_jsonl", "render_tree", "to_prometheus",
            "stage_breakdown", "cache_metrics_lines", "escape_label",
-           "build_info_lines", "gauge_lines"]
+           "build_info_lines"]
 
 _SCHEMA_VERSION = 1
 
@@ -160,26 +160,6 @@ def escape_label(value) -> str:
             .replace("\n", "\\n"))
 
 
-def gauge_lines(metric: str, help_text: str,
-                samples: list[tuple[dict, float]],
-                kind: str = "gauge") -> list[str]:
-    """One metric family in exposition format: HELP/TYPE header plus one
-    sample line per ``(labels, value)`` pair, label values escaped.
-
-    The shared formatter behind the labeled families the ops plane and
-    the analytics engine export (``repro_drift_*``, ``repro_anomaly_*``)
-    — always emits the header, even with zero samples, so scrapers see a
-    stable metric set.
-    """
-    lines = [f"# HELP {metric} {help_text}", f"# TYPE {metric} {kind}"]
-    for labels, value in samples:
-        rendered = ",".join(f'{k}="{escape_label(v)}"'
-                            for k, v in labels.items())
-        body = f"{{{rendered}}}" if rendered else ""
-        lines.append(f"{metric}{body} {value:g}")
-    return lines
-
-
 def build_info_lines() -> list[str]:
     """The conventional ``<name>_build_info`` identity gauge: constant 1
     with the package version and Python runtime as labels, so dashboards
@@ -280,7 +260,7 @@ def cache_metrics_lines() -> list[str]:
 
     Each field becomes one ``repro_cache_<field>`` metric with a
     ``cache=<name>`` label, so the four cache families from different
-    subsystems (ginterp plan/autotune, Huffman codebook/table, lossless
+    subsystems (ginterp plan/autotune, Huffman codebook/LUT, lossless
     orchestrator plan) chart on one axis.
     """
     from repro.telemetry import caches

@@ -58,17 +58,12 @@ __all__ = ["RunRecord", "RunCapture", "capture", "current", "annotate",
            "count", "suppressed", "records", "clear", "set_capacity",
            "capacity", "enabled", "enable", "disable",
            "to_jsonl", "from_jsonl", "write_ledger", "read_ledger",
-           "rotate_ledger", "worker_baseline", "worker_aux", "aggregate",
-           "model_deviation", "subscribe", "unsubscribe",
+           "worker_baseline", "worker_aux", "aggregate", "model_deviation",
            "mint_id", "propagation_context", "trace_scope",
-           "current_trace_id", "DEFAULT_CAPACITY", "DEFAULT_LEDGER_KEEP",
-           "LEDGER_SCHEMA"]
+           "current_trace_id", "DEFAULT_CAPACITY", "LEDGER_SCHEMA"]
 
 #: run records kept in the ring before the oldest is dropped
 DEFAULT_CAPACITY = 1024
-
-#: rotated ledger segments kept next to the live file (``path.1``..``.N``)
-DEFAULT_LEDGER_KEEP = 4
 
 #: ledger line format version, stamped as ``"schema"`` on every line.
 #: History: 1 = original ring dump, 2 = trace lineage fields (written as
@@ -154,7 +149,7 @@ class RunRecord:
                "caches": self.caches, "counters": self.counters,
                "memory": self.memory, "worker": self.worker}
         # trace lineage only when present: version-1 ledgers stay parseable
-        # and records predating the ops plane stay byte-compact
+        # and records without lineage stay byte-compact
         if self.trace_id:
             out["trace_id"] = self.trace_id
         if self.run_id:
@@ -190,8 +185,6 @@ _lock = threading.Lock()
 _ring: deque = deque(maxlen=DEFAULT_CAPACITY)
 _seq = 0
 _tls = threading.local()
-_subscribers: dict[int, object] = {}
-_sub_token = 0
 
 
 def _reset_after_fork() -> None:
@@ -200,17 +193,15 @@ def _reset_after_fork() -> None:
     A fork-started pool worker inherits the parent's memory image:
     captures open in the parent sit on the child's thread-local stack
     (they will never exit there, and would wrongly parent every worker
-    capture), the ring holds parent records the worker must not re-ship,
-    and subscribers (an ops server's SSE fan-out, a ledger persister)
-    reference event loops and files that only exist in the parent. Trace
-    identity in a worker comes exclusively from the propagated payload
-    context (:func:`trace_scope`), so everything inherited is dropped.
+    capture) and the ring holds parent records the worker must not
+    re-ship. Trace identity in a worker comes exclusively from the
+    propagated payload context (:func:`trace_scope`), so everything
+    inherited is dropped.
     """
     global _lock, _seq
     _lock = threading.Lock()      # parent may have held it mid-fork
     _ring.clear()
     _seq = 0
-    _subscribers.clear()
     _tls.stack = []
     _tls.trace_ctx = None
     _tls.suppress = 0
@@ -289,14 +280,6 @@ def clear() -> None:
 def _append(rec: RunRecord) -> None:
     with _lock:
         _ring.append(rec)
-        subs = list(_subscribers.values())
-    # notify outside the lock: a slow subscriber (an SSE fan-out, a
-    # ledger persister) must never stall the recording thread's ring
-    for fn in subs:
-        try:
-            fn(rec)
-        except Exception:       # pragma: no cover - defensive: a broken
-            pass                # subscriber must not fail the run
 
 
 def _alloc_seq() -> int:
@@ -304,27 +287,6 @@ def _alloc_seq() -> int:
     with _lock:
         _seq += 1
         return _seq
-
-
-def subscribe(fn) -> int:
-    """Call ``fn(record)`` for every record appended to the ring.
-
-    Returns a token for :func:`unsubscribe`. Callbacks run on whichever
-    thread closed the run capture; they must be fast and must not raise
-    (exceptions are swallowed). This is the live-ops hook: the ops
-    server's SSE stream and ledger persister attach here.
-    """
-    global _sub_token
-    with _lock:
-        _sub_token += 1
-        _subscribers[_sub_token] = fn
-        return _sub_token
-
-
-def unsubscribe(token: int) -> None:
-    """Detach a subscriber registered with :func:`subscribe`."""
-    with _lock:
-        _subscribers.pop(token, None)
 
 
 # -- trace context -----------------------------------------------------------
@@ -660,74 +622,21 @@ def from_jsonl(text: str) -> list[RunRecord]:
     return out
 
 
-def rotate_ledger(path: str, keep: int = DEFAULT_LEDGER_KEEP) -> None:
-    """Rotate a ledger file: ``path`` becomes ``path.1``, the previous
-    ``path.1`` becomes ``path.2``, ..., and segments past ``keep`` are
-    deleted. Missing files are skipped; ``path`` itself is left absent.
-    """
-    if keep < 1:
-        raise ValueError(f"ledger keep must be >= 1, got {keep}")
-    oldest = f"{path}.{keep}"
-    if os.path.exists(oldest):
-        os.remove(oldest)
-    for i in range(keep - 1, 0, -1):
-        seg = f"{path}.{i}"
-        if os.path.exists(seg):
-            os.replace(seg, f"{path}.{i + 1}")
-    if os.path.exists(path):
-        os.replace(path, f"{path}.1")
-
-
-def write_ledger(path: str, recs: list[RunRecord] | None = None, *,
-                 append: bool = False, max_bytes: int | None = None,
-                 keep: int = DEFAULT_LEDGER_KEEP) -> int:
+def write_ledger(path: str, recs: list[RunRecord] | None = None) -> int:
     """Persist records (default: the ring) to a JSONL ledger file.
 
-    Returns the number of records written. ``append=True`` adds to an
-    existing ledger (long-running services rotating the ring to disk).
-    ``max_bytes`` bounds on-disk growth: when the live file has already
-    reached the limit the write first rotates it away
-    (:func:`rotate_ledger`, keeping the last ``keep`` segments), so an
-    always-on ops host holds at most ``(keep + 1) * max_bytes`` or so of
-    ledger instead of an unboundedly growing file.
+    Returns the number of records written.
     """
     recs = records() if recs is None else recs
-    if max_bytes is not None:
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            size = 0
-        if size >= max_bytes:
-            rotate_ledger(path, keep=keep)
-    with open(path, "a" if append else "w") as f:
+    with open(path, "w") as f:
         f.write(to_jsonl(recs))
     return len(recs)
 
 
-def read_ledger(path: str,
-                include_rotated: bool = False) -> list[RunRecord]:
-    """Load a JSONL run ledger from disk.
-
-    ``include_rotated=True`` also reads the rotation segments next to
-    the live file (``path.N`` .. ``path.1``, oldest first) so analysis
-    over a rotated ops-host ledger sees the whole retained history.
-    """
-    parts: list[str] = []
-    if include_rotated:
-        segs = []
-        i = 1
-        while os.path.exists(f"{path}.{i}"):
-            segs.append(f"{path}.{i}")
-            i += 1
-        parts.extend(reversed(segs))
-    if not (include_rotated and parts and not os.path.exists(path)):
-        # a freshly rotated host may have segments but no live file yet
-        parts.append(path)
-    out: list[RunRecord] = []
-    for part in parts:
-        with open(part) as f:
-            out.extend(from_jsonl(f.read()))
-    return out
+def read_ledger(path: str) -> list[RunRecord]:
+    """Load a JSONL run ledger from disk."""
+    with open(path) as f:
+        return from_jsonl(f.read())
 
 
 # -- aggregation (repro stats) ----------------------------------------------

@@ -18,9 +18,8 @@ module adds, in the Google-SRE error-budget formulation:
   ``1.0`` means "spending exactly the budget", ``>1`` means "on pace to
   exhaust it", and a sudden regression shows up here long before the
   whole window degrades;
-* :func:`metrics_lines` renders the statuses as ``repro_slo_*``
-  Prometheus series (served by :mod:`repro.telemetry.opsd` at
-  ``/metrics``), and :func:`repro.telemetry.doctor.diagnose` turns an
+* :func:`format_statuses` renders the statuses for ``repro stats`` /
+  ``repro doctor``, and :func:`repro.telemetry.doctor.diagnose` turns an
   exhausted budget into a gating anomaly, which makes
   ``repro doctor --check --slo objectives.json`` a CI/deploy gate.
 
@@ -39,7 +38,7 @@ from repro.telemetry.recorder import RunRecord
 
 __all__ = ["SLOSpec", "SLOStatus", "OBJECTIVES", "DEFAULT_WINDOW",
            "DEFAULT_SLOS", "evaluate", "parse_slos", "load_slos",
-           "metrics_lines", "format_statuses"]
+           "format_statuses"]
 
 #: ledger records considered per objective when the spec does not say
 DEFAULT_WINDOW = 500
@@ -231,7 +230,7 @@ def parse_slos(doc: dict) -> tuple[SLOSpec, ...]:
 
     Each entry takes the :class:`SLOSpec` field names; ``name`` and
     ``objective`` are required, everything else defaults. Raises
-    ``ValueError`` on malformed entries so a bad ops config fails loudly
+    ``ValueError`` on malformed entries so a bad config fails loudly
     at boot, not silently at evaluation time.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("slos"), list):
@@ -275,43 +274,6 @@ def load_slos(path: str) -> tuple[SLOSpec, ...]:
 
 
 # -- rendering --------------------------------------------------------------
-
-#: exported per-status series: attribute -> (metric suffix, type, help)
-_SLO_METRICS = (
-    ("target", "repro_slo_target", "declared objective target"),
-    ("compliance", "repro_slo_compliance",
-     "fraction of judged runs meeting the objective"),
-    ("budget_consumed", "repro_slo_error_budget_consumed",
-     "fraction of the error budget spent over the window"),
-    ("budget_remaining", "repro_slo_error_budget_remaining",
-     "fraction of the error budget left (0 = exhausted)"),
-    ("burn_rate", "repro_slo_burn_rate",
-     "recent violation rate over the budgeted rate (1.0 = on budget)"),
-    ("n", "repro_slo_window_runs",
-     "judged runs in the evaluation window"),
-    ("violations", "repro_slo_violations",
-     "objective violations in the evaluation window"),
-    ("exhausted", "repro_slo_exhausted",
-     "1 when the error budget is exhausted"),
-)
-
-
-def metrics_lines(statuses: list[SLOStatus]) -> list[str]:
-    """Prometheus gauges for every status, labeled ``{slo="name"}``."""
-    from repro.telemetry.exporters import escape_label
-    lines: list[str] = []
-    for attr, metric, help_text in _SLO_METRICS:
-        lines.append(f"# HELP {metric} {help_text}")
-        lines.append(f"# TYPE {metric} gauge")
-        for st in statuses:
-            if attr == "target":
-                val = float(st.spec.target)
-            else:
-                val = float(getattr(st, attr))
-            lines.append(f'{metric}{{slo="{escape_label(st.spec.name)}"'
-                         f'}} {val:g}')
-    return lines
-
 
 def format_statuses(statuses: list[SLOStatus]) -> list[str]:
     """Human-readable one-liners for ``repro stats`` / ``repro doctor``."""

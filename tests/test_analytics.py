@@ -276,22 +276,6 @@ class TestBaselinePersistence:
             analytics.load_baselines(str(junk))
 
 
-class TestPrometheusLines:
-    def test_drift_and_anomaly_series(self):
-        report = analytics.analyze(_regression_ledger())
-        text = "\n".join(analytics.metrics_lines(report))
-        assert "repro_anomaly_runs_total" in text
-        assert "repro_drift_change_points 1" in text
-        assert 'repro_drift_rel{cohort=' in text
-        assert 'stage="huffman"' in text
-
-    def test_stationary_report_exports_zeroes(self):
-        report = analytics.analyze(_stationary_ledger())
-        text = "\n".join(analytics.metrics_lines(report))
-        assert "repro_drift_change_points 0" in text
-        assert "repro_anomaly_runs_total 0" in text
-
-
 class TestLedgerSchema:
     def test_records_are_stamped(self):
         doc = _rec(1, 0.01).to_dict()

@@ -107,6 +107,25 @@ class TestDecompressDtype:
         assert main(["decompress", str(comp), str(out)]) == 0
         assert out.stat().st_size == data.size * 4
 
+    def test_unpack_writes_each_field_in_its_dtype(self, tmp_path, capsys):
+        from repro.archive import write_archive
+        f64 = smooth_field((32, 32, 32), seed=63).astype(np.float64)
+        f32 = smooth_field((16, 16, 12), seed=64)
+        arch = tmp_path / "mixed.rpa"
+        write_archive(str(arch), {"d": f64, "s": f32}, codec="cuszi",
+                      eb=1e-6, mode="abs")
+        prefix = str(tmp_path / "u_")
+        assert main(["unpack", str(arch), "--prefix", prefix]) == 0
+        out = capsys.readouterr().out
+        assert "float64" in out and "float32" in out
+        assert not (tmp_path / "u_d.f32").exists()
+        recon64 = np.fromfile(tmp_path / "u_d.f64",
+                              dtype=np.float64).reshape(f64.shape)
+        assert np.abs(recon64 - f64).max() <= 1e-6 * 1.001
+        recon32 = np.fromfile(tmp_path / "u_s.f32",
+                              dtype=np.float32).reshape(f32.shape)
+        assert np.abs(recon32.astype(np.float64) - f32).max() <= 1e-6 * 1.001
+
 
 class TestTraceCLI:
     def test_compress_trace_and_pretty_print(self, raw_file, tmp_path,

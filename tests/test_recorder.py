@@ -137,14 +137,6 @@ class TestLedger:
         assert len(back) == 1
         assert back[0].to_dict() == recorder.records()[0].to_dict()
 
-    def test_append_mode(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        with recorder.capture("compress"):
-            pass
-        recorder.write_ledger(str(path))
-        recorder.write_ledger(str(path), append=True)
-        assert len(recorder.read_ledger(str(path))) == 2
-
     def test_from_jsonl_rejects_garbage(self):
         with pytest.raises(ValueError, match="not JSON"):
             recorder.from_jsonl("{broken\n")
@@ -543,84 +535,3 @@ class TestTraceContext:
             assert rec.trace_id == parent.trace_id
             assert rec.parent_run_id == parent.run_id
             assert rec.attrs["worker_pid"] != parent.memory.get("pid")
-
-
-class TestLedgerRotation:
-    def _ledger(self, path, n, start=0):
-        recorder.write_ledger(str(path),
-                              [_record(seq=start + i) for i in range(n)],
-                              append=True)
-
-    def test_rotate_shifts_segments(self, tmp_path):
-        path = tmp_path / "L.jsonl"
-        self._ledger(path, 2)
-        recorder.rotate_ledger(str(path))
-        assert not path.exists()
-        assert (tmp_path / "L.jsonl.1").exists()
-        self._ledger(path, 1, start=10)
-        recorder.rotate_ledger(str(path))
-        assert (tmp_path / "L.jsonl.2").exists()
-        # oldest-first read across segments plus live file
-        self._ledger(path, 1, start=20)
-        recs = recorder.read_ledger(str(path), include_rotated=True)
-        assert [r.seq for r in recs] == [0, 1, 10, 20]
-
-    def test_rotate_drops_beyond_keep(self, tmp_path):
-        path = tmp_path / "L.jsonl"
-        for round_ in range(6):
-            self._ledger(path, 1, start=round_)
-            recorder.rotate_ledger(str(path), keep=2)
-        assert (tmp_path / "L.jsonl.1").exists()
-        assert (tmp_path / "L.jsonl.2").exists()
-        assert not (tmp_path / "L.jsonl.3").exists()
-
-    def test_write_ledger_rotates_at_max_bytes(self, tmp_path):
-        path = tmp_path / "L.jsonl"
-        self._ledger(path, 1)
-        size = path.stat().st_size
-        recorder.write_ledger(str(path), [_record(seq=5)], append=True,
-                              max_bytes=size)      # full -> rotate first
-        assert (tmp_path / "L.jsonl.1").exists()
-        live = recorder.read_ledger(str(path))
-        assert [r.seq for r in live] == [5]
-        both = recorder.read_ledger(str(path), include_rotated=True)
-        assert [r.seq for r in both] == [0, 5]
-
-    def test_read_rotated_survives_missing_live_file(self, tmp_path):
-        path = tmp_path / "L.jsonl"
-        self._ledger(path, 1)
-        recorder.rotate_ledger(str(path))
-        recs = recorder.read_ledger(str(path), include_rotated=True)
-        assert len(recs) == 1
-
-    def test_rotate_rejects_bad_keep(self, tmp_path):
-        with pytest.raises(ValueError):
-            recorder.rotate_ledger(str(tmp_path / "x"), keep=0)
-
-
-class TestSubscribers:
-    def test_subscriber_sees_each_record(self):
-        got = []
-        token = recorder.subscribe(got.append)
-        try:
-            with recorder.capture("compress"):
-                pass
-            with recorder.capture("decompress"):
-                pass
-        finally:
-            recorder.unsubscribe(token)
-        assert [r.kind for r in got] == ["compress", "decompress"]
-        with recorder.capture("compress"):
-            pass
-        assert len(got) == 2                      # unsubscribed
-
-    def test_broken_subscriber_does_not_break_runs(self):
-        def boom(rec):
-            raise RuntimeError("subscriber bug")
-        token = recorder.subscribe(boom)
-        try:
-            with recorder.capture("compress"):
-                pass
-        finally:
-            recorder.unsubscribe(token)
-        assert len(recorder.records()) == 1

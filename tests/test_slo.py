@@ -178,25 +178,6 @@ class TestConfig:
 
 
 class TestRendering:
-    def test_metrics_lines_schema(self):
-        spec = slo.SLOSpec("err", objective="errors", budget=0.5)
-        statuses = slo.evaluate([_record(status="error")], [spec])
-        lines = slo.metrics_lines(statuses)
-        text = "\n".join(lines)
-        for metric in ("repro_slo_target", "repro_slo_compliance",
-                       "repro_slo_error_budget_consumed",
-                       "repro_slo_error_budget_remaining",
-                       "repro_slo_burn_rate", "repro_slo_window_runs",
-                       "repro_slo_violations", "repro_slo_exhausted"):
-            assert f"# TYPE {metric} gauge" in text
-            assert f'{metric}{{slo="err"}}' in text
-        assert 'repro_slo_exhausted{slo="err"} 1' in text
-
-    def test_metrics_labels_are_escaped(self):
-        spec = slo.SLOSpec('we"ird\\name', objective="errors")
-        lines = slo.metrics_lines(slo.evaluate([], [spec]))
-        assert any('slo="we\\"ird\\\\name"' in line for line in lines)
-
     def test_format_statuses_marks_state(self):
         ok = slo.SLOSpec("fine", objective="errors", budget=0.9)
         blown = slo.SLOSpec("blown", objective="errors", budget=0.001)

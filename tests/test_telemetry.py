@@ -203,6 +203,16 @@ class TestExporters:
                 metric = line.split()[2]
                 assert lines[i - 1].startswith(f"# HELP {metric} ")
 
+    def test_prometheus_span_labels_are_escaped(self):
+        with telemetry.recording() as reg:
+            with telemetry.span('we"ird\\na\nme'):
+                pass
+        text = exporters.to_prometheus(reg, include_caches=False)
+        assert ('repro_span_duration_seconds_count'
+                '{span="we\\"ird\\\\na\\nme"} 1') in text
+        # the raw newline never splits a sample line
+        assert not any(line.startswith('me"') for line in text.splitlines())
+
     def test_degenerate_histogram_gets_spread_buckets(self):
         # identical observations used to produce a single bucket edge
         assert exporters._histogram_buckets([1.0, 1.0]) == \
