@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.quantizer import check_error_bound
 
 __all__ = ["lorenzo_prequantize", "lorenzo_delta", "lorenzo_reconstruct",
            "split_outliers", "merge_outliers"]
@@ -23,8 +24,7 @@ __all__ = ["lorenzo_prequantize", "lorenzo_delta", "lorenzo_reconstruct",
 
 def lorenzo_prequantize(data: np.ndarray, abs_eb: float) -> np.ndarray:
     """Pre-quantize onto the ``2*eb`` integer lattice (int64)."""
-    if abs_eb <= 0:
-        raise ConfigError(f"error bound must be positive, got {abs_eb}")
+    check_error_bound(abs_eb)
     return np.rint(data.astype(np.float64) / (2.0 * abs_eb)).astype(np.int64)
 
 
@@ -46,8 +46,7 @@ def lorenzo_reconstruct(delta: np.ndarray, abs_eb: float) -> np.ndarray:
     One inclusive scan per axis (the GPU decompression kernel), then scale
     back to values. Returns float64.
     """
-    if abs_eb <= 0:
-        raise ConfigError(f"error bound must be positive, got {abs_eb}")
+    check_error_bound(abs_eb)
     p = delta
     for ax in range(delta.ndim):
         p = np.cumsum(p, axis=ax)

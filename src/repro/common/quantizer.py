@@ -19,15 +19,29 @@ order, so reconstructions replay bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.errors import ConfigError, CorruptStreamError
 
-__all__ = ["LinearQuantizer", "QuantResult", "DEFAULT_RADIUS"]
+__all__ = ["LinearQuantizer", "QuantResult", "DEFAULT_RADIUS",
+           "check_error_bound"]
 
 DEFAULT_RADIUS = 512
+
+
+def check_error_bound(eb: float) -> None:
+    """Reject an absolute error bound that is not a finite positive number.
+
+    A NaN bound compares False with everything, so ``eb <= 0`` lets it
+    through, and every code and range test after it silently passes:
+    :class:`~repro.common.errors.ConfigError` up front instead.
+    """
+    if not (math.isfinite(eb) and eb > 0):
+        raise ConfigError(
+            f"error bound must be a finite positive number, got {eb}")
 
 
 @dataclass
@@ -85,8 +99,7 @@ class LinearQuantizer:
         ``values`` are originals, ``predictions`` the same-shape predicted
         values; ``eb`` the absolute error bound for this pass.
         """
-        if eb <= 0:
-            raise ConfigError(f"error bound must be positive, got {eb}")
+        check_error_bound(eb)
         v = np.asarray(values, dtype=np.float64).ravel()
         p = np.asarray(predictions, dtype=np.float64).ravel()
         ebx2 = 2.0 * eb
@@ -112,50 +125,88 @@ class LinearQuantizer:
 
     def quantize_into(self, values: np.ndarray, predictions: np.ndarray,
                       eb: float, codes_out: np.ndarray, *,
-                      q_buf: np.ndarray, r_buf: np.ndarray
+                      v_buf: np.ndarray, q_buf: np.ndarray,
+                      r_buf: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Buffered :meth:`quantize`: write codes straight into the stream.
 
         ``values`` may be any-dimensional (a strided view of the original
-        field); ``predictions`` is its flat-order prediction vector.
-        Codes land in ``codes_out`` (a uint32 slice of the caller's full
-        code stream), the rounding runs inside the reusable float64
-        scratch ``q_buf``/``r_buf``, and no per-pass arrays are
-        allocated beyond the outlier compaction. Returns
+        field); ``predictions`` is its flat-order prediction vector, a
+        contiguous float64 array that this call overwrites (it is dead
+        once the reconstruction is formed, so it serves as scratch for
+        the value-dtype round trip and the outlier masks). Codes land in
+        ``codes_out`` (a uint32 slice of the caller's full code stream).
+        ``values`` is read once, staged as float64 into ``v_buf``; the
+        rounding runs in ``q_buf`` and the reconstruction in ``r_buf``.
+        Every buffer is reused scratch of at least ``values.size``
+        elements, so a call allocates only its outlier indices and
+        values, and only when it has outliers. Returns
         ``(reconstructed, outlier_values)`` where ``reconstructed`` is a
         ``values``-shaped view of ``r_buf`` valid until the next call.
 
-        Bit-identical to :meth:`quantize` lane for lane: the subtraction
-        promotes float32 inputs to float64 exactly, the fused
-        ``ebx2*q + p`` is the same IEEE sum as ``p + ebx2*q``, and the
-        in-place ``q + radius`` / zero-outlier / unsafe-cast sequence
-        produces the same uint32 code every reference lane gets.
+        Bit-identical to :meth:`quantize` lane for lane: the staged
+        values and the subtraction are exact float64 upcasts, the fused
+        ``ebx2*q + p`` is the same IEEE sum as ``p + ebx2*q``, an
+        outlier lane's code is formed as ``-radius + radius`` = 0, and
+        every other lane's ``q + radius`` lies in ``[1, 2*radius)``, so
+        no float outside the code alphabet is ever cast to an integer.
         """
-        if eb <= 0:
-            raise ConfigError(f"error bound must be positive, got {eb}")
-        shape = values.shape
+        check_error_bound(eb)
         n = values.size
-        q = q_buf[:n].reshape(shape)
-        r = r_buf[:n].reshape(shape)
-        p = np.asarray(predictions, dtype=np.float64).reshape(shape)
+        p = predictions
+        if p.dtype != np.float64 or p.size != n \
+                or not p.flags.c_contiguous:
+            raise ConfigError("predictions must be a contiguous float64 "
+                              f"vector of {n} elements")
+        p = p.reshape(n)
+        v = v_buf[:n]
+        q = q_buf[:n]
+        r = r_buf[:n]
+        radius = self.radius
         ebx2 = 2.0 * eb
 
-        np.subtract(values, p, out=q)     # exact: float32 in, float64 out
+        np.copyto(v.reshape(values.shape), values)   # the one strided read
+        np.subtract(v, p, out=q)
         q /= ebx2
         np.rint(q, out=q)
         np.multiply(q, ebx2, out=r)
         r += p                            # == p + ebx2*q bit for bit
-        bad = np.abs(q) >= self.radius
-        bad |= np.abs(np.subtract(r.astype(self.value_dtype), values,
-                                  dtype=np.float64)) > eb
+        # p is dead from here on: its bytes hold the masks and residuals
+        wide = None
+        if n and (q.max() >= radius or q.min() <= -radius):
+            hi, lo = p.view(np.bool_)[:n], p.view(np.bool_)[n:2 * n]
+            np.greater_equal(q, radius, out=hi)
+            np.less_equal(q, -radius, out=lo)
+            hi |= lo
+            wide = np.flatnonzero(hi)
+            q[wide] = -radius             # code 0: reserved for outliers
+        # every code fits int32 at any practical radius, and the float to
+        # int32 cast is the cheaper one; the bits are the uint32 code's
+        np.add(q, radius, casting="unsafe", out=codes_out.view(np.int32)
+               if radius < 2 ** 30 else codes_out)
 
-        outlier_values = values[bad].astype(self.value_dtype)
-        r[bad] = outlier_values.astype(np.float64)
-
-        q += self.radius
-        q[bad] = 0.0                      # reserved outlier code
-        np.copyto(codes_out.reshape(shape), q, casting="unsafe")
-        return r, outlier_values
+        # the bound after rounding to the output dtype (a float64 output
+        # needs no round trip); q is free now
+        if self.value_dtype == np.float64:
+            np.subtract(r, v, out=p)
+        else:
+            r32 = q.view(np.float32)[:n]
+            np.copyto(r32, r, casting="same_kind")
+            np.subtract(r32, v, out=p, dtype=np.float64)
+        np.abs(p, out=p)
+        if n and p.max() > eb:
+            bad = q.view(np.bool_)[4 * n:5 * n]
+            np.greater(p, eb, out=bad)
+            if wide is not None:
+                bad[wide] = True
+            wide = np.flatnonzero(bad)
+            codes_out[wide] = 0
+        if wide is None:
+            return r.reshape(values.shape), np.empty(0, self.value_dtype)
+        outlier_values = v[wide].astype(self.value_dtype)
+        # the decompressor reads the stored value and upcasts it
+        r[wide] = outlier_values
+        return r.reshape(values.shape), outlier_values
 
     def dequantize(self, codes: np.ndarray, predictions: np.ndarray,
                    eb: float, outlier_values: np.ndarray,
@@ -194,8 +245,7 @@ class LinearQuantizer:
         difference of two small integers is exact in float64, and
         ``ebx2*q + p`` is the same IEEE sum as ``p + ebx2*q``.
         """
-        if eb <= 0:
-            raise ConfigError(f"error bound must be positive, got {eb}")
+        check_error_bound(eb)
         shape = out.shape
         codes = codes.reshape(shape)
         q = out if q_buf is None else q_buf[:out.size].reshape(shape)

@@ -43,9 +43,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.common.errors import ConfigError, CorruptStreamError, DataError
-from repro.common.quantizer import LinearQuantizer
+from repro.common.quantizer import LinearQuantizer, check_error_bound
 from repro.core.ginterp.anchors import apply_anchors, extract_anchors
-from repro.core.ginterp.plans import _plan_key, get_plan, scratch
+from repro.core.ginterp.plans import (ROW_GROUP_ELEMENTS, _plan_key,
+                                     get_plan, scratch)
 from repro.core.ginterp.splines import CUBIC_NAK, SPLINE_WEIGHTS
 
 __all__ = ["InterpSpec", "level_error_bounds", "interp_compress",
@@ -356,15 +357,20 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
     explicit compiled plan for this geometry (default: the cached one).
 
     Each pass predicts, quantizes and reconstructs in one fused step:
-    codes land straight in the preallocated stream, with no float
-    residual intermediates.
+    codes land straight in the preallocated stream, and every per-pass
+    temporary is a view of the per-thread scratch arena, so a warm call
+    allocates little beyond the arrays it returns.
     """
+    check_error_bound(eb)
     spec = spec.resolved(data.ndim)
     quantizer = quantizer or LinearQuantizer()
     _check_input(data, eb, quantizer.radius, data.ndim * spec.n_levels)
     plan = _resolve_plan(data.shape, spec, plan)
-    work = data.astype(np.float64, copy=True)
-    anchors = extract_anchors(work, spec.anchor_stride,
+    # every sample off the anchor grid is a target of exactly one pass,
+    # which writes its reconstruction before any later pass reads it, so
+    # the work array starts as the decoder's does: zeros plus anchors
+    work = np.zeros(data.shape, dtype=np.float64)
+    anchors = extract_anchors(data, spec.anchor_stride,
                               quantizer.value_dtype)
     apply_anchors(work, anchors, spec.anchor_stride)
 
@@ -374,7 +380,9 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
     cursor = 0
     codes = np.empty(plan.n_targets, dtype=np.uint32)
     # the multiply temporary is dead once a pass's prediction is made, so
-    # it shares the quantizer's buffer (every group fits in max_targets)
+    # it shares the quantizer's rounding buffer (every group fits in
+    # max_targets); the padded lattice is dead then too, so the pass's
+    # values are staged there (every lattice holds more than its targets)
     scr_pred, scr_ev, q_buf, r_buf = scratch(
         plan.max_targets, plan.max_staged, plan.max_targets,
         plan.max_targets)
@@ -388,11 +396,23 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
             if n == 0:
                 continue
             pred = step.predict(work, scr_pred, q_buf, scr_ev)
-            recon, pass_outliers = quantizer.quantize_into(
-                data[step.target_view], pred, ebs[p.level],
-                codes[cursor:cursor + n], q_buf=q_buf, r_buf=r_buf)
-            work[step.target_view] = recon
-            outlier_parts.append(pass_outliers)
+            # quantize in cache-sized slabs along axis 0, as the kernel
+            # predicts: each slab's temporaries reuse the same scratch,
+            # still in cache when the next step of the slab reads them
+            values = data[step.target_view]
+            recon = work[step.target_view]
+            width = n // len(values)
+            rows = max(1, ROW_GROUP_ELEMENTS // width)
+            for r0 in range(0, len(values), rows):
+                lo = r0 * width
+                hi = min(r0 + rows, len(values)) * width
+                slab, slab_outliers = quantizer.quantize_into(
+                    values[r0:r0 + rows], pred[lo:hi], ebs[p.level],
+                    codes[cursor + lo:cursor + hi], v_buf=scr_ev,
+                    q_buf=q_buf, r_buf=r_buf)
+                recon[r0:r0 + rows] = slab
+                if slab_outliers.size:
+                    outlier_parts.append(slab_outliers)
             cursor += n
             telemetry.observe("ginterp.pass_targets", n)
 

@@ -24,7 +24,8 @@ from repro.common.container import build_container, parse_container
 from repro.common.errors import CodecError, ConfigError
 from repro.common.lossless_wrap import (framed_codec, unwrap_lossless,
                                         wrap_lossless)
-from repro.common.quantizer import DEFAULT_RADIUS, LinearQuantizer
+from repro.common.quantizer import (DEFAULT_RADIUS, LinearQuantizer,
+                                    check_error_bound)
 from repro.core.ginterp.autotune import (alpha_from_eb, autotune,
                                          field_fingerprint)
 from repro.core.ginterp.engine import (InterpSpec, check_stream_geometry,
@@ -51,19 +52,32 @@ def resolve_eb(data: np.ndarray, eb: float, mode: str) -> float:
     """Turn a user error bound into an absolute bound.
 
     ``mode="abs"`` passes through; ``mode="rel"`` scales by the value range
-    (the paper's "value-range-based relative error bound").
+    (the paper's "value-range-based relative error bound"). A bound that
+    is not a finite positive number, or a relative one whose absolute
+    value is not, raises :class:`~repro.common.errors.ConfigError` before
+    any compression work.
     """
-    if eb <= 0:
-        raise ConfigError(f"error bound must be positive, got {eb}")
+    check_error_bound(eb)
+    return _absolute_eb(eb, mode,
+                        value_range(data) if mode == "rel" else 0.0)
+
+
+def _absolute_eb(eb: float, mode: str, rng: float) -> float:
+    """:func:`resolve_eb` for a field of value range ``rng`` (read in
+    ``rel`` mode only), for callers that already know the range."""
     if mode == "abs":
         return float(eb)
-    if mode == "rel":
-        rng = value_range(data)
-        if rng == 0.0:
-            # constant field: any positive absolute bound preserves it
-            return float(eb)
-        return float(eb) * rng
-    raise ConfigError(f"unknown eb mode {mode!r}; use 'abs' or 'rel'")
+    if mode != "rel":
+        raise ConfigError(f"unknown eb mode {mode!r}; use 'abs' or 'rel'")
+    if rng == 0.0:
+        # constant field: any positive absolute bound preserves it
+        return float(eb)
+    abs_eb = float(eb) * rng
+    if not (math.isfinite(abs_eb) and abs_eb > 0):
+        raise ConfigError(
+            f"relative error bound {eb} over value range {rng:.6g} gives "
+            f"absolute bound {abs_eb}, not a finite positive number")
+    return abs_eb
 
 
 @dataclass
@@ -167,10 +181,11 @@ class CuSZi:
             window = tuple([stride + 1] * (ndim - 1) + [4 * stride + 1])
         return stride, window
 
-    def _build_spec(self, padded: np.ndarray, abs_eb: float
+    def _build_spec(self, padded: np.ndarray, abs_eb: float, rng: float
                     ) -> tuple[InterpSpec, dict]:
+        """The traversal spec and tuning record; ``rng`` is the field's
+        value range, which edge padding preserves."""
         stride, window = self._geometry(padded.ndim)
-        rng = value_range(padded)
         rel_eb = abs_eb / rng if rng > 0 else 1.0
         tuning: dict = {}
         if self.tune:
@@ -222,13 +237,16 @@ class CuSZi:
     def _compress_traced(self, data: np.ndarray, cap
                          ) -> tuple[bytes, CompressionStats]:
         data = validate_field(data)
-        abs_eb = resolve_eb(data, self.eb, self.mode)
+        check_error_bound(self.eb)
+        # one scan serves the rel bound and the spec's alpha
+        rng = value_range(data)
+        abs_eb = _absolute_eb(self.eb, self.mode, rng)
         quantizer = LinearQuantizer(self.radius, value_dtype=data.dtype)
 
         stride, _window = self._geometry(data.ndim)
         padded = pad_to_grid(data, stride) if self.pad else data
         with cap.stage("tune", enabled=self.tune):
-            spec, tuning = self._build_spec(padded, abs_eb)
+            spec, tuning = self._build_spec(padded, abs_eb, rng)
         # resolve the compiled pass plan up front: repeated same-shape
         # compressions (and the decompress replay) hit the plan LRU
         with cap.stage("plan"):

@@ -1,13 +1,15 @@
 """Cross-codec contract tests: every error-bounded compressor must satisfy
 the same roundtrip, bound, dtype and robustness requirements."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import (EB_SLACK, assert_error_bounded, rough_field,
                       smooth_field, structured_field)
-from repro.common.errors import CodecError, ReproError
-from repro.registry import get_compressor
+from repro.common.errors import CodecError, ConfigError, ReproError
+from repro.registry import available, get_compressor
 
 EB_CODECS = ["cusz", "cuszp", "cuszx", "fzgpu", "cuszi", "sz3", "qoz"]
 
@@ -167,3 +169,22 @@ class TestCodecSpecific:
         p_i = psnr(data, ci.decompress(ci.compress(data)))
         p_z = psnr(data, cz.decompress(cz.compress(data)))
         assert p_i > p_z
+
+
+EB_TAKING = [name for name in available() if name != "cuzfp"]
+
+
+@pytest.mark.parametrize("codec", EB_TAKING)
+def test_non_finite_error_bound_is_a_config_error(codec):
+    """A NaN or infinite bound, or a relative one whose absolute value
+    overflows, is refused as a configuration error before compressing:
+    ``eb <= 0`` is False for NaN, so it used to slip through and fail
+    late, differently per codec (or not at all)."""
+    data = smooth_field((12, 10, 14), seed=27)
+    for eb in (math.nan, math.inf, -math.inf):
+        for mode in ("abs", "rel"):
+            with pytest.raises(ConfigError, match="error bound"):
+                get_compressor(codec, eb=eb, mode=mode).compress(data)
+    wide = data.astype(np.float64) * 1e300
+    with pytest.raises(ConfigError, match="error bound"):
+        get_compressor(codec, eb=1e300, mode="rel").compress(wide)

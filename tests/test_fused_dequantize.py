@@ -5,7 +5,7 @@ of the work array, with every per-pass buffer carved from one reused
 per-thread arena. The contract: its output is byte-identical to the
 uncompiled reference decode in ``oracles.py`` (outlier lanes included),
 concurrent traversals on different threads never share scratch, and a
-warm decode allocates little beyond the array it returns.
+warm decode (or compress) allocates little beyond the arrays it returns.
 """
 
 from __future__ import annotations
@@ -164,3 +164,22 @@ def test_warm_decode_allocates_about_one_work_array():
         tracemalloc.stop()
     assert work.tobytes() == res.reconstructed.tobytes()
     assert peak <= 1.25 * work.nbytes
+
+
+def test_warm_compress_allocates_about_its_outputs():
+    """After a call that sizes the arena, a compress allocates its work
+    array and code stream and little else: every pass's temporaries are
+    views of the arena."""
+    shape = (64, 64, 64)
+    data = smooth_field(shape)
+    spec = InterpSpec(anchor_stride=8, window_shape=(9, 9, 33))
+    eb = 1e-3 * float(data.max() - data.min())
+    plan = get_plan(shape, spec.resolved(3))
+    interp_compress(data, spec, eb, plan=plan)    # sizes this thread's arena
+    tracemalloc.start()
+    try:
+        res = interp_compress(data, spec, eb, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (res.reconstructed.nbytes + res.codes.nbytes)

@@ -17,7 +17,9 @@ import repro.core.pipeline as pipeline
 from conftest import smooth_field
 from oracles import reference_compress
 from repro.common.quantizer import LinearQuantizer
-from repro.core.ginterp import InterpSpec, interp_compress, interp_decompress
+from repro.core.ginterp import (InterpSpec, get_plan, interp_compress,
+                                interp_decompress)
+from repro.core.ginterp.plans import ROW_GROUP_ELEMENTS
 from repro.core.pipeline import CuSZi
 from repro.runtime.pool import map_compress, map_decompress
 from repro.runtime.tiled import tiled_compress_file
@@ -27,12 +29,13 @@ EB = 1e-3
 
 
 def _triple(data, spec, eb=EB, quantizer=None):
+    # bytes, not array_equal: -0.0 == +0.0 would hide a sign flip
     fused = interp_compress(data, spec, eb, quantizer)
     ref = reference_compress(data, spec, eb, quantizer)
-    assert np.array_equal(fused.codes, ref.codes)
-    assert np.array_equal(fused.outliers, ref.outliers)
-    assert np.array_equal(fused.anchors, ref.anchors)
-    assert np.array_equal(fused.reconstructed, ref.reconstructed)
+    assert fused.codes.tobytes() == ref.codes.tobytes()
+    assert fused.outliers.tobytes() == ref.outliers.tobytes()
+    assert fused.anchors.tobytes() == ref.anchors.tobytes()
+    assert fused.reconstructed.tobytes() == ref.reconstructed.tobytes()
     return fused
 
 
@@ -58,6 +61,19 @@ class TestEngineEquivalence:
         q = LinearQuantizer(value_dtype=np.float64)
         _triple(data, InterpSpec(anchor_stride=8), quantizer=q)
 
+    def test_passes_quantized_in_several_slabs(self):
+        # the widest passes span several cache-sized slabs. Values near
+        # 1000 (float32 spacing 6.1e-5) at a bound of 4e-5 and radius 8
+        # make about a fifth of the lanes code-range outliers and another
+        # fifth float32 round-trip ones, in every slab
+        shape = (40, 48, 72)
+        spec = InterpSpec(anchor_stride=8, window_shape=(9, 9, 33))
+        plan = get_plan(shape, spec.resolved(3))
+        assert plan.max_targets > 2 * ROW_GROUP_ELEMENTS
+        data = (1000.0 + smooth_field(shape) * 1e-2).astype(np.float32)
+        res = _triple(data, spec, 4e-5, LinearQuantizer(8))
+        assert 0.3 < res.outliers.size / res.codes.size < 0.6
+
     def test_alpha_beta_levels(self):
         spec = InterpSpec(anchor_stride=8, alpha=1.5, beta=3.0)
         _triple(smooth_field((32, 32, 32)), spec)
@@ -72,24 +88,63 @@ class TestEngineEquivalence:
         assert np.max(np.abs(out - data.astype(np.float64))) <= EB * 1.001
 
 
-class TestQuantizeInto:
-    def test_matches_quantize_lane_for_lane(self, rng):
-        q = LinearQuantizer()
-        values = rng.normal(0, 1, size=(31, 17)).astype(np.float32)
-        preds = values.astype(np.float64) \
-            + rng.normal(0, 5e-3, size=values.shape)
+def _quantize_into(q, values, preds, eb):
+    """``quantize_into`` with fresh buffers; ``preds`` is not modified."""
+    n = values.size
+    codes = np.empty(n, dtype=np.uint32)
+    recon, outliers = q.quantize_into(
+        values, np.array(preds, dtype=np.float64).ravel(), eb, codes,
+        v_buf=np.empty(n), q_buf=np.empty(n), r_buf=np.empty(n))
+    return codes, recon, outliers
+
+
+def _lanes(case, rng):
+    """``(quantizer, values, predictions)`` for one lane-for-lane case."""
+    shape = (31, 17)
+    values = rng.normal(0, 1, size=shape).astype(np.float32)
+    preds = values.astype(np.float64) + rng.normal(0, 5e-3, size=shape)
+    q = LinearQuantizer()
+    if case == "mixed":
         # sprinkle outliers: both the radius overflow and the
         # value-dtype round-trip failure lanes
         preds.ravel()[::97] += 10.0
-        ref = q.quantize(values, preds, EB)
-        codes = np.empty(values.size, dtype=np.uint32)
-        q_buf = np.empty(values.size, dtype=np.float64)
-        r_buf = np.empty(values.size, dtype=np.float64)
-        recon, outliers = q.quantize_into(values, preds.ravel(), EB,
-                                          codes, q_buf=q_buf, r_buf=r_buf)
-        assert np.array_equal(codes, ref.codes)
-        assert np.array_equal(recon.ravel(), ref.reconstructed)
-        assert np.array_equal(outliers, ref.outlier_values)
+    elif case == "signed_zeros":
+        values.ravel()[::3] = -0.0
+        preds.ravel()[::3] = -0.0
+        preds.ravel()[1::3] = -0.0
+        values.ravel()[2::5] = -0.0
+        preds.ravel()[3::30] = 10.0     # -0.0 stored as an outlier
+    elif case == "all_outliers":
+        preds += 10.0
+    elif case == "no_outliers":
+        preds = values.astype(np.float64)
+    elif case == "float64":
+        values = rng.normal(0, 1, size=shape)
+        preds = values + rng.normal(0, 5e-3, size=shape)
+        preds.ravel()[::97] += 10.0
+        q = LinearQuantizer(value_dtype=np.float64)
+    elif case == "huge_residuals":
+        preds.ravel()[::2] += 1e30
+        preds.ravel()[1::4] -= 1e30
+    return q, values, preds
+
+
+class TestQuantizeInto:
+    # a float-to-uint32 cast of an out-of-range code warns: fail on it
+    @pytest.mark.filterwarnings("error")
+    def test_matches_quantize_lane_for_lane(self, rng):
+        n_out = {"all_outliers": lambda n: n == 31 * 17,
+                 "no_outliers": lambda n: n == 0}
+        for case in ("mixed", "signed_zeros", "all_outliers",
+                     "no_outliers", "float64", "huge_residuals"):
+            q, values, preds = _lanes(case, rng)
+            ref = q.quantize(values, preds, EB)
+            codes, recon, outliers = _quantize_into(q, values, preds, EB)
+            assert codes.tobytes() == ref.codes.tobytes(), case
+            assert recon.tobytes() == ref.reconstructed.tobytes(), case
+            assert outliers.tobytes() == ref.outlier_values.tobytes(), case
+            assert n_out.get(case, lambda n: 0 < n < 31 * 17)(
+                outliers.size), case
 
     def test_strided_view_input(self, rng):
         # fused passes hand quantize_into a strided n-d view of the field;
@@ -99,22 +154,17 @@ class TestQuantizeInto:
         view = base[1::2, :, 3::4]
         preds = np.zeros(view.size, dtype=np.float64)
         ref = q.quantize(np.ascontiguousarray(view), preds, 0.5)
-        codes = np.empty(view.size, dtype=np.uint32)
-        scratch = np.empty(view.size, dtype=np.float64)
-        recon, outliers = q.quantize_into(
-            view, preds, 0.5, codes,
-            q_buf=scratch, r_buf=scratch.copy())
-        assert np.array_equal(codes, ref.codes)
-        assert np.array_equal(outliers, ref.outlier_values)
+        codes, recon, outliers = _quantize_into(q, view, preds, 0.5)
+        assert codes.tobytes() == ref.codes.tobytes()
+        assert recon.tobytes() == ref.reconstructed.tobytes()
+        assert outliers.tobytes() == ref.outlier_values.tobytes()
 
     def test_rejects_bad_eb(self):
         q = LinearQuantizer()
         from repro.common.errors import ConfigError
-        buf = np.empty(4, dtype=np.float64)
-        with pytest.raises(ConfigError):
-            q.quantize_into(np.zeros(4, np.float32), buf, 0.0,
-                            np.empty(4, np.uint32), q_buf=buf,
-                            r_buf=buf.copy())
+        for eb in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                _quantize_into(q, np.zeros(4, np.float32), np.zeros(4), eb)
 
 
 class TestCrossPathBlobIdentity:

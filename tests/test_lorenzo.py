@@ -47,6 +47,13 @@ class TestDualQuant:
             q = np.cumsum(q, axis=ax)
         np.testing.assert_array_equal(q, p)
 
+    def test_non_finite_eb(self):
+        for eb in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                lorenzo_prequantize(np.zeros(4), eb)
+            with pytest.raises(ConfigError):
+                lorenzo_reconstruct(np.zeros(4, np.int64), eb)
+
     def test_bad_eb(self):
         with pytest.raises(ConfigError):
             lorenzo_prequantize(np.zeros(4), 0.0)

@@ -30,6 +30,16 @@ class TestResolveEb:
         with pytest.raises(ConfigError):
             resolve_eb(np.zeros(4), -1.0, "abs")
 
+    @pytest.mark.parametrize("mode", ["abs", "rel"])
+    def test_non_finite_eb(self, mode):
+        for eb in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError):
+                resolve_eb(np.array([0.0, 10.0]), eb, mode)
+
+    def test_rel_eb_overflowing_to_inf(self):
+        with pytest.raises(ConfigError, match="relative error bound"):
+            resolve_eb(np.array([-1e300, 1e300]), 1e10, "rel")
+
 
 class TestGeometry:
     def test_paper_defaults(self):

@@ -21,6 +21,17 @@ class TestBasics:
         with pytest.raises(ConfigError):
             LinearQuantizer(value_dtype=np.int32)
 
+    def test_non_finite_eb(self):
+        # NaN compares False with 0, and used to come back as codes
+        # outside the alphabet with no outliers
+        q = LinearQuantizer()
+        for eb in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                q.quantize(np.ones(4, np.float32), np.zeros(4), eb)
+            with pytest.raises(ConfigError):
+                q.dequantize(np.ones(4, np.uint32), np.zeros(4), eb,
+                             np.zeros(0, np.float32), 0)
+
     def test_bad_eb(self):
         q = LinearQuantizer()
         with pytest.raises(ConfigError):
