@@ -8,17 +8,17 @@ the paper-complete workloads.
 """
 
 import os
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-# the test oracles (reference traversal, loop Huffman coder) the
-# trajectory bench times the library against
-sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
-
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--ledger", default=None, metavar="FILE",
+                     help="where test_ci_gates.py writes its run ledger "
+                          "(default: a pytest temporary directory)")
 
 
 @pytest.fixture(scope="session")

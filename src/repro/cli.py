@@ -7,16 +7,15 @@ synthetic dataset field, ``repro trace`` pretty-prints a telemetry trace
 (``--trace`` on compress/decompress records one), and ``repro bench``
 forwards to the experiment runner.
 
-``repro stats`` aggregates a flight-recorder run ledger (stage latency
-percentiles, compression-ratio distribution, throughput vs the modelled
-GPU, SLO error budgets) and ``repro doctor`` diagnoses ledger +
-environment + cache health — ``--check`` makes structural anomalies exit
-nonzero for CI, and ``--slo`` adds error-budget exhaustion to the gate.
-``repro analyze`` runs the ledger analytics engine
-(:mod:`repro.telemetry.analytics`): fingerprint-keyed cohort baselines,
-robust per-run anomaly scores, and change points with stage attribution
-(``--json``, ``--save-baseline``/``--baseline`` for persisted
-references, ``--check`` to gate). See ``docs/OBSERVABILITY.md``.
+``repro analyze`` reads a flight-recorder run ledger: per-``kind[codec]``
+latency percentiles, compression-ratio and throughput distributions,
+stage shares against the modelled GPU (``--device``), and the ledger
+analytics engine (:mod:`repro.telemetry.analytics`): fingerprint-keyed
+cohort baselines, robust per-run anomaly scores, and change points with
+stage attribution (``--json``, ``--save-baseline``/``--baseline`` for
+persisted references, ``--check`` to gate). ``repro doctor`` diagnoses
+ledger + environment + cache health; ``--check`` makes an anomaly exit
+nonzero, the CI gate. See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -231,140 +230,58 @@ def _fmt_pct(entry: dict) -> str:
             f"p99 {entry['p99'] * 1e3:9.2f}ms")
 
 
-def _load_slos(spec: str | None):
-    """Resolve a ``--slo`` argument: None -> the default objectives,
-    a path -> a declarative objectives file."""
-    from repro.telemetry import slo as slomod
-    if spec is None or spec == "default":
-        return slomod.DEFAULT_SLOS
-    return slomod.load_slos(spec)
-
-
-def _cmd_stats(args) -> int:
-    import json as _json
+def _model_deviation(records, device: str) -> dict:
+    """Records whose measured stage shares skew far from the perf
+    model's kernel shares on ``device``."""
     from repro.telemetry import recorder
-    from repro.telemetry import slo as slomod
-
-    try:
-        records = recorder.read_ledger(args.ledger)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read ledger {args.ledger!r}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not records:
-        # an empty ledger is a diagnosable state, not a crash: say so
-        # plainly (or emit an empty-but-valid JSON document) and exit 0
-        if args.json:
-            print(_json.dumps({"schema": 1, "ledger": args.ledger,
-                               "n_records": 0, "groups": {}, "slo": []},
-                              indent=2, sort_keys=True))
-        else:
-            print(f"ledger {args.ledger}: no run records")
-        return 0
-    try:
-        slos = _load_slos(args.slo)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load SLOs from {args.slo!r}: {exc}",
-              file=sys.stderr)
-        return 1
-    groups = recorder.aggregate(records)
-    statuses = slomod.evaluate(records, slos)
-    sentinel_doc = None
-    if args.json:
-        doc = {"schema": 1, "ledger": args.ledger,
-               "n_records": len(records), "groups": groups,
-               "slo": [st.to_dict() for st in statuses]}
-        if args.check:
-            sentinel_doc = _stats_sentinel(args, as_json=True)
-            doc["sentinel"] = sentinel_doc
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    else:
-        for label, entry in groups.items():
-            head = f"{label}: n={entry['n']}"
-            if entry["errors"]:
-                head += f" errors={entry['errors']}"
-            if "workers" in entry:
-                head += f" workers<={entry['workers']}"
-            print(head)
-            print(f"  wall      {_fmt_pct(entry['wall_s'])}")
-            for stage, pct in entry["stages"].items():
-                print(f"  {stage:<9} {_fmt_pct(pct)}")
-            if "ratio" in entry:
-                r = entry["ratio"]
-                print(f"  ratio     p50 {r['p50']:.2f}  "
-                      f"min {r['min']:.2f}  max {r['max']:.2f}")
-            if "throughput_mb_s" in entry:
-                t = entry["throughput_mb_s"]
-                print(f"  thru MB/s p50 {t['p50']:.1f}  "
-                      f"min {t['min']:.1f}  max {t['max']:.1f}")
-            if "cache_hit_ratio" in entry:
-                print(f"  cache hit ratio {entry['cache_hit_ratio']:.1%}")
-
-    if statuses:
-        print("slo error budgets:")
-        for line in slomod.format_statuses(statuses):
-            print(f"  {line}")
-
-    # modelled-GPU throughput cross-check: flag records whose measured
-    # stage shares skew far from the perf-model's kernel shares
-    flagged = 0
-    modelled = 0
+    flagged = []
+    checked = 0
     for rec in records:
-        dev = recorder.model_deviation(rec, device=args.device)
+        dev = recorder.model_deviation(rec, device=device)
         if dev is None:
             continue
-        modelled += 1
+        checked += 1
         if dev["flagged"]:
-            flagged += 1
-            worst = max(dev["stages"].items(),
-                        key=lambda kv: max(kv[1]["skew"],
-                                           1 / kv[1]["skew"]
-                                           if kv[1]["skew"] else 1))
-            print(f"model deviation: {rec.kind}[{rec.codec}] seq="
-                  f"{rec.seq} stage {worst[0]} skew "
-                  f"{worst[1]['skew']:.2f}x vs modelled {args.device}")
-    if modelled:
-        print(f"perf model ({args.device}): {modelled} record(s) "
-              f"checked, {flagged} flagged for stage-share skew")
-
-    if args.check:
-        _stats_sentinel(args, as_json=False)
-    return 0
+            stage, worst = max(dev["stages"].items(),
+                               key=lambda kv: max(kv[1]["skew"],
+                                                  1 / kv[1]["skew"]
+                                                  if kv[1]["skew"] else 1))
+            flagged.append({"kind": rec.kind, "codec": rec.codec,
+                            "seq": rec.seq, "stage": stage,
+                            "skew": worst["skew"]})
+    return {"device": device, "checked": checked, "flagged": flagged}
 
 
-def _stats_sentinel(args, as_json: bool):
-    """Run the warn-only wall-time regression sentinel against the
-    committed perf trajectory. Text mode prints findings; JSON mode
-    returns the evaluation as a document section (satisfying ``repro
-    stats --json --check``) and prints nothing."""
-    import json
-    from repro.telemetry import sentinel
-
-    def emit(line):
-        if not as_json:
-            print(line)
-
-    try:
-        with open(args.bench) as f:
-            current = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        emit(f"sentinel: cannot read {args.bench}: {exc}")
-        return {"status": "no-current", "detail": str(exc),
-                "findings": []}
-    baseline = sentinel.load_baseline(args.base_ref)
-    if baseline is None:
-        emit(f"sentinel: no committed BENCH_pipeline.json at "
-             f"{args.base_ref}; nothing to compare")
-        return {"status": "no-baseline", "base_ref": args.base_ref,
-                "findings": []}
-    findings = sentinel.check(current, baseline)
-    for line in sentinel.format_findings(findings, github=args.github):
-        emit(line)
-    return {"status": "compared", "base_ref": args.base_ref,
-            "n_findings": len(findings),
-            "findings": [f.to_dict() if hasattr(f, "to_dict")
-                         else vars(f) for f in findings]}
+def _print_groups(groups: dict, deviation: dict) -> None:
+    for label, entry in groups.items():
+        head = f"{label}: n={entry['n']}"
+        if entry["errors"]:
+            head += f" errors={entry['errors']}"
+        if "workers" in entry:
+            head += f" workers<={entry['workers']}"
+        print(head)
+        print(f"  wall      {_fmt_pct(entry['wall_s'])}")
+        for stage, pct in entry["stages"].items():
+            print(f"  {stage:<9} {_fmt_pct(pct)}")
+        if "ratio" in entry:
+            r = entry["ratio"]
+            print(f"  ratio     p50 {r['p50']:.2f}  "
+                  f"min {r['min']:.2f}  max {r['max']:.2f}")
+        if "throughput_mb_s" in entry:
+            t = entry["throughput_mb_s"]
+            print(f"  thru MB/s p50 {t['p50']:.1f}  "
+                  f"min {t['min']:.1f}  max {t['max']:.1f}")
+        if "cache_hit_ratio" in entry:
+            print(f"  cache hit ratio {entry['cache_hit_ratio']:.1%}")
+    device = deviation["device"]
+    for f in deviation["flagged"]:
+        print(f"model deviation: {f['kind']}[{f['codec']}] seq={f['seq']} "
+              f"stage {f['stage']} skew {f['skew']:.2f}x vs modelled "
+              f"{device}")
+    if deviation["checked"]:
+        print(f"perf model ({device}): {deviation['checked']} record(s) "
+              f"checked, {len(deviation['flagged'])} flagged for "
+              f"stage-share skew")
 
 
 def _cmd_analyze(args) -> int:
@@ -386,6 +303,8 @@ def _cmd_analyze(args) -> int:
                   f"{exc}", file=sys.stderr)
             return 1
     report = analytics.analyze(records, baseline_doc=baseline_doc)
+    report["groups"] = recorder.aggregate(records)
+    report["model_deviation"] = _model_deviation(records, args.device)
     if args.save_baseline:
         analytics.save_baselines(report, args.save_baseline)
         if not args.json:
@@ -397,6 +316,7 @@ def _cmd_analyze(args) -> int:
         if not records:
             print(f"ledger {args.ledger}: no run records")
         else:
+            _print_groups(report["groups"], report["model_deviation"])
             print(analytics.format_report(report))
     if args.check:
         regressed = not report["verdict"]["healthy"] or any(
@@ -435,16 +355,7 @@ def _cmd_doctor(args) -> int:
     threshold = (doctor.WARM_HIT_THRESHOLD
                  if args.warm_hit_threshold is None
                  else args.warm_hit_threshold)
-    slos = None
-    if args.slo is not None:
-        try:
-            slos = _load_slos(args.slo)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load SLOs from {args.slo!r}: {exc}",
-                  file=sys.stderr)
-            return 1
-    diag = doctor.diagnose(records, warm_hit_threshold=threshold,
-                           slos=slos)
+    diag = doctor.diagnose(records, warm_hit_threshold=threshold)
     print(diag.format())
     if args.check and not diag.healthy:
         return 1
@@ -552,38 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "('auto' = all cores; default serial)")
     p.set_defaults(func=_cmd_unpack)
 
-    p = sub.add_parser("stats", help="aggregate a flight-recorder run "
-                                     "ledger (percentiles, CR, model "
-                                     "cross-check)")
-    p.add_argument("ledger", help="JSONL run ledger "
-                                  "(repro.telemetry.recorder ledger)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the aggregation as JSON")
-    p.add_argument("--device", default="a100",
-                   help="modelled device for the throughput cross-check")
-    p.add_argument("--check", action="store_true",
-                   help="also run the warn-only regression sentinel "
-                        "against the committed BENCH_pipeline.json")
-    p.add_argument("--bench", default="BENCH_pipeline.json",
-                   help="fresh perf trajectory for --check")
-    p.add_argument("--base-ref", default="HEAD",
-                   help="git ref holding the baseline trajectory")
-    p.add_argument("--github", action="store_true",
-                   help="render sentinel findings as ::warning:: "
-                        "annotations")
-    p.add_argument("--slo", default=None, metavar="FILE",
-                   help="SLO objectives file for the error-budget "
-                        "section ('default' or omitted = built-ins)")
-    p.set_defaults(func=_cmd_stats)
-
     p = sub.add_parser("analyze",
-                       help="ledger analytics: cohort baselines, "
+                       help="read a run ledger: per-group percentiles, "
+                            "model cross-check, cohort baselines, "
                             "anomaly scores, drift change points with "
                             "stage attribution")
     p.add_argument("ledger", help="JSONL run ledger "
                                   "(repro.telemetry.recorder ledger)")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON")
+    p.add_argument("--device", default="a100",
+                   help="modelled device for the throughput cross-check")
     p.add_argument("--save-baseline", metavar="FILE", default=None,
                    help="persist the cohort baselines for later "
                         "--baseline comparison")
@@ -606,10 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warm-hit-threshold", type=float,
                    default=None,
                    help="minimum acceptable warm cache hit ratio")
-    p.add_argument("--slo", default=None, metavar="FILE",
-                   help="evaluate SLO error budgets as health checks "
-                        "('default' = built-in objectives); an "
-                        "exhausted budget fails --check")
     p.set_defaults(func=_cmd_doctor)
 
     p = sub.add_parser("list", help="list codecs and datasets")

@@ -31,8 +31,9 @@ Independent of span tracing, the **flight recorder**
 (:mod:`repro.telemetry.recorder`) keeps an always-on bounded ring of
 per-run records; :mod:`repro.telemetry.caches` is the unified cache
 registry feeding both; :mod:`repro.telemetry.quality` holds the opt-in
-sampled quality auditor and :mod:`repro.telemetry.sentinel` the bench
-regression checks.
+sampled quality auditor; :mod:`repro.telemetry.analytics` and
+:mod:`repro.telemetry.doctor` judge a finished ledger (``repro analyze``,
+``repro doctor --check``).
 
 Everything here is zero-dependency (stdlib only) and thread-safe: spans
 started on different threads nest independently (thread-local span

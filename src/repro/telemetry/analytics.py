@@ -1,13 +1,12 @@
 """Incremental ledger analytics: baselines, anomalies, drift attribution.
 
 The flight recorder (:mod:`repro.telemetry.recorder`) captures what every
-run looked like; ``repro stats`` reports static distributions and the
-wall-time sentinel (:mod:`repro.telemetry.sentinel`) compares one bench
-emit against one committed baseline. Nothing *interprets* the ledger:
-cuSZ-i's quality/ratio tradeoff varies strongly per field, so "is this
-run normal" can only be answered against runs of the **same field class
-under the same configuration**. This module maintains exactly those
-references:
+run looked like. cuSZ-i's quality/ratio tradeoff varies strongly per
+field, so "is this run normal" can only be answered against runs of the
+**same field class under the same configuration**. This module
+maintains exactly those references, and :data:`REGRESSION_THRESHOLD` is
+the one definition of "how much relative regression is real" that
+``repro analyze`` and ``repro doctor --check`` judge by:
 
 **Fingerprint-keyed baselines.**
     Records group into cohorts keyed by ``{kind, field fingerprint,
@@ -17,8 +16,8 @@ references:
     in ``attrs["fingerprint"]``. Per cohort and per metric (wall, each
     stage wall, compression ratio, throughput, cache hit ratio, and the
     quality auditor's PSNR / max-error-vs-eb) a :class:`MetricBaseline`
-    keeps a bounded window with a lazily refreshed median/MAD pair plus
-    an EWMA.
+    keeps a bounded window, kept sorted as it slides, with a lazily
+    refreshed median/MAD pair plus an EWMA.
 
 **Append-time anomaly scoring.**
     :meth:`AnalyticsEngine.observe` scores each new record against the
@@ -31,10 +30,9 @@ references:
 **Change-point detection with stage attribution.**
     :meth:`AnalyticsEngine.change_points` scans each cohort's run
     sequence for the split that maximizes the median shift in pooled-MAD
-    units; a significant, direction-aware shift past the shared
-    regression threshold (:data:`repro.telemetry.sentinel
-    .DEFAULT_THRESHOLD`) becomes a :class:`ChangePoint` carrying *since
-    which run* (``since_seq`` / ``since_trace_id``). Wall-time change
+    units; a significant, direction-aware shift past
+    :data:`REGRESSION_THRESHOLD` becomes a :class:`ChangePoint` carrying
+    *since which run* (``since_seq`` / ``since_trace_id``). Wall-time change
     points are **attributed**: the per-stage before/after medians name
     which stage (ginterp predict, huffman, lossless, transport, ...)
     moved and what share of the wall shift it explains. Only
@@ -42,7 +40,9 @@ references:
     regression.
 
 Surfaces: ``repro analyze`` (text / ``--json`` / persisted baseline
-files) and gating doctor checks, both over a finished ledger. See
+files, next to the per-group percentiles of
+:func:`repro.telemetry.recorder.aggregate`) and gating doctor checks,
+both over a finished ledger. See
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -52,12 +52,12 @@ import json
 import math
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.telemetry import sentinel
 from repro.telemetry.recorder import RunRecord
 
 __all__ = ["AnalyticsEngine", "MetricBaseline", "Anomaly", "RunScore",
@@ -65,12 +65,17 @@ __all__ = ["AnalyticsEngine", "MetricBaseline", "Anomaly", "RunScore",
            "analyze", "save_baselines", "load_baselines",
            "compare_baselines", "format_report",
            "REPORT_SCHEMA", "BASELINE_SCHEMA", "DEFAULT_WINDOW",
+           "REGRESSION_THRESHOLD",
            "MIN_BASELINE", "Z_THRESHOLD", "REL_FLOOR", "EWMA_ALPHA",
            "MIN_SEGMENT", "MAD_SCALE"]
 
 #: report / baseline-file format versions
 REPORT_SCHEMA = 1
 BASELINE_SCHEMA = 1
+
+#: relative shift in the degrading direction that counts as a regression
+#: (change points and persisted-baseline comparisons)
+REGRESSION_THRESHOLD = 0.25
 
 #: per-(cohort, metric) rolling window backing the median/MAD baseline
 DEFAULT_WINDOW = 128
@@ -143,10 +148,15 @@ def cohort_key(rec: RunRecord) -> tuple[str, str, str, str, str]:
     """``(kind, fingerprint, codec, eb-bucket, transport)`` for a record.
 
     Records without a content fingerprint — decompress runs (the blob
-    does not carry one) and pre-PR-10 ledger lines — fall back to a
-    shape signature (``64x64x64``) so fields of different sizes never
-    share a baseline; with neither, the ``-`` cohort. Tolerated, not
-    rejected.
+    does not carry one) and ledger lines older than the fingerprint —
+    fall back to a shape signature (``64x64x64``) so fields of different
+    sizes never share a baseline; with neither, the ``-`` cohort.
+    Tolerated, not rejected.
+
+    A run that executed inside a pool worker (the parent stamps
+    ``worker_pid`` when it merges the record) is transport ``worker``:
+    workers run side by side with cold caches, so their slab runs must
+    not share a baseline with the parent's serial runs of the same shape.
     """
     fp = rec.attrs.get("fingerprint")
     if not fp:
@@ -155,7 +165,8 @@ def cohort_key(rec: RunRecord) -> tuple[str, str, str, str, str]:
             fp = "x".join(str(int(n)) for n in shape) if shape else "-"
         except (TypeError, ValueError):
             fp = "-"
-    transport = rec.attrs.get("transport") or "serial"
+    transport = rec.attrs.get("transport") or (
+        "worker" if "worker_pid" in rec.attrs else "serial")
     return (rec.kind, str(fp), rec.codec or "-", _eb_bucket(rec),
             str(transport))
 
@@ -198,24 +209,36 @@ def record_metrics(rec: RunRecord) -> dict[str, float]:
         rate = quality.get("outlier_rate")
         if isinstance(rate, (int, float)) and rate > 0:
             out["quality.outlier_rate"] = float(rate)
-    return out
+    # a ledger read from disk may carry NaN, which has no place in the
+    # sorted baseline window
+    return {k: v for k, v in out.items() if not math.isnan(v)}
 
 
 # -- baselines ---------------------------------------------------------------
 
+def _sorted_median(s: list[float]) -> float:
+    """Median of an ascending list, as :func:`numpy.median` computes it
+    (the mean of the two middle values for an even length)."""
+    h = len(s) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
 class MetricBaseline:
     """Rolling robust baseline of one metric within one cohort.
 
-    Keeps a bounded window, an incrementally updated EWMA, and a
-    median/MAD pair refreshed lazily (every append while the window is
-    small, then every few appends) so append-time scoring stays a few
-    microseconds rather than a sort per run.
+    Keeps a bounded window (arrival order, for eviction) beside the same
+    values sorted (``bisect`` insert and remove), an incrementally
+    updated EWMA, and a median/MAD pair refreshed lazily (every append
+    while the window is small, then every few appends). Both statistics
+    read the sorted window, with the values :func:`numpy.median` gives.
     """
 
-    __slots__ = ("values", "ewma", "count", "_median", "_mad", "_dirty")
+    __slots__ = ("values", "_sorted", "ewma", "count", "_median", "_mad",
+                 "_dirty")
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         self.values: deque[float] = deque(maxlen=window)
+        self._sorted: list[float] = []
         self.ewma: float | None = None
         self.count = 0
         self._median = 0.0
@@ -227,9 +250,14 @@ class MetricBaseline:
         return len(self.values)
 
     def _refresh(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        self._median = float(np.median(vals))
-        self._mad = float(np.median(np.abs(vals - self._median)))
+        s = self._sorted
+        m = _sorted_median(s)
+        # |x - m| as two ascending runs (negation is exact), which one
+        # timsort merge orders
+        h = bisect_left(s, m)
+        self._median = m
+        self._mad = _sorted_median(sorted([m - v for v in reversed(s[:h])]
+                                          + [v - m for v in s[h:]]))
         self._dirty = 0
 
     @property
@@ -254,11 +282,16 @@ class MetricBaseline:
         return (x - self.median) / self.sigma()
 
     def update(self, x: float) -> None:
-        self.values.append(float(x))
+        x = float(x)
+        if len(self.values) == self.values.maxlen:
+            s = self._sorted
+            del s[bisect_left(s, self.values[0])]
+        self.values.append(x)
+        insort(self._sorted, x)
         self.count += 1
         self._dirty += 1
-        self.ewma = float(x) if self.ewma is None \
-            else EWMA_ALPHA * float(x) + (1.0 - EWMA_ALPHA) * self.ewma
+        self.ewma = x if self.ewma is None \
+            else EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.ewma
 
     def to_dict(self) -> dict:
         return {"n": self.n, "count": self.count, "median": self.median,
@@ -396,9 +429,7 @@ class AnalyticsEngine:
         self._window = int(window)
         self._min_baseline = int(min_baseline)
         self._z_threshold = float(z_threshold)
-        #: shared with the wall-time sentinel: one definition of "how
-        #: much relative regression is real" across both planes
-        self.regression_threshold = (sentinel.DEFAULT_THRESHOLD
+        self.regression_threshold = (REGRESSION_THRESHOLD
                                      if regression_threshold is None
                                      else float(regression_threshold))
         self._lock = threading.Lock()
@@ -663,7 +694,7 @@ def compare_baselines(report: dict, baseline_doc: dict,
     ``{"cohort", "metric", "baseline", "current", "rel", "regressed"}``
     where ``regressed`` is direction-aware past ``threshold``.
     """
-    thr = sentinel.DEFAULT_THRESHOLD if threshold is None else threshold
+    thr = REGRESSION_THRESHOLD if threshold is None else threshold
     findings: list[dict] = []
     saved = baseline_doc.get("cohorts", {})
     for label, entry in sorted(report.get("cohorts", {}).items()):

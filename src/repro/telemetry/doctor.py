@@ -3,9 +3,8 @@
 The flight recorder (:mod:`repro.telemetry.recorder`) tells you what
 runs happened; the doctor reads a run ledger and says whether the
 *system* looks healthy. It is deliberately structural — it flags states
-that are wrong regardless of machine speed, so unlike the wall-time
-sentinel (:mod:`repro.telemetry.sentinel`, warn-only) its findings can
-gate CI via ``repro doctor --check``:
+that are wrong regardless of machine speed, so its findings can gate CI
+via ``repro doctor --check``, the one regression verdict:
 
 - **error records** — any run that ended in an exception;
 - **warm-cache hit rate** — per cache, lookups across every record
@@ -23,11 +22,11 @@ gate CI via ``repro doctor --check``:
   pool is rebuilt, but a crash is never expected);
 - **quality audits** — sampled error-bound violations are always
   anomalies;
-- **SLO budgets** (when objectives are supplied, e.g. ``repro doctor
-  --slo objectives.json``) — an exhausted error budget
-  (:mod:`repro.telemetry.slo`) is a gating anomaly; an elevated burn
-  rate on a budget that still has slack warns;
-- **ledger analytics drift** (:mod:`repro.telemetry.analytics`) — a
+- **compress ratio floor / wall ceiling** — compress runs that expand
+  their input (ratio under 1x) or take over a minute each gate once
+  they reach :data:`BUDGET` of the judged compress runs;
+- **ledger analytics drift** (:mod:`repro.telemetry.analytics`, whose
+  ``REGRESSION_THRESHOLD`` is the one regression threshold) — a
   sustained, stage-attributed latency regression or a sustained quality
   drift detected over the run sequence gates; a ratio drift and
   per-run anomaly flags warn. Cold-start warm-ups are improvements and
@@ -44,7 +43,8 @@ from dataclasses import dataclass, field
 from repro.telemetry.recorder import RunRecord
 
 __all__ = ["Check", "Diagnosis", "diagnose", "environment_report",
-           "WARM_HIT_THRESHOLD", "UNBUDGETED_BYTES_WARN"]
+           "WARM_HIT_THRESHOLD", "UNBUDGETED_BYTES_WARN", "RATIO_FLOOR",
+           "WALL_CEILING_S", "BUDGET"]
 
 #: minimum acceptable warm (post-cold-fill) cache hit ratio
 WARM_HIT_THRESHOLD = 0.5
@@ -52,6 +52,16 @@ WARM_HIT_THRESHOLD = 0.5
 #: resident bytes above which a cache with *no* byte budget
 #: (``byte_limit`` -1/0) is flagged as growing without bound
 UNBUDGETED_BYTES_WARN = 64 << 20
+
+#: compression ratio a compress run must reach (below it, it expanded)
+RATIO_FLOOR = 1.0
+
+#: seconds a compress run may take
+WALL_CEILING_S = 60.0
+
+#: share of judged compress runs that may miss the floor or the ceiling
+#: before the check gates (the p99 phrasing: fails at >= 1%)
+BUDGET = 0.01
 
 #: worker-resident aggregates where the ``size`` gauge counts daemons,
 #: not cache entries — per-worker cold fills are invisible as size
@@ -168,7 +178,7 @@ def _analytics_checks(records: list[RunRecord], checks: list) -> None:
     A sustained latency regression (with stage attribution when the
     mover is identifiable) or a sustained quality drift is wrong
     regardless of machine speed — the detector compares the ledger
-    against itself, so unlike the wall-time sentinel these can gate.
+    against itself, so these can gate.
     Ratio drifts and per-run anomaly flags warn only.
     """
     from repro.telemetry import analytics as analytics_mod
@@ -201,18 +211,28 @@ def _analytics_checks(records: list[RunRecord], checks: list) -> None:
         gating=False))
 
 
+def _budget_check(checks: list, name: str, what: str,
+                  values: list[float], bad) -> None:
+    """Gate when at least :data:`BUDGET` of ``values`` are ``bad``."""
+    n_bad = sum(1 for v in values if bad(v))
+    if not values:
+        checks.append(Check(name, True, "no compress runs to judge",
+                            gating=False))
+        return
+    checks.append(Check(
+        name, n_bad / len(values) < BUDGET,
+        f"{n_bad}/{len(values)} compress run(s) {what} "
+        f"(allowed: under {BUDGET:.0%})"))
+
+
 def diagnose(records: list[RunRecord],
              warm_hit_threshold: float = WARM_HIT_THRESHOLD,
-             slos=None, analytics: bool = True) -> Diagnosis:
+             analytics: bool = True) -> Diagnosis:
     """Run every structural health check over a list of run records.
 
-    ``slos`` optionally adds one check per
-    :class:`repro.telemetry.slo.SLOSpec`: FAIL when its error budget is
-    exhausted, WARN (non-gating) when the budget holds but the recent
-    burn rate exceeds 1x. ``analytics`` (default on) adds the
-    ledger-analytics drift checks — sustained latency regressions
-    (stage-attributed) and quality drifts gate, ratio drifts and
-    per-run anomaly counts warn.
+    ``analytics`` (default on) adds the ledger-analytics drift checks —
+    sustained latency regressions (stage-attributed) and quality drifts
+    gate, ratio drifts and per-run anomaly counts warn.
     """
     diag = Diagnosis(n_records=len(records))
     checks = diag.checks
@@ -348,27 +368,16 @@ def diagnose(records: list[RunRecord],
             f"{len(workers)} pooled run(s), worker peak RSS "
             f"{peak / 1024:.1f} MiB", gating=False))
 
+    compress = [r for r in records if r.kind == "compress"]
+    _budget_check(checks, "compress ratio floor",
+                  f"under {RATIO_FLOOR:g}x",
+                  [r.ratio for r in compress if r.ratio > 0],
+                  lambda ratio: ratio < RATIO_FLOOR)
+    _budget_check(checks, "compress wall ceiling",
+                  f"over {WALL_CEILING_S:g} s",
+                  [r.wall_s for r in compress],
+                  lambda wall: wall > WALL_CEILING_S)
+
     if analytics and records:
         _analytics_checks(records, checks)
-
-    if slos:
-        from repro.telemetry import slo as slomod
-        for status in slomod.evaluate(records, slos):
-            name = f"slo {status.spec.name}"
-            detail = (f"{status.violations}/{status.n} violation(s), "
-                      f"budget used {status.budget_consumed:.0%}, "
-                      f"burn {status.burn_rate:.2f}x")
-            if not status.n:
-                checks.append(Check(name, True,
-                                    "no judgeable runs in window",
-                                    gating=False))
-            elif status.exhausted:
-                checks.append(Check(name, False,
-                                    detail + " — budget exhausted"))
-            elif status.burn_rate > 1.0:
-                checks.append(Check(name, False,
-                                    detail + " — burning over budget",
-                                    gating=False))
-            else:
-                checks.append(Check(name, True, detail))
     return diag

@@ -24,7 +24,7 @@ orchestrator chose, and — when the opt-in quality auditor ran — the
 sampled error/entropy summary.
 
 The ring persists on demand as a JSONL **run ledger**
-(:func:`write_ledger` / :func:`read_ledger`) which ``repro stats`` and
+(:func:`write_ledger` / :func:`read_ledger`) which ``repro analyze`` and
 ``repro doctor`` aggregate: per-stage latency percentiles, compression-
 ratio distributions, cache health, anomaly flags. See
 ``docs/OBSERVABILITY.md``.
@@ -639,14 +639,14 @@ def read_ledger(path: str) -> list[RunRecord]:
         return from_jsonl(f.read())
 
 
-# -- aggregation (repro stats) ----------------------------------------------
+# -- aggregation (repro analyze) --------------------------------------------
 
 def _percentiles(values: list[float]) -> dict[str, float]:
     vals = sorted(values)
     n = len(vals)
     if n == 0:
         # an empty group (e.g. a ledger with no timed runs) aggregates
-        # to defined zeros instead of crashing the whole stats pass
+        # to defined zeros instead of crashing the whole report
         return {"n": 0, "min": 0.0, "p50": 0.0, "p95": 0.0,
                 "p99": 0.0, "max": 0.0, "mean": 0.0}
 

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import smooth_field
 from repro.cli import main
@@ -92,6 +94,33 @@ class TestCohortKeying:
         assert analytics.cohort_key(big)[1] == "128x128x128"
         assert analytics.cohort_key(small) != analytics.cohort_key(big)
 
+    def test_worker_runs_do_not_share_the_serial_cohort(self):
+        parent = _rec(1, 0.01, fp="", attrs={"shape": [8, 64, 64]},
+                      kind="decompress")
+        worker = _rec(2, 0.02, fp="", attrs={"shape": [8, 64, 64],
+                                             "worker_pid": 4242},
+                      kind="decompress")
+        assert analytics.cohort_key(parent)[4] == "serial"
+        assert analytics.cohort_key(worker)[4] == "worker"
+        # an explicit transport (the pooled request's own record) wins
+        worker.attrs["transport"] = "shm"
+        assert analytics.cohort_key(worker)[4] == "shm"
+
+    def test_slower_worker_runs_after_serial_runs_are_no_regression(self):
+        # a slab round trip: 16 serial slab decodes in the parent, then
+        # the same slabs decoded twice as slow by contended pool workers
+        def slab(seq, wall, **extra):
+            return _rec(seq, wall, {"huffman": wall * 0.6}, fp="",
+                        kind="decompress",
+                        attrs={"shape": [8, 128, 128], **extra})
+        recs = [slab(i + 1, 7e-3 * (1 + 0.02 * (i % 3)))
+                for i in range(16)]
+        recs += [slab(17 + i, 15e-3 * (1 + 0.02 * (i % 3)),
+                      worker_pid=100 + i % 2) for i in range(16)]
+        report = analytics.analyze(recs)
+        assert report["change_points"] == []
+        assert report["n_cohorts"] == 2
+
     def test_eb_decade_buckets(self):
         lo = _rec(1, 0.01, attrs={"abs_eb": 1.2e-4})
         hi = _rec(2, 0.01, attrs={"abs_eb": 9.9e-4})
@@ -107,6 +136,42 @@ class TestCohortKeying:
             engine.observe(_rec(i + 5, 0.02, fp="fB"))
         report = engine.report()
         assert report["n_cohorts"] == 2
+
+
+class TestMetricBaselineWindow:
+    def test_nan_metrics_from_a_ledger_are_dropped(self):
+        nan = float("nan")
+        rec = _rec(1, 0.01, quality_attrs={"abs_eb": nan,
+                                           "max_abs_error": 1.0},
+                   caches={"c": {"hits": nan, "misses": 1}})
+        assert set(analytics.record_metrics(rec)) == {
+            "wall_s", "ratio", "throughput_mb_s"}
+        engine = AnalyticsEngine(window=4)
+        for i in range(12):
+            engine.observe(_rec(i + 1, 0.01 + 1e-4 * i,
+                                quality_attrs={"abs_eb": 1e-3,
+                                               "max_abs_error":
+                                               nan if i % 2 else 5e-4}))
+        label = analytics.cohort_label(analytics.cohort_key(_rec(1, 0.01)))
+        assert engine.baselines()[label]["quality.max_err_rel"]["n"] == 4
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(window=st.integers(1, 40),
+           values=st.lists(st.sampled_from(
+               [0.0, -0.0, 1.0, 1.0, 2.5, -3.0, 1e-9, 7.25, 1e6])
+               | st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
+               max_size=120))
+    def test_median_and_mad_match_numpy(self, window, values):
+        mb = analytics.MetricBaseline(window)
+        for x in values:
+            mb.update(x)
+            mb._refresh()
+            vals = np.asarray(mb.values, dtype=np.float64)
+            med = float(np.median(vals))
+            assert sorted(mb.values) == mb._sorted
+            assert mb.median == med
+            assert mb.mad == float(np.median(np.abs(vals - med)))
 
 
 class TestRecordMetrics:
@@ -371,6 +436,16 @@ class TestAnalyzeCLI:
         assert main(["analyze", str(path)]) == 0
         assert "no run records" in capsys.readouterr().out
 
+    def test_stats_empty_ledger_exits_0(self, tmp_path, capsys):
+        # the former `repro stats` sections of the analyze report
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main(["analyze", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_records"] == 0 and doc["groups"] == {}
+        assert doc["model_deviation"]["checked"] == 0
+        assert doc["model_deviation"]["flagged"] == []
+
     def test_text_and_json_reports(self, tmp_path, capsys):
         path = self._write(tmp_path, _regression_ledger())
         assert main(["analyze", path]) == 0
@@ -399,15 +474,6 @@ class TestAnalyzeCLI:
                      "--check"]) == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out
-
-    def test_stats_empty_ledger_exits_0(self, tmp_path, capsys):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        assert main(["stats", str(path)]) == 0
-        assert "no run records" in capsys.readouterr().out
-        assert main(["stats", str(path), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["n_records"] == 0
 
     def test_doctor_empty_ledger_exits_0(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

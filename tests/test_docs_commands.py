@@ -63,9 +63,9 @@ def test_documented_subcommands_are_registered():
 
 
 def test_scanner_reads_code_spans_only():
-    text = ("the repro package\n```bash\nrepro stats l.jsonl\n"
+    text = ("the repro package\n```bash\nrepro analyze l.jsonl\n"
             "python -m repro.cli doctor --check\nfrom repro import x\n"
             "```\nrun `repro pack/unpack --workers` or "
             "`python -m repro.experiments fig10`\n")
-    assert sorted(_subcommands_in(text)) == ["doctor", "pack", "stats",
+    assert sorted(_subcommands_in(text)) == ["analyze", "doctor", "pack",
                                              "unpack"]

@@ -182,6 +182,12 @@ class TestFingerprintCache:
 
 
 class TestLutPrewarm:
+    @pytest.fixture(autouse=True)
+    def _no_prewarm_in_flight(self):
+        # an earlier test's encode or decode may have left a prewarm
+        # running; only one runs at a time, so a new one would be refused
+        drain_lut_prewarm()
+
     def test_prewarm_then_drain_fills_lut_cache(self):
         from repro.huffman.canonical import (build_lut_tables,
                                              clear_codebook_caches,

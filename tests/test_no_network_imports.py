@@ -2,7 +2,7 @@
 or event-loop stack.
 
 Every observability surface reads a finished run ledger or an exported
-trace (``repro stats`` / ``doctor`` / ``analyze`` / ``trace``); none
+trace (``repro analyze`` / ``doctor`` / ``trace``); none
 listens on a socket. A module that needs ``asyncio``, ``socket``,
 ``http`` or ``urllib`` is a server or client that nothing in the
 evaluation reads, so it does not belong in the package.

@@ -1,5 +1,5 @@
-"""Unit tests for the flight recorder, quality auditor, sentinel,
-doctor, and the ``repro stats`` / ``repro doctor`` CLI surface."""
+"""Unit tests for the flight recorder, quality auditor, doctor, and the
+``repro analyze`` / ``repro doctor`` CLI surface."""
 
 import json
 import time
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_field
-from repro.telemetry import caches, doctor, quality, recorder, sentinel
+from repro.telemetry import caches, doctor, quality, recorder
 from repro.telemetry.recorder import RunRecord
 
 
@@ -286,53 +286,6 @@ class TestQualityAudit:
         assert not quality.should_audit()
 
 
-class TestSentinel:
-    def _doc(self, compiled=0.010, warm=100.0, par=0.050, thr=None):
-        doc = {"schema": 5,
-               "ginterp": {"compiled_compress_s": compiled,
-                           "reference_compress_s": 0.02},
-               "lossless": {"warm_encode_us": warm},
-               "runtime": {"parallel_s": par}}
-        if thr is not None:
-            doc["thresholds"] = thr
-        return doc
-
-    def test_thresholds_from_schema5_baseline(self):
-        thr = sentinel.thresholds_for(self._doc(thr={"ginterp": 0.10}))
-        assert thr["ginterp"] == 0.10
-        assert thr["lossless"] == sentinel.DEFAULT_THRESHOLD
-        # schema < 5 (no thresholds object): all defaults
-        assert all(v == sentinel.DEFAULT_THRESHOLD
-                   for v in sentinel.thresholds_for({}).values())
-
-    def test_regression_gates_per_section(self):
-        base = self._doc()
-        cur = self._doc(compiled=0.014, warm=101.0, par=0.049)
-        findings = sentinel.check(cur, base)
-        by_key = {f.key: f for f in findings}
-        assert by_key["compiled_compress_s"].regressed        # +40%
-        assert not by_key["warm_encode_us"].regressed         # +1%
-        assert not by_key["parallel_s"].regressed             # faster
-        # info metrics never regress, whatever the delta
-        assert not by_key["reference_compress_s"].gating
-
-    def test_baseline_owns_the_thresholds(self):
-        base = self._doc(thr={"ginterp": 0.10})
-        # the PR's fresh emit tries to loosen its own gate: ignored
-        cur = self._doc(compiled=0.012, thr={"ginterp": 10.0})
-        findings = sentinel.check(cur, base)
-        f = next(f for f in findings if f.key == "compiled_compress_s")
-        assert f.threshold == 0.10 and f.regressed            # +20%
-
-    def test_format_github_annotations(self):
-        base, cur = self._doc(), self._doc(compiled=0.020)
-        findings = sentinel.check(cur, base)
-        lines = sentinel.format_findings(findings, github=True)
-        assert lines[0].startswith("::warning::ginterp")
-        plain = sentinel.format_findings(findings)
-        assert "[REGRESSED]" in plain[0]
-
-
 class TestDoctor:
     def test_healthy_ledger(self):
         recs = [_record(caches={"c": {"hits": 0, "misses": 2,
@@ -379,6 +332,23 @@ class TestDoctor:
         bad = _record(seq=2, attrs={"quality": {"eb_exceeded": 4}})
         assert not doctor.diagnose([ok, bad]).healthy
 
+    def test_compress_budget_gates_at_one_percent(self):
+        # one expanding compress in 101 is under the 1% budget; one in
+        # 100 spends it
+        def ledger(n, **bad):
+            return [_record(seq=i, attrs={"bytes_in": 100,
+                                          "bytes_out": 10})
+                    for i in range(n - 1)] + [_record(seq=n, **bad)]
+        expand = {"attrs": {"bytes_in": 100, "bytes_out": 200}}
+        assert doctor.diagnose(ledger(101, **expand),
+                               analytics=False).healthy
+        diag = doctor.diagnose(ledger(100, **expand), analytics=False)
+        assert [c.name for c in diag.anomalies] == ["compress ratio floor"]
+        slow = {"wall_s": doctor.WALL_CEILING_S + 1}
+        assert doctor.diagnose(ledger(101, **slow), analytics=False).healthy
+        diag = doctor.diagnose(ledger(100, **slow), analytics=False)
+        assert [c.name for c in diag.anomalies] == ["compress wall ceiling"]
+
     def test_environment_report(self):
         env = doctor.environment_report()
         assert env["python"] and env["numpy"] != "missing"
@@ -404,40 +374,33 @@ class TestStatsDoctorCLI:
         recorder.write_ledger(str(path))
         return path
 
-    def test_stats_command(self, mixed_ledger, capsys):
+    def test_analyze_prints_group_percentiles(self, mixed_ledger, capsys):
         from repro.cli import main
-        assert main(["stats", str(mixed_ledger)]) == 0
+        assert main(["analyze", str(mixed_ledger)]) == 0
         out = capsys.readouterr().out
         assert "compress[cuszi]" in out
         assert "runtime.map_compress" in out
         assert "p95" in out and "perf model" in out
+        assert "verdict:" in out
 
-    def test_stats_json(self, mixed_ledger, capsys):
+    def test_analyze_json_carries_groups(self, mixed_ledger, capsys):
         from repro.cli import main
-        assert main(["stats", str(mixed_ledger), "--json"]) == 0
+        assert main(["analyze", str(mixed_ledger), "--json",
+                     "--device", "a40"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == 1
         agg = doc["groups"]
-        assert "compress[cuszi]" in agg
+        assert agg == recorder.aggregate(
+            recorder.read_ledger(str(mixed_ledger)))
         assert agg["compress[cuszi]"]["wall_s"]["n"] >= 3
-        # the error-budget section rides along in the same document
-        names = {s["slo"]["name"] for s in doc["slo"]}
-        assert "run_errors" in names and "compress_wall_p99" in names
-        assert all(not s["exhausted"] for s in doc["slo"])
-
-    def test_stats_json_check_embeds_sentinel(self, mixed_ledger,
-                                              capsys, tmp_path):
-        from repro.cli import main
-        bench = tmp_path / "nope.json"      # unreadable -> no-current
-        assert main(["stats", str(mixed_ledger), "--json", "--check",
-                     "--bench", str(bench)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["sentinel"]["status"] == "no-current"
-        assert doc["sentinel"]["findings"] == []
+        dev = doc["model_deviation"]
+        assert dev["device"] == "a40" and dev["checked"] >= 3
+        assert doc["n_cohorts"] >= 1
 
     def test_stats_missing_ledger(self, tmp_path, capsys):
+        # analyze carries the former `repro stats` report
         from repro.cli import main
-        assert main(["stats", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["analyze", str(tmp_path / "nope.jsonl"), "--json",
+                     "--device", "a40"]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_doctor_command(self, mixed_ledger, capsys):
@@ -456,6 +419,24 @@ class TestStatsDoctorCLI:
         assert main(["doctor", str(path)]) == 0         # report only
         assert main(["doctor", str(path), "--check"]) == 1
         assert "anomaly" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad, check", [
+        ({"status": "error"}, "run errors"),
+        ({"attrs": {"quality": {"eb_exceeded": 1}}}, "quality audits"),
+        ({"attrs": {"bytes_in": 100, "bytes_out": 101}},
+         "compress ratio floor"),
+        ({"wall_s": 61.0}, "compress wall ceiling"),
+    ], ids=["run_error", "eb_violation", "ratio_under_1", "wall_over_60s"])
+    def test_doctor_check_fails_each_guardrail(self, tmp_path, capsys,
+                                               bad, check):
+        from repro.cli import main
+        ok = _record(attrs={"bytes_in": 100, "bytes_out": 10})
+        path = tmp_path / "ledger.jsonl"
+        recorder.write_ledger(str(path), [ok])
+        assert main(["doctor", str(path), "--check"]) == 0
+        recorder.write_ledger(str(path), [ok, _record(seq=2, **bad)])
+        assert main(["doctor", str(path), "--check"]) == 1
+        assert f"[FAIL] {check}:" in capsys.readouterr().out
 
 
 class TestCacheRegistryDiff:
