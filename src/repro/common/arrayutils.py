@@ -9,12 +9,16 @@ entropy coding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.common.errors import DataError
 
 __all__ = [
     "validate_field",
+    "validate_layout",
+    "finite_bounds",
     "pad_to_grid",
     "crop_to_shape",
     "value_range",
@@ -31,6 +35,14 @@ def validate_field(data: np.ndarray, *, max_ndim: int = 3) -> np.ndarray:
     :class:`~repro.common.errors.DataError` for anything a compressor cannot
     consume (empty arrays, NaNs/Infs, unsupported dtypes).
     """
+    data = validate_layout(data, max_ndim=max_ndim)
+    finite_bounds(data)
+    return data
+
+
+def validate_layout(data: np.ndarray, *, max_ndim: int = 3) -> np.ndarray:
+    """:func:`validate_field` without its scan of the values, for a
+    caller that scans them once itself with :func:`finite_bounds`."""
     if not isinstance(data, np.ndarray):
         raise DataError(f"expected numpy.ndarray, got {type(data).__name__}")
     if data.ndim < 1 or data.ndim > max_ndim:
@@ -39,10 +51,24 @@ def validate_field(data: np.ndarray, *, max_ndim: int = 3) -> np.ndarray:
         raise DataError("cannot compress an empty array")
     if data.dtype not in (np.float32, np.float64):
         raise DataError(f"unsupported dtype {data.dtype}; use float32/float64")
-    if not np.isfinite(data).all():
-        raise DataError("input contains NaN or Inf; error-bounded "
-                        "compression requires finite data")
     return np.ascontiguousarray(data)
+
+
+def finite_bounds(data: np.ndarray) -> tuple[np.floating, np.floating]:
+    """``(min, max)`` of a non-empty field, as scalars of its dtype.
+
+    One NaN-propagating min/max serves as the finiteness check: any NaN
+    makes both NaN and any ±Inf reaches one of them, so a field with a
+    non-finite value raises :class:`~repro.common.errors.DataError`.
+    ``float(hi - lo)`` is :func:`value_range`, bit for bit.
+    """
+    lo, hi = data.min(), data.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = int(data.size - np.isfinite(data).sum())
+        raise DataError(f"input contains {bad} non-finite value(s) "
+                        f"(NaN/Inf); error-bounded compression requires "
+                        f"finite data")
+    return lo, hi
 
 
 def pad_to_grid(data: np.ndarray, stride: int) -> np.ndarray:

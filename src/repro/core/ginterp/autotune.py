@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.telemetry import caches
+from repro.common.arrayutils import finite_bounds
 from repro.common.errors import DataError
 from repro.core.ginterp.splines import (CUBIC_NAK, CUBIC_NAT,
                                         SPLINE_WEIGHTS)
@@ -231,7 +232,8 @@ def profile_cubic_errors(data: np.ndarray,
 
 
 def autotune(data: np.ndarray, abs_eb: float,
-             samples: int = PROFILE_SAMPLES) -> TuneReport:
+             samples: int = PROFILE_SAMPLES, *,
+             value_range: float | None = None) -> TuneReport:
     """Run the full §V-C profiling-and-auto-tuning kernel.
 
     The data-dependent parts (value range, sampled cubic errors) are
@@ -241,13 +243,16 @@ def autotune(data: np.ndarray, abs_eb: float,
     Non-finite fields are rejected up front: a NaN/Inf sample makes the
     value range (hence ``rel_eb`` and alpha) NaN and poisons the sampled
     spline errors, silently mistuning the whole traversal.
+
+    ``value_range`` is the checked entry for a caller that has already
+    scanned ``data`` with :func:`~repro.common.arrayutils.finite_bounds`:
+    it is that scan's ``float(max - min)``, and this call then makes no
+    such scan of its own.
     """
     global _cache_bytes
-    if not np.isfinite(data).all():
-        bad = int(data.size - np.isfinite(data).sum())
-        raise DataError(
-            f"autotune input contains {bad} non-finite value(s) "
-            f"(NaN/Inf); mask or filter them before tuning")
+    if value_range is None:
+        lo, hi = finite_bounds(data)
+        value_range = float(hi - lo)
     key = _content_key(data, samples)
     with _cache_lock:
         cached = _profile_cache.get(key)
@@ -257,7 +262,7 @@ def autotune(data: np.ndarray, abs_eb: float,
     if cached is not None:
         rng, errors = cached
     else:
-        rng = float(data.max() - data.min())
+        rng = float(value_range)
         errors = profile_cubic_errors(data, samples)
         errors.setflags(write=False)
         with _cache_lock:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.common.arrayutils import finite_bounds
 from repro.common.errors import ConfigError, CorruptStreamError, DataError
 from repro.common.quantizer import LinearQuantizer, check_error_bound
 from repro.core.ginterp.anchors import apply_anchors, extract_anchors
@@ -325,36 +326,38 @@ def _resolve_plan(shape: tuple[int, ...], spec: InterpSpec, plan):
 
 
 def _check_input(data: np.ndarray, eb: float, radius: int,
-                 n_passes: int) -> None:
+                 n_passes: int, bounds=None) -> None:
     """Reject NaN/Inf up front: a single non-finite sample poisons every
     prediction that (even with zero weight) gathers it — ``0.0 * inf``
     is NaN — and would silently destroy the whole field. Reject, too, a
     field so large against its error bound that the reconstruction could
     overflow (:func:`_fits_float64`): the decoders refuse such a stream.
+    ``bounds`` is the :func:`~repro.common.arrayutils.finite_bounds` of
+    ``data`` when the caller has already taken it.
     """
     if not data.size:
         return
-    lo, hi = float(data.min()), float(data.max())   # NaN propagates
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad = int(data.size - np.isfinite(data).sum())
+    lo, hi = finite_bounds(data) if bounds is None else bounds
+    amax = max(-float(lo), float(hi))
+    if not _fits_float64(amax, eb, radius, n_passes):
         raise DataError(
-            f"interpolation input contains {bad} non-finite value(s) "
-            f"(NaN/Inf); mask or filter them before compression")
-    if not _fits_float64(max(-lo, hi), eb, radius, n_passes):
-        raise DataError(
-            f"interpolation input reaches {max(-lo, hi):.3g}; with error "
+            f"interpolation input reaches {amax:.3g}; with error "
             f"bound {eb:.3g} the reconstruction could overflow float64")
 
 
 def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                     quantizer: LinearQuantizer | None = None, *,
-                    plan=None) -> InterpResult:
+                    plan=None, value_bounds=None) -> InterpResult:
     """Run the full interpolation-compression traversal.
 
     ``data`` is the (possibly padded) float field; returns quant-codes in
     pass order, compacted outliers, the float32 anchor grid, and the exact
     reconstruction the decompressor will reproduce. ``plan`` is an
     explicit compiled plan for this geometry (default: the cached one).
+    ``value_bounds`` is the checked entry for a caller that has already
+    taken ``(min, max)`` of ``data``
+    (:func:`~repro.common.arrayutils.finite_bounds`): the NaN/Inf and
+    overflow guards then judge those bounds instead of scanning again.
 
     Each pass predicts, quantizes and reconstructs in one fused step:
     codes land straight in the preallocated stream, and every per-pass
@@ -364,7 +367,8 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
     check_error_bound(eb)
     spec = spec.resolved(data.ndim)
     quantizer = quantizer or LinearQuantizer()
-    _check_input(data, eb, quantizer.radius, data.ndim * spec.n_levels)
+    _check_input(data, eb, quantizer.radius, data.ndim * spec.n_levels,
+                 value_bounds)
     plan = _resolve_plan(data.shape, spec, plan)
     # every sample off the anchor grid is a target of exactly one pass,
     # which writes its reconstruction before any later pass reads it, so

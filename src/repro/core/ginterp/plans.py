@@ -47,17 +47,26 @@ weight only ever sits on an in-domain neighbor (an available one, or
 ``t - s`` for the class a target with no available neighbor gets), so
 no nonzero weight reads the padding.
 
-Plans are LRU-cached per process (:func:`get_plan`), keyed on the geometry
-``(shape, anchor_stride, window_shape, cubic_variant, axis_order)`` —
-``alpha``/``beta`` only scale error bounds and are deliberately excluded,
-so re-tuning the same field at a new error bound, the decompress replay,
-every slab of a stream, and every same-shape field of a batch all hit the
-same compiled plan. Hit/miss counters are exported via the cache
-registry (:mod:`repro.telemetry.caches`) and :func:`plan_cache_stats`.
+Compiled passes are LRU-cached per process and assembled into plans on
+demand (:func:`get_plan`). A pass is keyed on what compiling it reads
+(:func:`_pass_key`): the shape, its stride, axis and entering steps, and
+the window extent and cubic variant of its own axis. ``alpha``/``beta``
+only scale error bounds and are never part of a key, so re-tuning the
+same field at a new error bound, the decompress replay and every slab of
+a stream rebuild nothing; and two tuned plans of one shape that differ
+only in axis order, or in another axis's spline, share the passes they
+have in common. A 3D shape has at most 72 distinct passes across its 48
+(axis order x variant) plans. Passes are not all small: a 2D or 3D
+plan's weight rows hold 10-20 KB, but a 1D plan's about 2 MB (a 1D
+pass that fits one slab keeps one weight per target and neighbor), so
+the cache is bounded in passes (:func:`set_plan_cache_limit`).
+Hit/miss counters are exported via the cache registry
+(:mod:`repro.telemetry.caches`) and :func:`plan_cache_stats`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import threading
@@ -103,16 +112,25 @@ def pass_plan(ndim: int, spec) -> list[PassDesc]:
     each level axes run in ``spec.axis_order``. The per-axis step tuple
     captures which samples are already known when the pass starts.
     """
+    return list(_pass_descs(ndim, spec.anchor_stride,
+                            tuple(spec.axis_order)))
+
+
+@functools.lru_cache(maxsize=256)
+def _pass_descs(ndim: int, anchor_stride: int,
+                axis_order: tuple[int, ...]) -> tuple[PassDesc, ...]:
+    """:func:`pass_plan`, memoized: building the frozen descriptors
+    costs more than assembling a plan from cached passes."""
     passes: list[PassDesc] = []
-    s = spec.anchor_stride // 2
+    s = anchor_stride // 2
     while s >= 1:
         steps = [2 * s] * ndim
-        for ax in spec.axis_order:
+        for ax in axis_order:
             passes.append(PassDesc(level=s.bit_length(), stride=s, axis=ax,
                                    steps=tuple(steps)))
             steps[ax] = s
         s //= 2
-    return passes
+    return tuple(passes)
 
 
 def _axis_indices(shape: tuple[int, ...], p: PassDesc) -> list[np.ndarray]:
@@ -419,10 +437,19 @@ def _compile_pass(shape: tuple[int, ...], spec, p) -> CompiledPass:
 
 
 def _plan_key(shape: tuple[int, ...], spec) -> tuple:
-    """Geometry-only cache key: ``alpha``/``beta`` scale error bounds but
-    never change addressing, so eb re-tunes share the compiled plan."""
+    """Geometry-only plan identity (``PassPlan.key``): ``alpha``/``beta``
+    scale error bounds but never change addressing, so a plan serves
+    every error bound of its geometry."""
     return (tuple(shape), spec.anchor_stride, spec.window_shape,
             spec.cubic_variant, spec.axis_order)
+
+
+def _pass_key(shape: tuple[int, ...], spec, p: PassDesc) -> tuple:
+    """What :func:`_compile_pass` reads: the pass's lattice and the
+    window and spline of its own axis, nothing of the other axes."""
+    window = spec.window_shape[p.axis] if spec.window_shape else None
+    return (shape, p.stride, p.axis, p.steps, window,
+            spec.cubic_variant[p.axis])
 
 
 def compile_plan(shape: tuple[int, ...], spec) -> PassPlan:
@@ -440,67 +467,92 @@ def compile_plan(shape: tuple[int, ...], spec) -> PassPlan:
     return plan
 
 
-# -- per-process LRU cache --------------------------------------------------
+# -- per-process pass cache -------------------------------------------------
 
-_DEFAULT_CACHE_LIMIT = 16
+#: compiled passes kept per process. Mixed-shape batches tune many axis
+#: orders and splines per shape, and those plans share most passes: the
+#: ``archive-mixed`` bench workload (8 shapes, 3 error bounds) needs 52
+#: plans but only 168 distinct passes at seed 1
+_DEFAULT_CACHE_LIMIT = 168
 
 _cache_lock = threading.Lock()
-_plan_cache: OrderedDict[tuple, PassPlan] = OrderedDict()
+_pass_cache: OrderedDict[tuple, CompiledPass] = OrderedDict()
 _cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
 _cache_limit = _DEFAULT_CACHE_LIMIT
-#: running ``PassPlan.nbytes`` total of the cached plans, so a registry
-#: snapshot never walks the entries
+#: running ``CompiledPass.nbytes`` total of the cached passes, so a
+#: registry snapshot never walks the entries
 _cache_bytes = 0
 
 
 def _evict_over_limit() -> None:
-    """Drop least-recently-used plans past the limit (lock held)."""
+    """Drop least-recently-used passes past the limit (lock held)."""
     global _cache_bytes
-    while len(_plan_cache) > _cache_limit:
-        _, evicted = _plan_cache.popitem(last=False)
+    while len(_pass_cache) > _cache_limit:
+        _, evicted = _pass_cache.popitem(last=False)
         _cache_bytes -= evicted.nbytes
         _cache_stats["evictions"] += 1
 
 
 def get_plan(shape: tuple[int, ...], spec) -> PassPlan:
-    """The compiled plan for ``(shape, spec)``, LRU-cached per process."""
+    """The plan for ``(shape, spec)``, assembled from cached passes.
+
+    Each pass is compiled once per process and shared by every plan
+    that runs it (:func:`_pass_key`). A call that compiles no pass counts
+    as a cache hit, one that compiles any as a miss.
+    """
     global _cache_bytes
     shape = tuple(int(n) for n in shape)
     spec = spec.resolved(len(shape))
-    key = _plan_key(shape, spec)
+    descs = _pass_descs(len(shape), spec.anchor_stride, spec.axis_order)
+    keys = [_pass_key(shape, spec, p) for p in descs]
     with _cache_lock:
-        plan = _plan_cache.get(key)
-        if plan is not None:
-            _plan_cache.move_to_end(key)
+        passes = [_pass_cache.get(k) for k in keys]
+        for k, cp in zip(keys, passes):
+            if cp is not None:
+                _pass_cache.move_to_end(k)
+        if None not in passes:
             _cache_stats["hits"] += 1
-    if plan is not None:
-        return plan
-    plan = compile_plan(shape, spec)
-    with _cache_lock:
-        _cache_stats["misses"] += 1
-        # a racing miss on the same key replaces the plan it inserted
-        old = _plan_cache.pop(key, None)
-        if old is not None:
-            _cache_bytes -= old.nbytes
-        _plan_cache[key] = plan
-        _cache_bytes += plan.nbytes
-        _evict_over_limit()
-    return plan
+    t0 = time.perf_counter()
+    if None in passes:
+        with telemetry.span("ginterp.plan_compile",
+                            shape=list(shape)) as sp:
+            fresh = {}
+            for n, p in enumerate(descs):
+                if passes[n] is None:
+                    passes[n] = fresh[keys[n]] = _compile_pass(shape, spec,
+                                                               p)
+            sp.set(n_passes=len(fresh),
+                   plan_nbytes=sum(cp.nbytes for cp in fresh.values()))
+        with _cache_lock:
+            _cache_stats["misses"] += 1
+            for k, cp in fresh.items():
+                # a racing miss on the same key replaces the pass it
+                # inserted
+                old = _pass_cache.pop(k, None)
+                if old is not None:
+                    _cache_bytes -= old.nbytes
+                _pass_cache[k] = cp
+                _cache_bytes += cp.nbytes
+            _evict_over_limit()
+    return PassPlan(shape=shape, key=_plan_key(shape, spec),
+                    passes=tuple(passes),
+                    compile_s=time.perf_counter() - t0)
 
 
 def plan_cache_stats() -> dict[str, int]:
-    """Snapshot of the plan cache hit/miss counters and occupancy."""
+    """Snapshot of the pass cache: ``hits``/``misses`` count
+    :func:`get_plan` calls, ``size``/``limit``/``evictions`` passes."""
     with _cache_lock:
-        return {**_cache_stats, "size": len(_plan_cache),
+        return {**_cache_stats, "size": len(_pass_cache),
                 "limit": _cache_limit,
                 "size_bytes": _cache_bytes}
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset the counters (mainly for tests)."""
+    """Drop every cached pass and reset the counters (mainly for tests)."""
     global _cache_bytes
     with _cache_lock:
-        _plan_cache.clear()
+        _pass_cache.clear()
         _cache_bytes = 0
         _cache_stats["hits"] = 0
         _cache_stats["misses"] = 0
@@ -508,7 +560,7 @@ def clear_plan_cache() -> None:
 
 
 def set_plan_cache_limit(limit: int) -> int:
-    """Resize the LRU (returns the previous limit; mainly for tests)."""
+    """Resize the pass cache, in passes (returns the previous limit)."""
     global _cache_limit
     if limit < 1:
         raise ConfigError(f"plan cache limit must be >= 1, got {limit}")

@@ -18,8 +18,9 @@ import numpy as np
 from repro import telemetry
 from repro.telemetry import quality, recorder
 
-from repro.common.arrayutils import (crop_to_shape, pad_to_grid,
-                                     validate_field, value_range)
+from repro.common.arrayutils import (crop_to_shape, finite_bounds,
+                                     pad_to_grid, validate_layout,
+                                     value_range)
 from repro.common.container import build_container, parse_container
 from repro.common.errors import CodecError, ConfigError
 from repro.common.lossless_wrap import (framed_codec, unwrap_lossless,
@@ -184,12 +185,12 @@ class CuSZi:
     def _build_spec(self, padded: np.ndarray, abs_eb: float, rng: float
                     ) -> tuple[InterpSpec, dict]:
         """The traversal spec and tuning record; ``rng`` is the field's
-        value range, which edge padding preserves."""
+        checked value range, which edge padding preserves."""
         stride, window = self._geometry(padded.ndim)
         rel_eb = abs_eb / rng if rng > 0 else 1.0
         tuning: dict = {}
         if self.tune:
-            report = autotune(padded, abs_eb)
+            report = autotune(padded, abs_eb, value_range=rng)
             cubic = report.cubic_variant
             order = report.axis_order
             if window is not None:
@@ -236,10 +237,13 @@ class CuSZi:
 
     def _compress_traced(self, data: np.ndarray, cap
                          ) -> tuple[bytes, CompressionStats]:
-        data = validate_field(data)
+        data = validate_layout(data)
+        # the compress's one scan of the input: its min/max is the
+        # finiteness check, the rel bound's range, autotune's range and
+        # the traversal's overflow bound (edge padding keeps all four)
+        lo, hi = finite_bounds(data)
         check_error_bound(self.eb)
-        # one scan serves the rel bound and the spec's alpha
-        rng = value_range(data)
+        rng = float(hi - lo)
         abs_eb = _absolute_eb(self.eb, self.mode, rng)
         quantizer = LinearQuantizer(self.radius, value_dtype=data.dtype)
 
@@ -253,7 +257,7 @@ class CuSZi:
             plan = get_plan(padded.shape, spec.resolved(padded.ndim))
         with cap.stage("predict", bytes_in=data.nbytes) as sp:
             result = interp_compress(padded, spec, abs_eb, quantizer,
-                                     plan=plan)
+                                     plan=plan, value_bounds=(lo, hi))
             sp.set(segment="anchors",
                    segment_nbytes=result.anchors.nbytes,
                    codes_nbytes=result.codes.nbytes,

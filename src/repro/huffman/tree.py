@@ -2,11 +2,15 @@
 
 The codebook is built on the CPU (paper §VI-A: with G-Interp's concentrated
 histograms, a GPU tree build is not worthwhile; cuSZ-i moves it host-side at
-~200 us end-to-end). We build the optimal tree with a heap, then limit code
-lengths to :data:`repro.huffman.canonical.MAX_CODE_LEN` so every codeword
-fits one 16-bit decode window — the standard trick of clamping and then
-restoring the Kraft inequality by lengthening the cheapest (least frequent)
-short codes.
+~200 us end-to-end). We build the optimal tree with a two-queue merge
+(the leaves sorted by weight, and a FIFO of internal nodes), which makes
+the same merges a heap would, in linear time after the sort. Code
+lengths are then limited to :data:`repro.huffman.canonical.MAX_CODE_LEN`
+so every codeword fits one 16-bit decode window — the standard trick of
+clamping and then restoring the Kraft inequality by lengthening the
+cheapest (least frequent) short codes, one cumsum per sweep over them.
+The heap version is kept as the test oracle
+(``tests/oracles.py::code_lengths_heap``).
 
 :func:`fingerprint_code_lengths` layers a **quantized-fingerprint cache**
 on top: the histogram is reduced to its support plus quarter-``log2``
@@ -21,10 +25,9 @@ inputs, warm or cold, serial or pooled.
 
 from __future__ import annotations
 
-import heapq
+import math
 import threading
 from collections import OrderedDict
-from itertools import count
 
 import numpy as np
 
@@ -55,14 +58,16 @@ _fp_bytes = 0
 def _tree_lengths(freqs: np.ndarray) -> np.ndarray:
     """Unrestricted optimal code lengths for the nonzero-frequency symbols.
 
-    Heap merge over parent pointers: each merge records only the two
-    children's parent node, and leaf depths are recovered afterwards by
-    one reverse sweep over the creation-ordered node array (a parent is
-    always created after its children). Merge order — and therefore the
-    resulting lengths — is identical to the classic subtree-list variant
-    because the unique tiebreak counter decides every weight tie before
-    payloads would ever be compared; this just drops the O(alphabet)
-    list concatenation from every merge.
+    Two-queue merge: the leaves sorted stably by weight, and a FIFO of
+    internal nodes, whose weights never decrease in creation order. Each
+    step merges the two lightest queue fronts, the leaf winning a weight
+    tie. A heap keyed on ``(weight, counter)`` with leaves counted first,
+    in symbol order, pops nodes in exactly this order, so the lengths
+    (and every stream byte) match it. Each merge records only the
+    children's parent; depths follow from one reverse sweep over the
+    internal nodes (a parent is always created after its children). The
+    merge and the sweep run on Python lists: a NumPy scalar per step
+    costs more than the step.
     """
     sym = np.flatnonzero(freqs)
     lengths = np.zeros(freqs.size, dtype=np.int64)
@@ -72,24 +77,37 @@ def _tree_lengths(freqs: np.ndarray) -> np.ndarray:
         lengths[sym[0]] = 1  # a lone symbol still needs one bit per element
         return lengths
     m = sym.size
-    tiebreak = count()
-    heap: list[tuple[int, int, int]] = [
-        (int(freqs[s]), next(tiebreak), i) for i, s in enumerate(sym)
-    ]
-    heapq.heapify(heap)
-    parent = np.zeros(2 * m - 1, dtype=np.int64)
-    next_id = m
-    while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        parent[n1] = next_id
-        parent[n2] = next_id
-        heapq.heappush(heap, (w1 + w2, next(tiebreak), next_id))
-        next_id += 1
-    depth = np.zeros(next_id, dtype=np.int64)
-    for node in range(next_id - 2, -1, -1):
-        depth[node] = depth[parent[node]] + 1
-    lengths[sym] = depth[:m]
+    order = np.argsort(freqs[sym], kind="stable")
+    # node ids: leaves 0..m-1 in sorted order, internal nodes m.. in
+    # creation order; ``parent`` holds the parent's creation index k
+    # (node m + k). An infinite weight closes each queue, so neither
+    # front needs a bounds check (two live nodes remain at every merge)
+    leaf_w = freqs[sym[order]].tolist() + [math.inf]
+    node_w = [math.inf] * (m - 1)   # internal node m + k weighs node_w[k]
+    parent = [0] * (2 * m - 1)
+    i = j = 0
+    for k in range(m - 1):
+        if node_w[j] < leaf_w[i]:   # the leaf wins a weight tie
+            a = node_w[j]
+            parent[m + j] = k
+            j += 1
+        else:
+            a = leaf_w[i]
+            parent[i] = k
+            i += 1
+        if node_w[j] < leaf_w[i]:
+            a += node_w[j]
+            parent[m + j] = k
+            j += 1
+        else:
+            a += leaf_w[i]
+            parent[i] = k
+            i += 1
+        node_w[k] = a
+    depth = [0] * (m - 1)           # internal node m + k at depth[k]
+    for k in range(m - 3, -1, -1):
+        depth[k] = depth[parent[m + k]] + 1
+    lengths[sym[order]] = np.take(depth, parent[:m]) + 1
     return lengths
 
 
@@ -118,23 +136,21 @@ def code_lengths(freqs: np.ndarray, max_len: int) -> np.ndarray:
 
     # Kraft sum in units of 2^-max_len; must come down to <= 2^max_len.
     unit = 1 << max_len
-    kraft = int(np.sum((unit >> lengths[lengths > 0]).astype(np.int64)))
-    if kraft > unit:
-        # lengthen least-frequent symbols first; each +1 on a symbol of
-        # length l releases 2^(max_len - l - 1) units.
-        order = np.flatnonzero(freqs)
-        order = order[np.argsort(freqs[order], kind="stable")]
-        while kraft > unit:
-            progressed = False
-            for s in order:
-                if lengths[s] < max_len:
-                    kraft -= unit >> (lengths[s] + 1)
-                    lengths[s] += 1
-                    progressed = True
-                    if kraft <= unit:
-                        break
-            if not progressed:  # pragma: no cover - guarded by n_used check
-                raise CodecError("cannot satisfy Kraft inequality")
+    kraft = int(np.sum(unit >> lengths[lengths > 0]))
+    # lengthen least-frequent symbols first, one sweep over them at a
+    # time; each +1 on a symbol of length l releases 2^(max_len - l - 1)
+    # units, and a sweep stops at the first symbol that brings the sum
+    # down to the limit (one cumsum finds it)
+    order = np.flatnonzero(freqs)
+    order = order[np.argsort(freqs[order], kind="stable")]
+    while kraft > unit:
+        live = order[lengths[order] < max_len]
+        if not live.size:  # pragma: no cover - guarded by n_used check
+            raise CodecError("cannot satisfy Kraft inequality")
+        released = np.cumsum(unit >> (lengths[live] + 1))
+        stop = int(np.searchsorted(released, kraft - unit)) + 1
+        lengths[live[:stop]] += 1
+        kraft -= int(released[min(stop, live.size) - 1])
     return lengths
 
 

@@ -70,10 +70,10 @@ _INITIAL_DECODE_RATIO = 24.0
 _POLL_S = 0.2
 
 #: per-worker entry floor applied to the worker-resident LRUs (compiled
-#: plans, autotune profiles); ``REPRO_WORKER_CACHE_LIMIT`` overrides.
-#: The old implicit limits (16 plans / 32 profiles) thrashed on
-#: many-field batches — the committed bench showed 19 evictions at a
-#: 43% hit ratio — while the entries themselves are small
+#: passes, autotune profiles); ``REPRO_WORKER_CACHE_LIMIT`` overrides.
+#: The autotune LRU's implicit 32 profiles thrashed on many-field
+#: batches; the pass cache's own default (168 passes) is already above
+#: this floor, so only a larger override raises it
 DEFAULT_WORKER_CACHE_LIMIT = 64
 
 

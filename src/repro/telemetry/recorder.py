@@ -718,7 +718,10 @@ def model_deviation(rec: RunRecord, device: str = "a100",
     Returns ``{"stages": {stage: {"measured_share", "modelled_share",
     "skew", "flagged"}}, "flagged": bool, "modelled_total_s":
     float}`` or ``None`` when the record cannot be modelled (unknown
-    codec/direction, missing attributes)."""
+    codec/direction, missing attributes). A stage the model does not
+    price (the passthrough ``lossless`` stage of a ``lossless="none"``
+    run) has no share to compare against: it is left out of ``stages``
+    and of the measured total, so every skew is finite."""
     from repro.gpu.device import DEVICES
     from repro.gpu.perfmodel import estimate_throughput
     from repro.telemetry.crosscheck import (COMPRESSED_ATTR,
@@ -743,7 +746,8 @@ def model_deviation(rec: RunRecord, device: str = "a100",
     modelled = {stage: sum(kernel_s.get(n, 0.0) for n in names)
                 for stage, names
                 in MODEL_STAGES[(rec.codec, rec.kind)].items()}
-    m_total = sum(measured.values())
+    modelled = {stage: s for stage, s in modelled.items() if s > 0}
+    m_total = sum(measured.get(stage, 0.0) for stage in modelled)
     mod_total = sum(modelled.values())
     if not m_total or not mod_total:
         return None
@@ -752,7 +756,7 @@ def model_deviation(rec: RunRecord, device: str = "a100",
     for stage in modelled:
         ms = measured.get(stage, 0.0) / m_total
         os_ = modelled[stage] / mod_total
-        skew = ms / os_ if os_ > 0 else (float("inf") if ms else 1.0)
+        skew = ms / os_
         flag = skew > skew_threshold or \
             (skew > 0 and skew < 1.0 / skew_threshold)
         flagged = flagged or flag

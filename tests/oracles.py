@@ -20,19 +20,26 @@ emits must match them byte for byte:
 * :func:`canonical_codebook_loop` — canonical code assignment one
   symbol at a time. Oracle for the vectorized
   :func:`repro.huffman.canonical.canonical_order`.
+* :func:`code_lengths_heap` — the length-limited Huffman tree built
+  with a heap (``(weight, counter)`` entries) and Kraft-repaired one
+  symbol at a time. Oracle for the two-queue merge and the cumsum repair
+  of :func:`repro.huffman.tree.code_lengths`.
 * :func:`encode_loop` — the byte-plane emitter (:func:`pack_varbits`)
   over the same codebook, with the gap-array chunk table derived its own
   way (a ``bincount`` of each codeword's chunk). Oracle for the
   pair-table encoder, its four-codeword units and its symbol-granular
   chunk layout.
 
-Both traversals accept (and ignore) ``plan=`` so they can stand in for
+Both traversals accept (and ignore) ``plan=``, and the compressor
+accepts ``value_bounds=``, so they can stand in for
 ``repro.core.pipeline.interp_compress`` / ``interp_decompress``.
 """
 
 from __future__ import annotations
 
+import heapq
 import zlib
+from itertools import count
 
 import numpy as np
 
@@ -105,11 +112,13 @@ def _pass_predict(work_flat: np.ndarray, shape: tuple[int, ...],
 
 def reference_compress(data: np.ndarray, spec: InterpSpec, eb: float,
                        quantizer: LinearQuantizer | None = None, *,
-                       plan=None) -> InterpResult:
-    """The uncompiled compression traversal (``plan`` is ignored)."""
+                       plan=None, value_bounds=None) -> InterpResult:
+    """The uncompiled compression traversal (``plan`` is ignored;
+    ``value_bounds`` stands in for the input scan, as in the library)."""
     spec = spec.resolved(data.ndim)
     quantizer = quantizer or LinearQuantizer()
-    _check_input(data, eb, quantizer.radius, data.ndim * spec.n_levels)
+    _check_input(data, eb, quantizer.radius, data.ndim * spec.n_levels,
+                 value_bounds)
     work = data.astype(np.float64, copy=True)
     anchors = extract_anchors(work, spec.anchor_stride,
                               quantizer.value_dtype)
@@ -265,6 +274,60 @@ def expand_lut_flat(lengths: np.ndarray, probe_bits: int) -> tuple:
 #: widest variable-length codeword :func:`pack_varbits` accepts; the staged
 #: word must hold ``width + 7`` alignment bits inside a uint32 byte triple
 _MAX_VARWIDTH = 24
+
+
+def code_lengths_heap(freqs: np.ndarray, max_len: int) -> np.ndarray:
+    """Length-limited Huffman code lengths from a heap merge.
+
+    Each heap entry is ``(weight, counter, node)``; the leaves get the
+    first counters, in symbol order, so every weight tie is decided by
+    the counter. Over-long codes are clamped to ``max_len`` and the Kraft
+    sum is repaired by lengthening the least frequent symbols, one at a
+    time, sweep after sweep.
+    """
+    freqs = np.asarray(freqs, dtype=np.int64).ravel()
+    if np.any(freqs < 0):
+        raise CodecError("negative frequency")
+    if int(np.count_nonzero(freqs)) > (1 << max_len):
+        raise CodecError("too many symbols for the code length")
+    sym = np.flatnonzero(freqs)
+    lengths = np.zeros(freqs.size, dtype=np.int64)
+    if sym.size == 0:
+        return lengths
+    if sym.size == 1:
+        lengths[sym[0]] = 1
+        return lengths
+    m = sym.size
+    tiebreak = count()
+    heap = [(int(freqs[s]), next(tiebreak), i) for i, s in enumerate(sym)]
+    heapq.heapify(heap)
+    parent = np.zeros(2 * m - 1, dtype=np.int64)
+    next_id = m
+    while len(heap) > 1:
+        w1, _, n1 = heapq.heappop(heap)
+        w2, _, n2 = heapq.heappop(heap)
+        parent[n1] = parent[n2] = next_id
+        heapq.heappush(heap, (w1 + w2, next(tiebreak), next_id))
+        next_id += 1
+    depth = np.zeros(next_id, dtype=np.int64)
+    for node in range(next_id - 2, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths[sym] = depth[:m]
+    over = lengths > max_len
+    if not np.any(over):
+        return lengths
+    lengths[over] = max_len
+    unit = 1 << max_len
+    kraft = int(np.sum(unit >> lengths[lengths > 0]))
+    order = sym[np.argsort(freqs[sym], kind="stable")]
+    while kraft > unit:
+        for s in order:
+            if lengths[s] < max_len:
+                kraft -= unit >> (int(lengths[s]) + 1)
+                lengths[s] += 1
+                if kraft <= unit:
+                    break
+    return lengths
 
 
 def pack_varbits(codes: np.ndarray, lengths: np.ndarray,

@@ -141,7 +141,7 @@ def test_plan_cache_keeps_running_bytes(ops):
                 plans.set_plan_cache_limit(op[1])
             else:
                 plans.clear_plan_cache()
-            recount = sum(p.nbytes for p in plans._plan_cache.values())
+            recount = sum(p.nbytes for p in plans._pass_cache.values())
             assert _reported("ginterp.plan") == recount
     finally:
         plans.set_plan_cache_limit(saved)
@@ -254,7 +254,7 @@ def test_snapshot_walks_no_entries(name, monkeypatch):
     targets = {"huffman.codebook": (canonical, "_codebook_cache"),
                "huffman.lut": (canonical, "_lut_cache"),
                "huffman.fingerprint": (tree, "_fp_cache"),
-               "ginterp.plan": (plans, "_plan_cache"),
+               "ginterp.plan": (plans, "_pass_cache"),
                "ginterp.autotune": (autotune_mod, "_profile_cache")}
     codec = orc.OrchestratorCodec()
     codec.compress_bytes(bytes(5000))

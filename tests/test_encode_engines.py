@@ -1,10 +1,14 @@
 """Huffman encode equivalence against the byte-plane oracle.
 
-The encoder (packed pair gather + word scatter-OR) must be
-byte-identical to the byte-plane oracle ``oracles.encode_loop`` on every
-stream the codec accepts: the two only differ in how bits are emitted,
-never in layout. Also covers the histogram fast paths and the
-fingerprint codebook cache that back the encode hot path.
+The encoder codes uint8 band ranks two at a time through a per-codebook
+pair table (escaped pairs recoded from the per-symbol codebook), merges
+adjacent pairs into 64-bit units of four codewords, lays out the
+gap-array chunk table at symbol granularity and packs the units with
+``pack_varbits64``. It must be byte-identical to the byte-plane oracle
+``oracles.encode_loop``, which emits one codeword at a time and counts
+its chunk table its own way, on every stream the codec accepts. Also
+covers ``pack_varbits64``, the histogram fast paths, the fingerprint
+codebook cache and the decode-LUT prewarm that back the encode hot path.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from repro.common.errors import CodecError
 from repro.huffman import (MAX_CODE_LEN, HuffmanStream, canonical_codebook,
                            canonical_order, code_lengths, histogram,
-                           huffman_decode, huffman_encode, topk_coverage)
+                           histogram_fingerprint, huffman_decode,
+                           huffman_encode, topk_coverage)
 
-from oracles import build_decode_table
+from oracles import build_decode_table, code_lengths_heap
 
 
 class TestHistogram:
@@ -79,6 +80,66 @@ class TestCodeLengths:
     def test_negative_freq_rejected(self):
         with pytest.raises(CodecError):
             code_lengths(np.array([-1, 2]), 8)
+
+
+@st.composite
+def _histograms(draw):
+    """``(freqs, max_len)``: alphabets of 2-65536 with up to 600 used
+    symbols, weights tie-heavy, Zipf, spread over 40 octaves (deep
+    trees, so the Kraft repair runs) or a fingerprint's representative
+    vector, and any code-length limit the used symbols fit."""
+    alphabet = draw(st.integers(2, 1 << 16))
+    n_used = draw(st.integers(1, min(alphabet, 600)))
+    kind = draw(st.sampled_from(["ties", "zipf", "wide", "fingerprint"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        weights = rng.integers(1, 4, n_used)
+    elif kind == "wide":
+        weights = np.rint(2.0 ** rng.uniform(0, 40, n_used))
+    else:
+        weights = rng.zipf(1.3, n_used)
+    freqs = np.zeros(alphabet, dtype=np.int64)
+    freqs[rng.choice(alphabet, n_used, replace=False)] = weights
+    if kind == "fingerprint":
+        freqs = histogram_fingerprint(freqs)[1]
+    min_len = max(1, (n_used - 1).bit_length())
+    return freqs, draw(st.integers(min_len, MAX_CODE_LEN))
+
+
+class TestTwoQueueMerge:
+    """The two-queue tree against the heap oracle: the same
+    length for every symbol, so every stream byte stays the same."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_histograms())
+    def test_matches_heap_oracle(self, case):
+        freqs, max_len = case
+        np.testing.assert_array_equal(code_lengths(freqs, max_len),
+                                      code_lengths_heap(freqs, max_len))
+
+    @pytest.mark.parametrize("weights", ["ones", "zipf", "fingerprint"])
+    def test_full_16_bit_alphabet(self, weights, rng):
+        """All 65536 symbols used: flat ties, and skewed weights whose
+        optimal tree is far deeper than 16 bits."""
+        if weights == "ones":
+            freqs = np.ones(1 << 16, dtype=np.int64)
+        else:
+            freqs = rng.zipf(1.2, 1 << 16).astype(np.int64)
+            if weights == "fingerprint":
+                freqs = histogram_fingerprint(freqs)[1]
+        got = code_lengths(freqs, MAX_CODE_LEN)
+        np.testing.assert_array_equal(got, code_lengths_heap(freqs,
+                                                             MAX_CODE_LEN))
+        assert np.sum(2.0 ** -got.astype(float)) <= 1.0
+
+    def test_kraft_repair_over_many_sweeps(self):
+        """Fibonacci weights give a path-shaped tree: clamping it to 5
+        bits needs several repair sweeps."""
+        freqs = np.array([1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233,
+                          377, 610, 987, 1597, 2584, 4181, 6765])
+        for max_len in range(5, 20):
+            np.testing.assert_array_equal(code_lengths(freqs, max_len),
+                                          code_lengths_heap(freqs, max_len))
 
 
 class TestCanonical:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import assert_error_bounded, smooth_field
 from repro.common.container import parse_container
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, DataError
 from repro.common.lossless_wrap import unwrap_lossless
 from repro.core.pipeline import (CuSZi, DEFAULT_ANCHOR_STRIDE,
                                  DEFAULT_WINDOW, resolve_eb)
@@ -170,3 +170,97 @@ class TestStatsDegenerateInputs:
         recon = c.decompress(c.compress(data))
         assert recon.shape == (1, 1)
         assert abs(float(recon[0, 0]) - 7.5) <= 1e-3
+
+
+def _with_bad_value(bad, dtype=np.float32):
+    data = smooth_field((20, 24, 28)).astype(dtype)
+    data[4, 5, 6] = bad
+    return data
+
+
+def _overflowing():
+    """Finite, but so large that a reconstruction could overflow."""
+    data = np.full((16, 16), 5e307)
+    data[3, 5] = -5e307
+    return data
+
+
+_BAD = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+
+
+class TestOneRangeScan:
+    """A cuSZ-i compress takes one min/max of its input, for the
+    finiteness check, the rel bound, autotune and the overflow bound;
+    every public entry point still guards on its own."""
+
+    @_BAD
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_validate_field_rejects(self, bad, dtype):
+        from repro.common.arrayutils import validate_field
+        with pytest.raises(DataError):
+            validate_field(_with_bad_value(bad, dtype))
+
+    @_BAD
+    def test_finite_bounds_rejects(self, bad):
+        from repro.common.arrayutils import finite_bounds
+        with pytest.raises(DataError, match="non-finite"):
+            finite_bounds(_with_bad_value(bad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_bounds_range_is_value_range(self, dtype):
+        from repro.common.arrayutils import finite_bounds, value_range
+        data = smooth_field((9, 10, 11)).astype(dtype) * 1e3 + 0.1
+        lo, hi = finite_bounds(data)
+        assert lo.dtype == dtype and hi.dtype == dtype
+        assert float(hi - lo) == value_range(data)
+
+    @_BAD
+    def test_autotune_rejects(self, bad):
+        from repro.core.ginterp.autotune import autotune
+        with pytest.raises(DataError, match="non-finite"):
+            autotune(_with_bad_value(bad), 1e-3)
+
+    @_BAD
+    def test_interp_compress_rejects(self, bad):
+        from repro.core.ginterp import InterpSpec, interp_compress
+        with pytest.raises(DataError, match="non-finite"):
+            interp_compress(_with_bad_value(bad), InterpSpec(), 1e-3)
+
+    def test_interp_compress_rejects_overflow(self):
+        from repro.core.ginterp import InterpSpec, interp_compress
+        with pytest.raises(DataError, match="overflow"):
+            interp_compress(_overflowing(), InterpSpec(anchor_stride=8),
+                            1e-3)
+
+    @_BAD
+    @pytest.mark.parametrize("mode", ["abs", "rel"])
+    def test_compress_rejects(self, bad, mode):
+        with pytest.raises(DataError, match="non-finite"):
+            CuSZi(eb=1e-3, mode=mode).compress(_with_bad_value(bad))
+
+    def test_compress_rejects_overflow(self):
+        with pytest.raises(DataError, match="overflow"):
+            CuSZi(eb=1e-3, mode="abs").compress(_overflowing())
+
+    def test_compress_hands_its_scan_down(self, monkeypatch):
+        """autotune and the traversal get the pipeline's range and
+        bounds, so neither scans the input again."""
+        import repro.core.pipeline as pipeline
+        seen = {}
+
+        def spy(name):
+            real = getattr(pipeline, name)
+
+            def call(*args, **kwargs):
+                seen[name] = kwargs
+                return real(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, call)
+
+        spy("autotune")
+        spy("interp_compress")
+        data = smooth_field((20, 24, 28))
+        CuSZi(eb=1e-3, mode="rel").compress(data)
+        assert seen["autotune"]["value_range"] == float(data.max()
+                                                        - data.min())
+        lo, hi = seen["interp_compress"]["value_bounds"]
+        assert (lo, hi) == (data.min(), data.max())

@@ -6,6 +6,7 @@ tests compare full streams with ``tobytes()``, not ``allclose``.
 """
 
 import concurrent.futures
+import itertools
 import multiprocessing
 from unittest import mock
 
@@ -211,11 +212,17 @@ class TestPlanCache:
     def teardown_method(self):
         clear_plan_cache()
 
+    @staticmethod
+    def _same_plan(a, b):
+        """One plan: the same key, made of the very same passes."""
+        return a.key == b.key and len(a.passes) == len(b.passes) and all(
+            x is y for x, y in zip(a.passes, b.passes))
+
     def test_hit_and_identity(self):
         spec = InterpSpec(anchor_stride=8).resolved(2)
         p1 = get_plan((32, 32), spec)
         p2 = get_plan((32, 32), spec)
-        assert p1 is p2
+        assert self._same_plan(p1, p2)
         stats = plan_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
@@ -223,14 +230,114 @@ class TestPlanCache:
         base = InterpSpec(anchor_stride=8).resolved(2)
         tuned = InterpSpec(anchor_stride=8, alpha=1.75,
                            beta=4.0).resolved(2)
-        assert get_plan((32, 32), base) is get_plan((32, 32), tuned)
+        assert self._same_plan(get_plan((32, 32), base),
+                               get_plan((32, 32), tuned))
 
     def test_geometry_changes_key(self):
         a = get_plan((32, 32), InterpSpec(anchor_stride=8).resolved(2))
         b = get_plan((32, 32), InterpSpec(anchor_stride=16).resolved(2))
         c = get_plan((32, 32), InterpSpec(
             anchor_stride=8, window_shape=(9, 17)).resolved(2))
-        assert a is not b and a is not c
+        assert a.key != b.key and a.key != c.key
+        assert not set(map(id, a.passes)) & set(map(id, c.passes))
+
+    @staticmethod
+    def _tuned_specs():
+        """Every (axis order x per-axis cubic variant) of the 3D default
+        geometry: the plans autotune can pick for one shape."""
+        for order in itertools.permutations(range(3)):
+            for variant in itertools.product((CUBIC_NAK, CUBIC_NAT),
+                                             repeat=3):
+                yield InterpSpec(anchor_stride=8, window_shape=(9, 9, 33),
+                                 cubic_variant=variant, axis_order=order)
+
+    def test_tuned_plans_share_passes(self):
+        """The 48 tuned plans of one 3D shape compile at most 72 passes
+        between them, and a second sweep compiles none."""
+        shape = (17, 25, 33)
+        specs = list(self._tuned_specs())
+        assert len(specs) == 48
+        compiled = []
+        real = plans._compile_pass
+        with mock.patch.object(plans, "_compile_pass",
+                               lambda *a: compiled.append(a) or real(*a)):
+            first = [get_plan(shape, spec) for spec in specs]
+            n_first = len(compiled)
+            again = [get_plan(shape, spec) for spec in specs]
+        assert n_first <= 72
+        assert len(compiled) == n_first
+        assert all(self._same_plan(a, b) for a, b in zip(first, again))
+        stats = plan_cache_stats()
+        assert stats["size"] == n_first and stats["evictions"] == 0
+        assert stats["hits"] >= 48 and stats["hits"] + stats["misses"] == 96
+
+    def test_shared_passes_match_the_oracle(self):
+        """A plan assembled from passes another plan compiled emits the
+        oracle's bytes."""
+        shape = (17, 17, 33)
+        specs = list(self._tuned_specs())
+        for spec in specs:
+            get_plan(shape, spec)
+        for spec in specs[::7]:
+            _assert_equivalent(shape, spec)
+        assert plan_cache_stats()["misses"] <= 48
+
+    def test_concurrent_sweeps_keep_the_counts(self):
+        """Threads assembling plans of one shape at once, under a bound
+        that forces evictions: no lost update in the counters, the
+        running bytes or the bound."""
+        import sys
+        import threading
+        specs = list(self._tuned_specs())
+        old_limit = set_plan_cache_limit(20)
+        old_switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        errors = []
+
+        def sweep(k):
+            try:
+                for spec in specs[k::2] * 2:
+                    plan = get_plan((17, 9, 33), spec)
+                    assert plan.key == plans._plan_key(
+                        (17, 9, 33), spec.resolved(3))
+            except Exception as exc:     # surfaced after the join
+                errors.append(exc)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k % 2,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old_switch)
+            set_plan_cache_limit(old_limit)
+        assert not errors
+        stats = plan_cache_stats()
+        assert stats["hits"] + stats["misses"] == 4 * 48
+        assert stats["size"] <= 20
+        assert stats["size_bytes"] == sum(
+            cp.nbytes for cp in plans._pass_cache.values())
+
+    def test_worker_cache_hint_raises_the_bound(self, monkeypatch):
+        import importlib
+        from repro.runtime import workers
+        # the package's ``autotune`` function shadows the submodule
+        tune_mod = importlib.import_module("repro.core.ginterp.autotune")
+        monkeypatch.setattr(workers, "_applied_cache_limit", 0)
+        monkeypatch.setattr(tune_mod, "_CACHE_SIZE", tune_mod._CACHE_SIZE)
+        old = set_plan_cache_limit(100)
+        try:
+            workers._apply_cache_limits({"cache_limit": 400})
+            assert plan_cache_stats()["limit"] == 400
+            # a hint below the current bound never lowers it
+            workers._apply_cache_limits({"cache_limit": 500})
+            set_plan_cache_limit(600)
+            workers._apply_cache_limits({"cache_limit": 550})
+            assert plan_cache_stats()["limit"] == 600
+        finally:
+            set_plan_cache_limit(old)
 
     def test_lru_eviction(self):
         old = set_plan_cache_limit(2)

@@ -396,6 +396,37 @@ class TestStatsDoctorCLI:
         assert dev["device"] == "a40" and dev["checked"] >= 3
         assert doc["n_cohorts"] >= 1
 
+    def test_analyze_json_is_strict_and_skips_unpriced_stages(
+            self, tmp_path, capsys):
+        """``lossless="none"`` runs carry a passthrough lossless stage
+        the perf model does not price: it is no skew, and the report
+        holds no ``Infinity``/``NaN`` token."""
+        from repro.cli import main
+        from repro.registry import get_compressor
+        data = smooth_field((16, 16, 16), seed=4)
+        for lossless in ("none", "auto"):
+            comp = get_compressor("cuszi", eb=1e-3, mode="abs",
+                                  lossless=lossless)
+            for _ in range(3):
+                comp.decompress(comp.compress(data))
+        none_seqs = {r.seq for r in recorder.records()
+                     if r.attrs.get("lossless") == "none"}
+        for rec in recorder.records():
+            dev = recorder.model_deviation(rec)
+            if rec.seq in none_seqs and dev is not None:
+                assert "lossless" not in dev["stages"]
+        path = tmp_path / "ledger.jsonl"
+        recorder.write_ledger(str(path))
+        assert main(["analyze", str(path), "--json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        dev = doc["model_deviation"]
+        assert dev["checked"] >= 12
+        assert not [f for f in dev["flagged"] if f["seq"] in none_seqs
+                    and f["stage"] == "lossless"]
+
     def test_stats_missing_ledger(self, tmp_path, capsys):
         # analyze carries the former `repro stats` report
         from repro.cli import main
