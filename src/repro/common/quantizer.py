@@ -104,7 +104,10 @@ class LinearQuantizer:
         p = np.asarray(predictions, dtype=np.float64).ravel()
         ebx2 = 2.0 * eb
 
-        q = np.rint((v - p) / ebx2)
+        # + 0.0 turns a -0.0 code into the +0.0 the decoder's
+        # ``code - radius`` gives, so a zero reconstruction carries the
+        # decoder's sign also when the prediction is -0.0
+        q = np.rint((v - p) / ebx2) + 0.0
         recon = p + ebx2 * q
         # Outlier when the code leaves the alphabet or the bound fails after
         # rounding to the output dtype.
@@ -150,6 +153,12 @@ class LinearQuantizer:
         outlier lane's code is formed as ``-radius + radius`` = 0, and
         every other lane's ``q + radius`` lies in ``[1, 2*radius)``, so
         no float outside the code alphabet is ever cast to an integer.
+        Shifting the code back, ``(q + radius) - radius``, is exact and
+        turns a ``-0.0`` into ``+0.0`` as :meth:`quantize`'s ``+ 0.0``
+        does, so a zero reconstruction has the decoder's sign whatever
+        the prediction's. The float32 round trip widens the rounded
+        value into ``predictions`` before subtracting, the same float64
+        difference as a mixed-dtype subtract, without its slower loop.
         """
         check_error_bound(eb)
         n = values.size
@@ -169,30 +178,34 @@ class LinearQuantizer:
         np.subtract(v, p, out=q)
         q /= ebx2
         np.rint(q, out=q)
-        np.multiply(q, ebx2, out=r)
-        r += p                            # == p + ebx2*q bit for bit
-        # p is dead from here on: its bytes hold the masks and residuals
+        # r is not formed yet: its bytes hold the code-range masks
         wide = None
         if n and (q.max() >= radius or q.min() <= -radius):
-            hi, lo = p.view(np.bool_)[:n], p.view(np.bool_)[n:2 * n]
+            hi, lo = r.view(np.bool_)[:n], r.view(np.bool_)[n:2 * n]
             np.greater_equal(q, radius, out=hi)
             np.less_equal(q, -radius, out=lo)
             hi |= lo
             wide = np.flatnonzero(hi)
             q[wide] = -radius             # code 0: reserved for outliers
-        # every code fits int32 at any practical radius, and the float to
-        # int32 cast is the cheaper one; the bits are the uint32 code's
-        np.add(q, radius, casting="unsafe", out=codes_out.view(np.int32)
-               if radius < 2 ** 30 else codes_out)
+        # the code is q + radius, formed in place and cast (every code
+        # fits int32 at any practical radius, and the bits are the uint32
+        # code's); shifting back restores q with a zero as +0.0
+        q += radius
+        np.copyto(codes_out.view(np.int32) if radius < 2 ** 30
+                  else codes_out, q, casting="unsafe")
+        q -= radius
+        np.multiply(q, ebx2, out=r)
+        r += p                            # == p + ebx2*q bit for bit
 
         # the bound after rounding to the output dtype (a float64 output
-        # needs no round trip); q is free now
+        # needs no round trip); p and q are free now
         if self.value_dtype == np.float64:
             np.subtract(r, v, out=p)
         else:
             r32 = q.view(np.float32)[:n]
             np.copyto(r32, r, casting="same_kind")
-            np.subtract(r32, v, out=p, dtype=np.float64)
+            np.copyto(p, r32)
+            p -= v
         np.abs(p, out=p)
         if n and p.max() > eb:
             bad = q.view(np.bool_)[4 * n:5 * n]
@@ -249,7 +262,10 @@ class LinearQuantizer:
         shape = out.shape
         codes = codes.reshape(shape)
         q = out if q_buf is None else q_buf[:out.size].reshape(shape)
-        np.subtract(codes, self.radius, out=q, dtype=np.float64)
+        # a plain cast, then a same-dtype subtract: the mixed-dtype
+        # ``np.subtract(codes, radius, dtype=float64)`` loop is slower
+        np.copyto(q, codes)
+        q -= self.radius
         q *= 2.0 * eb
         np.add(q, np.asarray(predictions, dtype=np.float64).reshape(shape),
                out=out)

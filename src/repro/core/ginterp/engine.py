@@ -372,8 +372,9 @@ def interp_compress(data: np.ndarray, spec: InterpSpec, eb: float,
     plan = _resolve_plan(data.shape, spec, plan)
     # every sample off the anchor grid is a target of exactly one pass,
     # which writes its reconstruction before any later pass reads it, so
-    # the work array starts as the decoder's does: zeros plus anchors
-    work = np.zeros(data.shape, dtype=np.float64)
+    # the work array starts as the decoder's does: anchors alone, with
+    # no zero fill (``tests/test_plans.py`` checks the cover)
+    work = np.empty(data.shape, dtype=np.float64)
     anchors = extract_anchors(data, spec.anchor_stride,
                               quantizer.value_dtype)
     apply_anchors(work, anchors, spec.anchor_stride)
@@ -444,7 +445,7 @@ def interp_decompress(shape: tuple[int, ...], spec: InterpSpec, eb: float,
     spec = spec.resolved(len(shape))
     quantizer = quantizer or LinearQuantizer()
     plan = _resolve_plan(tuple(shape), spec, plan)
-    work = np.zeros(shape, dtype=np.float64)
+    work = np.empty(shape, dtype=np.float64)   # anchors + every pass cover it
     apply_anchors(work, anchors.reshape(
         tuple(-(-n // spec.anchor_stride) for n in shape)),
         spec.anchor_stride)

@@ -31,21 +31,27 @@ For one ``(shape, resolved InterpSpec)`` it precomputes, per pass:
   of a slab is skipped.
 
 Bit-exactness is non-negotiable and holds by construction. Every target
-is computed by the same float64 accumulation the oracle runs — zero-init
+gets the value of the float64 accumulation the oracle runs — zero-init
 then ``pred += w_k * neighbor_k`` over
 :data:`~repro.core.ginterp.splines.NEIGHBOR_OFFSETS` in order, with the
 same weight values and, wherever the weight is nonzero, the same operand.
-The oracle multiplies its zero weights with clipped in-domain samples;
-the kernel multiplies them with other samples or the zero padding, or
-skips them (a whole all-zero row). Each is an identity for finite data
-(the engine rejects NaN/Inf input, and the decoders reject streams whose
-reconstruction could hold a non-finite value): an accumulator
-seeded at ``+0.0`` can never become ``-0.0`` (a nonzero float64 sum has
-magnitude at least the smallest subnormal, and ``+0.0 + ±0.0 == +0.0``),
-so adding a zero-weight product ``±0.0`` never changes a bit. Nonzero
-weight only ever sits on an in-domain neighbor (an available one, or
-``t - s`` for the class a target with no available neighbor gets), so
-no nonzero weight reads the padding.
+The kernel seeds each slab with its first neighbor's product instead of
+adding it to a zero fill, which is the same value: ``+0.0 + x == x``
+for every float but ``x = -0.0``. The oracle multiplies its zero weights
+with clipped in-domain samples; the kernel multiplies them with other
+samples or the zero padding, or skips them (a whole all-zero row). Each
+is an identity for finite data (the engine rejects NaN/Inf input, and
+the decoders reject streams whose reconstruction could hold a
+non-finite value): a zero-weight product is ``±0.0``, and adding it to a
+nonzero sum never changes a bit. So a prediction equals the oracle's
+bit for bit, except that a zero prediction may be ``-0.0`` where the
+oracle's is ``+0.0``. That sign reaches no code (``v - (±0.0)`` rounds
+to the same code) and no reconstruction: the quantizer forms a zero
+code as ``+0.0``, as the decoder's ``code - radius`` does, and
+``+0.0 + (±0.0)`` is ``+0.0``. Nonzero weight only ever sits on an
+in-domain neighbor (an available one, or ``t - s`` for the class a
+target with no available neighbor gets), so no nonzero weight reads the
+padding.
 
 Compiled passes are LRU-cached per process and assembled into plans on
 demand (:func:`get_plan`). A pass is keyed on what compiling it reads
@@ -217,15 +223,17 @@ class CompiledPass:
                 mul_buf: np.ndarray, ev_buf: np.ndarray) -> np.ndarray:
         """Predictions for every pass target, in flat (block) order.
 
-        Bit-identical to the oracle's gather traversal (see the module
-        docstring). ``pred_buf``/``mul_buf``/``ev_buf`` are scratch views
-        of at least ``n_targets``/``n_targets``/``pad_size`` elements;
-        ``mul_buf`` is dead once this returns. The returned prediction is
-        a view of ``pred_buf``. Staging only *copies* values, so it cannot
-        change any bit of the accumulation.
+        Bit-identical to the oracle's gather traversal up to the sign of
+        a zero prediction (see the module docstring). The groups tile
+        the block, and each writes its first product straight into
+        ``pred_buf``, so nothing is zero-filled first; a group with no
+        neighbor gets zeros. ``pred_buf``/``mul_buf``/``ev_buf`` are
+        scratch views of at least ``n_targets``/``n_targets``/``pad_size``
+        elements; ``mul_buf`` is dead once this returns. The returned
+        prediction is a view of ``pred_buf``. Staging only *copies*
+        values, so it cannot change any bit of the accumulation.
         """
         pred = pred_buf[:self.n_targets]
-        pred.fill(0.0)
         ev = ev_buf[:self.pad_size].reshape(self.pad_shape)
         for sel in self.pad_sels:
             ev[sel] = 0.0
@@ -235,12 +243,17 @@ class CompiledPass:
             sub = pred_nd[g.target_sel]
             if g.folded:    # a view: folded slabs are contiguous
                 sub = sub.reshape(g.shape)
+            if not g.sources:
+                sub[...] = 0.0
+                continue
             buf = mul_buf[:g.size].reshape(g.shape)
-            for w, src in zip(g.weights, g.sources):
-                n = ev[src]
-                np.multiply(n.reshape(g.shape) if g.folded else n, w,
-                            out=buf)
-                sub += buf
+            for j, (w, src) in enumerate(zip(g.weights, g.sources)):
+                n = ev[src].reshape(g.shape) if g.folded else ev[src]
+                if j == 0:          # the first product seeds the slab
+                    np.multiply(n, w, out=sub)
+                else:
+                    np.multiply(n, w, out=buf)
+                    sub += buf
         return pred
 
 

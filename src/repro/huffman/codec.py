@@ -354,18 +354,37 @@ def _check_codes(codes, alphabet_size: int) -> np.ndarray:
     return codes.view(codes.dtype.str.replace("i", "u"))
 
 
+#: codes per step of :func:`_band_ranks`: each step's uint32 offsets stay
+#: in cache, and a longer step gains little (on a 2-vCPU x86-64 VM a
+#: 740k-code stream takes 0.36 ms in 32Ki steps, 0.44 ms in 16Ki steps
+#: and 0.69 ms as one whole-stream step with its 3 MB temporary)
+_RANK_STEP = 1 << 15
+#: the escape rank once per code of a step: an integer ``minimum``
+#: against an array runs several times faster than against a scalar
+_ESCAPES = np.full(_RANK_STEP, _ESCAPE, dtype=np.uint32)
+_ESCAPES.setflags(write=False)
+
+
 def _band_ranks(codes: np.ndarray, base: int) -> np.ndarray:
     """Every code's band rank as uint8, padded with one escape rank when
-    ``n`` is odd so the buffer views as whole uint16 pairs."""
+    ``n`` is odd so the buffer views as whole uint16 pairs.
+
+    A code's rank is ``min(code - base, _ESCAPE)`` with uint32 wrap, so
+    codes below the band escape too (every code is below ``2**32``, as
+    the alphabet is). The stream is ranked in cache-sized steps through
+    one step-sized scratch buffer.
+    """
     n = codes.size
     ranks = np.empty(n + (n & 1), dtype=np.uint8)
-    wide = np.uint64 if codes.dtype.itemsize > 4 else np.uint32
-    off = codes.astype(wide, copy=False)
-    if base:
-        # codes below the band wrap to huge offsets and escape too
-        off = np.subtract(off, wide(base))
-    np.minimum(off, wide(_ESCAPE), out=ranks[:n], casting="unsafe")
     ranks[n:] = _ESCAPE
+    off = np.empty(min(n, _RANK_STEP), dtype=np.uint32)
+    base = np.uint32(base)
+    for at in range(0, n, _RANK_STEP):
+        step = codes[at:at + _RANK_STEP]
+        m = step.size
+        np.subtract(step, base, out=off[:m], casting="unsafe")
+        np.minimum(off[:m], _ESCAPES[:m], out=off[:m])
+        np.copyto(ranks[at:at + m], off[:m], casting="unsafe")
     return ranks
 
 

@@ -6,6 +6,8 @@ tests compare full streams with ``tobytes()``, not ``allclose``.
 """
 
 import concurrent.futures
+import copy
+import dataclasses
 import itertools
 import multiprocessing
 from unittest import mock
@@ -203,6 +205,123 @@ class TestKernelEquivalence:
         large = compile_plan((1 << 22,), spec.resolved(1)).nbytes
         assert large <= 1.25 * small
         assert large < 8 * (1 << 22) // 4
+
+
+def _signed_zero_field(kind, shape, seed=0):
+    """All -0.0; ±0.0 mixed; or mostly -0.0 with values a little below
+    zero, whose codes round to -0.0 — the fields on which predictions
+    seeded by their first product can be -0.0 where the oracle's
+    zero-filled ones are +0.0. On the last kind, a quantizer that kept
+    a -0.0 code would reconstruct -0.0 where the decoder writes +0.0."""
+    pick = np.random.default_rng(seed).random(shape)
+    if kind == "negative-zeros":
+        return np.full(shape, -0.0, np.float32)
+    if kind == "mixed-zeros":
+        return np.where(pick < 0.5, -0.0, 0.0).astype(np.float32)
+    return np.select([pick < 0.6, pick < 0.7], [-0.0, 0.0],
+                     -1e-5).astype(np.float32)
+
+
+class TestPredictWithoutFill:
+    """Each slab of a prediction starts from its first neighbor's product,
+    not from a zero fill. The prediction may then be -0.0 where the
+    oracle's is +0.0, and no code, reconstruction or decoded byte may
+    show it."""
+
+    @pytest.mark.parametrize("kind", ["negative-zeros", "mixed-zeros",
+                                      "zeros-and-tiny-negatives"])
+    @pytest.mark.parametrize("shape,spec", [
+        ((33, 9, 17), InterpSpec(anchor_stride=8)),
+        ((33, 9, 17), InterpSpec(anchor_stride=8, window_shape=(9, 9, 33),
+                                 axis_order=(2, 0, 1))),
+        ((40, 24), InterpSpec(anchor_stride=4, cubic_variant=(CUBIC_NAT,
+                                                              CUBIC_NAK))),
+        ((129,), InterpSpec(anchor_stride=16))],
+        ids=["3d", "3d-windowed", "2d", "1d"])
+    def test_signed_zeros_match_the_oracle(self, kind, shape, spec):
+        for seed in range(4):
+            data = _signed_zero_field(kind, shape, seed)
+            ref = reference_compress(data, spec, 1e-3)
+            got = interp_compress(data, spec, 1e-3)
+            assert got.codes.tobytes() == ref.codes.tobytes()
+            assert got.outliers.tobytes() == ref.outliers.tobytes()
+            assert got.reconstructed.tobytes() == \
+                ref.reconstructed.tobytes()
+            out = interp_decompress(shape, spec, 1e-3, got.codes,
+                                    got.outliers, got.anchors)
+            dref = reference_decompress(shape, spec, 1e-3, ref.codes,
+                                        ref.outliers, ref.anchors)
+            assert out.tobytes() == dref.tobytes() == \
+                ref.reconstructed.tobytes()
+
+    @pytest.mark.parametrize("kind", ["negative-zeros",
+                                      "zeros-and-tiny-negatives"])
+    def test_kernel_does_emit_negative_zero(self, kind):
+        # the cases above are live: on the finished reconstruction (every
+        # neighbor as the traversal saw it) some pass predicts -0.0
+        shape, spec = (33, 9, 17), InterpSpec(anchor_stride=8)
+        work = interp_compress(_signed_zero_field(kind, shape), spec,
+                               1e-3).reconstructed
+        plan = get_plan(shape, spec.resolved(3))
+        negative_zeros = 0
+        for cp in plan.passes:
+            pred = cp.predict(work, np.empty(cp.n_targets),
+                              np.empty(cp.n_targets), np.empty(cp.pad_size))
+            negative_zeros += int(((pred == 0) & np.signbit(pred)).sum())
+        assert negative_zeros > 0
+
+    def test_group_without_sources_gets_zeros(self):
+        shape = (40, 24)
+        plan = _plan_with(shape, InterpSpec(anchor_stride=8), 7)
+        cp = max(plan.passes, key=lambda p: len(p.groups))
+        assert len(cp.groups) > 1
+        empty = dataclasses.replace(cp.groups[0], sources=(), weights=())
+        forged = copy.copy(cp)
+        forged.groups = (empty,) + cp.groups[1:]
+        work = _field(shape).astype(np.float64)
+
+        def predict(p):
+            # stale NaN in the buffer must not survive anywhere
+            return p.predict(work, np.full(p.n_targets, np.nan),
+                             np.empty(p.n_targets),
+                             np.empty(p.pad_size)).reshape(p.block_shape)
+
+        got, want = predict(forged), predict(cp)
+        assert not np.isnan(got).any() and not np.isnan(want).any()
+        assert got[empty.target_sel].tobytes() == \
+            np.zeros_like(want[empty.target_sel]).tobytes()
+        rest = np.ones(cp.block_shape, dtype=bool)
+        rest[empty.target_sel] = False
+        assert got[rest].tobytes() == want[rest].tobytes()
+
+
+class TestPlanCover:
+    """Neither traversal zero-fills: the work array starts empty, gets
+    its anchors, and every pass writes every target of its block. So the
+    anchors and the passes must write each sample exactly once, and a
+    pass must stage only samples written before it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=_geometries(),
+           group_elements=st.sampled_from([1, 7, plans.ROW_GROUP_ELEMENTS]),
+           fold_min=st.sampled_from([1, 3, plans._FOLD_MIN]))
+    def test_anchors_and_passes_tile_the_field(self, geom, group_elements,
+                                               fold_min):
+        shape, spec = geom
+        plan = _plan_with(shape, spec, group_elements, fold_min)
+        written = np.zeros(shape, dtype=np.int64)
+        written[tuple(slice(None, None, spec.anchor_stride)
+                      for _ in shape)] += 1
+        for cp in plan.passes:
+            if cp.n_targets == 0:
+                continue
+            hits = np.zeros(cp.block_shape, dtype=np.int64)
+            for g in cp.groups:
+                hits[g.target_sel] += 1
+            assert (hits == 1).all()
+            assert (written[cp.ev_sel] == 1).all()
+            written[cp.target_view] += 1
+        assert (written == 1).all()
 
 
 class TestPlanCache:

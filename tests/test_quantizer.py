@@ -191,3 +191,35 @@ class TestDequantizeInto:
         with pytest.raises(ConfigError):
             q.dequantize_into(np.zeros(4, np.uint32), np.zeros(4), 0.0,
                               np.empty(4), np.zeros(0, np.float32), 0)
+
+
+class TestSignedZeroPredictions:
+    """A zero reconstruction carries the decoder's sign: ``code - radius``
+    is ``+0.0``, so ``+0.0 + p`` is ``+0.0`` also for ``p = -0.0``. The
+    compiled predict can emit ``-0.0`` where the oracle emits ``+0.0``,
+    and values just below zero then round to a ``-0.0`` code."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_quantizers_agree_with_the_decoder(self, rng, dtype):
+        n = 4096
+        values = np.zeros(n, dtype)
+        values[0::4] = -0.0
+        values[1::4] = -rng.uniform(1e-9, 4e-4, n // 4)   # code q = -0.0
+        values[2::4] = rng.uniform(1e-9, 4e-4, n // 4)
+        values[3::4] = rng.normal(0, 1, n // 4)
+        preds = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        q = LinearQuantizer(value_dtype=dtype)
+        eb = 1e-3
+        ref = q.quantize(values, preds, eb)
+        codes = np.empty(n, np.uint32)
+        recon, outliers = q.quantize_into(
+            values, preds.copy(), eb, codes, v_buf=np.empty(n),
+            q_buf=np.empty(n), r_buf=np.empty(n))
+        out = np.empty(n)
+        q.dequantize_into(codes, preds, eb, out, outliers, 0)
+        assert codes.tobytes() == ref.codes.tobytes()
+        assert recon.tobytes() == ref.reconstructed.tobytes()
+        assert out.tobytes() == ref.reconstructed.tobytes()
+        zero = ref.reconstructed == 0
+        assert zero.sum() >= n // 2
+        assert not np.signbit(ref.reconstructed[zero]).any()
