@@ -7,9 +7,9 @@ Four encoders live here, each matching a role from the paper:
   entropy-coded bytes (word run-length + per-block bit-width reduction),
   built from scan/compact primitives that map 1:1 onto GPU kernels.
 * :mod:`repro.lossless.orchestrator` — the segment-aware layer above it:
-  a sampling cost model picks one backend (``gle``/``gle-rle``/
-  ``gle-pack``/``zlib``/``store``) *per container stream* instead of one
-  codec for the whole archive. Registered as ``"auto"``, the pipeline
+  each container stream gets its own backend (zlib up to 16 KiB, GLE
+  above, stored when the encode does not shrink it) instead of one codec
+  for the whole archive. Registered as ``"auto"``, the pipeline
   default.
 * :mod:`repro.lossless.bitshuffle` — the bit-transpose stage of FZ-GPU.
 * :mod:`repro.lossless.zstd_like` — zlib wrapper standing in for the Zstd
@@ -53,7 +53,7 @@ def get_lossless(name: str, **kwargs):
     """Instantiate a registered lossless codec by name.
 
     ``kwargs`` forward to the codec constructor (e.g. the orchestrator's
-    ``profile=``/``workers=`` knobs, ``ZlibCodec(level=...)``).
+    ``workers=`` knob, ``ZlibCodec(level=...)``).
     """
     try:
         cls = _CODECS[name]

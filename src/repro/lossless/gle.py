@@ -19,14 +19,11 @@ removes exactly that redundancy class with two GPU-friendly passes:
    per block); sparse structures (chunk-length tables, anchor mantissa
    tails) shrink.
 
-Both stages can be gated individually (``rle=``/``pack=``): the
-per-segment orchestrator (:mod:`repro.lossless.orchestrator`) uses this to
-skip a stage its cost model already knows will not pay, without a wasted
-trial encode. The frame records which stages actually ran, so every
-combination decodes through the same :func:`gle_decompress`.
-
-The encoder never expands beyond a 17-byte frame + ~0.4%: if a stage does
-not pay for itself it is marked stored-as-is in the frame flags.
+The encoder never expands beyond a 17-byte frame + ~0.4%: a stage that
+does not pay for itself is skipped, and the frame flags record which
+stages ran. :func:`gle_decompress` reads every combination, including
+frames whose encoder switched a stage off on purpose (the orchestrator's
+retired ``gle-rle`` and ``gle-pack`` backends).
 """
 
 from __future__ import annotations
@@ -200,12 +197,15 @@ def _pack_encode(data: np.ndarray) -> bytes | None:
     if est >= n:
         return None
     parts = [struct.pack("<QI", n, n_blocks), widths.tobytes()]
-    # group blocks by width so each group is one vectorized pack
+    # group blocks by width so each group is one vectorized pack; a
+    # width-8 group is its bytes as they are
     for w in range(1, 9):
         sel = widths == w
         if not np.any(sel):
             continue
-        parts.append(pack_uint(blocks[sel].ravel(), w).tobytes())
+        group = blocks[sel]
+        parts.append(group.tobytes() if w == 8
+                     else pack_uint(group.ravel(), w).tobytes())
     out = b"".join(parts)
     if len(out) >= n:
         return None
@@ -243,17 +243,14 @@ def _pack_decode(blob: bytes) -> np.ndarray:
     return out.reshape(-1)[:n]
 
 
-def gle_compress(data, *, rle: bool = True, pack: bool = True,
-                 checksum: bool = True) -> bytes:
+def gle_compress(data, *, checksum: bool = True) -> bytes:
     """Compress arbitrary bytes with the two-stage GLE scheme.
 
     ``data`` may be ``bytes``, a ``memoryview``, or a NumPy buffer — it is
-    viewed, never copied. ``rle=False`` / ``pack=False`` skip a stage
-    outright (the orchestrator's pre-decided single-stage backends);
-    ``checksum=False`` omits the payload CRC for callers that verify the
-    enclosing frame themselves. The frame records which stages actually
-    ran, so incompressible input costs only the 17-byte frame header and
-    every combination decodes through :func:`gle_decompress`.
+    viewed, never copied. ``checksum=False`` omits the payload CRC for
+    callers that verify the enclosing frame themselves. The frame records
+    which stages actually ran, so incompressible input costs only the
+    17-byte frame header.
     """
     arr = _as_bytes_view(data)
     orig_len = arr.size
@@ -264,16 +261,14 @@ def gle_compress(data, *, rle: bool = True, pack: bool = True,
         crc = 0
         flags = _FLAG_NOCRC
     stage = arr
-    if rle:
-        enc = _word_rle_encode(stage)
-        if enc is not None:
-            stage = np.frombuffer(enc, dtype=np.uint8)
-            flags |= _FLAG_RLE
-    if pack:
-        enc = _pack_encode(stage)
-        if enc is not None:
-            stage = np.frombuffer(enc, dtype=np.uint8)
-            flags |= _FLAG_PACK
+    enc = _word_rle_encode(stage)
+    if enc is not None:
+        stage = np.frombuffer(enc, dtype=np.uint8)
+        flags |= _FLAG_RLE
+    enc = _pack_encode(stage)
+    if enc is not None:
+        stage = np.frombuffer(enc, dtype=np.uint8)
+        flags |= _FLAG_PACK
     return b"".join((_FRAME.pack(_MAGIC, flags, orig_len, crc),
                      memoryview(stage)))
 
@@ -306,21 +301,12 @@ def gle_decompress(blob) -> bytes:
 
 
 class GLECodec:
-    """Object wrapper satisfying the lossless-codec protocol.
-
-    ``rle=``/``pack=`` gate the two stages; the all-on default is the
-    registered ``"gle"`` codec, the single-stage variants back the
-    orchestrator's ``"gle-rle"`` / ``"gle-pack"`` backends.
-    """
+    """Object wrapper satisfying the lossless-codec protocol."""
 
     name = "gle"
 
-    def __init__(self, rle: bool = True, pack: bool = True):
-        self.rle = bool(rle)
-        self.pack = bool(pack)
-
     def compress_bytes(self, data) -> bytes:
-        return gle_compress(data, rle=self.rle, pack=self.pack)
+        return gle_compress(data)
 
     def decompress_bytes(self, blob) -> bytes:
         return gle_decompress(blob)

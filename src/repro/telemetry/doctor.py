@@ -11,9 +11,9 @@ via ``repro doctor --check``, the one regression verdict:
   *after* the cache's first active record (the cold fill) should mostly
   hit; a warm ratio below the threshold means a cache key is broken or
   thrashing;
-- **never-expand guard trips** — the lossless orchestrator predicted a
-  backend that *expanded* a segment; correctness survives (the guard
-  stores raw) but the predictor is mismodelling;
+- **never-expand guard trips** — a warm lossless plan-cache hit reused a
+  backend that no longer shrank its segment; correctness survives (the
+  guard stores raw) but the cached plan has gone stale for that content;
 - **serial fallbacks** — pooled requests that degraded to the serial
   path: ``size_floor`` is expected (informational), ``spawn_failure``
   means worker processes could not be (re)spawned in that environment
@@ -322,13 +322,13 @@ def diagnose(records: list[RunRecord],
         checks.append(Check("cache byte pressure", not (over or fat),
                             detail, gating=bool(over)))
 
-    # a trip is correctness-preserving (the guard stores raw) and small
-    # incompressible segments legitimately mispredict now and then, so
+    # a trip is correctness-preserving (the guard stores raw) and new
+    # content under a cached layout may legitimately stop compressing, so
     # this warns rather than failing --check
     trips = _counter_total(records, "lossless.never_expand")
     checks.append(Check(
         "never-expand guard", trips == 0,
-        f"{trips:g} segment backend misprediction(s) stored raw"
+        f"{trips:g} stale cached segment backend(s) stored raw"
         if trips else "no trips", gating=False))
 
     floor = _counter_total(records, "runtime.serial_fallback.size_floor")

@@ -289,7 +289,7 @@ GOLDEN = {
          "quantize", "tune"],
         ["abs_eb", "bytes_in", "bytes_out", "eb", "eb_mode", "fingerprint",
          "lossless", "lossless_plan", "lossless_plan_cached",
-         "lossless_profile", "n_elements", "n_outliers", "shape"]),
+         "n_elements", "n_outliers", "shape"]),
     "decompress": (
         ["container", "huffman", "lossless", "plan", "predict"],
         ["abs_eb", "bytes_in", "bytes_out", "lossless", "n_elements",

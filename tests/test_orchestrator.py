@@ -1,4 +1,4 @@
-"""Segment-aware lossless orchestration: frame, cost model, plan cache,
+"""Segment-aware lossless orchestration: frame, backend rule, plan cache,
 backward compatibility, and adversarial round trips."""
 
 import struct
@@ -7,14 +7,26 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError, CorruptStreamError
+from repro.common.errors import CorruptStreamError
 from repro.lossless import (OrchestratorCodec, get_lossless, gle_compress,
                             orchestrate_compress, orchestrate_decompress)
 from repro.lossless import orchestrator as orc
-from repro.lossless.orchestrator import (backend_names, choose_backend,
-                                         split_streams, stream_stats)
+from repro.lossless.orchestrator import backend_names, split_streams
 
 from conftest import smooth_field
+
+
+def _frame_backends(blob: bytes) -> list[str]:
+    """The backend name each stream of an ``ORC1`` frame records."""
+    _, _, _, _, n = orc._FRAME_HDR.unpack_from(blob, 0)
+    pos = orc._FRAME_HDR.size
+    names = []
+    for _ in range(n):
+        pos += 1 + blob[pos]
+        bid, _ = orc._STREAM_HDR.unpack_from(blob, pos)
+        pos += orc._STREAM_HDR.size
+        names.append(orc._BACKENDS[bid][0])
+    return names
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +44,7 @@ ADVERSARIAL = [
     b"",                                   # empty stream
     b"ab",                                 # sub-4-byte tail only
     b"\x07\x00\x00\x00" * 4096,            # one word repeated (all runs)
-    bytes(3),                              # tiny, below MIN_MODEL_BYTES
+    bytes(3),                              # tiny: deflate cannot shrink it
     b"run" * 5 + b"x",                     # unaligned tail after pattern
 ]
 
@@ -48,25 +60,18 @@ class TestRoundTrip:
         data = rng.integers(0, 256, 100_000, dtype=np.uint8).tobytes()
         blob = orchestrate_compress(data)
         assert orchestrate_decompress(blob) == data
-        # the model must refuse to expand noise beyond the frame overhead
+        # noise is stored: nothing beyond the frame overhead
         assert len(blob) <= len(data) + 64
 
     def test_container_byte_identical(self, container):
-        for profile in ("fast", "balanced", "ratio"):
-            blob = orchestrate_compress(container, profile=profile)
-            assert orchestrate_decompress(blob) == container
+        blob = orchestrate_compress(container)
+        assert orchestrate_decompress(blob) == container
 
     def test_numpy_and_memoryview_inputs(self, rng):
         arr = rng.integers(0, 50, 4096, dtype=np.uint32)
         ref = orchestrate_compress(arr.tobytes())
         assert orchestrate_compress(arr) == ref
         assert orchestrate_compress(memoryview(arr.tobytes())) == ref
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ConfigError):
-            orchestrate_compress(b"x" * 100, profile="turbo")
-        with pytest.raises(ConfigError):
-            choose_backend(stream_stats(b"x" * 100), "turbo")
 
 
 class TestBackwardCompat:
@@ -158,50 +163,77 @@ class TestSplitStreams:
         assert [name for name, _ in streams] == ["raw"]
 
 
-class TestCostModel:
-    def test_tiny_streams_store(self):
-        assert choose_backend(stream_stats(b"x" * 32)) == "store"
+class TestBackendRule:
+    """zlib up to ``ZLIB_MAX_BYTES``, GLE above, store when no shrink."""
 
-    def test_runs_pick_gle_family(self):
-        data = b"\x05\x00\x00\x00" * 50_000
-        assert choose_backend(stream_stats(data)) in ("gle", "gle-rle")
+    def test_stream_at_zlib_max_is_deflated(self):
+        data = b"\x05\x00\x00\x00" * (orc.ZLIB_MAX_BYTES // 4)
+        assert len(data) == orc.ZLIB_MAX_BYTES
+        blob = orchestrate_compress(data)
+        assert _frame_backends(blob) == ["zlib"]
+        assert orchestrate_decompress(blob) == data
 
-    def test_noise_stores(self, rng):
-        data = rng.integers(0, 256, 50_000, dtype=np.uint8).tobytes()
-        assert choose_backend(stream_stats(data)) == "store"
+    def test_stream_past_zlib_max_takes_gle(self):
+        data = b"\x05\x00\x00\x00" * (orc.ZLIB_MAX_BYTES // 4) + b"\x05"
+        assert len(data) == orc.ZLIB_MAX_BYTES + 1
+        blob = orchestrate_compress(data)
+        assert _frame_backends(blob) == ["gle"]
+        assert orchestrate_decompress(blob) == data
 
-    def test_small_low_entropy_zlib_balanced(self):
-        # a skewed byte distribution (H ~ 0.8 bits) clears the balanced
-        # profile's deflate gate; size sits under the zlib cap
-        data = b"aaab" * 1000
-        assert choose_backend(stream_stats(data)) == "zlib"
+    @pytest.mark.parametrize("n", [3000, 50_000])
+    def test_incompressible_stream_stored(self, rng, n):
+        data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+        blob = orchestrate_compress(data)
+        assert _frame_backends(blob) == ["store"]
+        assert orchestrate_decompress(blob) == data
 
-    def test_fast_profile_never_zlib(self):
-        data = b"abcab" * 500
-        assert choose_backend(stream_stats(data), "fast") != "zlib"
+    def test_oversized_stream_promotes_to_blocks(self, monkeypatch):
+        monkeypatch.setattr(orc, "PARALLEL_MIN_BYTES", 64 * 1024)
+        monkeypatch.setattr(orc, "PARALLEL_BLOCK", 16 * 1024)
+        data = b"\x05\x00\x00\x00" * (16 * 1024)
+        blob = orchestrate_compress(data)
+        assert _frame_backends(blob) == ["gle-blocks"]
+        assert orchestrate_decompress(blob) == data
 
-    def test_narrow_bytes_pick_pack(self, rng):
-        data = rng.integers(0, 4, 60_000, dtype=np.uint8).tobytes()
-        assert choose_backend(stream_stats(data)) in ("gle", "gle-pack")
-
-    def test_oversized_stream_promotes_to_blocks(self):
-        stats = stream_stats(b"\x05\x00\x00\x00" * 8192)
-        stats.n = orc.PARALLEL_MIN_BYTES       # pretend it is huge
-        assert choose_backend(stats) == "gle-blocks"
-
-    def test_decide_matches_eager_model(self, container, rng):
-        streams = list(split_streams(container))
-        streams.append(("noise", memoryview(
-            rng.integers(0, 256, 30_000, dtype=np.uint8).tobytes())))
-        streams.append(("runs", memoryview(b"\x09\x00\x00\x00" * 9000)))
-        for profile in ("fast", "balanced", "ratio"):
-            for name, sv in streams:
-                assert orc._decide(sv, profile) == \
-                    choose_backend(stream_stats(sv), profile), (name, profile)
+    def test_cold_store_is_not_a_never_expand_trip(self, rng):
+        before = orc.never_expand_trips()
+        codec = OrchestratorCodec()
+        data = rng.integers(0, 256, 3000, dtype=np.uint8).tobytes()
+        assert _frame_backends(codec.compress_bytes(data)) == ["store"]
+        assert orc.never_expand_trips() == before
 
     def test_backend_names_stable(self):
         assert backend_names() == ["store", "gle", "gle-rle", "gle-pack",
                                    "zlib", "gle-blocks"]
+
+
+#: (generator, shape) pairs of the property: the six generators at small
+#: 3D shapes of their own aspect, plus a 1D and a 2D field
+_PROPERTY_FIELDS = [("nyx_field", (48, 48, 48)),
+                    ("jhtdb_field", (48, 48, 48)),
+                    ("s3d_field", (48, 48, 48)),
+                    ("miranda_field", (32, 48, 48)),
+                    ("qmcpack_field", (80, 35, 35)),
+                    ("rtm_field", (56, 56, 30)),
+                    ("nyx_field", (40_000,)),
+                    ("nyx_field", (200, 200))]
+
+
+@pytest.mark.parametrize("rel_eb", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("gen,shape", _PROPERTY_FIELDS,
+                         ids=[f"{g}-{len(s)}d" for g, s in _PROPERTY_FIELDS])
+def test_auto_within_64_bytes_of_best_fixed_pass(gen, shape, rel_eb):
+    """The per-stream rule never loses more than a frame's overhead to
+    the better of whole-container GLE and no lossless pass at all."""
+    from repro.common.lossless_wrap import wrap_lossless
+    from repro.core.pipeline import CuSZi
+    from repro.datasets import synthetic
+    field = getattr(synthetic, gen)(shape, seed=1)
+    blob = CuSZi(eb=rel_eb, lossless="none").compress(field)
+    container = bytes(blob[5 + blob[4]:])
+    sizes = {name: len(wrap_lossless(container, name))
+             for name in ("auto", "gle", "none")}
+    assert sizes["auto"] <= min(sizes["gle"], sizes["none"]) + 64, sizes
 
 
 class TestPlanCache:
@@ -214,8 +246,7 @@ class TestPlanCache:
 
     def test_fingerprint_miss_on_different_content(self, container):
         # same length, different bytes: the header probe must miss and the
-        # result must still round-trip (a stale split would be safe, but a
-        # miss re-samples)
+        # result must still round-trip
         codec = OrchestratorCodec()
         codec.compress_bytes(container)
         other = bytearray(container)
@@ -230,11 +261,24 @@ class TestPlanCache:
             codec.compress_bytes(data)
         assert len(codec._plan_cache) <= orc._PLAN_CACHE_MAX
 
-    def test_cache_disabled(self, container):
-        codec = OrchestratorCodec(plan_cache=False)
-        assert codec._plan_cache is None
-        blob = codec.compress_bytes(container)
-        assert codec.decompress_bytes(blob) == container
+    def test_stale_cached_backend_is_a_never_expand_trip(self, container,
+                                                            rng):
+        """A warm hit whose cached backend no longer shrinks its stream
+        stores it and counts one trip."""
+        codec = OrchestratorCodec()
+        cold = codec.compress_bytes(container)
+        kept = _frame_backends(cold)
+        stored = kept.index("store")
+        (key, entry), = codec._plan_cache._entries.items()
+        probes, spans, plan, names = entry
+        stale = list(plan)
+        stale[stored] = "zlib" if spans[stored][1] - spans[stored][0] \
+            <= orc.ZLIB_MAX_BYTES else "gle"
+        codec._plan_cache.put(key, (probes, spans, stale, names))
+        before = orc.never_expand_trips()
+        warm = codec.compress_bytes(container)
+        assert orc.never_expand_trips() == before + 1
+        assert warm == cold
 
 
 class TestParallelBlocks:
@@ -251,17 +295,17 @@ class TestParallelBlocks:
         monkeypatch.setattr(orc, "PARALLEL_BLOCK", 16 * 1024)
         data = (b"\x04\x00\x00\x00" * 30_000
                 + rng.integers(0, 256, 8192, dtype=np.uint8).tobytes())
-        e1 = orc._blocks_encode(memoryview(data), False, 1)
-        e2 = orc._blocks_encode(memoryview(data), False, 2)
+        e1 = orc._blocks_encode(memoryview(data), 1)
+        e2 = orc._blocks_encode(memoryview(data), 2)
         assert bytes(e1) == bytes(e2)
         assert orc._blocks_decode(e2) == data
 
 
 class TestRegistryAndWrap:
     def test_auto_registered(self):
-        codec = get_lossless("auto", profile="fast")
+        codec = get_lossless("auto", workers=1)
         assert codec.name == "auto"
-        assert codec.profile == "fast"
+        assert codec.workers == 1
 
     def test_wrap_unwrap_auto(self, container):
         from repro.common.lossless_wrap import unwrap_lossless, wrap_lossless
