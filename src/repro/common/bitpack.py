@@ -12,6 +12,8 @@ class for entropy-coded bytes) is a straight byte copy, widths 1/2/4 fold
 ``8/w`` values into each byte with ``8/w`` shift-or passes, and widths
 that are whole bytes (16, 24, 32, ...) go through a big-endian byte view.
 Only the ragged widths (3, 5, 6, 7, ...) pay for the dense expansion.
+Integer input at widths up to 8 is packed in uint8 throughout, its range
+read by reductions rather than from a widened uint64 copy.
 
 Bit order is MSB-first within each value and values are laid out
 back-to-back, so a stream packed at width ``w`` occupies exactly
@@ -113,29 +115,43 @@ def pack_uint(values: np.ndarray, width: int) -> np.ndarray:
         if np.any(values != 0):
             raise CodecError("width 0 requires all-zero values")
         return np.empty(0, dtype=np.uint8)
+    if width <= 8 and values.dtype.kind in "biu":
+        return _pack_narrow(values.ravel(), width)
     v = values.astype(np.uint64, copy=False).ravel()
     if width < _MAX_WIDTH and np.any(v >> np.uint64(width)):
         raise CodecError(f"value does not fit in {width} bits")
-    if width == 8:
-        return v.astype(np.uint8)
-    if width in (1, 2, 4):
-        per_byte = 8 // width
-        n = v.size
-        m = -(-n // per_byte)
-        g = v.astype(np.uint8)
-        if m * per_byte != n:
-            g = np.concatenate([g, np.zeros(m * per_byte - n, np.uint8)])
-        g = g.reshape(m, per_byte)
-        out = np.zeros(m, dtype=np.uint8)
-        for j in range(per_byte):
-            out |= g[:, j] << (8 - (j + 1) * width)
-        return out
     if width % 8 == 0:
         nb = width // 8
         be = v.astype(">u8").view(np.uint8).reshape(v.size, 8)
         return np.ascontiguousarray(be[:, 8 - nb:]).reshape(-1)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     bits = ((v[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.ravel())
+
+
+def _pack_narrow(values: np.ndarray, width: int) -> np.ndarray:
+    """:func:`pack_uint` of integers at a width of 1-8 bits, in uint8
+    throughout: the range is read by reductions, never by a widened
+    copy of the input."""
+    if (values.dtype.kind == "i" and int(values.min()) < 0) \
+            or int(values.max()) >> width:
+        raise CodecError(f"value does not fit in {width} bits")
+    g = values.astype(np.uint8)
+    if width == 8:
+        return g
+    if width in (1, 2, 4):
+        per_byte = 8 // width
+        n = g.size
+        m = -(-n // per_byte)
+        if m * per_byte != n:
+            g = np.concatenate([g, np.zeros(m * per_byte - n, np.uint8)])
+        g = g.reshape(m, per_byte)
+        out = g[:, 0] << (8 - width)
+        for j in range(1, per_byte):
+            out |= g[:, j] << (8 - (j + 1) * width)
+        return out
+    # the low ``width`` bits of each byte, MSB first
+    bits = np.unpackbits(g[:, None], axis=1)[:, 8 - width:]
     return np.packbits(bits.ravel())
 
 

@@ -44,6 +44,7 @@ from repro.huffman.codec import (
     huffman_decode,
     HuffmanStream,
     HuffmanStreamV1,
+    HuffmanStreamV2,
     read_stream,
     DEFAULT_CHUNK_BITS,
     FORMAT_KEY,
@@ -79,6 +80,7 @@ __all__ = [
     "huffman_decode",
     "HuffmanStream",
     "HuffmanStreamV1",
+    "HuffmanStreamV2",
     "read_stream",
     "DEFAULT_CHUNK_BITS",
     "FORMAT_KEY",

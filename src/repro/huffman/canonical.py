@@ -49,7 +49,7 @@ from repro.telemetry import caches
 from repro.common.errors import CodecError
 
 __all__ = ["canonical_codebook", "canonical_order", "CanonicalCode",
-           "build_lut_tables", "lut_cached", "MAX_CODE_LEN",
+           "ProbeLUT", "build_lut_tables", "lut_cached", "MAX_CODE_LEN",
            "clear_codebook_caches", "codebook_cache_stats",
            "warm_lengths", "warm_tables",
            "prewarm_lut_async", "drain_lut_prewarm"]
@@ -258,6 +258,15 @@ def _canonical_uncached(lengths: np.ndarray) -> CanonicalCode:
                          starts=starts.astype(np.uint32), end=end)
 
 
+class ProbeLUT(NamedTuple):
+    """A multi-symbol probe LUT (see :func:`build_lut_tables`)."""
+
+    count: np.ndarray    # uint8[2**K] complete codewords per probe
+    cum: np.ndarray      # uint8[2**K, S+1] bits consumed after j symbols
+    syms: np.ndarray     # uint16/uint32[2**K, S] symbols per probe
+    adv: np.ndarray      # uint8[2**K] bits the whole row consumes
+
+
 def lut_cached(lengths: np.ndarray, probe_bits: int = MAX_CODE_LEN) -> bool:
     """Whether the ``probe_bits`` LUT of ``lengths`` is cached. A pure
     membership test: it touches neither the LRU order nor the hit/miss
@@ -269,12 +278,12 @@ def lut_cached(lengths: np.ndarray, probe_bits: int = MAX_CODE_LEN) -> bool:
 
 
 def build_lut_tables(lengths: np.ndarray,
-                     probe_bits: int = MAX_CODE_LEN
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     probe_bits: int = MAX_CODE_LEN) -> ProbeLUT:
     """Expand code lengths into the multi-symbol probe LUT.
 
-    Returns ``(count, cum_bits, syms)``, all read-only, indexed by the
-    next ``probe_bits`` payload bits (MSB-first):
+    Returns a :class:`ProbeLUT` ``(count, cum_bits, syms, adv)``, all
+    read-only, indexed by the next ``probe_bits`` payload bits
+    (MSB-first):
 
     * ``count[w]`` — how many *complete* codewords the probe window ``w``
       contains (0 means the first codeword overruns the probe: the
@@ -284,7 +293,9 @@ def build_lut_tables(lengths: np.ndarray,
       ``j`` symbols, with ``cum_bits[w, 0] == 0``: the decode loop
       advances its bit cursor by ``cum_bits[w, emit]`` without masking
       out zero-emit lanes, and any prefix is directly addressable when
-      the chunk ends mid-entry.
+      the chunk ends mid-entry;
+    * ``adv[w]`` — ``cum_bits[w, count[w]]``, the bits the whole row
+      consumes (a decode lane's advance per probe).
 
     Construction chains first-codeword lookups at the probe width per
     row, vectorized across all ``2**probe_bits`` rows at once (the
@@ -344,7 +355,7 @@ def _first_codeword_table(lengths: np.ndarray, probe_bits: int
     return symbols, lens
 
 
-def _expand_lut(lengths: np.ndarray, probe_bits: int) -> tuple:
+def _expand_lut(lengths: np.ndarray, probe_bits: int) -> ProbeLUT:
     """The uncached LUT construction behind :func:`build_lut_tables`."""
     table_syms, lens32 = _first_codeword_table(lengths, probe_bits)
     size = 1 << probe_bits
@@ -376,9 +387,13 @@ def _expand_lut(lengths: np.ndarray, probe_bits: int) -> tuple:
     smax = max(int(count.max()), 1)
     cum = np.ascontiguousarray(cum[:, :smax + 1])
     syms = np.ascontiguousarray(syms[:, :smax])
-    for arr in (count, cum, syms):
+    # each row's advance at its own count, by one flat gather (a max
+    # over the short rows costs several times the narrow builds' loop)
+    adv = cum.ravel()[np.arange(0, cum.size, cum.shape[1]) + count]
+    lut = ProbeLUT(count, cum, syms, adv)
+    for arr in lut:
         arr.setflags(write=False)
-    return count, cum, syms
+    return lut
 
 
 # -- encode-side LUT prewarm -------------------------------------------------

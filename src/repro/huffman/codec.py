@@ -4,10 +4,12 @@ Chunks are independently decodable, as in the cuSZ GPU encoder, but they
 are cut at a fixed *bit* budget rather than a fixed symbol count: the
 payload is one plain concatenated bitstream, and chunk ``k`` holds the
 codewords whose start bit lies in ``[k*B, (k+1)*B)``. The chunk table
-keeps each chunk's symbol count and its *gap* — the offset of its first
-codeword from ``k*B`` — so every chunk carries ``B ± 15`` bits and every
-decode lane finishes in about the same number of steps (the gap-array
-layout of Yamamoto et al., ICPP 2020).
+keeps only each chunk's *gap* — the offset of its first codeword from
+``k*B``, below ``MAX_CODE_LEN`` and so one 4-bit nibble — and every chunk
+carries ``B ± 15`` bits, so every decode lane finishes in about the same
+number of steps (the gap-array layout of Yamamoto et al., ICPP 2020).
+A chunk's symbol count is not stored: its lane decodes up to the next
+chunk's start bit and counts what it emitted.
 
 * **Encode** works on symbol *pairs*, because interpolation concentrates
   nearly every quant-code in a narrow band around the zero bin (the
@@ -36,21 +38,25 @@ layout of Yamamoto et al., ICPP 2020).
   it: each probe reads the next ``K`` bits and yields every complete
   codeword they contain, falling back to one ``searchsorted`` over the
   canonical codewords' left-justified starts only for the rare codeword
-  wider than the probe. Steps record only ``(probe, emit count)`` per
-  lane; read chunk by chunk those records are in output order, so the
-  symbols are expanded after the loop by one row gather and one boolean
-  compaction. ``K`` is chosen per stream
-  (:func:`choose_probe_bits`): a narrow LUT builds several times faster
-  than the full-width one, which a recurring codebook is promoted to.
+  wider than the probe. A lane stops at its own bit end; its last probe
+  usually runs past it and is trimmed after the loop to the codewords
+  that end there. Steps record only ``(probe, emit count)`` per lane;
+  read chunk by chunk those records are in output order, so the symbols
+  are expanded after the loop by one row gather and one boolean
+  compaction. ``K`` is chosen per stream (:func:`choose_probe_bits`): a
+  narrow LUT builds several times faster than the full-width one, which
+  a recurring codebook is promoted to.
 
-Streams written before the gap-array layout (version 1: fixed-count,
-byte-aligned chunks) still decode through the same core; only their
-table validation (:meth:`HuffmanStreamV1.layout`) differs. The container
-meta key :data:`FORMAT_KEY` names the version (:func:`read_stream`).
-The one-codeword-per-lookup decoder and the byte-plane encoder in
-``tests/oracles.py`` are the references the equivalence suites compare
-this codec against byte for byte: the pair-table encoder writes exactly
-the bytes a symbol-at-a-time encoder would.
+Streams of the earlier versions still decode through the same loop;
+only their table validation differs (:meth:`HuffmanStreamV1.layout`:
+fixed-count, byte-aligned chunks; :meth:`HuffmanStreamV2.layout`: gap
+bytes plus u16 symbol counts), and their stored counts become a check on
+the counts the decode derives. The container meta key :data:`FORMAT_KEY`
+names the version (:func:`read_stream`). The one-codeword-per-lookup
+decoder and the byte-plane encoder in ``tests/oracles.py`` are the
+references the equivalence suites compare this codec against byte for
+byte: the pair-table encoder writes exactly the bytes a
+symbol-at-a-time encoder would.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from repro import telemetry
-from repro.common.bitpack import pack_varbits64
+from repro.common.bitpack import pack_uint, pack_varbits64, unpack_uint
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman.canonical import (MAX_CODE_LEN, build_lut_tables,
                                      canonical_codebook, canonical_order,
@@ -72,24 +78,27 @@ from repro.huffman.histogram import histogram
 from repro.huffman.tree import fingerprint_code_lengths
 
 __all__ = ["huffman_encode", "huffman_decode", "HuffmanStream",
-           "HuffmanStreamV1", "read_stream", "section_bounds",
-           "choose_probe_bits",
+           "HuffmanStreamV1", "HuffmanStreamV2", "read_stream",
+           "section_bounds", "choose_probe_bits",
            "PROBE_WIDTHS", "DEFAULT_CHUNK_BITS", "FORMAT_KEY",
            "FORMAT_VERSION"]
 
-#: default chunk bit budget ``B`` of new streams. A 1024-bit chunk holds
-#: ~700 symbols of a typical 1.5 bit/symbol quant-code stream, so the
-#: 3-byte chunk table is ~0.3% of the payload, and a full-width decode
-#: lane finishes a chunk in ~23 steps.
-DEFAULT_CHUNK_BITS = 1024
-#: the largest budget whose per-chunk symbol count always fits the u16
-#: count column (a chunk holds at most ``B`` codeword starts)
+#: default chunk bit budget ``B`` of new streams. A 256-bit chunk holds
+#: ~170 symbols of a typical 1.5 bit/symbol quant-code stream, its table
+#: entry is one 4-bit gap (~0.2% of the payload), and a full-width decode
+#: lane finishes it in ~6 steps.
+DEFAULT_CHUNK_BITS = 256
+#: the largest chunk bit budget a stream may declare (in version 2 a
+#: chunk's symbol count, at most ``B``, had to fit a u16 count column)
 MAX_CHUNK_BITS = 0xFFFF
 #: stream version :func:`huffman_encode` writes
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: container-meta key recording the Huffman stream version of a blob's
 #: ``huffman`` segment; a blob without it holds a version-1 stream
 FORMAT_KEY = "huffman_format"
+#: bits per gap in a version-3 chunk table: every gap is below
+#: ``MAX_CODE_LEN`` = 16, so two gaps share a byte
+_GAP_BITS = 4
 
 # n_symbols, alphabet, chunk_bits, n_chunks, total_bits, crc32
 _HDR = struct.Struct("<QIIIQI")
@@ -97,17 +106,142 @@ _HDR = struct.Struct("<QIIIQI")
 _HDR_V1 = struct.Struct("<QIIII")
 
 
-def _table_crc(counts: np.ndarray, gaps: np.ndarray,
-               payload: np.ndarray) -> int:
-    """CRC-32 over the chunk table and the payload, in stream order."""
-    crc = zlib.crc32(np.ascontiguousarray(counts, dtype="<u2"))
-    crc = zlib.crc32(np.ascontiguousarray(gaps, dtype=np.uint8), crc)
-    return zlib.crc32(np.ascontiguousarray(payload), crc)
+def _crc(*parts: np.ndarray) -> int:
+    """CRC-32 over the parts' bytes, in order."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(np.ascontiguousarray(part), crc)
+    return crc
+
+
+def _check_extent(budget: int, n_chunks: int, total_bits: int,
+                  payload: np.ndarray) -> None:
+    """The scalar checks of a gap-array stream: the budget must admit a
+    non-empty chunk, and the chunk count and payload size must follow
+    from ``total_bits``."""
+    if not MAX_CODE_LEN <= budget <= MAX_CHUNK_BITS:
+        raise CorruptStreamError(
+            f"chunk bit budget {budget} outside "
+            f"[{MAX_CODE_LEN}, {MAX_CHUNK_BITS}]")
+    if n_chunks != -(-total_bits // budget):
+        raise CorruptStreamError(
+            "chunk count inconsistent with the stream's bit count")
+    if payload.size != -(-total_bits // 8):
+        raise CorruptStreamError("payload size mismatch")
+
+
+def _gap_spans(budget: int, total_bits: int, gaps: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Each chunk's ``(start bits, end bits)`` from its gap, after
+    checking the layout rule: every gap is below ``MAX_CODE_LEN`` (a gap
+    is the tail of a codeword begun in the previous chunk), the first is
+    0, and no chunk starts past the stream's end."""
+    gaps = gaps.astype(np.int64)
+    if gaps.size and int(gaps.max()) >= MAX_CODE_LEN:
+        raise CorruptStreamError("chunk gap outside the codeword reach")
+    if gaps.size and gaps[0] != 0:
+        raise CorruptStreamError("first chunk gap is not 0")
+    starts = np.arange(gaps.size, dtype=np.int64) * budget + gaps
+    if gaps.size and starts[-1] > total_bits:
+        raise CorruptStreamError("chunk starts past the end of the stream")
+    return starts, np.append(starts[1:], total_bits)
 
 
 @dataclass
 class HuffmanStream:
-    """A serialized gap-array Huffman stream (format version 2)."""
+    """A serialized gap-array Huffman stream (format version 3).
+
+    The chunk table is one 4-bit gap per chunk, two per byte, high nibble
+    first; an odd chunk count leaves a zero pad nibble. No symbol counts
+    are stored: a chunk decodes up to the next chunk's start bit.
+    """
+
+    HEADER: ClassVar[struct.Struct] = _HDR
+
+    n_symbols: int
+    alphabet_size: int
+    chunk_bits: int          # bit budget B: chunk k starts in [k*B, (k+1)*B)
+    lengths: np.ndarray      # uint8[alphabet] canonical code lengths
+    gaps: np.ndarray         # uint8[n_chunks] first codeword's offset from k*B
+    total_bits: int          # payload bits (the rest of the last byte is 0)
+    payload: np.ndarray      # uint8, one concatenated MSB-first bitstream
+    crc32: int = 0           # checksum of gaps and payload
+    pad: int = 0             # the table's pad nibble (odd chunk counts)
+    #: int64[alphabet] count of every symbol, as the encoder tallied it
+    #: for the codebook; not serialized, so ``None`` on a parsed stream
+    symbol_counts: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def n_chunks(self) -> int:
+        return int(self.gaps.size)
+
+    def table_crc(self) -> int:
+        """CRC-32 over the gaps (one byte each) and the payload."""
+        return _crc(self.gaps.astype(np.uint8), self.payload)
+
+    def to_bytes(self) -> bytes:
+        nibbles = self.gaps
+        if self.n_chunks & 1:
+            nibbles = np.append(nibbles, self.pad)
+        head = self.HEADER.pack(self.n_symbols, self.alphabet_size,
+                                self.chunk_bits, self.n_chunks,
+                                self.total_bits, self.crc32)
+        return (head + self.lengths.astype(np.uint8).tobytes()
+                + pack_uint(nibbles, _GAP_BITS).tobytes()
+                + self.payload.tobytes())
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "HuffmanStream":
+        if len(blob) < cls.HEADER.size:
+            raise CorruptStreamError("truncated Huffman stream header")
+        n_symbols, alphabet, chunk_bits, n_chunks, total_bits, crc = \
+            cls.HEADER.unpack_from(blob, 0)
+        pos = cls.HEADER.size
+        table = (n_chunks + 1) // 2
+        if len(blob) < pos + alphabet + table:
+            raise CorruptStreamError("truncated Huffman stream tables")
+        lengths = np.frombuffer(blob, np.uint8, alphabet, pos)
+        pos += alphabet
+        nibbles = unpack_uint(np.frombuffer(blob, np.uint8, table, pos),
+                              _GAP_BITS, 2 * table).astype(np.uint8)
+        pos += table
+        payload = np.frombuffer(blob, np.uint8, offset=pos)
+        return cls(n_symbols=n_symbols, alphabet_size=alphabet,
+                   chunk_bits=chunk_bits, lengths=lengths,
+                   gaps=nibbles[:n_chunks], total_bits=total_bits,
+                   payload=payload, crc32=crc,
+                   pad=int(nibbles[n_chunks]) if n_chunks & 1 else 0)
+
+    @property
+    def nbytes(self) -> int:
+        return (self.HEADER.size + self.lengths.size
+                + (self.n_chunks + 1) // 2 + self.payload.size)
+
+    def layout(self) -> tuple[None, np.ndarray, np.ndarray]:
+        """Validated ``(None, start bits, end bits)`` per chunk: version 3
+        stores no symbol counts, so the decoder derives them.
+
+        Only O(table) work happens before the CRC, and nothing is sized
+        from the header's scalars (:func:`_check_extent`); after it the
+        pad nibble must be 0 and the gaps must follow the layout rule
+        (:func:`_gap_spans`).
+        """
+        _check_extent(self.chunk_bits, self.n_chunks, self.total_bits,
+                      self.payload)
+        if self.table_crc() != self.crc32:
+            raise CorruptStreamError("Huffman stream checksum mismatch")
+        if self.pad:
+            raise CorruptStreamError("nonzero pad nibble in the chunk table")
+        return (None, *_gap_spans(self.chunk_bits, self.total_bits,
+                                  self.gaps))
+
+
+@dataclass
+class HuffmanStreamV2:
+    """A version-2 stream: the version-3 layout with a u16 symbol count
+    and a whole byte per chunk gap. Read only; new streams are version 3
+    (the writer lives on in ``tests/oracles.py`` for fixtures)."""
 
     HEADER: ClassVar[struct.Struct] = _HDR
 
@@ -120,26 +254,18 @@ class HuffmanStream:
     total_bits: int          # payload bits (the rest of the last byte is 0)
     payload: np.ndarray      # uint8, one concatenated MSB-first bitstream
     crc32: int = 0           # checksum of counts, gaps and payload
-    #: int64[alphabet] count of every symbol, as the encoder tallied it
-    #: for the codebook; not serialized, so ``None`` on a parsed stream
-    symbol_counts: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_chunks(self) -> int:
         return int(self.counts.size)
 
-    def to_bytes(self) -> bytes:
-        head = self.HEADER.pack(self.n_symbols, self.alphabet_size,
-                                self.chunk_bits, self.n_chunks,
-                                self.total_bits, self.crc32)
-        return (head + self.lengths.astype(np.uint8).tobytes()
-                + self.counts.astype("<u2").tobytes()
-                + self.gaps.astype(np.uint8).tobytes()
-                + self.payload.tobytes())
+    def table_crc(self) -> int:
+        """CRC-32 over the counts (u16), the gaps (u8) and the payload."""
+        return _crc(self.counts.astype("<u2"), self.gaps.astype(np.uint8),
+                    self.payload)
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "HuffmanStream":
+    def from_bytes(cls, blob: bytes) -> "HuffmanStreamV2":
         if len(blob) < cls.HEADER.size:
             raise CorruptStreamError("truncated Huffman stream header")
         n_symbols, alphabet, chunk_bits, n_chunks, total_bits, crc = \
@@ -159,50 +285,27 @@ class HuffmanStream:
                    gaps=gaps, total_bits=total_bits, payload=payload,
                    crc32=crc)
 
-    @property
-    def nbytes(self) -> int:
-        return (self.HEADER.size + self.lengths.size + 3 * self.n_chunks
-                + self.payload.size)
-
     def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validated ``(counts, start bits, end bits)`` per chunk.
-
-        Only O(table) work happens before the CRC, and nothing is sized
-        from the header's scalars: the budget must admit a non-empty,
-        u16-countable chunk; the chunk count and payload size must follow
-        from ``total_bits``; the CRC must cover table and payload; the
-        first gap must be 0 and every gap below ``MAX_CODE_LEN`` (a gap
-        is the tail of a codeword begun in the previous chunk); and the
-        counts must sum to the header's symbol count.
-        """
-        budget, n_chunks = self.chunk_bits, self.n_chunks
-        if not MAX_CODE_LEN <= budget <= MAX_CHUNK_BITS:
-            raise CorruptStreamError(
-                f"chunk bit budget {budget} outside "
-                f"[{MAX_CODE_LEN}, {MAX_CHUNK_BITS}]")
-        if n_chunks != -(-self.total_bits // budget):
-            raise CorruptStreamError(
-                "chunk count inconsistent with the stream's bit count")
-        if self.payload.size != -(-self.total_bits // 8):
-            raise CorruptStreamError("payload size mismatch")
-        if _table_crc(self.counts, self.gaps, self.payload) != self.crc32:
+        """Validated ``(counts, start bits, end bits)`` per chunk: the
+        version-3 checks, with the CRC over the counts too, and the
+        counts must sum to the header's symbol count."""
+        _check_extent(self.chunk_bits, self.n_chunks, self.total_bits,
+                      self.payload)
+        if self.table_crc() != self.crc32:
             raise CorruptStreamError("Huffman stream checksum mismatch")
-        gaps = self.gaps.astype(np.int64)
-        if n_chunks and (gaps[0] != 0 or int(gaps.max()) >= MAX_CODE_LEN):
-            raise CorruptStreamError("chunk gap outside the codeword reach")
+        starts, ends = _gap_spans(self.chunk_bits, self.total_bits,
+                                  self.gaps)
         counts = self.counts.astype(np.int64)
         if int(counts.sum()) != self.n_symbols:
             raise CorruptStreamError(
                 "chunk symbol counts inconsistent with symbol count")
-        starts = np.arange(n_chunks, dtype=np.int64) * budget + gaps
-        ends = np.append(starts[1:], self.total_bits)
         return counts, starts, ends
 
 
 @dataclass
 class HuffmanStreamV1:
     """A version-1 stream: fixed ``chunk_size``-symbol chunks, each
-    starting on a byte boundary. Read only; new streams are version 2."""
+    starting on a byte boundary. Read only; new streams are version 3."""
 
     HEADER: ClassVar[struct.Struct] = _HDR_V1
 
@@ -259,7 +362,9 @@ class HuffmanStreamV1:
 
 
 #: Huffman stream classes by the version :data:`FORMAT_KEY` records
-_VERSIONS = {1: HuffmanStreamV1, 2: HuffmanStream}
+_VERSIONS = {1: HuffmanStreamV1, 2: HuffmanStreamV2, 3: HuffmanStream}
+#: a stream of any readable version
+AnyStream = HuffmanStream | HuffmanStreamV2 | HuffmanStreamV1
 
 
 def _stream_class(meta: dict):
@@ -275,7 +380,7 @@ def _stream_class(meta: dict):
     return cls
 
 
-def read_stream(blob: bytes, meta: dict) -> HuffmanStream | HuffmanStreamV1:
+def read_stream(blob: bytes, meta: dict) -> AnyStream:
     """Parse a container's ``huffman`` segment at the version its
     ``meta`` records."""
     return _stream_class(meta).from_bytes(blob)
@@ -567,7 +672,7 @@ def _chunk_layout(unit_len: np.ndarray, codes: np.ndarray,
                   lengths: np.ndarray, chunk_bits: int):
     """Every unit's bit offset plus the gap-array chunk table.
 
-    Returns ``(offsets, total_bits, counts, gaps)``. The offsets are one
+    Returns ``(offsets, total_bits, gaps)``. The offsets are one
     exclusive prefix sum of the unit lengths, in uint32 whenever the
     stream's bit count cannot overflow it, computed in place. The chunk
     table is at symbol granularity: chunk ``k``'s first codeword is the
@@ -598,12 +703,9 @@ def _chunk_layout(unit_len: np.ndarray, codes: np.ndarray,
         starts[:, 1:][sym >= n] = 0
     np.cumsum(starts, axis=1, out=starts)
     at = np.argmax(starts >= bounds[:, None], axis=1)
-    first = sym[:, 0] + at
     first_bit = starts.ravel()[at + np.arange(0, starts.size,
                                               _UNIT_SYMBOLS + 1)]
-    counts = np.diff(first, append=n).astype(np.uint16)
-    gaps = (first_bit - bounds).astype(np.uint8)
-    return pos, total_bits, counts, gaps
+    return pos, total_bits, (first_bit - bounds).astype(np.uint8)
 
 
 def huffman_encode(codes: np.ndarray, alphabet_size: int,
@@ -643,7 +745,6 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                 raise CodecError(
                     "static codebook lacks a code for a symbol")
         codebook = canonical_codebook(lengths)
-    counts = np.empty(0, np.uint16)
     gaps = np.empty(0, np.uint8)
     payload = np.empty(0, np.uint8)
     total_bits = 0
@@ -655,24 +756,23 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
                 codes, _symbol_table(lengths, codebook), plan)
             units, unit_len = _merge_pairs(pairs, pair_len)
             del pairs, pair_len, plan
-            pos, total_bits, counts, gaps = _chunk_layout(
+            pos, total_bits, gaps = _chunk_layout(
                 unit_len, codes, lengths, chunk_bits)
             payload = pack_varbits64(units, unit_len, pos,
                                      -(-total_bits // 8))
-            sp.set(bytes_out=int(payload.size), n_chunks=int(counts.size))
+            sp.set(bytes_out=int(payload.size), n_chunks=int(gaps.size))
     stream = HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
                            chunk_bits=chunk_bits,
-                           lengths=lengths.astype(np.uint8), counts=counts,
-                           gaps=gaps, total_bits=total_bits,
-                           payload=payload,
-                           crc32=_table_crc(counts, gaps, payload))
+                           lengths=lengths.astype(np.uint8), gaps=gaps,
+                           total_bits=total_bits, payload=payload)
+    stream.crc32 = stream.table_crc()
     stream.symbol_counts = freqs
     return stream
 
 
-def huffman_decode(stream: HuffmanStream | HuffmanStreamV1, *,
+def huffman_decode(stream: AnyStream, *,
                    probe_bits: int | None = None) -> np.ndarray:
-    """Decode a Huffman stream (either version) into its uint32 symbols.
+    """Decode a Huffman stream (any version) into its uint32 symbols.
 
     Raises :class:`~repro.common.errors.CorruptStreamError` on a corrupt
     stream. The probe width is picked per stream
@@ -693,23 +793,31 @@ def huffman_decode(stream: HuffmanStream | HuffmanStreamV1, *,
         return out
 
 
-def _decode_prepare(stream: HuffmanStream | HuffmanStreamV1):
+def _decode_prepare(stream: AnyStream):
     """Stream validation + per-chunk cursor state for the decoder.
 
     Everything sized from the header is checked here, before the decoder
-    allocates its output. Each version derives its chunk symbol counts
-    and bit spans (:meth:`HuffmanStream.layout`); then each chunk's span
-    must be reachable by its symbol count at the stream's shortest and
-    longest code lengths. Returns ``(padded payload, counts, start bits,
-    end bits)``.
+    allocates its output. Each version derives its chunk bit spans, and
+    its stored chunk symbol counts if it has any
+    (:meth:`HuffmanStream.layout`). The symbol count must be reachable
+    by the spans at the stream's shortest and longest code lengths: per
+    chunk where counts are stored, over the whole stream otherwise.
+    Returns ``(padded payload, counts or None, start bits, end bits)``.
     """
     counts, bitpos, bit_end = stream.layout()
     used = stream.lengths[stream.lengths > 0]
     if used.size == 0:
         raise CorruptStreamError("Huffman stream has no codewords")
+    shortest, longest = int(used.min()), int(used.max())
     bits = bit_end - bitpos
-    if np.any(bits < counts * int(used.min())) \
-            or np.any(bits > counts * int(used.max())):
+    if counts is None:
+        total = int(bits.sum())
+        if not stream.n_symbols * shortest <= total \
+                <= stream.n_symbols * longest:
+            raise CorruptStreamError(
+                "symbol count inconsistent with the stream's bit count")
+    elif np.any(bits < counts * shortest) \
+            or np.any(bits > counts * longest):
         raise CorruptStreamError(
             "chunk bit counts inconsistent with symbol count")
     # pad so window gathers never read past the end
@@ -733,7 +841,9 @@ PROBE_WIDTHS = (12, 13, 14, MAX_CODE_LEN)
 # On version-2 streams the measured penalty is 2-3x this model, but a
 # refit (which picks wider, larger LUTs) did not lower archive-mixed
 # decompress_ms_p50 beyond noise and raised its peak RSS ~6%, so the
-# constants stay.
+# constants stay. On the 32 seed-0 archive-mixed version-3 streams the
+# widths it picks decode cold within 4% of each stream's fastest width
+# (docs/PERFORMANCE.md), too little for a refit to show in the bench.
 _BUILD_MS_PER_ROW = 1.62e-4
 _STALL_MS = 89.0
 _STALL_MS_PER_SYMBOL = 3.9e-4
@@ -758,7 +868,7 @@ def choose_probe_bits(n_symbols: int, lengths: np.ndarray) -> int:
     return PROBE_WIDTHS[int(np.argmin(costs))]
 
 
-def _lut_for(stream: HuffmanStream, probe_bits: int | None):
+def _lut_for(stream: AnyStream, probe_bits: int | None):
     """The ``(probe_bits, LUT outcome, LUT)`` a decode of ``stream`` uses.
 
     A pinned ``probe_bits`` is used as given. Otherwise a cached
@@ -787,7 +897,7 @@ def _lut_for(stream: HuffmanStream, probe_bits: int | None):
 _REPLAY_RECORDS = 8192
 
 
-def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
+def _decode_lut(stream: AnyStream,
                 probe_bits: int | None = None
                 ) -> tuple[np.ndarray, int, str, dict]:
     """Chunk-parallel multi-symbol LUT decode.
@@ -797,26 +907,31 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
     ``records_kept``). One batched advance per step: every chunk lane
     gathers the 64-bit big-endian window at its bit cursor and chains
     ``(64 - 7) // K`` probes of the next ``K`` bits through the
-    multi-symbol LUT, advancing by every complete codeword each probe
-    contained (after ``<= 7`` alignment bits every chained probe still
-    fits the window, so no slot needs a feasibility mask). A drained lane
-    keeps stepping with zero emits; chunks carry about the same bit count,
-    so few lanes idle that way. A probe whose first codeword is wider than
-    ``K`` emits nothing and advances by nothing, so its lane idles for the
-    rest of the word; only after the slot loop do the idle lanes take one
-    wide-codeword step (a ``searchsorted`` over the canonical codewords'
-    starts), off the per-slot critical ops. A full-width probe
-    never idles on a valid stream, so there an idle lane means an invalid
-    codeword.
+    multi-symbol LUT (after ``<= 7`` alignment bits every chained probe
+    still fits the window, so no slot needs a feasibility mask). A lane
+    is live while its cursor is short of its chunk's bit end; a live
+    lane advances by the LUT row's whole advance (``adv``), a finished
+    one neither emits nor advances, and chunks carry about the same bit
+    count, so few lanes idle that way. A probe whose first codeword is
+    wider than ``K`` emits nothing and advances by nothing, so its lane
+    idles for the rest of the word; only after the slot loop do the idle
+    lanes take one wide-codeword step (a ``searchsorted`` over the
+    canonical codewords' starts), off the per-slot critical ops. A
+    full-width probe never idles on a valid stream, so there an idle
+    lane means an invalid codeword.
 
     Symbol *emission* is deferred: each slot only records one
     ``(probe, emit count)`` column across all lanes (a wide-codeword step
     takes over its idle lane's empty last-slot record, storing the
-    symbol as the negative probe ``~symbol``). Stacked chunk
-    by chunk, those records are in output order, since chunks are
-    consecutive in the output and each lane's records are in stream
-    order. The replay drops the zero-emit records, gathers each kept
-    probe's LUT row, and keeps each row's emitted prefix through a
+    symbol as the negative probe ``~symbol``). Stacked chunk by chunk,
+    those records are in output order, since chunks are consecutive in
+    the output and each lane's records are in stream order. The replay
+    first trims each lane's last record, the one that crossed its bit
+    end, to the codewords that end there (none may straddle it). The
+    emits then add up to each chunk's symbol count: their total must be
+    the header's, and a stream that stores counts must match them chunk
+    by chunk. It then drops the zero-emit records, gathers each kept
+    probe's LUT row and keeps each row's emitted prefix through a
     per-emit-count mask — one boolean compaction into the output per
     block of chunks.
     """
@@ -825,27 +940,21 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
         return (np.empty(0, dtype=np.uint32), 0, "none",
                 {"steps": 0, "n_chunks": 0, "records_kept": 0})
     pay, counts, bitpos, bit_end = _decode_prepare(stream)
-    probe_bits, outcome, (lut_count, lut_cum, lut_syms) = \
-        _lut_for(stream, probe_bits)
+    probe_bits, outcome, lut = _lut_for(stream, probe_bits)
+    lut_count, adv = lut.count, lut.adv
     narrow = probe_bits < MAX_CODE_LEN
     if narrow:
         code = canonical_order(stream.lengths)
     windows8 = np.lib.stride_tricks.sliding_window_view(pay, 8)
-    n_chunks = counts.size
-    # flattened cum-bits gather (row*stride + emit) beats 2-D fancy
-    # indexing in the slot loop below; the leading zero column of
-    # ``lut_cum`` makes zero-emit lanes advance by 0 with no masking
-    cum_flat = lut_cum.ravel()
-    cstride = lut_cum.shape[1]
+    n_chunks = bitpos.size
     kmask = np.int64((1 << probe_bits) - 1)
     fmask = np.int64((1 << MAX_CODE_LEN) - 1)
     slots = (64 - 7) // probe_bits
     last_byte = pay.size - 8
 
-    rem = counts.astype(np.uint32)   # holds any v1 or v2 chunk count
     probes, emits = [], []          # one record column per slot
     steps = 0
-    while rem.any():
+    while np.any(bitpos < bit_end):
         steps += 1
         byte = np.minimum(bitpos >> 3, last_byte)  # drift-safe gather
         # big-endian *signed* view: arithmetic shift then mask extracts
@@ -853,20 +962,21 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
         # mixed-dtype shift headaches
         word = windows8[byte].view(">i8").ravel().astype(np.int64)
         # shift that brings the next probe to the low bits: each slot
-        # lowers it by the bits its probe consumed
+        # lowers it by the bits its probe consumed, so the lane's cursor
+        # is bitpos + sh0 - sh, and the lane is live while sh > stop
         sh0 = (64 - probe_bits) - (bitpos & 7)
+        stop = bitpos + sh0 - bit_end
         sh = sh0.copy()
         for _ in range(slots):
             probe = (word >> sh) & kmask
-            raw = lut_count[probe]
-            emit = np.minimum(raw, rem)
-            sh -= cum_flat[probe * cstride + emit]
-            rem -= emit
+            live = sh > stop
+            emit = lut_count[probe] * live
+            sh -= adv[probe] * live
             probes.append(probe)
             emits.append(emit)
         # a lane idled (its last probe held no complete codeword) iff its
         # first idle probe recurred through the remaining slots
-        idle = np.flatnonzero((raw == 0) & (rem > 0))
+        idle = np.flatnonzero((emit == 0) & (sh > stop))
         if idle.size:
             if not narrow:
                 raise CorruptStreamError(
@@ -884,26 +994,53 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
                     "corrupt Huffman payload (invalid codeword)")
             at = np.searchsorted(code.starts, win, side="right") - 1
             ln = code.lens[at]
+            if np.any(cur + ln > bit_end[idle]):
+                raise CorruptStreamError("chunk end inside a codeword")
             # the idle lane's last-slot record emitted nothing: it
             # becomes the wide-codeword step's record
             probe[idle] = ~code.order[at].astype(np.int64)
             emit[idle] = 1
             sh[idle] -= ln
-            rem[idle] -= 1
         bitpos += sh0 - sh
-    if np.any(bitpos != bit_end):
-        raise CorruptStreamError("chunk bit counts do not match decoded "
-                                 "stream")
+    emits, probes = np.array(emits), np.array(probes)   # (record, chunk)
+    n_rec = emits.shape[0]
+    # a lane that ran past its chunk's end did so in its last nonzero
+    # record, a LUT probe (a wide-codeword step never overshoots): trim
+    # it to the codewords that end within the chunk, the row's longest
+    # prefix whose advance fits, which must fill the chunk exactly
+    over = bitpos - bit_end
+    cross = np.flatnonzero(over)
+    if cross.size:
+        # each lane's last nonzero record: the highest (record + 1)
+        rank = np.arange(1, n_rec + 1, dtype=np.min_scalar_type(n_rec))
+        at = (rank[:, None] * (emits != 0)).max(axis=0)[cross] \
+            .astype(np.int64) - 1
+        row = probes[at, cross]
+        # need < adv <= 16: the row ran past the chunk's end
+        need = (adv[row] - over[cross]).astype(np.uint8)
+        cum = np.take(lut.cum, row, axis=0)
+        # a row's cumulative bits past its count are 0, so only its
+        # codewords that end past the chunk's end exceed ``need``
+        trim = lut_count[row] - (cum > need[:, None]).sum(
+            axis=1, dtype=np.uint8)
+        if np.any(cum.ravel()[np.arange(0, cum.size, cum.shape[1]) + trim]
+                  != need):
+            raise CorruptStreamError("chunk end inside a codeword")
+        emits[at, cross] = trim
+    if int(emits.sum()) != n:
+        raise CorruptStreamError(
+            "decoded symbol count does not match the stream's")
+    if counts is not None and np.any(emits.sum(axis=0) != counts):
+        raise CorruptStreamError(
+            "chunk symbol counts do not match the decoded stream")
 
-    emits, probes = np.array(emits), np.array(probes)   # (slot, chunk)
-    width = lut_syms.shape[1]
+    width = lut.syms.shape[1]
     prefix = np.arange(width) < np.arange(width + 1)[:, None]
-    first = np.concatenate(([0], np.cumsum(counts)))   # output per chunk
     out = np.empty(n, dtype=np.uint32)
-    kept = 0
+    done = kept = 0
     # replay a block of chunks at a time, so the row gather and its mask
     # stay cache-sized however long the stream is
-    block = max(1, _REPLAY_RECORDS // emits.shape[0])
+    block = max(1, _REPLAY_RECORDS // n_rec)
     for c0 in range(0, n_chunks, block):
         c1 = min(c0 + block, n_chunks)
         # chunk-major records are in output order
@@ -914,10 +1051,12 @@ def _decode_lut(stream: HuffmanStream | HuffmanStreamV1,
         kept += keep.size
         # the clip mode maps the wide-codeword records' negative probes to
         # row 0, whose first slot is then overwritten with the symbol
-        rows = np.take(lut_syms, pr, axis=0, mode="clip")
+        rows = np.take(lut.syms, pr, axis=0, mode="clip")
         if narrow:
             fb = np.flatnonzero(pr < 0)
             rows[fb, 0] = ~pr[fb]
-        out[first[c0]:first[c1]] = rows[np.take(prefix, em, axis=0)]
+        syms = rows[np.take(prefix, em, axis=0)]
+        out[done:done + syms.size] = syms
+        done += syms.size
     return out, probe_bits, outcome, {"steps": steps, "n_chunks": n_chunks,
                                       "records_kept": kept}

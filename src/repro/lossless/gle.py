@@ -197,15 +197,12 @@ def _pack_encode(data: np.ndarray) -> bytes | None:
     if est >= n:
         return None
     parts = [struct.pack("<QI", n, n_blocks), widths.tobytes()]
-    # group blocks by width so each group is one vectorized pack; a
-    # width-8 group is its bytes as they are
+    # group blocks by width so each group is one vectorized pack
     for w in range(1, 9):
         sel = widths == w
         if not np.any(sel):
             continue
-        group = blocks[sel]
-        parts.append(group.tobytes() if w == 8
-                     else pack_uint(group.ravel(), w).tobytes())
+        parts.append(pack_uint(blocks[sel].ravel(), w).tobytes())
     out = b"".join(parts)
     if len(out) >= n:
         return None

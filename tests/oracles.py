@@ -28,7 +28,11 @@ emits must match them byte for byte:
   over the same codebook, with the gap-array chunk table derived its own
   way (a ``bincount`` of each codeword's chunk). Oracle for the
   pair-table encoder, its four-codeword units and its symbol-granular
-  chunk layout.
+  chunk layout; with ``version=2`` (and :func:`v2_bytes`) also the
+  writer of version-2 streams, which the library only reads.
+* :func:`pack_uint_wide` — fixed-width packing through a uint64 copy of
+  every input. Oracle for the narrow widths of
+  :func:`repro.common.bitpack.pack_uint`.
 
 Both traversals accept (and ignore) ``plan=``, and the compressor
 accepts ``value_bounds=``, so they can stand in for
@@ -52,7 +56,8 @@ from repro.core.ginterp.plans import (PassDesc, _axis_indices, _class_1d,
                                       pass_plan)
 from repro.core.ginterp.splines import NEIGHBOR_OFFSETS, SPLINE_WEIGHTS
 from repro.common.scan import concat_ranges
-from repro.huffman import (MAX_CODE_LEN, DEFAULT_CHUNK_BITS, HuffmanStream,
+from repro.huffman import (MAX_CODE_LEN, DEFAULT_CHUNK_BITS, FORMAT_VERSION,
+                           HuffmanStream, HuffmanStreamV2,
                            canonical_codebook, fingerprint_code_lengths,
                            histogram)
 from repro.huffman.codec import MAX_CHUNK_BITS, _decode_prepare
@@ -382,10 +387,14 @@ def pack_varbits(codes: np.ndarray, lengths: np.ndarray,
 
 def encode_loop(codes: np.ndarray, alphabet_size: int,
                 chunk_bits: int = DEFAULT_CHUNK_BITS,
-                lengths: np.ndarray | None = None) -> HuffmanStream:
+                lengths: np.ndarray | None = None,
+                version: int = FORMAT_VERSION):
     """The byte-plane Huffman encoder: the same codebook and stream as
     :func:`repro.huffman.huffman_encode`, bits emitted through
-    :func:`pack_varbits` and the chunk table counted per chunk."""
+    :func:`pack_varbits` and the chunk table counted per chunk.
+    ``version=2`` writes the version-2 stream of the same chunking (the
+    gaps plus each chunk's u16 symbol count): the writer of the fixtures
+    in ``data/huffman_v2/`` and of hostile version-2 tables."""
     if not MAX_CODE_LEN <= chunk_bits <= MAX_CHUNK_BITS:
         raise CodecError("chunk bit budget out of range")
     codes = np.asarray(codes, dtype=np.uint32).ravel()
@@ -396,54 +405,75 @@ def encode_loop(codes: np.ndarray, alphabet_size: int,
     else:
         lengths = np.asarray(lengths, dtype=np.int64)
     codebook = canonical_codebook(lengths)
-    if n == 0:
-        return HuffmanStream(0, alphabet_size, chunk_bits,
-                             lengths.astype(np.uint8),
-                             np.empty(0, np.uint16), np.empty(0, np.uint8),
-                             0, np.empty(0, np.uint8), crc32=0)
-    sym_len = lengths[codes]               # int64 per-symbol lengths
-    pos = np.cumsum(sym_len) - sym_len     # every codeword's start bit
-    total_bits = int(pos[-1] + sym_len[-1])
-    n_chunks = -(-total_bits // chunk_bits)
-    # chunk k holds the codewords starting in [k*B, (k+1)*B); its gap is
-    # its first codeword's offset from k*B (an empty last chunk's first
-    # "codeword" is the end of the stream)
-    counts = np.bincount(pos // chunk_bits, minlength=n_chunks)
-    first = np.cumsum(counts) - counts
-    starts = np.append(pos, total_bits)[first]
-    gaps = starts - np.arange(n_chunks) * chunk_bits
-    payload = pack_varbits(codebook[codes], sym_len, pos,
-                           -(-total_bits // 8))
-    counts, gaps = counts.astype(np.uint16), gaps.astype(np.uint8)
-    crc = zlib.crc32(counts.astype("<u2").tobytes() + gaps.tobytes()
-                     + payload.tobytes())
-    return HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
-                         chunk_bits=chunk_bits,
-                         lengths=lengths.astype(np.uint8), counts=counts,
-                         gaps=gaps, total_bits=total_bits, payload=payload,
-                         crc32=crc)
+    counts = np.empty(0, np.uint16)
+    gaps = np.empty(0, np.uint8)
+    payload = np.empty(0, np.uint8)
+    total_bits = 0
+    if n:
+        sym_len = lengths[codes]               # int64 per-symbol lengths
+        pos = np.cumsum(sym_len) - sym_len     # every codeword's start bit
+        total_bits = int(pos[-1] + sym_len[-1])
+        n_chunks = -(-total_bits // chunk_bits)
+        # chunk k holds the codewords starting in [k*B, (k+1)*B); its gap
+        # is its first codeword's offset from k*B (an empty last chunk's
+        # first "codeword" is the end of the stream)
+        counts = np.bincount(pos // chunk_bits, minlength=n_chunks)
+        first = np.cumsum(counts) - counts
+        starts = np.append(pos, total_bits)[first]
+        gaps = (starts - np.arange(n_chunks) * chunk_bits).astype(np.uint8)
+        counts = counts.astype(np.uint16)
+        payload = pack_varbits(codebook[codes], sym_len, pos,
+                               -(-total_bits // 8))
+    # the CRC covers the table as the version lays it out for checking
+    # (v2: u16 counts and u8 gaps; v3: the gaps one byte each), then the
+    # payload
+    if version == 2:
+        crc = zlib.crc32(counts.astype("<u2").tobytes() + gaps.tobytes()
+                         + payload.tobytes())
+        return HuffmanStreamV2(
+            n_symbols=n, alphabet_size=alphabet_size, chunk_bits=chunk_bits,
+            lengths=lengths.astype(np.uint8), counts=counts, gaps=gaps,
+            total_bits=total_bits, payload=payload, crc32=crc)
+    return HuffmanStream(
+        n_symbols=n, alphabet_size=alphabet_size, chunk_bits=chunk_bits,
+        lengths=lengths.astype(np.uint8), gaps=gaps, total_bits=total_bits,
+        payload=payload, crc32=zlib.crc32(gaps.tobytes() + payload.tobytes()))
+
+
+def v2_bytes(stream: HuffmanStreamV2) -> bytes:
+    """Serialize a version-2 stream: header, code lengths, u16 counts,
+    u8 gaps, payload (the inverse of ``HuffmanStreamV2.from_bytes``)."""
+    head = HuffmanStreamV2.HEADER.pack(
+        stream.n_symbols, stream.alphabet_size, stream.chunk_bits,
+        stream.n_chunks, stream.total_bits, stream.crc32)
+    return (head + np.asarray(stream.lengths, np.uint8).tobytes()
+            + np.asarray(stream.counts).astype("<u2").tobytes()
+            + np.asarray(stream.gaps, np.uint8).tobytes()
+            + np.asarray(stream.payload, np.uint8).tobytes())
 
 
 def decode_loop(stream) -> np.ndarray:
     """One codeword per flat-table lookup, up to three lookups per
-    64-bit window gather. Takes a stream of either version."""
+    64-bit window gather. Takes a stream of any version: each chunk lane
+    decodes until its cursor reaches the chunk's end bit, which must
+    fall on a codeword boundary; the symbols emitted per chunk must add
+    up to the header's count (and match a version's stored counts)."""
     n = stream.n_symbols
     if n == 0:
         return np.empty(0, dtype=np.uint32)
     pay, counts, bitpos, bit_end = _decode_prepare(stream)
     windows8 = np.lib.stride_tricks.sliding_window_view(pay, 8)
-    n_chunks = counts.size
+    n_chunks = bitpos.size
     table_sym, table_len = build_decode_table(stream.lengths)
 
-    # chunk c's symbols land at (symbols of chunks before c) + step
-    out = np.empty(n, dtype=np.uint32)
-    base = np.cumsum(counts) - counts
-    decoded = np.zeros(n_chunks, dtype=np.int64)
+    # every decoded symbol with its chunk: a stable sort by chunk puts
+    # them in output order (each chunk's symbols are in stream order)
+    symbols, owners = [], []
     mask = np.uint64((1 << MAX_CODE_LEN) - 1)
     # one 64-bit gather decodes up to K symbols per chunk per step: after
     # the <= 7 alignment bits, 57 bits remain — three <=16-bit codewords
     k_per_step = (64 - 7) // MAX_CODE_LEN
-    active = np.flatnonzero(counts)     # a last chunk may be empty
+    active = np.flatnonzero(bitpos < bit_end)
     while active.size:
         bp = bitpos[active]
         byte = np.minimum(bp >> 3, pay.size - 8)  # drift-safe gather
@@ -459,16 +489,62 @@ def decode_loop(stream) -> np.ndarray:
             if np.any(ln == 0):
                 raise CorruptStreamError(
                     "corrupt Huffman payload (invalid codeword)")
-            chunks = active[live]
-            out[base[chunks] + decoded[chunks]] = table_sym[window]
+            symbols.append(table_sym[window])
+            owners.append(active[live])
             consumed[live] += ln
-            decoded[chunks] += 1
-            live = live[decoded[active[live]] < counts[active[live]]]
+            live = live[bp[live] + consumed[live] < bit_end[active[live]]]
             if live.size == 0:
                 break
         bitpos[active] += consumed
-        active = active[decoded[active] < counts[active]]
+        active = active[bitpos[active] < bit_end[active]]
     if np.any(bitpos != bit_end):
-        raise CorruptStreamError("chunk bit counts do not match decoded "
-                                 "stream")
-    return out
+        raise CorruptStreamError("chunk end inside a codeword")
+    owners = np.concatenate(owners)
+    found = np.bincount(owners, minlength=n_chunks)
+    if int(found.sum()) != n:
+        raise CorruptStreamError(
+            "decoded symbol count does not match the stream's")
+    if counts is not None and np.any(found != counts):
+        raise CorruptStreamError(
+            "chunk symbol counts do not match the decoded stream")
+    order = np.argsort(owners, kind="stable")
+    return np.concatenate(symbols)[order].astype(np.uint32)
+
+
+def pack_uint_wide(values: np.ndarray, width: int) -> np.ndarray:
+    """:func:`repro.common.bitpack.pack_uint` as it was before its narrow
+    widths stopped widening to uint64: every width goes through a uint64
+    copy of the input. Oracle for the narrow (1-8 bit) paths."""
+    if width < 0 or width > 64:
+        raise CodecError(f"bit width {width} out of range 0..64")
+    values = np.asarray(values)
+    if values.size == 0:
+        return np.empty(0, dtype=np.uint8)
+    if width == 0:
+        if np.any(values != 0):
+            raise CodecError("width 0 requires all-zero values")
+        return np.empty(0, dtype=np.uint8)
+    v = values.astype(np.uint64, copy=False).ravel()
+    if width < 64 and np.any(v >> np.uint64(width)):
+        raise CodecError(f"value does not fit in {width} bits")
+    if width == 8:
+        return v.astype(np.uint8)
+    if width in (1, 2, 4):
+        per_byte = 8 // width
+        n = v.size
+        m = -(-n // per_byte)
+        g = v.astype(np.uint8)
+        if m * per_byte != n:
+            g = np.concatenate([g, np.zeros(m * per_byte - n, np.uint8)])
+        g = g.reshape(m, per_byte)
+        out = np.zeros(m, dtype=np.uint8)
+        for j in range(per_byte):
+            out |= g[:, j] << (8 - (j + 1) * width)
+        return out
+    if width % 8 == 0:
+        nb = width // 8
+        be = v.astype(">u8").view(np.uint8).reshape(v.size, 8)
+        return np.ascontiguousarray(be[:, 8 - nb:]).reshape(-1)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    bits = ((v[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.ravel())

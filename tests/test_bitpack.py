@@ -10,6 +10,8 @@ from repro.common.bitpack import (bit_length, min_bit_width, pack_uint,
                                   zigzag_decode, zigzag_encode)
 from repro.common.errors import CodecError
 
+from oracles import pack_uint_wide
+
 
 class TestPackUnpack:
     @pytest.mark.parametrize("width", [1, 3, 7, 8, 13, 16, 31, 32, 57, 64])
@@ -61,6 +63,28 @@ class TestPackUnpack:
             pack_uint(np.array([1], np.uint64), 65)
         with pytest.raises(CodecError):
             unpack_uint(np.zeros(8, np.uint8), -1, 4)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+    def test_narrow_widths_match_the_widening_path(self, width, dtype,
+                                                   rng):
+        # widths 1-8 pack in uint8 throughout; their bytes must equal the
+        # path that widens every input to uint64 first, at every length
+        # modulo the values per byte
+        for n in (1, 2, 3, 7, 8, 9, 255, 4096, 4097):
+            vals = rng.integers(0, 1 << width, n).astype(dtype)
+            packed = pack_uint(vals, width)
+            assert packed.tobytes() == pack_uint_wide(vals, width).tobytes()
+            np.testing.assert_array_equal(unpack_uint(packed, width, n),
+                                          vals)
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_narrow_widths_reject_what_they_cannot_hold(self, width):
+        for vals in (np.array([1 << width], np.uint16),
+                     np.array([1 << width], np.uint64),
+                     np.array([-1], np.int64)):
+            with pytest.raises(CodecError):
+                pack_uint(vals, width)
 
     @given(st.lists(st.integers(0, 2**20 - 1), max_size=200))
     @settings(max_examples=50, deadline=None)

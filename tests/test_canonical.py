@@ -22,7 +22,6 @@ from oracles import canonical_codebook_loop, decode_loop, expand_lut_flat
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman import (MAX_CODE_LEN, canonical_codebook, canonical_order,
                            code_lengths, huffman_decode, huffman_encode)
-from repro.huffman.codec import _table_crc
 
 ALL_WIDTHS = range(1, MAX_CODE_LEN + 1)
 
@@ -167,7 +166,7 @@ def _forge_past_end(lengths: np.ndarray) -> object:
     bits[end - int(lengths[last]):end] = 1
     payload = np.packbits(bits)
     bad = dataclasses.replace(stream, payload=payload)
-    bad.crc32 = _table_crc(bad.counts, bad.gaps, bad.payload)
+    bad.crc32 = bad.table_crc()
     return bad
 
 

@@ -109,10 +109,11 @@ _HEADER_VALUES = {
     # a valid radius whose alphabet is not the Huffman stream's
     "radius-mismatch": ("radius", DEFAULT_RADIUS // 2),
     "spec-not-a-dict": ("spec", 8),
-    "huffman_format-3": ("huffman_format", 3),
+    "huffman_format-4": ("huffman_format", 4),
     "huffman_format-str": ("huffman_format", "2"),
-    # a version-2 stream read as version 1 must fail its checks
+    # a version-3 stream read as an earlier version must fail its checks
     "huffman_format-1": ("huffman_format", 1),
+    "huffman_format-2": ("huffman_format", 2),
 }
 
 

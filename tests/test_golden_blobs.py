@@ -26,42 +26,42 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 MODES = {"abs": 1e-3, "rel": 1e-4}
 
 GOLDEN = {
-    "cuszi-1d-f32-abs": "40fc61e4886f5f18f9801538049297ed32128526bd25d9939c19beb833110174",
-    "cuszi-1d-f32-rel": "c9f699ce51e319a30e8118976aaa4e6469a7e56a831a1ab41e8b36c755e0a34f",
-    "cuszi-1d-f64-abs": "5d88426182ae30626a19653eb42e4f1693d95c8b6bc6bf5226800f6b74fb3b27",
-    "cuszi-1d-f64-rel": "0e6b1a17af701977abf2ec09bb2e8421ff8af787bd98339f7642a00ca3929a65",
-    "cuszi-2d-f32-abs": "4cda009b318d1891f1c42ec5d7a076672b9a46ff3dee5b549e6b1b4fa0865157",
-    "cuszi-2d-f32-rel": "c079cd94d934c5d8aa6aed884ae8c054b9f7346b42a76698dfc5ac323cda9507",
-    "cuszi-2d-f64-abs": "5af9ef1ccbf44a0decc9547140bc8048f9a79e5ee55f59c857175893176d6cf9",
-    "cuszi-2d-f64-rel": "5e2098b81f01a2fbd2643cf1f652f062b41f768f0071d7701d903ae793b32160",
-    "cuszi-3d-f32-abs": "8500b63581eb7e7dd2b2a5d7c1a9604216d266f3424cfef0257ab60a32d723c6",
-    "cuszi-3d-f32-rel": "de7394641d9faa8b31fb2244f7e64bf530df1860777adc3611e91ee8854bd8f6",
-    "cuszi-3d-f64-abs": "c785f2dfd7362b483bffcebcb2c5c3934bc54688e229a5d18bd2269244d39ebe",
-    "cuszi-3d-f64-rel": "b45ca2ea4a82a56a34915a24901f14230fd53559fe46724bc7fc560238616e4c",
-    "sz3-1d-f32-abs": "d5ff1596ed2236a221bf4b29ebf3c328e98f5e1c573444adfcacd5a738ede5d4",
-    "sz3-1d-f32-rel": "66d1fde651601c140c94967ee12766fbce2b79873f112e35485ebb43bd198a56",
-    "sz3-1d-f64-abs": "148b3ef7233423d3fc7d4f16d3a0260c19440e276c1d4595f1c87b3c13f0e482",
-    "sz3-1d-f64-rel": "6e150d0783c44a0b9abd13da64083b0524e60076744d0d73bfa4fc057756eeac",
-    "sz3-2d-f32-abs": "cefc9df3ecc64bbb76e044d36bc37f49b8e1899afbed0cf7f059413a9edac32e",
-    "sz3-2d-f32-rel": "2f56076c9d7820e8ae07869c67e56d2efd5604b2121443010775862d1d288fc5",
-    "sz3-2d-f64-abs": "fd2429815574ea91503a4f39f536ab0de3fd6c0bcaa6b9942c41e5189a04fbdb",
-    "sz3-2d-f64-rel": "49b589fa9756b4c791251ada034b5fe4b59e3988269b7486efb121e5d06edd8e",
-    "sz3-3d-f32-abs": "59037a4be72bd3d36134382d4f2de0de84e17051116b67ab64418231162ef216",
-    "sz3-3d-f32-rel": "a0d46a458f1fdb1f75a4792aa9e6ca27166e29facb228a23413a650c3d0fdcb4",
-    "sz3-3d-f64-abs": "1b61e1b934048e8071350254caf04444b4e65e7a0a599d637137d426e8ccd5e4",
-    "sz3-3d-f64-rel": "bf8c7e2daf5c911e56bc3c0b75ec04c1980280f9e87302e2dbf61877c7826b57",
-    "qoz-1d-f32-abs": "a1986e58c1177b60e2d8b05dca9ef9a1f25119ec45b91baa010a5f04e00ace52",
-    "qoz-1d-f32-rel": "edfbc044dfef6b880990c0c0dee79f813dbd298961f930f9ffb663ebbb5508e7",
-    "qoz-1d-f64-abs": "bd95ff3f595e38481fe15a8700c7aca2e6d30c122c35ac63c8273703a5940b8e",
-    "qoz-1d-f64-rel": "54f2ca206f996cf5f4838b8e3ed2ad1a45c9e687c9d37d596dd61a05f1531a6d",
-    "qoz-2d-f32-abs": "dae663337a7bc420655a42de6e43ff4d07f9533000fe76d0490e0ec85ed98fbd",
-    "qoz-2d-f32-rel": "37a6c51f84a12864720fc799e8d5fb497ee5e921a0b81ab07f3c98284288ec5b",
-    "qoz-2d-f64-abs": "fbcc9a156795ba01475e76bf7aa903c2a4bacce0bcd4803f2f51b91a84445e0d",
-    "qoz-2d-f64-rel": "8c70e6a22df797f2aba51977481017bab3cf60167d65eecb8a645ce588773989",
-    "qoz-3d-f32-abs": "049417a3079b89676c2cba6f7ae2dcc985affdb2f9778add75492f723422b80a",
-    "qoz-3d-f32-rel": "657e323284d02b8cc603d6ddf457402c55bf9ceebbb70cb10209205351bd103f",
-    "qoz-3d-f64-abs": "5b28d6241be2812365e973a73016be67f61cfbf3469bdcbedf984e02477262e1",
-    "qoz-3d-f64-rel": "f949b720f2f2331a455cab110ba2f950a44077f9cf8801c28d62ea34693cf713",
+    "cuszi-1d-f32-abs": "f93ec041dce0fcf22d2f7cc1ca5411234153e1d7b36f4733c2c40d0718c6907e",
+    "cuszi-1d-f32-rel": "11d5f2567957e83a1dc1878536baab1ea8163bec8736331468d02c59c7b28bb7",
+    "cuszi-1d-f64-abs": "6df5677fef2d04a1efb07b4a4d08c84f9de1754405d3a4e0ceaad26dddb4af7a",
+    "cuszi-1d-f64-rel": "7bdde5b12a36352f3ad013c8ff7cf457ac506cde97b725632978c70caee52d79",
+    "cuszi-2d-f32-abs": "f153302a60a764636d04dd4478a625911300d1713154934fde69dcde7f7a5951",
+    "cuszi-2d-f32-rel": "b1c800dbb90d85335f2a716bba2c9b4bd70e00e6efa93504d344e6e26316d402",
+    "cuszi-2d-f64-abs": "c264c030999fce1084a5eef03f2730458c1dbe28d9ddd89ef652274058a8803a",
+    "cuszi-2d-f64-rel": "bf0abeee6c988e8c4496b6fcd34a5d04295e302dddd478270301ce19046ab678",
+    "cuszi-3d-f32-abs": "80913d7fde2988fc25282444b78182fb4dcc633030ef93915806cb5eb0c6b38f",
+    "cuszi-3d-f32-rel": "8f23056431878eef12d4959a74aba43b1c38b0dafb8d69eefab949f61512b9b8",
+    "cuszi-3d-f64-abs": "562519b5c08c6a763a7fc603e7bc9575d8469c16d2eb8e03510eda2d305637da",
+    "cuszi-3d-f64-rel": "ef3bee83db252539d596beabda48ca826a3dbc8ecd2811b5c62c821d8900cf50",
+    "sz3-1d-f32-abs": "bf108572d31d3ba12a50766e923802560507cb55209c602fee7f5bf499da7d31",
+    "sz3-1d-f32-rel": "b261e5cbe573586920cfb5fd573bfceb1a6a0c129ef04975dd9807b88a407977",
+    "sz3-1d-f64-abs": "bc78463cfbaae26c85356b37255874b95694b4c44e84c38982ee658baa9017d9",
+    "sz3-1d-f64-rel": "38cc3cffe49af7c29e71696f83c9955b83c66887a6de358217b97a856e77aa6a",
+    "sz3-2d-f32-abs": "11dda833935d6640ab41ce248ed5a93c677fdf097e645e627c023a18c6490a82",
+    "sz3-2d-f32-rel": "5d5de8cfcd9f2d683ef00c197a9a87a0b8945f7a52842a7a74b1e389a7c61ce5",
+    "sz3-2d-f64-abs": "af26c349cd9997532ea20aa68ed52565f3184ed56ee68b7a6ca6ec5b8541397a",
+    "sz3-2d-f64-rel": "49e23a1486765edcb1f980b74c15f9e075f9cfce196abf0a70df1aad74da51ef",
+    "sz3-3d-f32-abs": "8068c634c5b42dc66f19afcb20305cdbe501cdf54990cf639b0d10c2676e0b54",
+    "sz3-3d-f32-rel": "72262b524ba9fcf17f81e9023aeb47d7b1e74590c075798a945a97a2775b3dde",
+    "sz3-3d-f64-abs": "0fb3bf3bfe39a02d46231b3b1e6c3da3e6e0e947225de08a64a4b0b8f6af9a07",
+    "sz3-3d-f64-rel": "b1b0c1c32ef901be8b18ae25ac1953348fd4421618c315effb6d2aa05a63ae69",
+    "qoz-1d-f32-abs": "d4899bba68d774f713378abc8f729b07618522e758192f2d7ab350f4115e7bed",
+    "qoz-1d-f32-rel": "bdb3cf36d9beedb7551e21f8fb3f3cd9e19880549b0529e2c886fa4eeab455c7",
+    "qoz-1d-f64-abs": "86843ca2872e847e84004675ce797f5d0a5c7d44a29a4732f26cdc38c6a6ba20",
+    "qoz-1d-f64-rel": "bdda7e56bb2503ea142f46a432cbc3e0721c7046716f39207ece233590bb7467",
+    "qoz-2d-f32-abs": "8f690fc3ab4ae39741bc53d25b00c1d0160829175de8347fa32a026f481bfc35",
+    "qoz-2d-f32-rel": "fbf451ae2c219c416f60032d68d2c8027b8c85e33457c31b2a40c89a638d19c6",
+    "qoz-2d-f64-abs": "a89fc3e0c33a07e413d4461beaaececabd076dd09d832b3f8e48e20269e0b3e6",
+    "qoz-2d-f64-rel": "47c580b12903c4ea107178044754291b3309f8a6ed7acab010fc32799016864a",
+    "qoz-3d-f32-abs": "92be7058328ba7e75109c97132443a135ef74ea373f6c18d26e77ae7fd21b61f",
+    "qoz-3d-f32-rel": "26bffbb03375fcfa209377b0cf661a5866114a0482dff6107fecadb633e82489",
+    "qoz-3d-f64-abs": "2781d929f612a522e845e0eeb42b2ae0dac1cb2653bfd2439bca67fba74fb542",
+    "qoz-3d-f64-rel": "a576d4aa3d316426b75622253ccf7191424393acf5ab1299fece6094ec4006e5",
 }
 
 

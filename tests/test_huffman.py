@@ -1,19 +1,22 @@
 """Unit + property tests for the chunked Huffman codec."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import CodecError
+from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman import (MAX_CODE_LEN, HuffmanStream, canonical_codebook,
                            canonical_order, code_lengths, histogram,
                            histogram_fingerprint, huffman_decode,
                            huffman_encode, topk_coverage)
 
-from oracles import build_decode_table, code_lengths_heap
+from oracles import build_decode_table, code_lengths_heap, decode_loop
+from test_huffman_adversarial import (DECODERS, _reencode,
+                                      _rejected_before_allocation)
 
 
 class TestHistogram:
@@ -272,3 +275,204 @@ class TestCodec:
         stream = huffman_encode(codes, 256, chunk_bits=chunk)
         back = huffman_decode(HuffmanStream.from_bytes(stream.to_bytes()))
         np.testing.assert_array_equal(back, codes)
+
+
+def _one_bit_stream(n_bits, budget, n_symbols=None, seed=0):
+    """A stream over two 1-bit codes: every bit is a codeword boundary,
+    so any budget with all-zero gaps chunks it validly."""
+    payload = np.random.default_rng(seed).integers(
+        0, 256, -(-n_bits // 8), dtype=np.uint8)
+    if n_bits % 8:
+        payload[-1] &= 0xFF << (8 - n_bits % 8) & 0xFF
+    n_chunks = -(-n_bits // budget) if budget else 0
+    stream = HuffmanStream(
+        n_symbols=n_bits if n_symbols is None else n_symbols,
+        alphabet_size=2, chunk_bits=budget,
+        lengths=np.ones(2, np.uint8), gaps=np.zeros(n_chunks, np.uint8),
+        total_bits=n_bits, payload=payload)
+    stream.crc32 = stream.table_crc()
+    return stream
+
+
+class TestHostileV3Tables:
+    """Version-3 chunk tables forged with an honest CRC. Each forgery
+    decodes to the right symbols (or silently wrong ones) but for the one
+    check it targets, so removing that check lets it through."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        rng = np.random.default_rng(31)
+        codes = rng.zipf(1.6, size=6000).astype(np.uint32) % 40
+        stream = huffman_encode(codes, 40, chunk_bits=256)
+        assert stream.n_chunks > 8
+        np.testing.assert_array_equal(huffman_decode(stream), codes)
+        return stream
+
+    @pytest.fixture(scope="class")
+    def codes(self, stream):
+        return decode_loop(stream)
+
+    def _starts(self, stream, codes):
+        lens = stream.lengths.astype(np.int64)[codes]
+        return np.cumsum(lens) - lens, lens
+
+    def test_untouched_stream_decodes(self, stream, codes):
+        for decode in DECODERS:
+            np.testing.assert_array_equal(decode(stream), codes)
+
+    def test_gap_of_sixteen_or_more(self, stream, codes):
+        # hand chunk 3's leading codewords to chunk 2 until its gap
+        # reaches MAX_CODE_LEN: the chunks still end on codeword bounds
+        # and decode to the right symbols, so only the gap range catches it
+        starts, lens = self._starts(stream, codes)
+        bound = 3 * stream.chunk_bits
+        k = int(np.searchsorted(starts, bound))
+        while starts[k] - bound < MAX_CODE_LEN:
+            k += 1
+        gaps = stream.gaps.copy()
+        gaps[3] = starts[k] - bound
+        _rejected_before_allocation(_reencode(stream, gaps=gaps))
+
+    def test_nonzero_first_gap(self, stream):
+        # one junk bit ahead of the payload, every gap and the bit count
+        # grown to match: every chunk decodes to the right symbols, but
+        # the stream no longer starts with a codeword
+        assert int(stream.gaps.max()) < MAX_CODE_LEN - 1
+        assert stream.total_bits % stream.chunk_bits
+        bits = np.unpackbits(stream.payload)[:stream.total_bits]
+        payload = np.packbits(np.concatenate([[1], bits]))
+        _rejected_before_allocation(_reencode(stream, payload=payload,
+                                gaps=stream.gaps + 1,
+                                total_bits=stream.total_bits + 1))
+
+    def test_nonzero_pad_nibble(self, codes):
+        # the longest prefix of the stream that has an odd chunk count
+        odd = next(s for s in (huffman_encode(codes[:m], 40, chunk_bits=256)
+                               for m in range(codes.size, 0, -64))
+                   if s.n_chunks & 1)
+        blob = bytearray(odd.to_bytes())
+        table_end = len(blob) - odd.payload.size
+        assert blob[table_end - 1] & 0xF == 0
+        blob[table_end - 1] |= 0x5
+        forged = HuffmanStream.from_bytes(bytes(blob))
+        assert forged.pad == 0x5
+        _rejected_before_allocation(forged)
+
+    def test_table_packs_two_gaps_per_byte(self, stream):
+        blob = stream.to_bytes()
+        table = len(blob) - HuffmanStream.HEADER.size \
+            - stream.alphabet_size - stream.payload.size
+        assert table == (stream.n_chunks + 1) // 2
+        back = HuffmanStream.from_bytes(blob)
+        np.testing.assert_array_equal(back.gaps, stream.gaps)
+        assert back.pad == 0
+
+    @pytest.mark.parametrize("forgery", ["missing-chunk", "extra-chunk",
+                                         "total-bits-up", "total-bits-down"])
+    def test_chunk_count_not_ceil_of_total_bits(self, stream, forgery):
+        budget = stream.chunk_bits
+        if forgery == "missing-chunk":
+            # the last lane carries two chunks' bits and still decodes
+            bad = _reencode(stream, gaps=stream.gaps[:-1])
+        elif forgery == "extra-chunk":
+            bad = _reencode(stream, gaps=np.append(stream.gaps, np.uint8(0)))
+        elif forgery == "total-bits-up":
+            bad = _reencode(stream, total_bits=stream.total_bits + budget)
+        else:
+            bad = _reencode(stream, total_bits=stream.total_bits - budget)
+        _rejected_before_allocation(bad)
+
+    def test_last_chunk_starts_past_the_end(self):
+        # 67 bits at B = 16 leave the last chunk 3 bits; a gap of 5 puts
+        # its start past the end, and the previous chunk's end with it
+        stream = _one_bit_stream(67, 16)
+        gaps = stream.gaps.copy()
+        gaps[-1] = 5
+        with pytest.raises(CorruptStreamError, match="past the end"):
+            _reencode(stream, gaps=gaps).layout()
+        _rejected_before_allocation(_reencode(stream, gaps=gaps))
+
+    @pytest.mark.parametrize("budget", [0, MAX_CODE_LEN - 1, 1 << 16])
+    def test_budget_out_of_range(self, budget):
+        # 1-bit codes: the chunking is valid at any budget, so only the
+        # range check rejects it
+        _rejected_before_allocation(_one_bit_stream(1000, budget))
+
+    def test_truncated_gap_table(self, stream):
+        blob = stream.to_bytes()
+        table_at = HuffmanStream.HEADER.size + stream.alphabet_size
+        for cut in (table_at, table_at + (stream.n_chunks + 1) // 2 - 1):
+            with pytest.raises(CorruptStreamError, match="truncated"):
+                HuffmanStream.from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_symbol_count_outside_bit_range(self, side):
+        # 16 Mbit of 1-bit codes hold exactly 2**24 symbols: claiming one
+        # fewer must be refused before any decode work, and claiming
+        # 2**40 before the output is sized from it
+        n_bits = 1 << 24
+        n = n_bits - 1 if side == "below" else 1 << 40
+        _rejected_before_allocation(_one_bit_stream(n_bits, 4096, n_symbols=n))
+
+    def test_chunk_end_inside_a_codeword(self):
+        # codes 0, 10, 11: a chunk that opens with 10, its start moved one
+        # bit later, leaves the previous chunk ending inside that
+        # codeword while the next one decodes 0 from its second bit. The
+        # symbol count still adds up, so without the end check the
+        # stream decodes to wrong symbols. A 1-bit probe sends every
+        # longer codeword through the wide-codeword step, whose own end
+        # check must catch it there.
+        lengths = np.array([1, 2, 2])
+        codes = np.random.default_rng(5).choice(
+            3, 240, p=[0.5, 0.25, 0.25]).astype(np.uint32)
+        stream = huffman_encode(codes, 3, chunk_bits=16, lengths=lengths)
+        lens = lengths[codes]
+        starts = np.cumsum(lens) - lens
+        chunk_starts = np.arange(stream.n_chunks) * 16 + stream.gaps
+        first = codes[np.searchsorted(starts, chunk_starts[1:-1])]
+        [k] = 1 + np.flatnonzero((first == 1)
+                                 & (stream.gaps[1:-1] < MAX_CODE_LEN - 1))[:1]
+        gaps = stream.gaps.copy()
+        gaps[k] += 1
+        bad = _reencode(stream, gaps=gaps)
+        _rejected_before_allocation(bad)
+        with pytest.raises(CorruptStreamError, match="inside a codeword"):
+            huffman_decode(bad, probe_bits=1)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_symbol_count_not_the_derived_sum(self, stream, delta):
+        bad = _reencode(stream)
+        bad.n_symbols += delta
+        _rejected_before_allocation(bad)
+
+
+class TestForgedV3Agreement:
+    """On a stream whose table or payload bytes were flipped and whose
+    CRC was re-stamped, the library decoder at every probe width and the
+    oracle agree: each raises :class:`CorruptStreamError`, or each
+    returns the same symbols."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           budget=st.sampled_from([16, 17, 64, 256]),
+           flips=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_decoders_agree_on_forged_bytes(self, seed, budget, flips):
+        rng = np.random.default_rng(seed)
+        alphabet = int(rng.integers(2, 200))
+        codes = (rng.zipf(1.5, int(rng.integers(1, 2000)))
+                 % alphabet).astype(np.uint32)
+        blob = bytearray(huffman_encode(codes, alphabet,
+                                        chunk_bits=budget).to_bytes())
+        tail = HuffmanStream.HEADER.size + alphabet
+        for at in rng.integers(tail, len(blob), flips):
+            blob[at] ^= int(rng.integers(1, 256))
+        forged = HuffmanStream.from_bytes(bytes(blob))
+        forged.crc32 = forged.table_crc()
+        outcomes = []
+        for decode in (decode_loop, *[functools.partial(
+                huffman_decode, probe_bits=w) for w in (None, 1, 5, 12, 16)]):
+            try:
+                outcomes.append(decode(forged).tobytes())
+            except CorruptStreamError:
+                outcomes.append(None)
+        assert len(set(outcomes)) == 1

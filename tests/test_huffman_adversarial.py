@@ -22,7 +22,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -32,11 +31,11 @@ from hypothesis import strategies as st
 import repro.core.pipeline as pipeline
 import repro.huffman.canonical as canonical
 import repro.huffman.codec as codec
-from oracles import decode_loop, encode_loop
+from oracles import decode_loop, encode_loop, v2_bytes
 from repro import telemetry
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman import (MAX_CODE_LEN, PROBE_WIDTHS, HuffmanStream,
-                           build_lut_tables, choose_probe_bits,
+                           HuffmanStreamV2, build_lut_tables, choose_probe_bits,
                            code_lengths, drain_lut_prewarm,
                            huffman_decode, huffman_encode, lut_cached)
 from repro.huffman.canonical import (LUT_CACHE_BYTES,
@@ -55,19 +54,11 @@ DECODERS = (huffman_decode,
             decode_loop)
 
 
-def _crc(stream):
-    """The stream's CRC, recomputed from its serialized table and payload
-    (chunk counts as u16, gaps as u8, then the payload bytes)."""
-    return zlib.crc32(np.asarray(stream.counts).astype("<u2").tobytes()
-                      + np.asarray(stream.gaps).astype(np.uint8).tobytes()
-                      + np.asarray(stream.payload).tobytes())
-
-
 def _reencode(stream, **parts):
     """Clone a stream with substituted parts, keeping the CRC honest so
     corruption must be caught by *decoding*, not the checksum."""
     bad = dataclasses.replace(stream, **parts)
-    bad.crc32 = _crc(bad)
+    bad.crc32 = bad.table_crc()
     return bad
 
 
@@ -141,8 +132,8 @@ class TestNarrowProbeFallback:
         # alphabet of 256 equal symbols -> every code is 8 bits; a 4-bit
         # probe can never contain a complete codeword
         lengths = code_lengths(np.ones(256, dtype=np.int64), MAX_CODE_LEN)
-        count, cum, syms = build_lut_tables(lengths, probe_bits=4)
-        assert count.max() == 0
+        count, cum, syms, adv = build_lut_tables(lengths, probe_bits=4)
+        assert count.max() == 0 and adv.max() == 0
         assert cum.shape[0] == 16 and syms.shape[0] == 16
 
     def test_probe_width_bounds_rejected(self):
@@ -156,7 +147,7 @@ class TestNarrowProbeFallback:
 class TestLutTableInvariants:
     def test_cum_bits_leading_zero_column(self):
         lengths = code_lengths(np.array([8, 4, 2, 1, 1]), MAX_CODE_LEN)
-        count, cum, syms = build_lut_tables(lengths, probe_bits=6)
+        count, cum, syms, adv = build_lut_tables(lengths, probe_bits=6)
         assert np.all(cum[:, 0] == 0)
         # within each row's emitted prefix, every codeword advances the
         # cursor by >= 1 bit and never past the probe width (entries
@@ -168,10 +159,12 @@ class TestLutTableInvariants:
         # a row's own count indexes its final cumulative advance
         rows = np.arange(count.size)
         assert np.all(cum[rows, count] == cum.max(axis=1))
+        # ... which is the row's whole advance
+        np.testing.assert_array_equal(adv, cum[rows, count])
 
     def test_syms_dtype_tracks_alphabet(self):
         small = code_lengths(np.ones(16, dtype=np.int64), MAX_CODE_LEN)
-        _, _, syms = build_lut_tables(small, probe_bits=8)
+        syms = build_lut_tables(small, probe_bits=8).syms
         assert syms.dtype == np.uint16
 
     def test_tables_are_readonly(self):
@@ -209,10 +202,21 @@ class TestHostileStreams:
 
     def test_chunk_bits_stretched(self, stream):
         # one extra bit in a chunk's budget (its successor's gap grown by
-        # one) must surface as a corrupt stream (cursor/bit-count
-        # mismatch), never as wrong symbols
+        # one, so the chunk now ends inside the successor's first
+        # codeword) must surface as a corrupt stream, never as wrong
+        # symbols. A chunk whose successor opens with a 1-bit codeword is
+        # skipped: stretched over that codeword it still ends on a
+        # codeword boundary, and the stream decodes to the same symbols.
+        codes = decode_loop(stream)
+        lens = stream.lengths.astype(np.int64)[codes]
+        starts = np.cumsum(lens) - lens
+        chunk_starts = (np.arange(stream.n_chunks) * stream.chunk_bits
+                        + stream.gaps)
+        opens = lens[np.searchsorted(starts, chunk_starts[1:-1])]
+        [k] = 1 + np.flatnonzero((opens > 1)
+                                 & (stream.gaps[1:-1] < MAX_CODE_LEN - 1))[:1]
         gaps = stream.gaps.copy()
-        gaps[1] += 1
+        gaps[k] += 1
         _assert_both_engines_raise(_reencode(stream, gaps=gaps))
 
     def test_chunk_bits_shrunk(self, stream):
@@ -223,8 +227,7 @@ class TestHostileStreams:
 
     def test_chunk_table_garbage(self, stream):
         _assert_both_engines_raise(_reencode(
-            stream, counts=np.full_like(stream.counts, 0xFFFF),
-            gaps=np.full_like(stream.gaps, 0xFF)))
+            stream, gaps=np.full_like(stream.gaps, 0xFF)))
 
     def test_chunk_count_mismatch(self, stream):
         bad = _reencode(stream)
@@ -239,31 +242,30 @@ class TestHostileStreams:
         _assert_both_engines_raise(bad)
 
     def test_flipped_table_byte_fails_checksum(self, stream):
-        counts = stream.counts.copy()
-        counts[0] ^= 0x10
-        _assert_both_engines_raise(dataclasses.replace(stream, counts=counts))
+        gaps = stream.gaps.copy()
+        gaps[1] ^= 0x4
+        _assert_both_engines_raise(dataclasses.replace(stream, gaps=gaps))
 
 
-def _forged_stream(n_symbols, total_bits, payload, count=None):
+def _forged_stream(n_symbols, total_bits, payload):
     """A one-chunk stream over two 1-bit codes with an honest CRC."""
     payload = np.asarray(payload, dtype=np.uint8)
     stream = HuffmanStream(
         n_symbols=n_symbols, alphabet_size=2, chunk_bits=max(total_bits, 16),
         lengths=np.array([1, 1], dtype=np.uint8),
-        counts=np.array([n_symbols if count is None else count], np.uint16),
         gaps=np.zeros(1, np.uint8), total_bits=total_bits, payload=payload)
-    stream.crc32 = _crc(stream)
+    stream.crc32 = stream.table_crc()
     return stream
 
 
 class TestForgedSymbolCount:
     """The header's symbol count lies outside the CRC: a stream whose
-    chunk bit budgets cannot hold (or cannot be filled by) its claimed
-    symbols must be rejected before any symbol-sized allocation."""
+    bits cannot hold (or cannot be filled by) its claimed symbols must
+    be rejected before any symbol-sized allocation."""
 
     def test_huge_count_in_tiny_stream_rejected_fast(self):
-        stream = _forged_stream(1 << 22, 8, [0xA5], count=8)
-        assert len(stream.to_bytes()) == 38
+        stream = _forged_stream(1 << 22, 8, [0xA5])
+        assert len(stream.to_bytes()) == 36
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
@@ -308,14 +310,15 @@ def _rejected_before_allocation(stream):
 
 
 class TestHostileV2Tables:
-    """Gap-array chunk tables forged with a re-stamped CRC, so only the
-    table validation can catch them."""
+    """Version-2 gap-array chunk tables (written by the oracle encoder)
+    forged with a re-stamped CRC, so only the table validation can catch
+    them."""
 
     @pytest.fixture(scope="class")
     def stream(self):
         rng = np.random.default_rng(21)
         codes = rng.zipf(1.6, size=20000).astype(np.uint32) % 40
-        stream = huffman_encode(codes, 40, chunk_bits=256)
+        stream = encode_loop(codes, 40, chunk_bits=256, version=2)
         assert stream.n_chunks > 8
         return stream
 
@@ -442,8 +445,8 @@ class TestHostileV2Tables:
     def test_serialized_round_trip_of_forgery(self, stream):
         gaps = stream.gaps.copy()
         gaps[1] = MAX_CODE_LEN
-        blob = _reencode(stream, gaps=gaps).to_bytes()
-        _rejected_before_allocation(HuffmanStream.from_bytes(blob))
+        blob = v2_bytes(_reencode(stream, gaps=gaps))
+        _rejected_before_allocation(HuffmanStreamV2.from_bytes(blob))
 
 
 @st.composite
@@ -469,11 +472,12 @@ class TestOracleProperty:
     """The library coder equals the oracles on every stream: the encoder
     byte for byte, the decoder symbol for symbol at every pinned probe
     width (widths below the longest code route codewords through the
-    wide-codeword fallback inside the chunk-major replay)."""
+    wide-codeword fallback inside the chunk-major replay), on the
+    version-3 stream and on the version-2 stream of the same chunking."""
 
     @given(lengths=_codebooks(), n=st.integers(0, 3000),
            seed=st.integers(0, 2 ** 32 - 1),
-           budget=st.sampled_from([16, 64, 1024, 4096]),
+           budget=st.sampled_from([16, 64, 256, 1024, 4096]),
            width=st.integers(12, MAX_CODE_LEN))
     @settings(max_examples=80, deadline=None)
     def test_decode_equals_oracle(self, lengths, n, seed, budget, width):
@@ -486,10 +490,13 @@ class TestOracleProperty:
                                 lengths=lengths)
         assert stream.to_bytes() == encode_loop(
             codes, lengths.size, budget, lengths=lengths).to_bytes()
-        stream = HuffmanStream.from_bytes(stream.to_bytes())
-        np.testing.assert_array_equal(decode_loop(stream), codes)
-        np.testing.assert_array_equal(
-            huffman_decode(stream, probe_bits=width), codes)
+        v2 = encode_loop(codes, lengths.size, budget, lengths=lengths,
+                         version=2)
+        for parsed in (HuffmanStream.from_bytes(stream.to_bytes()),
+                       HuffmanStreamV2.from_bytes(v2_bytes(v2))):
+            np.testing.assert_array_equal(decode_loop(parsed), codes)
+            np.testing.assert_array_equal(
+                huffman_decode(parsed, probe_bits=width), codes)
 
 
 class TestProbeWidthChoice:

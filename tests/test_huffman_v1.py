@@ -7,8 +7,8 @@ seed=ndim)``, rel eb 1e-3, ``lossless="none"``), with the SHA-256 of
 each blob and of its decoded array in ``manifest.json``. Their containers
 carry no ``huffman_format`` meta key, which is what marks them version 1.
 They must decode byte-identically through the shared core at every probe
-width, agree with the oracle decoder, and equal a fresh version-2
-round trip of the same field.
+width, agree with the oracle decoder, and equal a fresh round trip of
+the same field (a stream of the version written today).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from oracles import decode_loop
 from repro.common.container import parse_container
 from repro.common.errors import CorruptStreamError
 from repro.common.lossless_wrap import unwrap_lossless
-from repro.huffman import (FORMAT_KEY, PROBE_WIDTHS, HuffmanStreamV1,
-                           huffman_decode, read_stream)
+from repro.huffman import (FORMAT_KEY, FORMAT_VERSION, PROBE_WIDTHS,
+                           HuffmanStreamV1, huffman_decode, read_stream)
 from repro.registry import get_compressor
 
 DATA = Path(__file__).resolve().parent / "data" / "huffman_v1"
@@ -82,15 +82,16 @@ def test_v1_stream_matches_oracle_at_every_width(name):
 
 @pytest.mark.parametrize("name", sorted(MANIFEST))
 def test_v2_round_trip_decodes_to_the_same_field(name):
-    """The same field compressed today (a version-2 stream) reconstructs
-    to the very bytes the version-1 blob does."""
+    """The same field compressed today (a stream of the current version;
+    version 2 when this test was written) reconstructs to the very bytes
+    the version-1 blob does."""
     rec = MANIFEST[name]
     shape = SHAPES[name.rsplit("-", 1)[1]]
     comp = get_compressor(rec["codec"], eb=1e-3, mode="rel",
                           lossless="none")
     blob = comp.compress(smooth_field(shape, seed=len(shape)))
     _, meta, _ = parse_container(unwrap_lossless(blob))
-    assert meta[FORMAT_KEY] == 2
+    assert meta[FORMAT_KEY] == FORMAT_VERSION
     assert _sha(comp.decompress(blob).tobytes()) == rec["decoded_sha256"]
 
 
@@ -125,7 +126,7 @@ class TestHostileV1Streams:
         self._raises(dataclasses.replace(stream, payload=payload))
 
 
-@pytest.mark.parametrize("version", [0, 3, "2", 2.0, True, None, [2]])
+@pytest.mark.parametrize("version", [0, 4, "2", 2.0, True, None, [2]])
 def test_unknown_stream_version_rejected(version):
     # the version is checked before the segment is parsed
     with pytest.raises(CorruptStreamError, match="version"):

@@ -59,9 +59,12 @@ def _pack_span(codes, alphabet, **kw):
     return stream, span.attrs
 
 
-def _first_symbols(stream) -> np.ndarray:
-    counts = stream.counts.astype(np.int64)
-    return np.cumsum(counts) - counts
+def _first_symbols(stream, codes) -> np.ndarray:
+    """Each chunk's first symbol: the one starting at its start bit."""
+    lens = stream.lengths.astype(np.int64)[codes]
+    starts = np.cumsum(lens) - lens
+    return np.searchsorted(starts, np.arange(stream.n_chunks)
+                           * stream.chunk_bits + stream.gaps)
 
 
 class TestByteIdentity:
@@ -105,12 +108,12 @@ class TestByteIdentity:
         stream = _same(codes, 1024, chunk_bits=budget, lengths=lengths)
         assert stream.total_bits == MAX_CODE_LEN * n
         if budget != MAX_CODE_LEN:
-            assert set(_first_symbols(stream) % 4) == {0, 1, 2, 3}
+            assert set(_first_symbols(stream, codes) % 4) == {0, 1, 2, 3}
 
     def test_chunk_bound_on_every_slot(self):
         codes = _codes("wide", 1024, 50_001, 11)
         stream = _same(codes, 1024, chunk_bits=1023)
-        assert set(_first_symbols(stream) % 4) == {0, 1, 2, 3}
+        assert set(_first_symbols(stream, codes) % 4) == {0, 1, 2, 3}
 
 
 class TestEscapes:

@@ -298,8 +298,8 @@ class TestCodebookCache:
         clear_codebook_caches()
         lengths = np.array([1, 1], np.int64)
         code = canonical_order(lengths)
-        count, cum, syms = build_lut_tables(lengths, 4)
-        for arr in (*code[:4], count, cum, syms):
+        lut = build_lut_tables(lengths, 4)
+        for arr in (*code[:4], *lut):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -307,8 +307,8 @@ class TestCodebookCache:
         from repro.huffman.canonical import (build_lut_tables,
                                              clear_codebook_caches)
         clear_codebook_caches()
-        _, _, sym_a = build_lut_tables(np.array([1, 1], np.int64), 4)
-        _, _, sym_b = build_lut_tables(np.array([1, 2, 2], np.int64), 4)
+        sym_a = build_lut_tables(np.array([1, 1], np.int64), 4).syms
+        sym_b = build_lut_tables(np.array([1, 2, 2], np.int64), 4).syms
         assert sym_a is not sym_b
         assert int(sym_b.max()) == 2
 
