@@ -7,13 +7,15 @@ NumPy transcription expands values to a dense bit matrix and round-trips
 through :func:`numpy.packbits` / :func:`numpy.unpackbits`, which keeps every
 step a single vectorized pass.
 
-Byte-aligned widths never touch the bit matrix: width 8 (the dominant
-class for entropy-coded bytes) is a straight byte copy, widths 1/2/4 fold
-``8/w`` values into each byte with ``8/w`` shift-or passes, and widths
-that are whole bytes (16, 24, 32, ...) go through a big-endian byte view.
-Only the ragged widths (3, 5, 6, 7, ...) pay for the dense expansion.
-Integer input at widths up to 8 is packed in uint8 throughout, its range
-read by reductions rather than from a widened uint64 copy.
+No width up to 8 touches the bit matrix: width 8 (the dominant class
+for entropy-coded bytes) is a straight byte copy, widths 1/2/4 fold
+``8/w`` values into each byte with ``8/w`` shift-or passes, and the
+ragged widths 3/5/6/7 fold each group of 8 values into one ``w``-byte
+big-endian group in uint64 (:func:`_fold_groups`). Widths that are whole
+bytes (16, 24, 32, ...) go through a big-endian byte view. Only the
+ragged widths above 8 pay for the dense expansion. Integer input at
+widths up to 8 is packed from uint8, its range read by reductions
+rather than from a widened uint64 copy.
 
 Bit order is MSB-first within each value and values are laid out
 back-to-back, so a stream packed at width ``w`` occupies exactly
@@ -150,9 +152,50 @@ def _pack_narrow(values: np.ndarray, width: int) -> np.ndarray:
         for j in range(1, per_byte):
             out |= g[:, j] << (8 - (j + 1) * width)
         return out
-    # the low ``width`` bits of each byte, MSB first
-    bits = np.unpackbits(g[:, None], axis=1)[:, 8 - width:]
-    return np.packbits(bits.ravel())
+    n = g.size
+    if n & 7:
+        g = np.concatenate([g, np.zeros(-n & 7, np.uint8)])
+    x = _fold_groups(g.view(">u8").astype(np.uint64), width)
+    # the group's 8*width bits to the top of the word, then its first
+    # ``width`` big-endian bytes
+    x <<= np.uint64(64 - 8 * width)
+    groups = x.astype(">u8").view(np.uint8).reshape(-1, 8)[:, :width]
+    return groups.ravel()[:-(-n * width // 8)]
+
+
+def _lane_mask(bits: int, lane: int) -> np.uint64:
+    """The low ``bits`` bits of every ``lane``-bit lane of a uint64."""
+    return np.uint64(sum(((1 << bits) - 1) << k for k in range(0, 64, lane)))
+
+
+def _fold_groups(x: np.ndarray, width: int) -> np.ndarray:
+    """Fold each uint64 of 8 big-endian bytes, each holding one
+    ``width``-bit value, into its ``8*width``-bit concatenation, first
+    value highest, in place: three rounds each join the values of two
+    adjacent lanes into one lane twice as wide."""
+    for r in range(3):
+        lane = 8 << r
+        mask = _lane_mask(lane, 2 * lane)
+        hi = x >> np.uint64(lane)
+        hi &= mask
+        hi <<= np.uint64(width << r)
+        x &= mask
+        x |= hi
+    return x
+
+
+def _unfold_groups(x: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of :func:`_fold_groups`, in place: each uint64's low
+    ``8*width`` bits spread back to one value per big-endian byte."""
+    for r in (2, 1, 0):
+        lane = 8 << r
+        mask = _lane_mask(width << r, 2 * lane)
+        hi = x >> np.uint64(width << r)
+        hi &= mask
+        hi <<= np.uint64(lane)
+        x &= mask
+        x |= hi
+    return x
 
 
 def unpack_uint(packed: np.ndarray, width: int, count: int) -> np.ndarray:
@@ -183,6 +226,16 @@ def unpack_uint(packed: np.ndarray, width: int, count: int) -> np.ndarray:
         be = np.zeros((count, 8), dtype=np.uint8)
         be[:, 8 - nb:] = packed[:need].reshape(count, nb)
         return be.reshape(-1).view(">u8").astype(np.uint64)
+    if width < 8:
+        # each group of 8 values is ``width`` bytes: into the low bytes
+        # of one big-endian word, then unfolded
+        groups = -(-count // 8)
+        flat = np.zeros(groups * width, dtype=np.uint8)
+        flat[:need] = packed[:need]
+        be = np.zeros((groups, 8), dtype=np.uint8)
+        be[:, 8 - width:] = flat.reshape(groups, width)
+        x = _unfold_groups(be.view(">u8").ravel().astype(np.uint64), width)
+        return x.astype(">u8").view(np.uint8)[:count].astype(np.uint64)
     bits = np.unpackbits(packed[:need], count=count * width)
     bits = bits.reshape(count, width).astype(np.uint64)
     weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))

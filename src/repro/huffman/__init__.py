@@ -8,11 +8,11 @@ chunk of symbols and writes an independently decodable bitstream.
 
 The NumPy transcription keeps that structure, with chunks cut at a fixed
 bit budget (gap arrays) so every chunk carries the same decode work. The
-encoder leans on the same concentration the GPU histogram does: it
-ranks codes in a 255-code band around the center, counts and codes
-them two at a time through one per-codebook pair table (escapes are
-recoded from the per-symbol codebook), merges pairs into 64-bit units of
-four codewords, and emits them through one vectorized word scatter
+encoder leans on the same concentration the GPU histogram does: one
+scan finds the codes outside the zero bin, only those are counted, and
+only the codewords of symbols other than the background (the canonical
+first symbol, whose codeword is all zero bits, so the zeroed payload
+already holds it) are written, through one vectorized word scatter
 (:func:`repro.common.bitpack.pack_varbits64`). The decoder steps all
 chunks *simultaneously* — each batched advance probes a multi-symbol
 lookup table (:func:`repro.huffman.canonical.build_lut_tables`) that

@@ -11,25 +11,25 @@ number of steps (the gap-array layout of Yamamoto et al., ICPP 2020).
 A chunk's symbol count is not stored: its lane decodes up to the next
 chunk's start bit and counts what it emitted.
 
-* **Encode** works on symbol *pairs*, because interpolation concentrates
-  nearly every quant-code in a narrow band around the zero bin (the
-  observation behind cuSZ-i's register-cached top-k histogram). Each
-  code gets an 8-bit rank in the 255-code band centered on the
-  alphabet's middle, or the escape rank. Viewed as uint16, the rank
-  stream is one pair per cell of a 256x256 table: one ``bincount`` over
-  the ``n/2`` pairs gives the band counts (only escapes are counted per
-  symbol), and one gather from a per-codebook *pair table* gives each
-  pair's two codewords, MSB-aligned, with their summed length in the
-  low byte. The table is filled only over the block of band ranks whose
-  counts repay it; pairs holding a symbol outside it (and the odd
-  tail) are recoded from the per-symbol codebook, at a cost linear in
-  their count. Adjacent pairs then merge into 64-bit units of four
-  codewords, so the prefix sum of unit lengths, the chunk table and the
-  :func:`repro.common.bitpack.pack_varbits64` word scatter all run over
-  ``n/4`` units. The chunk table stays at symbol granularity: each
-  chunk bound resolves the ``<= 4`` symbol starts inside the unit that
-  straddles it. A stream where the table would cover too few symbols
-  (most pairs escape) codes every pair from the per-symbol codebook.
+* **Encode** touches only the symbols outside the *background*: the
+  canonical code's first symbol, whose codeword is all zero bits.
+  Interpolation puts nearly every quant-code in the zero bin, the
+  alphabet's middle (the observation behind cuSZ-i's register-cached
+  top-k histogram, and behind FZ-GPU's and cuSZ+'s sparse handling of
+  the same stream). One scan finds the codes other than the middle;
+  only they are counted, and the middle takes the rest. Once the
+  codebook is known, those codes are the coded symbols (a second scan
+  finds them when the background is another symbol). Every other
+  symbol is a background codeword, already present as zero bits in the
+  zeroed payload, so only the coded codewords are placed: one prefix
+  sum of the bits each takes beyond the background's length gives
+  their start bits, :func:`repro.common.bitpack.pack_varbits64`
+  scatters them, and each chunk's gap is read off the coded spans with
+  one ``searchsorted`` (:func:`_coded_layout`). The work past the scan
+  is linear in the coded symbols, not in ``n``; a stream whose
+  background share is small (a tight bound, a high-entropy field) pays
+  one scatter unit per symbol for it (docs/PERFORMANCE.md, "The encode
+  mirror").
   Dynamic codebooks are resolved through
   :func:`repro.huffman.tree.fingerprint_code_lengths`, so eb-retunes and
   timestep streams skip the tree build and prewarm the decode LUT.
@@ -55,8 +55,8 @@ the counts the decode derives. The container meta key :data:`FORMAT_KEY`
 names the version (:func:`read_stream`). The one-codeword-per-lookup
 decoder and the byte-plane encoder in ``tests/oracles.py`` are the
 references the equivalence suites compare this codec against byte for
-byte: the pair-table encoder writes exactly the bytes a
-symbol-at-a-time encoder would.
+byte: the sparse encoder writes exactly the bytes a symbol-at-a-time
+encoder would.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,8 +72,8 @@ from repro import telemetry
 from repro.common.bitpack import pack_uint, pack_varbits64, unpack_uint
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman.canonical import (MAX_CODE_LEN, build_lut_tables,
-                                     canonical_codebook, canonical_order,
-                                     lut_cached, prewarm_lut_async)
+                                     canonical_order, lut_cached,
+                                     prewarm_lut_async)
 from repro.huffman.histogram import histogram
 from repro.huffman.tree import fingerprint_code_lengths
 
@@ -404,33 +404,6 @@ def section_bounds(blob, meta: dict) -> tuple[int, int] | None:
 # (total bits <= n * MAX_CODE_LEN), halving the memory traffic of the
 # layout and scatter index arrays on the encode hot path
 _NARROW_LAYOUT_SYMBOLS = ((1 << 32) - 64) // MAX_CODE_LEN
-
-#: codes in the pair-table band: the ``_BAND`` codes centered on the
-#: alphabet's middle (quant-codes center on the radius) take the ranks
-#: ``0 .. _BAND - 1``; every other code takes the escape rank ``_BAND``
-_BAND = 255
-_ESCAPE = _BAND
-#: symbols per packed unit: two pair-table cells of at most
-#: ``2 * MAX_CODE_LEN`` bits each fill one 64-bit unit
-_UNIT_SYMBOLS = 4
-#: from this symbol count on, band ranks are counted by one ``bincount``
-#: over the ``n/2`` rank pairs; below it the 64Ki-cell pair histogram's
-#: zeroing and reductions cost more than a ``bincount`` over all ``n``
-#: ranks (on a 2-vCPU x86-64 VM the two meet near 64Ki symbols; at 256Ki
-#: the pair count takes 0.37 ms against 0.58 ms)
-_PAIR_COUNT_SYMBOLS = 1 << 16
-#: cost of one pair-table cell relative to recoding one pair from the
-#: per-symbol codebook (measured 4.3 ns against 17 ns on the same VM); a
-#: band rank joins the table only when its count repays the table row
-#: and column it adds
-_CELL_COST = 0.25
-#: the pair table is built only when its block holds at least this share
-#: of the symbols; below it most pairs hold an escape, and coding every
-#: pair from the per-symbol codebook beats gathering and then recoding
-#: them (measured on 96^3-sized streams: the table still won at 80%, the
-#: per-symbol coding at 70%)
-_TABLE_MIN_SHARE = 0.75
-_LENGTH_MASK = np.uint64(0xFF)
 _CODE_MASK = np.uint64(0xFFFFFFFFFFFFFF00)
 
 
@@ -459,111 +432,11 @@ def _check_codes(codes, alphabet_size: int) -> np.ndarray:
     return codes.view(codes.dtype.str.replace("i", "u"))
 
 
-#: codes per step of :func:`_band_ranks`: each step's uint32 offsets stay
-#: in cache, and a longer step gains little (on a 2-vCPU x86-64 VM a
-#: 740k-code stream takes 0.36 ms in 32Ki steps, 0.44 ms in 16Ki steps
-#: and 0.69 ms as one whole-stream step with its 3 MB temporary)
-_RANK_STEP = 1 << 15
-#: the escape rank once per code of a step: an integer ``minimum``
-#: against an array runs several times faster than against a scalar
-_ESCAPES = np.full(_RANK_STEP, _ESCAPE, dtype=np.uint32)
-_ESCAPES.setflags(write=False)
-
-
-def _band_ranks(codes: np.ndarray, base: int) -> np.ndarray:
-    """Every code's band rank as uint8, padded with one escape rank when
-    ``n`` is odd so the buffer views as whole uint16 pairs.
-
-    A code's rank is ``min(code - base, _ESCAPE)`` with uint32 wrap, so
-    codes below the band escape too (every code is below ``2**32``, as
-    the alphabet is). The stream is ranked in cache-sized steps through
-    one step-sized scratch buffer.
-    """
-    n = codes.size
-    ranks = np.empty(n + (n & 1), dtype=np.uint8)
-    ranks[n:] = _ESCAPE
-    off = np.empty(min(n, _RANK_STEP), dtype=np.uint32)
-    base = np.uint32(base)
-    for at in range(0, n, _RANK_STEP):
-        step = codes[at:at + _RANK_STEP]
-        m = step.size
-        np.subtract(step, base, out=off[:m], casting="unsafe")
-        np.minimum(off[:m], _ESCAPES[:m], out=off[:m])
-        np.copyto(ranks[at:at + m], off[:m], casting="unsafe")
-    return ranks
-
-
-def _rank_counts(ranks: np.ndarray, n: int) -> np.ndarray:
-    """Count of every rank among the first ``n`` (the odd-``n`` pad is
-    not counted). A long stream takes one ``bincount`` over its rank
-    pairs: each rank's count is its row plus its column of the 256x256
-    pair histogram."""
-    if n < _PAIR_COUNT_SYMBOLS:
-        return np.bincount(ranks[:n], minlength=256)
-    cells = np.bincount(ranks.view("<u2"), minlength=1 << 16)
-    cells = cells.reshape(256, 256)
-    counts = cells.sum(axis=0) + cells.sum(axis=1)
-    counts[_ESCAPE] -= n & 1
-    return counts
-
-
-def _table_block(rank_counts: np.ndarray, n: int) -> tuple[int, int]:
-    """The band ranks ``[lo, hi)`` the pair table covers.
-
-    A rank joins when its count repays the ``2 m`` cells it adds to an
-    ``m x m`` table (``m`` = the occupied span); the block spans the
-    ranks that do. It is empty when no rank does, or when it would hold
-    less than :data:`_TABLE_MIN_SHARE` of the symbols.
-    """
-    band = rank_counts[:_BAND]
-    occupied = np.flatnonzero(band)
-    if occupied.size == 0:
-        return 0, 0
-    span = int(occupied[-1] - occupied[0]) + 1
-    keep = np.flatnonzero(band >= 2 * span * _CELL_COST)
-    if keep.size == 0:
-        return 0, 0
-    lo, hi = int(keep[0]), int(keep[-1]) + 1
-    if int(band[lo:hi].sum()) < _TABLE_MIN_SHARE * n:
-        return 0, 0
-    return lo, hi
-
-
-class _PairPlan(NamedTuple):
-    """How the pair table codes a stream."""
-
-    ranks: np.ndarray     # uint8 ranks rebased on the block, odd-n padded
-    first: int            # the symbol of rank 0
-    width: int            # block ranks; any other rank is an escape
-    escapes: np.ndarray   # sorted positions of the escapes
-
-
-def _count_symbols(codes: np.ndarray, alphabet_size: int
-                   ) -> tuple[np.ndarray, _PairPlan | None]:
-    """Every symbol's count, plus the pair-table plan (``None`` when
-    the table does not pay and every pair is coded per symbol).
-
-    The band ranks are counted first (:func:`_rank_counts`); only the
-    escapes of the chosen block are then counted per symbol, by a
-    histogram over that subset.
-    """
-    n = codes.size
-    if n == 0:
-        return np.zeros(alphabet_size, dtype=np.int64), None
-    base = max(0, alphabet_size // 2 - _BAND // 2)   # band's first code
-    ranks = _band_ranks(codes, base)
-    rank_counts = _rank_counts(ranks, n)
-    lo, hi = _table_block(rank_counts, n)
-    if hi == lo:
-        return histogram(codes, alphabet_size), None
-    # rebase the ranks on the block: every symbol outside it (the band's
-    # escapes included) then has a rank >= its width
-    if lo:
-        np.subtract(ranks, np.uint8(lo), out=ranks)
-    escapes = np.flatnonzero(ranks[:n] >= hi - lo)
-    freqs = histogram(codes[escapes], alphabet_size)
-    freqs[base + lo:base + hi] += rank_counts[lo:hi]
-    return freqs, _PairPlan(ranks, base + lo, hi - lo, escapes)
+def _other_codes(codes: np.ndarray,
+                 symbol: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, symbols)`` of the codes other than ``symbol``."""
+    at = np.flatnonzero(codes != symbol)
+    return at, codes[at]
 
 
 def _symbol_table(lengths: np.ndarray, codebook: np.ndarray) -> np.ndarray:
@@ -576,136 +449,45 @@ def _symbol_table(lengths: np.ndarray, codebook: np.ndarray) -> np.ndarray:
                     np.uint64(0))
 
 
-def _pair_table(sym_table: np.ndarray, first: int,
-                width: int) -> np.ndarray:
-    """MSB-aligned ``(codeword pair | bit length)`` per pair of symbols
-    ``first + a, first + b`` with ``a, b < width``.
+def _coded_layout(at: np.ndarray, coded_len: np.ndarray, bg_len: int,
+                  n: int, chunk_bits: int):
+    """Every coded codeword's start bit plus the gap-array chunk table.
 
-    Cell ``a | b << 8`` (the uint16 view of ranks ``a, b`` in stream
-    order) holds ``a``'s codeword followed by ``b``'s, shifted to the top
-    of a uint64, with their summed length in the low byte (two codewords
-    take at most 32 bits, so code and length never overlap: OR is ADD).
-    Only the ``width x width`` block is filled; the encoder gathers no
-    other cell without recoding it.
+    ``at`` holds the sorted positions of the symbols that are not the
+    background in a stream of ``n``, ``coded_len`` their code lengths;
+    every other symbol is a ``bg_len``-bit background codeword. Returns
+    ``(offsets, total_bits, gaps)``. Codeword ``j`` starts at
+    ``at[j] * bg_len`` plus the bits the earlier coded codewords take
+    beyond ``bg_len`` (the background code is the shortest, so none
+    takes fewer): one exclusive prefix sum, in uint32 whenever the
+    stream's bit count cannot overflow it.
+
+    Chunk ``k``'s gap is the offset of the first codeword starting at or
+    past its bound ``b = k*B``. One ``searchsorted`` finds the last coded
+    codeword starting before ``b``. If it straddles ``b``, the next
+    codeword starts at its end. Otherwise ``b`` lies in a run of
+    background codewords starting at that end (or at 0), so the next
+    start is the run's first at or past ``b``: the gap is ``(run start -
+    b) mod bg_len``. The run reaches the next coded codeword in whole
+    background codewords, so a coded codeword starting exactly at ``b``
+    gives gap 0 too. Only the last chunk can be empty; its gap then
+    reaches ``total_bits``.
     """
-    table = np.empty(1 << 16, dtype=np.uint64)
-    sym = sym_table[first:first + width]
-    ln = sym & _LENGTH_MASK
-    # row b, column a: b's codeword shifted past a's, plus b's length,
-    # plus a's codeword and length
-    block = table.reshape(256, 256)[:width, :width]
-    np.right_shift((sym ^ ln)[:, None], ln, out=block)
-    block += ln[:, None]
-    block += sym
-    return table
-
-
-def _symbol_pairs(sym_table: np.ndarray, codes: np.ndarray,
-                  at: np.ndarray | None = None):
-    """``(units, bit lengths)`` of the symbol pairs ``at`` (sorted, all
-    pairs when ``None``), coded from the per-symbol codebook. The second
-    symbol of pair ``n // 2`` is the odd-``n`` pad, which has no bits."""
-    n = codes.size
-    if at is None:
-        first = sym_table[codes[0::2]]
-        second = np.zeros(first.size, dtype=np.uint64)
-        np.take(sym_table, codes[1::2], out=second[:n // 2])
-    else:
-        first = sym_table[codes[2 * at]]
-        second = sym_table[codes[np.minimum(2 * at + 1, n - 1)]]
-        if n & 1:
-            second[-1] = 0              # the pad pair sorts last
-    bits = first.astype(np.uint8)
-    second_bits = second.astype(np.uint8)
-    first &= _CODE_MASK
-    second &= _CODE_MASK
-    np.right_shift(second, bits, out=second)
-    first |= second
-    bits += second_bits
-    return first, bits
-
-
-def _pair_units(codes: np.ndarray, sym_table: np.ndarray,
-                plan: _PairPlan | None):
-    """Every symbol pair as ``(MSB-aligned codewords, bit length)``.
-
-    Through the pair table: one gather per pair, whose length byte peels
-    off by a uint8 truncation before one scalar mask strips it in place;
-    then the pairs holding an escape, plus the odd-``n`` pad, are recoded
-    from the per-symbol codebook (the escape positions are sorted, so
-    the two escapes of one pair are adjacent).
-    """
-    if plan is None:
-        return _symbol_pairs(sym_table, codes)
-    n = codes.size
-    table = _pair_table(sym_table, plan.first, plan.width)
-    pairs = table[plan.ranks.view("<u2")]
-    pair_len = pairs.astype(np.uint8)
-    pairs &= _CODE_MASK
-    redo = plan.escapes >> 1
-    if n & 1:
-        redo = np.append(redo, n >> 1)
-    if redo.size:
-        redo = redo[np.flatnonzero(np.diff(redo, prepend=-1))]
-        pairs[redo], pair_len[redo] = _symbol_pairs(sym_table, codes, redo)
-    return pairs, pair_len
-
-
-def _merge_pairs(pairs: np.ndarray, pair_len: np.ndarray):
-    """Adjacent pair units merged into ``(units, bit lengths)`` of four
-    codewords each (at most 64 bits); an odd last pair stays alone."""
-    m = pairs.size
-    q = m // 2
-    units = np.empty(q + (m & 1), dtype=np.uint64)
-    unit_len = np.empty(units.size, dtype=np.uint8)
-    first_len = pair_len[0:2 * q:2]
-    np.right_shift(pairs[1:2 * q:2], first_len, out=units[:q])
-    units[:q] |= pairs[0:2 * q:2]
-    np.add(first_len, pair_len[1:2 * q:2], out=unit_len[:q])
-    if m & 1:
-        units[q] = pairs[-1]
-        unit_len[q] = pair_len[-1]
-    return units, unit_len
-
-
-def _chunk_layout(unit_len: np.ndarray, codes: np.ndarray,
-                  lengths: np.ndarray, chunk_bits: int):
-    """Every unit's bit offset plus the gap-array chunk table.
-
-    Returns ``(offsets, total_bits, gaps)``. The offsets are one
-    exclusive prefix sum of the unit lengths, in uint32 whenever the
-    stream's bit count cannot overflow it, computed in place. The chunk
-    table is at symbol granularity: chunk ``k``'s first codeword is the
-    first *symbol* start ``>= k*B``. One ``searchsorted`` finds the unit
-    that starts at or before each bound; its ``<= 4`` symbol starts plus
-    its end (the next unit's start) come from its symbols' code lengths,
-    and the first of those five at or past the bound is the chunk's
-    start, so the work past the prefix sum is O(chunks). Every ``B``-bit
-    window inside the stream holds a codeword start (no codeword is
-    longer than ``MAX_CODE_LEN <= B``), so only the last chunk can be
-    empty; its gap then reaches ``total_bits``.
-    """
-    n = codes.size
     acc = np.uint32 if n <= _NARROW_LAYOUT_SYMBOLS else np.int64
-    pos = np.cumsum(unit_len, dtype=acc)       # inclusive bit scan
-    total_bits = int(pos[-1])
-    np.subtract(pos, unit_len, out=pos, casting="unsafe")
+    extra = coded_len - np.uint8(bg_len)
+    pos = np.cumsum(extra, dtype=acc)          # inclusive bit scan
+    total_bits = n * bg_len + (int(pos[-1]) if pos.size else 0)
+    np.subtract(pos, extra, out=pos, casting="unsafe")
+    np.add(pos, at * bg_len, out=pos, casting="unsafe")
     bounds = np.arange(0, total_bits, chunk_bits, dtype=np.int64)
-    unit = np.searchsorted(pos, bounds.astype(acc), side="right") - 1
-    sym = unit[:, None] * _UNIT_SYMBOLS + np.arange(_UNIT_SYMBOLS)
-    # symbol starts, then the unit's end; the last unit may hold fewer
-    # symbols, and a missing one has no bits, so it starts (as symbol n)
-    # where the stream ends
-    starts = np.empty((unit.size, _UNIT_SYMBOLS + 1), dtype=np.int64)
-    starts[:, 0] = pos[unit]
-    starts[:, 1:] = lengths[codes[np.minimum(sym, n - 1)]]
-    if sym[-1, -1] >= n:
-        starts[:, 1:][sym >= n] = 0
-    np.cumsum(starts, axis=1, out=starts)
-    at = np.argmax(starts >= bounds[:, None], axis=1)
-    first_bit = starts.ravel()[at + np.arange(0, starts.size,
-                                              _UNIT_SYMBOLS + 1)]
-    return pos, total_bits, (first_bit - bounds).astype(np.uint8)
+    before = np.searchsorted(pos, bounds.astype(acc), side="left")
+    run = np.zeros(bounds.size, dtype=np.int64)
+    seen = np.flatnonzero(before)
+    last = before[seen] - 1
+    run[seen] = pos[last] + coded_len[last]
+    run -= bounds
+    gaps = np.where(run > 0, run, run % bg_len).astype(np.uint8)
+    return pos, total_bits, gaps
 
 
 def huffman_encode(codes: np.ndarray, alphabet_size: int,
@@ -722,8 +504,8 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
     fingerprint cache also starts its decode LUT build in the
     background. The returned stream carries the symbol counts in
     :attr:`HuffmanStream.symbol_counts`. The ``huffman.pack`` span
-    records ``n_escapes``: the symbols outside the pair table, each
-    coded with its pair from the per-symbol codebook.
+    records ``n_coded``: the symbols written, all but the background
+    ones, whose all-zero codewords the zeroed payload already holds.
     """
     if not MAX_CODE_LEN <= chunk_bits <= MAX_CHUNK_BITS:
         raise CodecError(f"chunk bit budget must be in "
@@ -733,7 +515,12 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
     with telemetry.span("huffman.codebook", n_symbols=n,
                         alphabet=alphabet_size,
                         static=lengths is not None):
-        freqs, plan = _count_symbols(codes, alphabet_size)
+        # quant-codes center on the zero bin, the alphabet's middle: only
+        # the other codes are counted, and the middle takes the rest
+        middle = alphabet_size // 2
+        at, coded = _other_codes(codes, middle)
+        freqs = histogram(coded, alphabet_size)
+        freqs[middle] += n - at.size
         if lengths is None:
             lengths = fingerprint_code_lengths(freqs, MAX_CODE_LEN,
                                                prewarm_lut=True)
@@ -744,23 +531,27 @@ def huffman_encode(codes: np.ndarray, alphabet_size: int,
             if np.any(lengths[freqs > 0] == 0):
                 raise CodecError(
                     "static codebook lacks a code for a symbol")
-        codebook = canonical_codebook(lengths)
+        code = canonical_order(lengths)
     gaps = np.empty(0, np.uint8)
     payload = np.empty(0, np.uint8)
     total_bits = 0
     if n:
-        n_escapes = n if plan is None else int(plan.escapes.size)
-        with telemetry.span("huffman.pack", n_symbols=n,
-                            n_escapes=n_escapes) as sp:
-            pairs, pair_len = _pair_units(
-                codes, _symbol_table(lengths, codebook), plan)
-            units, unit_len = _merge_pairs(pairs, pair_len)
-            del pairs, pair_len, plan
-            pos, total_bits, gaps = _chunk_layout(
-                unit_len, codes, lengths, chunk_bits)
+        with telemetry.span("huffman.pack", n_symbols=n) as sp:
+            # the background is the canonical first symbol: its codeword
+            # is all zero bits, so the zeroed payload already holds it
+            background = int(code.order[0])
+            if background != middle:
+                at, coded = _other_codes(codes, background)
+            units = _symbol_table(lengths, code.codes)[coded]
+            del coded
+            unit_len = units.astype(np.uint8)
+            units &= _CODE_MASK
+            pos, total_bits, gaps = _coded_layout(
+                at, unit_len, int(lengths[background]), n, chunk_bits)
             payload = pack_varbits64(units, unit_len, pos,
                                      -(-total_bits // 8))
-            sp.set(bytes_out=int(payload.size), n_chunks=int(gaps.size))
+            sp.set(n_coded=int(at.size), bytes_out=int(payload.size),
+                   n_chunks=int(gaps.size))
     stream = HuffmanStream(n_symbols=n, alphabet_size=alphabet_size,
                            chunk_bits=chunk_bits,
                            lengths=lengths.astype(np.uint8), gaps=gaps,

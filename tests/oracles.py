@@ -27,12 +27,16 @@ emits must match them byte for byte:
 * :func:`encode_loop` — the byte-plane emitter (:func:`pack_varbits`)
   over the same codebook, with the gap-array chunk table derived its own
   way (a ``bincount`` of each codeword's chunk). Oracle for the
-  pair-table encoder, its four-codeword units and its symbol-granular
-  chunk layout; with ``version=2`` (and :func:`v2_bytes`) also the
-  writer of version-2 streams, which the library only reads.
+  sparse encoder, which writes only the non-background codewords and
+  reads the chunk gaps off their spans; with ``version=2`` (and
+  :func:`v2_bytes`) also the writer of version-2 streams, which the
+  library only reads.
 * :func:`pack_uint_wide` — fixed-width packing through a uint64 copy of
   every input. Oracle for the narrow widths of
   :func:`repro.common.bitpack.pack_uint`.
+* :func:`unpack_uint_bits` — fixed-width unpacking through the dense bit
+  matrix. Oracle for the folded narrow widths of
+  :func:`repro.common.bitpack.unpack_uint`.
 
 Both traversals accept (and ignore) ``plan=``, and the compressor
 accepts ``value_bounds=``, so they can stand in for
@@ -548,3 +552,16 @@ def pack_uint_wide(values: np.ndarray, width: int) -> np.ndarray:
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     bits = ((v[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits.ravel())
+
+
+def unpack_uint_bits(packed: np.ndarray, width: int,
+                     count: int) -> np.ndarray:
+    """:func:`repro.common.bitpack.unpack_uint` through the dense bit
+    matrix at every width: ``count`` MSB-first ``width``-bit values from
+    the first ``ceil(count * width / 8)`` bytes, as uint64. Oracle for
+    the folded ragged-width paths."""
+    need = -(-count * width // 8)
+    bits = np.unpackbits(np.asarray(packed, np.uint8)[:need],
+                         count=count * width)
+    weights = np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return bits.reshape(count, width).astype(np.uint64) @ weights

@@ -10,7 +10,7 @@ from repro.common.bitpack import (bit_length, min_bit_width, pack_uint,
                                   zigzag_decode, zigzag_encode)
 from repro.common.errors import CodecError
 
-from oracles import pack_uint_wide
+from oracles import pack_uint_wide, unpack_uint_bits
 
 
 class TestPackUnpack:
@@ -77,6 +77,20 @@ class TestPackUnpack:
             assert packed.tobytes() == pack_uint_wide(vals, width).tobytes()
             np.testing.assert_array_equal(unpack_uint(packed, width, n),
                                           vals)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_narrow_widths_unpack_any_bytes_like_the_bit_matrix(self, width,
+                                                                rng):
+        # unpacking reads whole groups of 8 values: arbitrary bytes, a
+        # count that ends mid-group and nonzero pad bits past the last
+        # value must decode exactly as the dense bit matrix reads them
+        for n in (1, 5, 8, 9, 15, 4097):
+            packed = rng.integers(0, 256, -(-n * width // 8) + 3,
+                                  dtype=np.uint8)
+            got = unpack_uint(packed, width, n)
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(
+                got, unpack_uint_bits(packed, width, n))
 
     @pytest.mark.parametrize("width", range(1, 8))
     def test_narrow_widths_reject_what_they_cannot_hold(self, width):

@@ -1,10 +1,9 @@
 """Huffman encode equivalence against the byte-plane oracle.
 
-The encoder codes uint8 band ranks two at a time through a per-codebook
-pair table (escaped pairs recoded from the per-symbol codebook), merges
-adjacent pairs into 64-bit units of four codewords, lays out the
-gap-array chunk table at symbol granularity and packs the units with
-``pack_varbits64``. It must be byte-identical to the byte-plane oracle
+The encoder writes only the codewords of the symbols other than the
+background (the canonical first symbol, whose codeword is all zero
+bits), reads the gap-array chunk table off their spans and packs them
+with ``pack_varbits64``. It must be byte-identical to the byte-plane oracle
 ``oracles.encode_loop``, which emits one codeword at a time and counts
 its chunk table its own way, on every stream the codec accepts. Also
 covers ``pack_varbits64``, the histogram fast paths, the fingerprint
