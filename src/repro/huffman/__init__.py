@@ -16,8 +16,9 @@ already holds it) are written, through one vectorized word scatter
 (:func:`repro.common.bitpack.pack_varbits64`). The decoder steps all
 chunks *simultaneously* — each batched advance probes a multi-symbol
 lookup table (:func:`repro.huffman.canonical.build_lut_tables`) that
-emits every complete codeword in the next ``K`` bits, ``K`` chosen per
-stream (:func:`repro.huffman.codec.choose_probe_bits`) — which is the
+emits every complete codeword in the next ``K`` bits, or the one wider
+codeword the probe opens, from one row, ``K`` chosen per stream
+(:func:`repro.huffman.codec.choose_probe_bits`) — which is the
 vectorized analogue of one-thread-block-per-chunk decoding. The codec
 keeps one encoder and one decoder; the plain loop coders they are
 checked against byte for byte are test oracles in ``tests/oracles.py``.

@@ -10,21 +10,27 @@ shifted to ``MAX_CODE_LEN`` bits. In that order the codewords tile
 
 * the encoder's per-symbol codewords are the starts shifted back down
   (:func:`canonical_codebook`);
-* the codeword a window opens with is one ``searchsorted`` over the
-  starts, and a window at or past ``end`` opens no codeword — the
-  decoder's rare fallback for a codeword wider than its probe;
-* the **multi-symbol LUT** (:func:`build_lut_tables`) — ``2**K`` entries
+* the **multi-symbol LUT** (:func:`build_lut_tables`) — ``2**K`` rows
   (``K`` = probe width, chosen per stream by the decoder) mapping the
   next ``K`` bits to *every complete codeword inside the probe*:
-  ``(symbols[:count], cumulative bits)`` — is built from a first-codeword
-  table at width ``K`` alone: the codes no wider than ``K`` fill a
-  prefix of the ``2**K`` windows, so two ``np.repeat`` calls lay it
-  out. One gather decodes up to ``K`` symbols, which is what lets the
-  chunk-parallel decode loop in :mod:`repro.huffman.codec` consume tens
-  of bits per 64-bit window instead of one codeword per table lookup.
+  ``(symbols[:count], cumulative bits)`` — is built from a
+  first-codeword table at width ``K`` alone: the codes no wider than
+  ``K`` fill a prefix of the ``2**K`` windows, so two ``np.repeat``
+  calls lay it out. One gather decodes up to ``K`` symbols, which is
+  what lets the chunk-parallel decode loop in :mod:`repro.huffman.codec`
+  consume tens of bits per 64-bit window instead of one codeword per
+  table lookup;
+* the codewords wider than ``K``, if any, tile the window range
+  ``[starts[first wider], end)``, so one more ``np.repeat`` gives every
+  16-bit window in it a one-codeword row after the ``2**K`` probe rows,
+  and a 16-bit row index sends each window to its row: a decoder
+  resolves a wide codeword in the same lookup as a narrow one, and a
+  window at or past ``end``, which opens no codeword, to an invalid
+  row.
 
-No surface spans all ``2**MAX_CODE_LEN`` windows: a cold decode pays
-only for the widths it probes at.
+Only the row index spans all ``2**MAX_CODE_LEN`` windows (one uint16
+each); the rows themselves cost a cold decode only for its width and
+its wide codewords.
 
 Both surfaces are pure functions of the length array, and static
 codebooks (:mod:`repro.huffman.static`) reuse the same handful of length
@@ -56,12 +62,13 @@ __all__ = ["canonical_codebook", "canonical_order", "CanonicalCode",
 
 #: Code lengths are bounded so every codeword fits one 16-bit window;
 #: 16 bits supports the 1024-symbol quant alphabet with room to spare.
-#: It is also the widest (and default) probe of the multi-symbol LUT: a
-#: full-width probe can never meet a codeword it cannot finish, so decode
-#: never needs the wide-codeword fallback, at the price of the largest
-#: build (~3 MiB, 10-16 ms). Narrower probes build far faster and decode
-#: somewhat slower; :func:`repro.huffman.codec.choose_probe_bits` picks
-#: one per stream (see docs/PERFORMANCE.md for the measured table).
+#: It is also the widest (and default) probe of the multi-symbol LUT,
+#: which never meets a codeword wider than itself, at the price of the
+#: largest build (~3 MiB, 10-16 ms). A narrower LUT builds several times
+#: faster and gives each window that opens a codeword wider than the
+#: probe a row of its own, reached through a 16-bit row index;
+#: :func:`repro.huffman.codec.choose_probe_bits` picks the width of a
+#: cold decode (see docs/PERFORMANCE.md for the measured table).
 MAX_CODE_LEN = 16
 
 #: distinct length vectors kept per cache; static families have < 10 members
@@ -261,10 +268,13 @@ def _canonical_uncached(lengths: np.ndarray) -> CanonicalCode:
 class ProbeLUT(NamedTuple):
     """A multi-symbol probe LUT (see :func:`build_lut_tables`)."""
 
-    count: np.ndarray    # uint8[2**K] complete codewords per probe
-    cum: np.ndarray      # uint8[2**K, S+1] bits consumed after j symbols
-    syms: np.ndarray     # uint16/uint32[2**K, S] symbols per probe
-    adv: np.ndarray      # uint8[2**K] bits the whole row consumes
+    count: np.ndarray    # uint8[R] complete codewords per row
+    cum: np.ndarray      # uint8[R, S+1] bits consumed after j symbols
+    syms: np.ndarray     # uint16/uint32[R, S] symbols per row
+    adv: np.ndarray      # uint8[R] bits the whole row consumes
+    #: uint16/int32[2**16] row of each 16-bit window; None when no
+    #: codeword is wider than the probe, whose ``K`` bits are then the row
+    index: np.ndarray | None = None
 
 
 def lut_cached(lengths: np.ndarray, probe_bits: int = MAX_CODE_LEN) -> bool:
@@ -281,13 +291,14 @@ def build_lut_tables(lengths: np.ndarray,
                      probe_bits: int = MAX_CODE_LEN) -> ProbeLUT:
     """Expand code lengths into the multi-symbol probe LUT.
 
-    Returns a :class:`ProbeLUT` ``(count, cum_bits, syms, adv)``, all
-    read-only, indexed by the next ``probe_bits`` payload bits
-    (MSB-first):
+    Returns a :class:`ProbeLUT` ``(count, cum_bits, syms, adv, index)``,
+    all read-only. Its first ``2**probe_bits`` rows are indexed by the
+    next ``probe_bits`` payload bits (MSB-first):
 
     * ``count[w]`` — how many *complete* codewords the probe window ``w``
-      contains (0 means the first codeword overruns the probe: the
-      decoder resolves it from :func:`canonical_order`'s starts);
+      contains (0 where the window opens a codeword wider than the
+      probe, or none at all: such a row is never reached through
+      ``index``);
     * ``syms[w, :count[w]]`` — the decoded symbols, in stream order;
     * ``cum_bits[w, j]`` — total bits consumed after emitting the first
       ``j`` symbols, with ``cum_bits[w, 0] == 0``: the decode loop
@@ -296,6 +307,19 @@ def build_lut_tables(lengths: np.ndarray,
       the chunk ends mid-entry;
     * ``adv[w]`` — ``cum_bits[w, count[w]]``, the bits the whole row
       consumes (a decode lane's advance per probe).
+
+    When codewords are wider than the probe, they tile the 16-bit
+    windows ``[f, end)`` (``f`` the first one's left-justified start),
+    and the rows go on with one row per window there — count 1, that
+    codeword's symbol and length — and then one invalid row (count and
+    advance 0). ``index[v]`` maps each 16-bit window ``v`` to its row:
+    ``v >> (16 - probe_bits)`` below ``f``, ``2**probe_bits + v - f``
+    inside the range, the invalid row at and past ``end``. So every
+    window a decoder meets reaches a row that resolves its first
+    codeword, and a row with count 0 means an invalid codeword. With no
+    codeword wider than the probe (always at full width) there is no
+    index: the probe's ``K`` bits are the row, and a count-0 row is a
+    window that opens no codeword.
 
     Construction chains first-codeword lookups at the probe width per
     row, vectorized across all ``2**probe_bits`` rows at once (the
@@ -332,18 +356,18 @@ def _put_lut(key: tuple, entry: tuple) -> None:
     _cache_put(_lut_cache, key, entry, "lut")
 
 
-def _first_codeword_table(lengths: np.ndarray, probe_bits: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """``(symbols, lens)`` of the codeword each ``probe_bits``-bit window
-    opens with, length 0 where it opens none that fits the window (a
-    wider codeword, or no codeword at all).
+def _first_codeword_table(code: CanonicalCode, probe_bits: int
+                          ) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(symbols, lens, fits)`` of the codeword each ``probe_bits``-bit
+    window opens with, length 0 where it opens none that fits the window
+    (a wider codeword, or no codeword at all); ``fits`` is how many
+    codewords, in canonical order, are no wider than the window.
 
     In canonical order the codes no wider than the probe come first and
     fill a prefix of the ``2**probe_bits`` windows, each spanning
     ``2**(probe_bits - length)`` of them, so two ``np.repeat`` calls lay
     the table out.
     """
-    code = canonical_order(lengths)
     size = 1 << probe_bits
     fits = int(np.searchsorted(code.lens, probe_bits, side="right"))
     span = np.int64(1) << (probe_bits - code.lens[:fits].astype(np.int64))
@@ -352,21 +376,27 @@ def _first_codeword_table(lengths: np.ndarray, probe_bits: int
     lens = np.zeros(size, dtype=np.int32)
     symbols[:filled] = np.repeat(code.order[:fits], span)
     lens[:filled] = np.repeat(code.lens[:fits], span)
-    return symbols, lens
+    return symbols, lens, fits
 
 
 def _expand_lut(lengths: np.ndarray, probe_bits: int) -> ProbeLUT:
     """The uncached LUT construction behind :func:`build_lut_tables`."""
-    table_syms, lens32 = _first_codeword_table(lengths, probe_bits)
+    code = canonical_order(lengths)
+    table_syms, lens32, fits = _first_codeword_table(code, probe_bits)
     size = 1 << probe_bits
+    # the rows past the probe rows: one per window that opens a wider
+    # codeword, then the invalid row (none without wider codewords)
+    first = int(code.starts[fits]) if fits < code.lens.size else code.end
+    wide = code.end - first
+    rows = size + wide + 1 if wide else size
     mask = np.int32(size - 1)
-    count = np.zeros(size, dtype=np.uint8)
-    cum = np.zeros((size, probe_bits + 1), dtype=np.uint8)
+    count = np.zeros(rows, dtype=np.uint8)
+    cum = np.zeros((rows, probe_bits + 1), dtype=np.uint8)
     # uint16 symbol slots halve the dominant LUT plane whenever the
     # alphabet allows it (a MAX_CODE_LEN=16 code admits at most 2**16
     # codewords, so only sparse oversized alphabets need uint32)
     sym_dtype = np.uint16 if lengths.size <= (1 << 16) else np.uint32
-    syms = np.zeros((size, probe_bits), dtype=sym_dtype)
+    syms = np.zeros((rows, probe_bits), dtype=sym_dtype)
     # rows drop out of `live` once their next codeword overruns the
     # probe, so iteration j only touches rows with >= j+1 symbols; with
     # int32 row state the whole build runs at a fraction of the naive
@@ -384,15 +414,30 @@ def _expand_lut(lengths: np.ndarray, probe_bits: int) -> ProbeLUT:
         syms[live, j] = table_syms[idx[fit]]
         cum[live, j + 1] = consumed
         count[live] += 1
+    index = None
+    if wide:
+        # each wider codeword owns 2**(16 - len) consecutive windows
+        span = np.int64(1) << (MAX_CODE_LEN
+                               - code.lens[fits:].astype(np.int64))
+        count[size:rows - 1] = 1
+        cum[size:rows - 1, 1] = np.repeat(code.lens[fits:], span)
+        syms[size:rows - 1, 0] = np.repeat(code.order[fits:], span)
+        index = np.empty(1 << MAX_CODE_LEN,
+                         dtype=np.uint16 if rows <= 1 << 16 else np.int32)
+        index[:first] = np.arange(first, dtype=np.int32) \
+            >> (MAX_CODE_LEN - probe_bits)
+        index[first:code.end] = np.arange(size, size + wide, dtype=np.int32)
+        index[code.end:] = rows - 1
     smax = max(int(count.max()), 1)
     cum = np.ascontiguousarray(cum[:, :smax + 1])
     syms = np.ascontiguousarray(syms[:, :smax])
     # each row's advance at its own count, by one flat gather (a max
     # over the short rows costs several times the narrow builds' loop)
     adv = cum.ravel()[np.arange(0, cum.size, cum.shape[1]) + count]
-    lut = ProbeLUT(count, cum, syms, adv)
+    lut = ProbeLUT(count, cum, syms, adv, index)
     for arr in lut:
-        arr.setflags(write=False)
+        if arr is not None:
+            arr.setflags(write=False)
     return lut
 
 

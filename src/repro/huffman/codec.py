@@ -35,17 +35,18 @@ chunk's start bit and counts what it emitted.
   timestep streams skip the tree build and prewarm the decode LUT.
 * **Decode** steps all chunks simultaneously. Each outer step gathers one
   64-bit window per chunk and then chains multi-symbol LUT probes inside
-  it: each probe reads the next ``K`` bits and yields every complete
-  codeword they contain, falling back to one ``searchsorted`` over the
-  canonical codewords' left-justified starts only for the rare codeword
-  wider than the probe. A lane stops at its own bit end; its last probe
-  usually runs past it and is trimmed after the loop to the codewords
-  that end there. Steps record only ``(probe, emit count)`` per lane;
-  read chunk by chunk those records are in output order, so the symbols
-  are expanded after the loop by one row gather and one boolean
-  compaction. ``K`` is chosen per stream (:func:`choose_probe_bits`): a
-  narrow LUT builds several times faster than the full-width one, which
-  a recurring codebook is promoted to.
+  it: each probe's LUT row yields every complete codeword in the next
+  ``K`` bits, or the one codeword wider than ``K`` that the 16-bit
+  window there opens (a row of its own), so a wide codeword is decoded
+  in the slot that meets it. A lane stops at its own bit end; its last
+  probe usually runs past it and is trimmed after the loop to the
+  codewords that end there. Steps record only ``(LUT row, emit
+  count)`` per lane; read chunk by chunk those records are in output
+  order, so the symbols are expanded after the loop by one row gather
+  and one boolean compaction.
+  ``K`` is chosen per stream (:func:`choose_probe_bits`): a narrow LUT
+  builds several times faster than the full-width one, which a
+  recurring codebook is promoted to.
 
 Streams of the earlier versions still decode through the same loop;
 only their table validation differs (:meth:`HuffmanStreamV1.layout`:
@@ -617,50 +618,65 @@ def _decode_prepare(stream: AnyStream):
 
 
 #: probe widths :func:`choose_probe_bits` returns, narrowest first
-PROBE_WIDTHS = (12, 13, 14, MAX_CODE_LEN)
+PROBE_WIDTHS = (9, 10, 11, 12, 13, 14, MAX_CODE_LEN)
 
-# Cold-decode cost model (ms), calibrated on a 2-CPU x86-64 VM with
-# NumPy 2.4 over real pipeline streams of 65k-883k symbols (version-1
-# streams, 256-symbol chunks):
-# - LUT build: _BUILD_MS_PER_ROW per probe row, i.e. 1.5 ms at K=12,
-#   3.0 at K=14 and 11.5 at K=16 (a fixed cost common to every width
-#   does not enter the choice);
-# - narrow-probe penalty over a full-width decode: every codeword wider
-#   than K idles its chunk lane for the rest of a 64-bit window, so the
-#   penalty scales with the share of such codewords, p(K), as
-#   p(K) * (_STALL_MS + _STALL_MS_PER_SYMBOL * n_symbols).
-# On version-2 streams the measured penalty is 2-3x this model, but a
-# refit (which picks wider, larger LUTs) did not lower archive-mixed
-# decompress_ms_p50 beyond noise and raised its peak RSS ~6%, so the
-# constants stay. On the 32 seed-0 archive-mixed version-3 streams the
-# widths it picks decode cold within 4% of each stream's fastest width
-# (docs/PERFORMANCE.md), too little for a refit to show in the bench.
-_BUILD_MS_PER_ROW = 1.62e-4
-_STALL_MS = 89.0
-_STALL_MS_PER_SYMBOL = 3.9e-4
+# Cold-decode cost model (ms), fitted on a 2-CPU x86-64 VM with NumPy 2.4
+# over cold decodes of 68 bench streams at K = 9..14 (seed 1) and checked
+# on another 68 (seed 4; docs/PERFORMANCE.md, "Probe width"):
+# - LUT build: _BUILD_MS_PER_ROW per LUT row, the 2**K probe rows plus
+#   one per 16-bit window that opens a codeword wider than K;
+# - decode loop: _SLOT_MS per lane slot that consumes bits, of which a
+#   stream of B bits takes B / a(K), a(K) being the bits one slot
+#   consumes on average. A wider probe fits more codewords in a slot, so
+#   a(K) grows with K.
+_BUILD_MS_PER_ROW = 1.69e-4
+_SLOT_MS = 3.26e-5
 
 
-def choose_probe_bits(n_symbols: int, lengths: np.ndarray) -> int:
+def _slot_bits(lengths: np.ndarray) -> tuple[list, list]:
+    """``(a, wide)`` per probe width ``K`` = 0..16, for a code whose
+    codeword of length ``L`` occurs with probability ``p_L = 2**-L``:
+    ``a[K]`` the mean bits one probe slot consumes, ``wide[K]`` the
+    share of the 16-bit windows that open a codeword wider than ``K``.
+
+    A slot consumes every complete codeword in its ``K`` bits, or the
+    one wider codeword it opens, so ``a[K] = fill[K] + sum over L > K of
+    p_L * L``, where ``fill[b]``, the mean bits of the complete
+    codewords in ``b`` bits, is ``sum over L <= b of p_L * (L +
+    fill[b - L])``.
+    """
+    counts = np.bincount(lengths, minlength=MAX_CODE_LEN + 1)
+    p = np.ldexp(counts, -np.arange(MAX_CODE_LEN + 1)).tolist()
+    terms = [(j, p[j]) for j in range(1, MAX_CODE_LEN + 1) if p[j]]
+    fill = [0.0] * (MAX_CODE_LEN + 1)
+    over = [0.0] * (MAX_CODE_LEN + 1)
+    wide = [0.0] * (MAX_CODE_LEN + 1)
+    for b in range(1, MAX_CODE_LEN + 1):
+        fill[b] = sum([pj * (j + fill[b - j]) for j, pj in terms if j <= b])
+    for k in range(MAX_CODE_LEN - 1, -1, -1):
+        over[k] = over[k + 1] + p[k + 1] * (k + 1)
+        wide[k] = wide[k + 1] + p[k + 1]
+    return [f + o for f, o in zip(fill, over)], wide
+
+
+def choose_probe_bits(total_bits: int, lengths: np.ndarray) -> int:
     """Probe width of least LUT build plus decode time for a cold decode
-    of ``n_symbols`` symbols coded with ``lengths``.
+    of a ``total_bits``-bit stream coded with ``lengths``.
 
     A canonical code of length ``L`` carries probability ``~2**-L``, so
-    the share of codewords wider than ``K`` (the ones a ``K``-bit probe
-    must hand to the wide-codeword fallback) is read off the lengths
-    alone; the result is a pure function of its two arguments.
+    both the LUT's row count and the bits a probe slot consumes are read
+    off the lengths alone (:func:`_slot_bits`); the result is a pure
+    function of its two arguments.
     """
-    lengths = np.asarray(lengths, dtype=np.int64).ravel()
-    used = lengths[lengths > 0]
-    weight = np.ldexp(1.0, -used)
-    stall_ms = _STALL_MS + _STALL_MS_PER_SYMBOL * n_symbols
-    costs = [_BUILD_MS_PER_ROW * (1 << k)
-             + float(weight[used > k].sum()) * stall_ms
-             for k in PROBE_WIDTHS]
-    return PROBE_WIDTHS[int(np.argmin(costs))]
+    a, wide = _slot_bits(np.asarray(lengths, dtype=np.uint8).ravel())
+    costs = [_BUILD_MS_PER_ROW * ((1 << k) + wide[k] * (1 << MAX_CODE_LEN))
+             + _SLOT_MS * total_bits / a[k] for k in PROBE_WIDTHS]
+    return PROBE_WIDTHS[costs.index(min(costs))]
 
 
-def _lut_for(stream: AnyStream, probe_bits: int | None):
-    """The ``(probe_bits, LUT outcome, LUT)`` a decode of ``stream`` uses.
+def _lut_for(stream: AnyStream, probe_bits: int | None, total_bits: int):
+    """The ``(probe_bits, LUT outcome, LUT)`` a decode of ``stream``, of
+    ``total_bits`` payload bits, uses.
 
     A pinned ``probe_bits`` is used as given. Otherwise a cached
     full-width LUT always wins, and failing that the cold-cost rule
@@ -672,7 +688,7 @@ def _lut_for(stream: AnyStream, probe_bits: int | None):
     chosen = probe_bits is None
     if chosen:
         probe_bits = MAX_CODE_LEN if lut_cached(lengths) \
-            else choose_probe_bits(stream.n_symbols, lengths)
+            else choose_probe_bits(total_bits, lengths)
     outcome = "hit" if lut_cached(lengths, probe_bits) else "built"
     # always fetched through build_lut_tables (a hit returns the cached
     # entry), so every LUT a decode uses is one call of one function
@@ -697,49 +713,47 @@ def _decode_lut(stream: AnyStream,
     :func:`_lut_for`; the shape dict holds ``steps``, ``n_chunks`` and
     ``records_kept``). One batched advance per step: every chunk lane
     gathers the 64-bit big-endian window at its bit cursor and chains
-    ``(64 - 7) // K`` probes of the next ``K`` bits through the
-    multi-symbol LUT (after ``<= 7`` alignment bits every chained probe
-    still fits the window, so no slot needs a feasibility mask). A lane
-    is live while its cursor is short of its chunk's bit end; a live
-    lane advances by the LUT row's whole advance (``adv``), a finished
-    one neither emits nor advances, and chunks carry about the same bit
-    count, so few lanes idle that way. A probe whose first codeword is
-    wider than ``K`` emits nothing and advances by nothing, so its lane
-    idles for the rest of the word; only after the slot loop do the idle
-    lanes take one wide-codeword step (a ``searchsorted`` over the
-    canonical codewords' starts), off the per-slot critical ops. A
-    full-width probe never idles on a valid stream, so there an idle
-    lane means an invalid codeword.
+    ``(64 - 7) // K`` probes of the ``W`` bits at its cursor through the
+    multi-symbol LUT. When the LUT has a row index (some codeword is
+    wider than ``K``), ``W`` is 16 and the index maps the window to the
+    ``K``-bit probe row, or to the row of the one wider codeword it
+    opens (:func:`repro.huffman.canonical.build_lut_tables`); otherwise
+    ``W = K`` and the window is the row. A lane is live while its cursor
+    is short of its chunk's bit end and, with an index, while its whole
+    window lies inside the word (without one, after ``<= 7`` alignment
+    bits every slot's window does); a live lane advances by
+    the row's whole advance (``adv``), a lane that is not neither emits
+    nor advances, and chunks carry about the same bit count, so few
+    lanes idle that way. Every window that opens a codeword reaches a
+    row that emits, so a live lane whose row emits nothing has met an
+    invalid codeword: it stays on that row, and is caught after the
+    slots.
 
     Symbol *emission* is deferred: each slot only records one
-    ``(probe, emit count)`` column across all lanes (a wide-codeword step
-    takes over its idle lane's empty last-slot record, storing the
-    symbol as the negative probe ``~symbol``). Stacked chunk by chunk,
-    those records are in output order, since chunks are consecutive in
-    the output and each lane's records are in stream order. The replay
-    first trims each lane's last record, the one that crossed its bit
-    end, to the codewords that end there (none may straddle it). The
-    emits then add up to each chunk's symbol count: their total must be
-    the header's, and a stream that stores counts must match them chunk
-    by chunk. It then drops the zero-emit records, gathers each kept
-    probe's LUT row and keeps each row's emitted prefix through a
-    per-emit-count mask — one boolean compaction into the output per
-    block of chunks.
+    ``(row, emit count)`` column across all lanes. Stacked chunk by
+    chunk, those records are in output order, since chunks are
+    consecutive in the output and each lane's records are in stream
+    order. The replay first trims each lane's last record, the one that
+    crossed its bit end, to the codewords that end there (none may
+    straddle it). The emits then add up to each chunk's symbol count:
+    their total must be the header's, and a stream that stores counts
+    must match them chunk by chunk. It then drops the zero-emit records,
+    gathers each kept record's LUT row and keeps each row's emitted
+    prefix through a per-emit-count mask — one boolean compaction into
+    the output per block of chunks.
     """
     n = stream.n_symbols
     if n == 0:
         return (np.empty(0, dtype=np.uint32), 0, "none",
                 {"steps": 0, "n_chunks": 0, "records_kept": 0})
     pay, counts, bitpos, bit_end = _decode_prepare(stream)
-    probe_bits, outcome, lut = _lut_for(stream, probe_bits)
-    lut_count, adv = lut.count, lut.adv
-    narrow = probe_bits < MAX_CODE_LEN
-    if narrow:
-        code = canonical_order(stream.lengths)
+    probe_bits, outcome, lut = _lut_for(stream, probe_bits,
+                                        int((bit_end - bitpos).sum()))
+    lut_count, adv, index = lut.count, lut.adv, lut.index
     windows8 = np.lib.stride_tricks.sliding_window_view(pay, 8)
     n_chunks = bitpos.size
-    kmask = np.int64((1 << probe_bits) - 1)
-    fmask = np.int64((1 << MAX_CODE_LEN) - 1)
+    window = probe_bits if index is None else MAX_CODE_LEN
+    wmask = np.int64((1 << window) - 1)
     slots = (64 - 7) // probe_bits
     last_byte = pay.size - 8
 
@@ -752,53 +766,39 @@ def _decode_lut(stream: AnyStream,
         # the same bit field a logical shift would, without uint64
         # mixed-dtype shift headaches
         word = windows8[byte].view(">i8").ravel().astype(np.int64)
-        # shift that brings the next probe to the low bits: each slot
-        # lowers it by the bits its probe consumed, so the lane's cursor
-        # is bitpos + sh0 - sh, and the lane is live while sh > stop
-        sh0 = (64 - probe_bits) - (bitpos & 7)
+        # shift that brings the window at the cursor to the low bits:
+        # each slot lowers it by the bits its row consumed, so the lane's
+        # cursor is bitpos + sh0 - sh, and the lane is live while
+        # sh > stop
+        sh0 = (64 - window) - (bitpos & 7)
         stop = bitpos + sh0 - bit_end
+        if index is not None:
+            # the 16-bit window is wider than the K bits a probe row
+            # consumes, and a wide codeword's row consumes more than K,
+            # so a late slot's window may run off the word (sh < 0): the
+            # lane then waits for the next step. A negative shift yields
+            # 0 or -1, so its masked window still indexes the LUT
+            np.maximum(stop, -1, out=stop)
         sh = sh0.copy()
         for _ in range(slots):
-            probe = (word >> sh) & kmask
+            probe = (word >> sh) & wmask
+            if index is not None:
+                probe = index[probe]
             live = sh > stop
             emit = lut_count[probe] * live
             sh -= adv[probe] * live
             probes.append(probe)
             emits.append(emit)
-        # a lane idled (its last probe held no complete codeword) iff its
-        # first idle probe recurred through the remaining slots
-        idle = np.flatnonzero((emit == 0) & (sh > stop))
-        if idle.size:
-            if not narrow:
-                raise CorruptStreamError(
-                    "corrupt Huffman payload (invalid codeword)")
-            # one wide-codeword step per idle lane, from a fresh gather
-            # at its cursor (the rest of the word may be too short for
-            # it): the codeword is the last one starting at or before
-            # the 16-bit window, and none starts at or past the end
-            cur = bitpos[idle] + (sh0[idle] - sh[idle])
-            fw = windows8[np.minimum(cur >> 3, last_byte)] \
-                .view(">i8").ravel().astype(np.int64)
-            win = (fw >> (64 - MAX_CODE_LEN - (cur & 7))) & fmask
-            if np.any(win >= code.end):
-                raise CorruptStreamError(
-                    "corrupt Huffman payload (invalid codeword)")
-            at = np.searchsorted(code.starts, win, side="right") - 1
-            ln = code.lens[at]
-            if np.any(cur + ln > bit_end[idle]):
-                raise CorruptStreamError("chunk end inside a codeword")
-            # the idle lane's last-slot record emitted nothing: it
-            # becomes the wide-codeword step's record
-            probe[idle] = ~code.order[at].astype(np.int64)
-            emit[idle] = 1
-            sh[idle] -= ln
+        if np.any((emit == 0) & (sh > stop)):
+            raise CorruptStreamError(
+                "corrupt Huffman payload (invalid codeword)")
         bitpos += sh0 - sh
     emits, probes = np.array(emits), np.array(probes)   # (record, chunk)
     n_rec = emits.shape[0]
     # a lane that ran past its chunk's end did so in its last nonzero
-    # record, a LUT probe (a wide-codeword step never overshoots): trim
-    # it to the codewords that end within the chunk, the row's longest
-    # prefix whose advance fits, which must fill the chunk exactly
+    # record: trim it to the codewords that end within the chunk, the
+    # row's longest prefix whose advance fits, which must fill the chunk
+    # exactly (a wide codeword's row holds one codeword, so it never can)
     over = bitpos - bit_end
     cross = np.flatnonzero(over)
     if cross.size:
@@ -840,13 +840,7 @@ def _decode_lut(stream: AnyStream,
         em = em[keep]
         pr = probes[:, c0:c1].T.ravel()[keep]
         kept += keep.size
-        # the clip mode maps the wide-codeword records' negative probes to
-        # row 0, whose first slot is then overwritten with the symbol
-        rows = np.take(lut.syms, pr, axis=0, mode="clip")
-        if narrow:
-            fb = np.flatnonzero(pr < 0)
-            rows[fb, 0] = ~pr[fb]
-        syms = rows[np.take(prefix, em, axis=0)]
+        syms = np.take(lut.syms, pr, axis=0)[np.take(prefix, em, axis=0)]
         out[done:done + syms.size] = syms
         done += syms.size
     return out, probe_bits, outcome, {"steps": steps, "n_chunks": n_chunks,

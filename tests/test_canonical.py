@@ -2,9 +2,11 @@
 
 The decoder keeps no full-width (``2**MAX_CODE_LEN``) table: probe LUTs
 are laid out from a first-codeword table at their own width, and a
-codeword wider than the probe is found by a ``searchsorted`` over the
-canonical starts. These tests pin both against the flat-table oracles in
-``tests/oracles.py``, and the vectorized code assignment against the
+codeword wider than the probe gets one row per 16-bit window it opens,
+after the probe rows, reached through a 16-bit row index. These tests
+pin the probe rows against the flat-table oracles in
+``tests/oracles.py``, the appended rows and the index against the
+canonical starts, and the vectorized code assignment against the
 one-symbol-at-a-time loop.
 """
 
@@ -97,6 +99,48 @@ class TestCanonicalOrder:
         assert (stats["codebook_hits"], stats["codebook_misses"]) == (2, 1)
 
 
+def _check_wide_rows(lengths: np.ndarray, width: int) -> None:
+    """The rows after the ``2**width`` probe rows and the row index of a
+    width-``width`` LUT, against the canonical code: each window opening
+    a codeword wider than ``width`` has a row of that one codeword, the
+    windows before them reach their probe row, the windows past the
+    code's end the one invalid row. A code with no codeword wider than
+    ``width`` gets neither."""
+    lut = canonical._expand_lut(lengths, width)
+    code = canonical_order(lengths)
+    size = 1 << width
+    wide = code.lens > width
+    if not wide.any():
+        # the probe's bits are the row: no index, no appended rows
+        assert lut.index is None and lut.count.size == size
+        return
+    first = int(code.starts[wide][0])
+    rows = size + (code.end - first) + 1
+    assert lut.count.size == lut.adv.size == rows
+    assert lut.cum.shape[0] == lut.syms.shape[0] == rows
+    assert lut.index.shape == (1 << MAX_CODE_LEN,)
+    assert lut.index.dtype == (np.uint16 if rows <= 1 << 16 else np.int32)
+    windows = np.arange(1 << MAX_CODE_LEN)
+    # windows before the wide codewords reach the probe row of their
+    # first ``width`` bits
+    np.testing.assert_array_equal(lut.index[:first],
+                                  windows[:first] >> (MAX_CODE_LEN - width))
+    # each window of a wide codeword reaches a row of that codeword only
+    spans = 1 << (MAX_CODE_LEN - code.lens[wide].astype(np.int64))
+    want_sym = np.repeat(code.order[wide], spans)
+    want_len = np.repeat(code.lens[wide], spans)
+    got = lut.index[first:code.end].astype(np.int64)
+    np.testing.assert_array_equal(got, np.arange(size, rows - 1))
+    np.testing.assert_array_equal(lut.count[got], 1)
+    np.testing.assert_array_equal(lut.syms[got, 0], want_sym)
+    np.testing.assert_array_equal(lut.cum[got, 1], want_len)
+    np.testing.assert_array_equal(lut.adv[got], want_len)
+    np.testing.assert_array_equal(lut.cum[got, 0], 0)
+    # past the end: the invalid row, which emits and advances nothing
+    np.testing.assert_array_equal(lut.index[code.end:], rows - 1)
+    assert lut.count[rows - 1] == lut.adv[rows - 1] == 0
+
+
 class TestWidthKExpansion:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_byte_identical_to_flat_table_expansion(self, family):
@@ -105,10 +149,17 @@ class TestWidthKExpansion:
             got = canonical._expand_lut(lengths, width)
             want = expand_lut_flat(lengths, width)
             for a, b in zip(got, want):
+                a = a[:1 << width]
                 assert a.dtype == b.dtype and a.shape == b.shape, \
                     (family, width)
                 np.testing.assert_array_equal(a, b, err_msg=f"{family} "
                                               f"K={width}")
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_wide_rows_and_index_match_canonical_starts(self, family):
+        lengths = FAMILIES[family]()
+        for width in ALL_WIDTHS:
+            _check_wide_rows(lengths, width)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=200),
@@ -119,7 +170,8 @@ class TestWidthKExpansion:
             return
         for a, b in zip(canonical._expand_lut(lengths, width),
                         expand_lut_flat(lengths, width)):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a[:1 << width], b)
+        _check_wide_rows(lengths, width)
 
 
 def _wide_stream(seed: int):

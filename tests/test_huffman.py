@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CodecError, CorruptStreamError
-from repro.huffman import (MAX_CODE_LEN, HuffmanStream, canonical_codebook,
+from repro.huffman import (MAX_CODE_LEN, PROBE_WIDTHS, HuffmanStream,
+                           canonical_codebook,
                            canonical_order, code_lengths, histogram,
                            histogram_fingerprint, huffman_decode,
                            huffman_encode, topk_coverage)
@@ -420,8 +421,8 @@ class TestHostileV3Tables:
         # codeword while the next one decodes 0 from its second bit. The
         # symbol count still adds up, so without the end check the
         # stream decodes to wrong symbols. A 1-bit probe sends every
-        # longer codeword through the wide-codeword step, whose own end
-        # check must catch it there.
+        # longer codeword through its one-codeword row, whose trim must
+        # catch it there.
         lengths = np.array([1, 2, 2])
         codes = np.random.default_rng(5).choice(
             3, 240, p=[0.5, 0.25, 0.25]).astype(np.uint32)
@@ -438,6 +439,50 @@ class TestHostileV3Tables:
         _rejected_before_allocation(bad)
         with pytest.raises(CorruptStreamError, match="inside a codeword"):
             huffman_decode(bad, probe_bits=1)
+
+    def test_narrow_window_past_the_last_codeword(self):
+        # lengths 1..15 and one 16 leave only the all-ones 16-bit window
+        # without a codeword; one wide codeword mid-stream, its last bit
+        # set, opens it. At a narrow width that window reaches the
+        # LUT's invalid row, which emits nothing: only the invalid-row
+        # check catches it (the chunk table and counts are untouched)
+        lengths = np.append(np.arange(1, MAX_CODE_LEN), MAX_CODE_LEN)
+        codes = np.random.default_rng(8).integers(0, 16, 400) \
+            .astype(np.uint32)
+        codes[200] = 15                      # the 16-bit codeword
+        stream = huffman_encode(codes, 16, chunk_bits=256, lengths=lengths)
+        lens = lengths[codes]
+        end = int(lens[:201].sum())          # that codeword's end bit
+        bits = np.unpackbits(stream.payload)
+        assert not bits[end - 1]
+        bits[end - 1] = 1
+        bad = _reencode(stream, payload=np.packbits(bits))
+        _rejected_before_allocation(bad)
+        with pytest.raises(CorruptStreamError, match="invalid codeword"):
+            huffman_decode(bad, probe_bits=PROBE_WIDTHS[0])
+
+    def test_wide_codeword_straddles_a_chunk_end(self):
+        # a complete code whose codewords reach 15 bits: a chunk that
+        # opens with a codeword wider than a narrow probe, its start
+        # moved one bit later, leaves the previous chunk ending inside
+        # that codeword. Its lane meets the codeword's one-codeword row,
+        # whose advance runs past the end, and only the trim catches it
+        lengths = np.append(np.arange(1, MAX_CODE_LEN), MAX_CODE_LEN - 1)
+        codes = np.random.default_rng(9).integers(0, 16, 3000) \
+            .astype(np.uint32)
+        stream = huffman_encode(codes, 16, chunk_bits=256, lengths=lengths)
+        lens = lengths[codes]
+        starts = np.cumsum(lens) - lens
+        chunk_starts = np.arange(stream.n_chunks) * 256 + stream.gaps
+        opens = lens[np.searchsorted(starts, chunk_starts[1:-1])]
+        [k] = 1 + np.flatnonzero((opens > PROBE_WIDTHS[0])
+                                 & (stream.gaps[1:-1] < MAX_CODE_LEN - 1))[:1]
+        gaps = stream.gaps.copy()
+        gaps[k] += 1
+        bad = _reencode(stream, gaps=gaps)
+        _rejected_before_allocation(bad)
+        with pytest.raises(CorruptStreamError, match="inside a codeword"):
+            huffman_decode(bad, probe_bits=PROBE_WIDTHS[0])
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_symbol_count_not_the_derived_sum(self, stream, delta):

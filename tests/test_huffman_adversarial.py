@@ -9,9 +9,9 @@ codebooks (single symbol, maximally skewed trees), codewords wider than
 the LUT probe, hostile gap-array chunk tables (each rejected before any
 allocation sized from the stream), and the full pipeline across
 dtypes, shapes and the slab / tiled / shm transports. The LUT decoder
-also runs pinned to a narrow probe width, so the wide-codeword fallback
-path sees the same hostile streams, and its per-stream width choice and
-full-width promotion are checked directly.
+also runs pinned to a narrow probe width, so the rows of the codewords
+wider than the probe see the same hostile streams, and its per-stream
+width choice and full-width promotion are checked directly.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from oracles import decode_loop, encode_loop, v2_bytes
 from repro import telemetry
 from repro.common.errors import CodecError, CorruptStreamError
 from repro.huffman import (MAX_CODE_LEN, PROBE_WIDTHS, HuffmanStream,
-                           HuffmanStreamV2, build_lut_tables, choose_probe_bits,
-                           code_lengths, drain_lut_prewarm,
+                           HuffmanStreamV2, build_lut_tables, canonical_order,
+                           choose_probe_bits, code_lengths, drain_lut_prewarm,
                            huffman_decode, huffman_encode, lut_cached)
 from repro.huffman.canonical import (LUT_CACHE_BYTES,
                                      clear_codebook_caches,
@@ -109,9 +109,19 @@ class TestDegenerateCodebooks:
         _assert_both_engines_equal(stream, codes)
 
 
+def _zipf_counts() -> np.ndarray:
+    """Symbol counts of a Zipf(1.3) law over 2,000 symbols, 80,000 in
+    all and at least one each: its code reaches MAX_CODE_LEN, and most
+    of its symbols are wider than 12 bits."""
+    weights = np.arange(1, 2001, dtype=np.float64) ** -1.3
+    return np.maximum(np.round(weights / weights.sum() * 80000),
+                      1).astype(np.int64)
+
+
 class TestNarrowProbeFallback:
-    """Codewords wider than the probe exercise the wide-codeword fallback
-    (the full-width default probe never needs it)."""
+    """Codewords wider than the probe decode through their own LUT rows,
+    reached through the row index in the slot that meets them (the
+    full-width probe needs none)."""
 
     @pytest.mark.parametrize("probe_bits", [1, 2, 4, 8])
     def test_decodes_codes_wider_than_probe(self, probe_bits):
@@ -128,13 +138,58 @@ class TestNarrowProbeFallback:
         finally:
             clear_codebook_caches()
 
+    def test_zipf_code_past_12_bits_at_every_width(self):
+        # a code with lengths up to 16 and over 30% of its symbols wider
+        # than 12 bits: at every width, some of them meet a probe they
+        # overrun, in every slot position of the word
+        codes = np.repeat(np.arange(2000, dtype=np.uint32), _zipf_counts())
+        np.random.default_rng(17).shuffle(codes)
+        stream = huffman_encode(codes, 2000, chunk_bits=256)
+        used = stream.lengths[stream.lengths > 0]
+        assert used.max() == MAX_CODE_LEN
+        assert np.mean(used > 12) >= 0.3
+        expected = decode_loop(stream)
+        np.testing.assert_array_equal(expected, codes)
+        clear_codebook_caches()
+        try:
+            for width in range(1, MAX_CODE_LEN + 1):
+                np.testing.assert_array_equal(
+                    huffman_decode(stream, probe_bits=width), expected,
+                    err_msg=f"K={width}")
+        finally:
+            clear_codebook_caches()
+
     def test_lut_marks_overwide_first_codeword(self):
         # alphabet of 256 equal symbols -> every code is 8 bits; a 4-bit
-        # probe can never contain a complete codeword
+        # probe can never contain a complete codeword, so no probe row
+        # emits, and every window maps to the one-codeword row of the
+        # codeword it opens
         lengths = code_lengths(np.ones(256, dtype=np.int64), MAX_CODE_LEN)
-        count, cum, syms, adv = build_lut_tables(lengths, probe_bits=4)
-        assert count.max() == 0 and adv.max() == 0
-        assert cum.shape[0] == 16 and syms.shape[0] == 16
+        count, cum, syms, adv, index = build_lut_tables(lengths,
+                                                        probe_bits=4)
+        assert count[:16].max() == 0 and adv[:16].max() == 0
+        windows = np.arange(1 << MAX_CODE_LEN)
+        rows = index[windows].astype(np.int64)
+        assert rows.min() >= 16
+        np.testing.assert_array_equal(count[rows], 1)
+        np.testing.assert_array_equal(adv[rows], 8)
+        np.testing.assert_array_equal(cum[rows, 1], 8)
+        np.testing.assert_array_equal(syms[rows, 0], windows >> 8)
+
+    @pytest.mark.parametrize("probe_bits", [4, 9, 11, 12, 15])
+    def test_every_wide_window_maps_to_a_one_codeword_row(self,
+                                                          probe_bits):
+        lengths = code_lengths(_zipf_counts(), MAX_CODE_LEN)
+        code = canonical_order(lengths)
+        lut = build_lut_tables(lengths, probe_bits)
+        wide = code.lens > probe_bits
+        assert wide.any()
+        for sym, ln, start in zip(code.order[wide], code.lens[wide],
+                                  code.starts[wide]):
+            rows = lut.index[start:start + (1 << (MAX_CODE_LEN - int(ln)))]
+            np.testing.assert_array_equal(lut.count[rows], 1)
+            np.testing.assert_array_equal(lut.adv[rows], ln)
+            np.testing.assert_array_equal(lut.syms[rows, 0], sym)
 
     def test_probe_width_bounds_rejected(self):
         lengths = code_lengths(np.array([3, 1]), MAX_CODE_LEN)
@@ -147,7 +202,7 @@ class TestNarrowProbeFallback:
 class TestLutTableInvariants:
     def test_cum_bits_leading_zero_column(self):
         lengths = code_lengths(np.array([8, 4, 2, 1, 1]), MAX_CODE_LEN)
-        count, cum, syms, adv = build_lut_tables(lengths, probe_bits=6)
+        count, cum, syms, adv, _ = build_lut_tables(lengths, probe_bits=6)
         assert np.all(cum[:, 0] == 0)
         # within each row's emitted prefix, every codeword advances the
         # cursor by >= 1 bit and never past the probe width (entries
@@ -168,9 +223,13 @@ class TestLutTableInvariants:
         assert syms.dtype == np.uint16
 
     def test_tables_are_readonly(self):
-        lengths = code_lengths(np.array([4, 2, 1, 1]), MAX_CODE_LEN)
-        for arr in build_lut_tables(lengths, probe_bits=5):
+        lengths = code_lengths(np.array([64, 32, 16, 8, 4, 2, 1, 1]),
+                               MAX_CODE_LEN)
+        lut = build_lut_tables(lengths, probe_bits=5)
+        assert lut.index is not None     # codewords up to 7 bits
+        for arr in lut:
             assert not arr.flags.writeable
+        assert build_lut_tables(lengths, probe_bits=7).index is None
 
 
 class TestHostileStreams:
@@ -472,13 +531,13 @@ class TestOracleProperty:
     """The library coder equals the oracles on every stream: the encoder
     byte for byte, the decoder symbol for symbol at every pinned probe
     width (widths below the longest code route codewords through the
-    wide-codeword fallback inside the chunk-major replay), on the
+    rows of the codewords wider than the probe), on the
     version-3 stream and on the version-2 stream of the same chunking."""
 
     @given(lengths=_codebooks(), n=st.integers(0, 3000),
            seed=st.integers(0, 2 ** 32 - 1),
            budget=st.sampled_from([16, 64, 256, 1024, 4096]),
-           width=st.integers(12, MAX_CODE_LEN))
+           width=st.integers(8, MAX_CODE_LEN))
     @settings(max_examples=80, deadline=None)
     def test_decode_equals_oracle(self, lengths, n, seed, budget, width):
         used = np.flatnonzero(lengths)
@@ -526,20 +585,22 @@ class TestProbeWidthChoice:
         assert set(first) <= set(PROBE_WIDTHS)
 
     def test_chooser_extremes(self, stream):
-        # a short stream never pays the full-width build; a huge stream
-        # with many codewords wider than every narrow probe does
-        assert stream.lengths.max() > PROBE_WIDTHS[-2]
+        # a short stream never pays the full-width build; a huge one
+        # does, since a wider probe consumes more bits per slot
         assert choose_probe_bits(1000, stream.lengths) < MAX_CODE_LEN
         assert choose_probe_bits(10 ** 10, stream.lengths) == MAX_CODE_LEN
-        # a code with no codeword wider than the narrowest probe has
-        # nothing to gain from a wider one
-        short = code_lengths(np.arange(1, 65, dtype=np.int64), MAX_CODE_LEN)
-        assert short.max() <= PROBE_WIDTHS[0]
-        assert choose_probe_bits(10 ** 10, short) == PROBE_WIDTHS[0]
+        # the width grows with the stream
+        picks = [choose_probe_bits(10 ** e, stream.lengths)
+                 for e in range(3, 11)]
+        assert picks == sorted(picks)
+        # a probe narrower than every codeword needs a row per 16-bit
+        # window, which a short stream does not pay for
+        flat = np.full(256, 10, dtype=np.int64)
+        assert choose_probe_bits(1000, flat) >= 10
 
     def test_second_decode_promotes_to_full_width(self, stream):
         expected = decode_loop(stream)
-        narrow = choose_probe_bits(stream.n_symbols, stream.lengths)
+        narrow = choose_probe_bits(stream.total_bits, stream.lengths)
         assert narrow < MAX_CODE_LEN
         seen = []
         for _ in range(2):
@@ -557,26 +618,32 @@ class TestProbeWidthChoice:
 
     def test_pinned_width_never_promotes(self, stream):
         for outcome in ("built", "hit"):
-            _, attrs = _unpack_span(stream, probe_bits=PROBE_WIDTHS[0])
-            assert (attrs["probe_bits"], attrs["lut"]) == \
-                (PROBE_WIDTHS[0], outcome)
+            _, attrs = _unpack_span(stream, probe_bits=12)
+            assert (attrs["probe_bits"], attrs["lut"]) == (12, outcome)
         assert not lut_cached(stream.lengths, MAX_CODE_LEN)
 
-    def test_full_width_decode_skips_wide_fallback(self, stream,
-                                                   monkeypatch):
-        """Only a narrow probe meets codewords it cannot finish, so only
-        a narrow decode fetches the canonical starts its fallback
-        searches."""
+    def test_every_decode_fetches_its_lut_once(self, stream, monkeypatch):
+        """Each decode, cold or warm, pinned or not, fetches its LUT by
+        exactly one ``codec.build_lut_tables`` call (a hit returns the
+        cached entry): the bench times LUT builds by wrapping that name
+        and reads one call per decode."""
         calls = []
-        real = codec.canonical_order
-        monkeypatch.setattr(codec, "canonical_order",
-                            lambda lengths: calls.append(1) or real(lengths))
-        build_lut_tables(stream.lengths)
-        _, attrs = _unpack_span(stream)
-        assert attrs["probe_bits"] == MAX_CODE_LEN
-        assert calls == []
-        _, attrs = _unpack_span(stream, probe_bits=PROBE_WIDTHS[0])
-        assert calls == [1]
+        real = codec.build_lut_tables
+        monkeypatch.setattr(codec, "build_lut_tables",
+                            lambda lengths, width: calls.append(width)
+                            or real(lengths, width))
+        seen = []
+        for kwargs in ({}, {}, "drain", {}, {"probe_bits": 12},
+                       {"probe_bits": 12}):
+            if kwargs == "drain":
+                drain_lut_prewarm()
+                continue
+            before = len(calls)
+            _, attrs = _unpack_span(stream, **kwargs)
+            assert len(calls) == before + 1
+            assert calls[-1] == attrs["probe_bits"]
+            seen.append(attrs["lut"])
+        assert seen == ["built", "promoted", "hit", "built", "hit"]
 
     def test_back_to_back_promotions_build_one_at_a_time(self):
         """Background prewarms compete with the foreground decode for the
@@ -646,14 +713,38 @@ class TestUnpackSpanShape:
         # every kept record emits 1..16 symbols
         assert codes.size / MAX_CODE_LEN <= attrs["records_kept"] \
             <= codes.size
-        # a step consumes at most 57 bits per lane, and chunks of equal
-        # bit budgets finish together: the step count tracks the budget
+        # every window a step reads lies in its 64-bit word, so a step
+        # consumes at most 64 bits per lane, and chunks of equal bit
+        # budgets finish together: the step count tracks the budget
         # (B + 15 bits), not the longest chunk's symbol count
-        slots = (64 - 7) // attrs["probe_bits"]
-        per_step = slots * attrs["probe_bits"]
+        per_step = 64
         assert -(-(stream.chunk_bits - 15) // per_step) <= attrs["steps"]
         assert attrs["steps"] <= 3 * -(-(stream.chunk_bits + 15)
                                         // per_step)
+
+    def test_cold_width_steps_within_one_of_full_width(self):
+        # the same RTM stream at the cold width takes at most one step
+        # more than at full width: a codeword wider than the probe is
+        # resolved in the slot that meets it, never left for a later one
+        from repro.datasets.synthetic import rtm_field
+        from repro.registry import get_compressor
+        seen = []
+        real = pipeline.huffman_encode
+        field = rtm_field((64, 64, 32), seed=0, step=300)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "huffman_encode",
+                       lambda *a, **k: seen.append(real(*a, **k))
+                       or seen[-1])
+            get_compressor("cuszi", eb=1e-3, mode="rel").compress(field)
+        [stream] = seen
+        cold = choose_probe_bits(stream.total_bits, stream.lengths)
+        assert int(stream.lengths.max()) > cold
+        steps = {}
+        for width in (cold, MAX_CODE_LEN):
+            out, attrs = _unpack_span(stream, probe_bits=width)
+            np.testing.assert_array_equal(out, decode_loop(stream))
+            steps[width] = attrs["steps"]
+        assert steps[cold] <= steps[MAX_CODE_LEN] + 1
 
     def test_empty_stream_shape(self):
         _, attrs = _unpack_span(huffman_encode(np.empty(0, np.uint32), 4))
@@ -834,7 +925,7 @@ class TestPipelineProbeWidths:
                 drain_lut_prewarm()
                 clear_codebook_caches()
                 monkeypatch.setattr(codec, "choose_probe_bits",
-                                    lambda n, lengths, w=width: w)
+                                    lambda bits, lengths, w=width: w)
                 with telemetry.recording() as reg:
                     outs[width] = comp.decompress(blob).tobytes()
                 widths = {sp.attrs["probe_bits"] for sp in reg.spans

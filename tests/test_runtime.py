@@ -299,7 +299,8 @@ class TestCodebookCache:
         lengths = np.array([1, 1], np.int64)
         code = canonical_order(lengths)
         lut = build_lut_tables(lengths, 4)
-        for arr in (*code[:4], *lut):
+        assert lut.index is None        # no codeword wider than 4 bits
+        for arr in (*code[:4], *lut[:4]):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
