@@ -7,15 +7,15 @@ synthetic dataset field, ``repro trace`` pretty-prints a telemetry trace
 (``--trace`` on compress/decompress records one), and ``repro bench``
 forwards to the experiment runner.
 
-``repro analyze`` reads a flight-recorder run ledger: per-``kind[codec]``
+``repro analyze`` reports on a flight-recorder run ledger: per-``kind[codec]``
 latency percentiles, compression-ratio and throughput distributions,
 stage shares against the modelled GPU (``--device``), and the ledger
 analytics engine (:mod:`repro.telemetry.analytics`): fingerprint-keyed
 cohort baselines, robust per-run anomaly scores, and change points with
-stage attribution (``--json``, ``--save-baseline``/``--baseline`` for
-persisted references, ``--check`` to gate). ``repro doctor`` diagnoses
-ledger + environment + cache health; ``--check`` makes an anomaly exit
-nonzero, the CI gate. See ``docs/OBSERVABILITY.md``.
+stage attribution (``--json`` for one document). It always exits 0 on a
+readable ledger. ``repro doctor`` diagnoses ledger + environment + cache
+health; ``--check`` makes an anomaly exit nonzero, the one regression
+verdict and the CI gate. See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -155,19 +155,6 @@ def _cmd_trace(args) -> int:
         print(exporters.to_prometheus(reg), end="")
     else:
         print(exporters.render_tree(reg.spans, max_depth=args.depth))
-    if args.crosscheck:
-        from repro.common.errors import ConfigError
-        from repro.telemetry.crosscheck import crosscheck
-        try:
-            reports = [crosscheck(reg.spans, device)
-                       for device in ("a100", "a40")]
-        except ConfigError as exc:
-            print(f"error: cannot cross-check this trace: {exc}",
-                  file=sys.stderr)
-            return 1
-        for report in reports:
-            print()
-            print(report.format())
     return 0
 
 
@@ -230,28 +217,6 @@ def _fmt_pct(entry: dict) -> str:
             f"p99 {entry['p99'] * 1e3:9.2f}ms")
 
 
-def _model_deviation(records, device: str) -> dict:
-    """Records whose measured stage shares skew far from the perf
-    model's kernel shares on ``device``."""
-    from repro.telemetry import recorder
-    flagged = []
-    checked = 0
-    for rec in records:
-        dev = recorder.model_deviation(rec, device=device)
-        if dev is None:
-            continue
-        checked += 1
-        if dev["flagged"]:
-            stage, worst = max(dev["stages"].items(),
-                               key=lambda kv: max(kv[1]["skew"],
-                                                  1 / kv[1]["skew"]
-                                                  if kv[1]["skew"] else 1))
-            flagged.append({"kind": rec.kind, "codec": rec.codec,
-                            "seq": rec.seq, "stage": stage,
-                            "skew": worst["skew"]})
-    return {"device": device, "checked": checked, "flagged": flagged}
-
-
 def _print_groups(groups: dict, deviation: dict) -> None:
     for label, entry in groups.items():
         head = f"{label}: n={entry['n']}"
@@ -294,22 +259,10 @@ def _cmd_analyze(args) -> int:
         print(f"error: cannot read ledger {args.ledger!r}: {exc}",
               file=sys.stderr)
         return 1
-    baseline_doc = None
-    if args.baseline:
-        try:
-            baseline_doc = analytics.load_baselines(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline {args.baseline!r}: "
-                  f"{exc}", file=sys.stderr)
-            return 1
-    report = analytics.analyze(records, baseline_doc=baseline_doc)
+    report = analytics.analyze(records)
     report["groups"] = recorder.aggregate(records)
-    report["model_deviation"] = _model_deviation(records, args.device)
-    if args.save_baseline:
-        analytics.save_baselines(report, args.save_baseline)
-        if not args.json:
-            print(f"baselines for {report['n_cohorts']} cohort(s) "
-                  f"saved to {args.save_baseline}")
+    report["model_deviation"] = analytics.model_deviation(records,
+                                                          args.device)
     if args.json:
         print(_json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -318,15 +271,6 @@ def _cmd_analyze(args) -> int:
         else:
             _print_groups(report["groups"], report["model_deviation"])
             print(analytics.format_report(report))
-    if args.check:
-        regressed = not report["verdict"]["healthy"] or any(
-            f.get("regressed")
-            for f in report.get("baseline_comparison") or ())
-        if regressed:
-            if not args.json:
-                print("analyze: drift detected (exit 1)",
-                      file=sys.stderr)
-            return 1
     return 0
 
 
@@ -352,10 +296,7 @@ def _cmd_doctor(args) -> int:
             return 1
     else:
         records = recorder.records()
-    threshold = (doctor.WARM_HIT_THRESHOLD
-                 if args.warm_hit_threshold is None
-                 else args.warm_hit_threshold)
-    diag = doctor.diagnose(records, warm_hit_threshold=threshold)
+    diag = doctor.diagnose(records)
     print(diag.format())
     if args.check and not diag.healthy:
         return 1
@@ -421,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("tree", "prom"), default="tree")
     p.add_argument("--depth", type=int, default=None,
                    help="limit the span tree depth")
-    p.add_argument("--crosscheck", action="store_true",
-                   help="compare measured stage shares against the "
-                        "modelled A100/A40 kernel inventories")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("info", help="inspect an archive header")
@@ -464,25 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_unpack)
 
     p = sub.add_parser("analyze",
-                       help="read a run ledger: per-group percentiles, "
-                            "model cross-check, cohort baselines, "
-                            "anomaly scores, drift change points with "
-                            "stage attribution")
+                       help="report on a run ledger: per-group "
+                            "percentiles, stage shares vs the GPU model, "
+                            "cohort baselines, anomaly scores, drift "
+                            "change points with stage attribution")
     p.add_argument("ledger", help="JSONL run ledger "
                                   "(repro.telemetry.recorder ledger)")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON")
     p.add_argument("--device", default="a100",
-                   help="modelled device for the throughput cross-check")
-    p.add_argument("--save-baseline", metavar="FILE", default=None,
-                   help="persist the cohort baselines for later "
-                        "--baseline comparison")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="compare cohort medians against a saved "
-                        "baseline file")
-    p.add_argument("--check", action="store_true",
-                   help="exit nonzero on a latency regression, quality "
-                        "drift, or regressed baseline comparison")
+                   help="modelled device for the stage-share comparison")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("doctor", help="diagnose ledger + environment + "
@@ -493,9 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="exit nonzero when a structural anomaly is "
                         "found (the CI gate)")
-    p.add_argument("--warm-hit-threshold", type=float,
-                   default=None,
-                   help="minimum acceptable warm cache hit ratio")
     p.set_defaults(func=_cmd_doctor)
 
     p = sub.add_parser("list", help="list codecs and datasets")

@@ -22,18 +22,17 @@ Spans carry wall-time plus arbitrary attributes (``bytes_in``,
 ``bytes_out``, ``segment_nbytes`` ...); counters and histograms live in
 the same process-local :class:`Registry` (cache hits and misses live in
 :mod:`repro.telemetry.caches` only). Exporters (JSON-lines, span-tree
-text, Prometheus text) are in :mod:`repro.telemetry.exporters`; the
-measured-vs-modelled GPU cross-check is in
-:mod:`repro.telemetry.crosscheck`. See ``docs/OBSERVABILITY.md`` for the
-span taxonomy.
+text, Prometheus text) are in :mod:`repro.telemetry.exporters`. See
+``docs/OBSERVABILITY.md`` for the span taxonomy.
 
 Independent of span tracing, the **flight recorder**
 (:mod:`repro.telemetry.recorder`) keeps an always-on bounded ring of
 per-run records; :mod:`repro.telemetry.caches` is the unified cache
 registry feeding both; :mod:`repro.telemetry.quality` holds the opt-in
-sampled quality auditor; :mod:`repro.telemetry.analytics` and
-:mod:`repro.telemetry.doctor` judge a finished ledger (``repro analyze``,
-``repro doctor --check``).
+sampled quality auditor; :mod:`repro.telemetry.analytics` reads a
+finished ledger, including its measured-vs-modelled GPU stage shares
+(``repro analyze``), and :mod:`repro.telemetry.doctor` judges it
+(``repro doctor --check``).
 
 Everything here is zero-dependency (stdlib only) and thread-safe: spans
 started on different threads nest independently (thread-local span

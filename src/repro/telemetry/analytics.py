@@ -6,7 +6,8 @@ field, so "is this run normal" can only be answered against runs of the
 **same field class under the same configuration**. This module
 maintains exactly those references, and :data:`REGRESSION_THRESHOLD` is
 the one definition of "how much relative regression is real" that
-``repro analyze`` and ``repro doctor --check`` judge by:
+``repro doctor --check`` judges by (``repro analyze`` reports the same
+findings without a verdict):
 
 **Fingerprint-keyed baselines.**
     Records group into cohorts keyed by ``{kind, field fingerprint,
@@ -39,16 +40,22 @@ the one definition of "how much relative regression is real" that
     degradations are reported — a cold-start that warms up is not a
     regression.
 
-Surfaces: ``repro analyze`` (text / ``--json`` / persisted baseline
-files, next to the per-group percentiles of
-:func:`repro.telemetry.recorder.aggregate`) and gating doctor checks,
-both over a finished ledger. See
+**Measured vs modelled stage shares.**
+    :func:`model_deviation` folds each ``compress``/``decompress``
+    record's stages into the GPU perf model's stage vocabulary
+    (:data:`MEASURED_STAGES`, :data:`MODEL_STAGES`) and flags records
+    whose relative stage cost skews more than :data:`SKEW_THRESHOLD`
+    from the modelled kernel shares of
+    :func:`repro.gpu.perfmodel.estimate_throughput`.
+
+Surfaces: ``repro analyze`` (text / ``--json``, next to the per-group
+percentiles of :func:`repro.telemetry.recorder.aggregate`) and the
+gating doctor checks, both over a finished ledger. See
 ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -58,23 +65,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.gpu.device import DEVICES
+from repro.gpu.perfmodel import estimate_throughput
 from repro.telemetry.recorder import RunRecord
 
 __all__ = ["AnalyticsEngine", "MetricBaseline", "Anomaly", "RunScore",
            "ChangePoint", "cohort_key", "cohort_label", "record_metrics",
-           "analyze", "save_baselines", "load_baselines",
-           "compare_baselines", "format_report",
-           "REPORT_SCHEMA", "BASELINE_SCHEMA", "DEFAULT_WINDOW",
-           "REGRESSION_THRESHOLD",
+           "analyze", "model_deviation", "format_report",
+           "REPORT_SCHEMA", "DEFAULT_WINDOW", "REGRESSION_THRESHOLD",
+           "MEASURED_STAGES", "MODEL_STAGES", "COMPRESSED_ATTR",
+           "SKEW_THRESHOLD",
            "MIN_BASELINE", "Z_THRESHOLD", "REL_FLOOR", "EWMA_ALPHA",
            "MIN_SEGMENT", "MAD_SCALE"]
 
-#: report / baseline-file format versions
+#: report format version
 REPORT_SCHEMA = 1
-BASELINE_SCHEMA = 1
 
 #: relative shift in the degrading direction that counts as a regression
-#: (change points and persisted-baseline comparisons)
 REGRESSION_THRESHOLD = 0.25
 
 #: per-(cohort, metric) rolling window backing the median/MAD baseline
@@ -422,16 +429,8 @@ class AnalyticsEngine:
     :meth:`change_points` may be called from different threads.
     """
 
-    def __init__(self, *, window: int = DEFAULT_WINDOW,
-                 min_baseline: int = MIN_BASELINE,
-                 z_threshold: float = Z_THRESHOLD,
-                 regression_threshold: float | None = None):
+    def __init__(self, *, window: int = DEFAULT_WINDOW):
         self._window = int(window)
-        self._min_baseline = int(min_baseline)
-        self._z_threshold = float(z_threshold)
-        self.regression_threshold = (REGRESSION_THRESHOLD
-                                     if regression_threshold is None
-                                     else float(regression_threshold))
         self._lock = threading.Lock()
         self._cohorts: dict[tuple, dict] = {}
         self._anomalies: deque[Anomaly] = deque(maxlen=_ANOMALY_KEEP)
@@ -462,14 +461,14 @@ class AnalyticsEngine:
                 mb = baselines.get(metric)
                 if mb is None:
                     mb = baselines[metric] = MetricBaseline(self._window)
-                elif mb.n >= self._min_baseline:
+                elif mb.n >= MIN_BASELINE:
                     n_scored += 1
                     z = mb.score(value)
                     rel = (value - mb.median) / abs(mb.median) \
                         if mb.median else 0.0
                     degrading = z > 0 if _higher_is_worse(metric) \
                         else z < 0
-                    if abs(z) >= self._z_threshold and degrading \
+                    if abs(z) >= Z_THRESHOLD and degrading \
                             and abs(rel) >= REL_FLOOR:
                         anomalies.append(Anomaly(
                             cohort=label, metric=metric, value=value,
@@ -533,7 +532,7 @@ class AnalyticsEngine:
         rel = (after - before) / abs(before) if before else 0.0
         worse = rel > 0 if _higher_is_worse(metric) else rel < 0
         if shift_sigma < SHIFT_SIGMA or not worse \
-                or abs(rel) < self.regression_threshold:
+                or abs(rel) < REGRESSION_THRESHOLD:
             return None
         since = history[idx[split]]
         cp = ChangePoint(cohort=label, metric=metric, kind=kind,
@@ -632,92 +631,126 @@ class AnalyticsEngine:
 
 # -- one-shot analysis (CLI / doctor) ----------------------------------------
 
-def analyze(records: list[RunRecord], *,
-            baseline_doc: dict | None = None,
-            window: int = DEFAULT_WINDOW,
-            min_baseline: int = MIN_BASELINE,
-            z_threshold: float = Z_THRESHOLD,
-            regression_threshold: float | None = None) -> dict:
-    """Run the engine over a finished ledger and return its report.
-
-    ``baseline_doc`` (from :func:`load_baselines`) adds a
-    ``baseline_comparison`` section: current cohort medians vs the
-    persisted ones, regression-flagged with the shared threshold.
-    """
-    engine = AnalyticsEngine(window=window, min_baseline=min_baseline,
-                             z_threshold=z_threshold,
-                             regression_threshold=regression_threshold)
+def analyze(records: list[RunRecord]) -> dict:
+    """Run the engine over a finished ledger and return its report."""
+    engine = AnalyticsEngine()
     for rec in records:
         engine.observe(rec)
-    report = engine.report()
-    if baseline_doc is not None:
-        report["baseline_comparison"] = compare_baselines(
-            report, baseline_doc,
-            threshold=engine.regression_threshold)
-    return report
+    return engine.report()
 
 
-# -- baseline persistence ----------------------------------------------------
+# -- measured vs modelled stage shares (repro analyze) -----------------------
 
-def save_baselines(report: dict, path: str) -> dict:
-    """Persist a report's cohort baselines as a comparison reference."""
-    doc = {"schema": BASELINE_SCHEMA, "created_ts": time.time(),
-           "n_records": report.get("n_records", 0),
-           "cohorts": {label: dict(entry.get("baselines", {}))
-                       for label, entry
-                       in report.get("cohorts", {}).items()}}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return doc
+#: measured record stages folded into each GPU-model stage, per direction.
+#: The GPU fuses quantization into the prediction kernel, so the
+#: ``tune``/``predict``/``quantize`` stages all map onto ``predict``.
+MEASURED_STAGES = {
+    "compress": {
+        "predict": ("tune", "predict", "quantize"),
+        "huffman": ("huffman",),
+        "lossless": ("lossless",),
+    },
+    "decompress": {
+        "predict": ("predict",),
+        "huffman": ("huffman",),
+        "lossless": ("lossless",),
+    },
+}
+
+#: run attribute holding the compressed size, per direction
+COMPRESSED_ATTR = {"compress": "bytes_out", "decompress": "bytes_in"}
+
+#: modelled kernel names folded into each stage, per (codec, direction)
+MODEL_STAGES = {
+    ("cuszi", "compress"): {
+        "predict": ("profile-autotune", "ginterp-predict-quant"),
+        "huffman": ("histogram", "huffman-encode"),
+        "lossless": ("gle-deredundancy",),
+    },
+    ("cuszi", "decompress"): {
+        "predict": ("ginterp-reconstruct",),
+        "huffman": ("huffman-decode",),
+        "lossless": ("gle-deredundancy",),
+    },
+}
+
+#: measured share / modelled share (either way round) that flags a stage
+SKEW_THRESHOLD = 5.0
 
 
-def load_baselines(path: str) -> dict:
-    """Load a persisted baseline file (:func:`save_baselines`)."""
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or "cohorts" not in doc:
-        raise ValueError(f"{path!r} is not an analytics baseline file")
-    schema = doc.get("schema", 0)
-    if isinstance(schema, (int, float)) and schema > BASELINE_SCHEMA:
-        raise ValueError(
-            f"baseline file {path!r} has schema {schema}, newer than "
-            f"this build understands (<= {BASELINE_SCHEMA})")
-    return doc
+def _record_deviation(rec: RunRecord, device: str) -> dict | None:
+    """One pipeline record's stage shares against the GPU perf model.
 
-
-def compare_baselines(report: dict, baseline_doc: dict,
-                      threshold: float | None = None) -> list[dict]:
-    """Current cohort medians vs a persisted baseline, per metric.
-
-    Returns one finding per shared (cohort, metric):
-    ``{"cohort", "metric", "baseline", "current", "rel", "regressed"}``
-    where ``regressed`` is direction-aware past ``threshold``.
+    Returns ``{stage: {"measured_share", "modelled_share", "skew"}}``
+    (``skew`` = measured share / modelled share), or ``None`` when the
+    record cannot be modelled (unknown codec/direction, missing
+    attributes). Absolute times are incomparable (NumPy on a CPU vs a
+    roofline model of a GPU); relative stage shares are the comparable
+    quantity. A stage the model does not price (the passthrough
+    ``lossless`` stage of a ``lossless="none"`` run) has no share to
+    compare against: it is left out of the result and of the measured
+    total, so every skew is finite.
     """
-    thr = REGRESSION_THRESHOLD if threshold is None else threshold
-    findings: list[dict] = []
-    saved = baseline_doc.get("cohorts", {})
-    for label, entry in sorted(report.get("cohorts", {}).items()):
-        base_metrics = saved.get(label)
-        if not isinstance(base_metrics, dict):
+    stage_names = MODEL_STAGES.get((rec.codec, rec.kind))
+    if stage_names is None:
+        return None
+    n_elements = rec.attrs.get("n_elements")
+    compressed = rec.attrs.get(COMPRESSED_ATTR[rec.kind])
+    if not n_elements or not compressed:
+        return None
+    # the perf model only knows the paper's GLE pass; the orchestrator
+    # ("auto") is GLE-dominated so it borrows that model, while other
+    # outer codecs (zlib) are modelled as absent
+    lossless = str(rec.attrs.get("lossless", "none"))
+    model_lossless = "gle" if lossless in ("gle", "auto") else "none"
+    timing = estimate_throughput(rec.codec, rec.kind, int(n_elements),
+                                 int(compressed), DEVICES[device],
+                                 model_lossless)
+    kernel_s = dict(timing.kernels)
+    modelled = {stage: sum(kernel_s.get(n, 0.0) for n in names)
+                for stage, names in stage_names.items()}
+    modelled = {stage: s for stage, s in modelled.items() if s > 0}
+    measured = {stage: sum(rec.stages.get(n, 0.0) for n in names)
+                for stage, names in MEASURED_STAGES[rec.kind].items()
+                if stage in modelled}
+    m_total = sum(measured.values())
+    mod_total = sum(modelled.values())
+    if not m_total or not mod_total:
+        return None
+    stages = {}
+    for stage, mod_s in modelled.items():
+        ms = measured[stage] / m_total
+        os_ = mod_s / mod_total
+        stages[stage] = {"measured_share": ms, "modelled_share": os_,
+                         "skew": ms / os_}
+    return stages
+
+
+def _skew_factor(skew: float) -> float:
+    """How many times off a skew is, either way round (an unmeasured
+    stage, skew 0, counts as on the model)."""
+    return max(skew, 1.0 / skew) if skew else 1.0
+
+
+def model_deviation(records: list[RunRecord], device: str = "a100") -> dict:
+    """Pipeline records whose measured stage shares skew more than
+    :data:`SKEW_THRESHOLD` from the perf model's kernel shares on
+    ``device``: ``{"device", "checked", "flagged"}``, each flagged entry
+    naming the record and its worst stage."""
+    flagged = []
+    checked = 0
+    for rec in records:
+        stages = _record_deviation(rec, device)
+        if stages is None:
             continue
-        for metric, mb in sorted(entry.get("baselines", {}).items()):
-            base = base_metrics.get(metric)
-            if not isinstance(base, dict):
-                continue
-            old = base.get("median")
-            new = mb.get("median")
-            if not isinstance(old, (int, float)) \
-                    or not isinstance(new, (int, float)) or not old:
-                continue
-            rel = (new - old) / abs(old)
-            worse = rel > 0 if _higher_is_worse(metric) else rel < 0
-            findings.append({"cohort": label, "metric": metric,
-                             "baseline": float(old),
-                             "current": float(new), "rel": rel,
-                             "regressed": bool(worse
-                                               and abs(rel) > thr)})
-    return findings
+        checked += 1
+        stage, worst = max(stages.items(),
+                           key=lambda kv: _skew_factor(kv[1]["skew"]))
+        if _skew_factor(worst["skew"]) > SKEW_THRESHOLD:
+            flagged.append({"kind": rec.kind, "codec": rec.codec,
+                            "seq": rec.seq, "stage": stage,
+                            "skew": worst["skew"]})
+    return {"device": device, "checked": checked, "flagged": flagged}
 
 
 # -- text rendering (repro analyze) ------------------------------------------
@@ -760,15 +793,6 @@ def format_report(report: dict) -> str:
             lines.append(line)
     else:
         lines.append("change points: none")
-    comparison = report.get("baseline_comparison")
-    if comparison is not None:
-        regressed = [f for f in comparison if f.get("regressed")]
-        lines.append(f"baseline comparison: {len(comparison)} metric(s) "
-                     f"compared, {len(regressed)} regressed")
-        for f in regressed:
-            lines.append(f"  REGRESSED {f['cohort']} {f['metric']}: "
-                         f"{f['baseline']:.4g} -> {f['current']:.4g} "
-                         f"({f['rel']:+.0%})")
     lines.append("verdict: " + ("healthy" if verdict.get("healthy", True)
                                 else "regressed")
                  + f" (anomalous_runs={verdict.get('anomalous_runs', 0)}"

@@ -226,7 +226,6 @@ def _budget_check(checks: list, name: str, what: str,
 
 
 def diagnose(records: list[RunRecord],
-             warm_hit_threshold: float = WARM_HIT_THRESHOLD,
              analytics: bool = True) -> Diagnosis:
     """Run every structural health check over a list of run records.
 
@@ -249,13 +248,13 @@ def diagnose(records: list[RunRecord],
         bad = {}
         for name, (hits, lookups) in warm.items():
             ratio = hits / lookups if lookups else 1.0
-            if ratio < warm_hit_threshold:
+            if ratio < WARM_HIT_THRESHOLD:
                 bad[name] = ratio
         detail = ", ".join(f"{n}={hits}/{lk}"
                            for n, (hits, lk) in sorted(warm.items()))
         if bad:
             detail += ("; below threshold "
-                       f"{warm_hit_threshold:.0%}: "
+                       f"{WARM_HIT_THRESHOLD:.0%}: "
                        + ", ".join(f"{n} ({r:.0%})"
                                    for n, r in sorted(bad.items())))
         checks.append(Check("warm cache hit rate", not bad, detail))

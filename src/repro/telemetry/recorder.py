@@ -58,7 +58,7 @@ __all__ = ["RunRecord", "RunCapture", "capture", "current", "annotate",
            "count", "suppressed", "records", "clear", "set_capacity",
            "capacity", "enabled", "enable", "disable",
            "to_jsonl", "from_jsonl", "write_ledger", "read_ledger",
-           "worker_baseline", "worker_aux", "aggregate", "model_deviation",
+           "worker_baseline", "worker_aux", "aggregate",
            "mint_id", "propagation_context", "trace_scope",
            "current_trace_id", "DEFAULT_CAPACITY", "LEDGER_SCHEMA"]
 
@@ -709,58 +709,3 @@ def aggregate(recs: list[RunRecord]) -> dict:
         out[label] = entry
     return out
 
-
-def model_deviation(rec: RunRecord, device: str = "a100",
-                    skew_threshold: float = 5.0) -> dict | None:
-    """Compare one pipeline record's stage shares against the GPU perf
-    model (the ledger-level analogue of the span-tree cross-check).
-
-    Returns ``{"stages": {stage: {"measured_share", "modelled_share",
-    "skew", "flagged"}}, "flagged": bool, "modelled_total_s":
-    float}`` or ``None`` when the record cannot be modelled (unknown
-    codec/direction, missing attributes). A stage the model does not
-    price (the passthrough ``lossless`` stage of a ``lossless="none"``
-    run) has no share to compare against: it is left out of ``stages``
-    and of the measured total, so every skew is finite."""
-    from repro.gpu.device import DEVICES
-    from repro.gpu.perfmodel import estimate_throughput
-    from repro.telemetry.crosscheck import (COMPRESSED_ATTR,
-                                            MEASURED_STAGES, MODEL_STAGES)
-
-    if rec.kind not in ("compress", "decompress") or rec.codec is None:
-        return None
-    if (rec.codec, rec.kind) not in MODEL_STAGES:
-        return None
-    n_elements = rec.attrs.get("n_elements")
-    compressed = rec.attrs.get(COMPRESSED_ATTR[rec.kind])
-    if not n_elements or not compressed:
-        return None
-    lossless = str(rec.attrs.get("lossless", "none"))
-    model_lossless = "gle" if lossless in ("gle", "auto") else "none"
-    timing = estimate_throughput(rec.codec, rec.kind, int(n_elements),
-                                 int(compressed), DEVICES[device],
-                                 model_lossless)
-    kernel_s = dict(timing.kernels)
-    measured = {stage: sum(rec.stages.get(n, 0.0) for n in names)
-                for stage, names in MEASURED_STAGES[rec.kind].items()}
-    modelled = {stage: sum(kernel_s.get(n, 0.0) for n in names)
-                for stage, names
-                in MODEL_STAGES[(rec.codec, rec.kind)].items()}
-    modelled = {stage: s for stage, s in modelled.items() if s > 0}
-    m_total = sum(measured.get(stage, 0.0) for stage in modelled)
-    mod_total = sum(modelled.values())
-    if not m_total or not mod_total:
-        return None
-    stages = {}
-    flagged = False
-    for stage in modelled:
-        ms = measured.get(stage, 0.0) / m_total
-        os_ = modelled[stage] / mod_total
-        skew = ms / os_
-        flag = skew > skew_threshold or \
-            (skew > 0 and skew < 1.0 / skew_threshold)
-        flagged = flagged or flag
-        stages[stage] = {"measured_share": ms, "modelled_share": os_,
-                         "skew": skew, "flagged": flag}
-    return {"stages": stages, "flagged": flagged,
-            "modelled_total_s": mod_total, "device": device}

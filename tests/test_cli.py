@@ -143,17 +143,6 @@ class TestTraceCLI:
                       "lossless"):
             assert stage in out
 
-    def test_trace_crosscheck(self, raw_file, tmp_path, capsys):
-        path, _ = raw_file
-        comp = tmp_path / "f.rp"
-        trace = tmp_path / "trace.jsonl"
-        main(["compress", str(path), str(comp), "--dims", "20,24,16",
-              "--trace", str(trace)])
-        capsys.readouterr()
-        assert main(["trace", str(trace), "--crosscheck"]) == 0
-        out = capsys.readouterr().out
-        assert "modelled A100" in out and "modelled A40" in out
-
     def test_trace_prom_format(self, raw_file, tmp_path, capsys):
         path, _ = raw_file
         comp = tmp_path / "f.rp"
@@ -185,14 +174,3 @@ class TestTraceCLI:
         assert main(["decompress", str(comp), str(out),
                      "--trace", str(trace)]) == 0
         assert trace.exists()
-
-    def test_trace_crosscheck_without_pipeline_root_errors(
-            self, tmp_path, capsys):
-        from repro.telemetry import exporters, recording, span
-        with recording() as reg:
-            with span("unrelated"):
-                pass
-        trace = tmp_path / "t.jsonl"
-        trace.write_text(exporters.to_jsonl(reg))
-        assert main(["trace", str(trace), "--crosscheck"]) == 1
-        assert "cannot cross-check" in capsys.readouterr().err

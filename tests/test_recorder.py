@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_field
-from repro.telemetry import caches, doctor, quality, recorder
+from repro.telemetry import analytics, caches, doctor, quality, recorder
 from repro.telemetry.recorder import RunRecord
 
 
@@ -245,13 +245,14 @@ class TestPipelineIntegration:
         data = smooth_field((16, 16, 16), seed=5)
         get_compressor("cuszi", eb=1e-3, mode="abs").compress(data)
         rec = recorder.records()[-1]
-        dev = recorder.model_deviation(rec)
-        assert dev is not None
-        assert set(dev["stages"]) == {"predict", "huffman", "lossless"}
-        for entry in dev["stages"].values():
+        stages = analytics._record_deviation(rec, "a100")
+        assert stages is not None
+        assert set(stages) == {"predict", "huffman", "lossless"}
+        for entry in stages.values():
             assert 0.0 <= entry["measured_share"] <= 1.0
         # runtime records cannot be modelled
-        assert recorder.model_deviation(_record(kind="runtime.x")) is None
+        assert analytics._record_deviation(_record(kind="runtime.x"),
+                                           "a100") is None
 
 
 class TestQualityAudit:
@@ -412,9 +413,9 @@ class TestStatsDoctorCLI:
         none_seqs = {r.seq for r in recorder.records()
                      if r.attrs.get("lossless") == "none"}
         for rec in recorder.records():
-            dev = recorder.model_deviation(rec)
-            if rec.seq in none_seqs and dev is not None:
-                assert "lossless" not in dev["stages"]
+            stages = analytics._record_deviation(rec, "a100")
+            if rec.seq in none_seqs and stages is not None:
+                assert "lossless" not in stages
         path = tmp_path / "ledger.jsonl"
         recorder.write_ledger(str(path))
         assert main(["analyze", str(path), "--json"]) == 0

@@ -1,6 +1,9 @@
-"""Unit tests for the telemetry core, exporters, and crosscheck."""
+"""Unit tests for the telemetry core, exporters, and the
+measured-vs-modelled cross-check."""
 
+import dataclasses
 import json
+import math
 import threading
 import time
 
@@ -261,48 +264,74 @@ class TestExporters:
 
 
 class TestCrosscheck:
-    def test_crosscheck_against_model(self):
-        import numpy as np
-        from conftest import smooth_field
-        from repro.core.pipeline import CuSZi
-        from repro.telemetry.crosscheck import crosscheck
+    """The measured-vs-modelled stage shares of a traced cuSZ-i run,
+    read from its flight-recorder record (``repro analyze``'s
+    ``model_deviation``)."""
 
-        field = smooth_field((24, 24, 24), seed=7)
-        with telemetry.recording() as reg:
-            CuSZi(eb=1e-3).compress_detailed(field)
+    @pytest.fixture(autouse=True)
+    def _fresh_recorder(self):
+        from repro.telemetry import recorder
+        recorder.clear()
+        recorder.enable()
+        yield
+        recorder.clear()
+        recorder.enable()
+
+    @staticmethod
+    def _last(kind):
+        from repro.telemetry import recorder
+        return [r for r in recorder.records() if r.kind == kind][-1]
+
+    @staticmethod
+    def _assert_shares(stages):
+        assert list(stages) == ["predict", "huffman", "lossless"]
+        assert sum(e["measured_share"] for e in stages.values()) == \
+            pytest.approx(1.0)
+        assert sum(e["modelled_share"] for e in stages.values()) == \
+            pytest.approx(1.0)
+        assert all(math.isfinite(e["skew"]) for e in stages.values())
+
+    def test_crosscheck_against_model(self):
+        from conftest import smooth_field
+        from repro.registry import get_compressor
+        from repro.telemetry import analytics
+
+        get_compressor("cuszi", eb=1e-3, mode="abs").compress(
+            smooth_field((24, 24, 24), seed=7))
+        rec = self._last("compress")
+        assert rec.codec == "cuszi"
         for device in ("a100", "a40"):
-            report = crosscheck(reg.spans, device)
-            assert report.codec == "cuszi"
-            assert report.direction == "compress"
-            assert [r.stage for r in report.rows] == \
-                ["predict", "huffman", "lossless"]
-            shares = [r.measured_share for r in report.rows]
-            assert sum(shares) == pytest.approx(1.0)
-            assert sum(r.modelled_share for r in report.rows) == \
-                pytest.approx(1.0)
-            assert np.isfinite(report.max_skew)
-            assert "cross-check" in report.format()
+            self._assert_shares(analytics._record_deviation(rec, device))
+            doc = analytics.model_deviation([rec], device)
+            assert doc["device"] == device and doc["checked"] == 1
 
     def test_crosscheck_decompress_direction(self):
         from conftest import smooth_field
-        from repro.core.pipeline import CuSZi
-        from repro.telemetry.crosscheck import crosscheck
+        from repro.registry import get_compressor
+        from repro.telemetry import analytics
 
-        codec = CuSZi(eb=1e-3)
-        blob = codec.compress(smooth_field((24, 24, 24), seed=7))
-        with telemetry.recording() as reg:
-            codec.decompress(blob)
-        report = crosscheck(reg.spans, "a100")
-        assert report.direction == "decompress"
-        assert sum(r.measured_share for r in report.rows) == \
-            pytest.approx(1.0)
+        comp = get_compressor("cuszi", eb=1e-3, mode="abs")
+        comp.decompress(comp.compress(smooth_field((24, 24, 24), seed=7)))
+        rec = self._last("decompress")
+        self._assert_shares(analytics._record_deviation(rec, "a100"))
+        assert analytics.model_deviation([rec], "a100")["checked"] == 1
 
     def test_crosscheck_needs_root(self):
-        from repro.common.errors import ConfigError
-        from repro.telemetry.crosscheck import crosscheck
+        """Records that do not describe a modellable pipeline run (a
+        runtime record, a record without its element count) are left
+        out rather than compared."""
+        from conftest import smooth_field
+        from repro.registry import get_compressor
+        from repro.telemetry import analytics
+        from repro.telemetry.recorder import RunRecord
 
-        with telemetry.recording() as reg:
-            with telemetry.span("unrelated"):
-                pass
-        with pytest.raises(ConfigError):
-            crosscheck(reg.spans)
+        get_compressor("cuszi", eb=1e-3, mode="abs").compress(
+            smooth_field((16, 16, 16), seed=5))
+        rec = self._last("compress")
+        unsized = dataclasses.replace(
+            rec, attrs={k: v for k, v in rec.attrs.items()
+                        if k != "n_elements"})
+        runtime = RunRecord(seq=1, kind="runtime.x", ts=0.0, wall_s=0.01)
+        for bad in (runtime, unsized):
+            assert analytics._record_deviation(bad, "a100") is None
+        assert analytics.model_deviation([runtime, unsized])["checked"] == 0
